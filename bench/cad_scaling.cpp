@@ -11,9 +11,10 @@
 // one-worker run plus the QoR delta / bit-identity checks that prove
 // parallelism never changes results.
 //
-// Placement sections gate the analytical engine against the annealer and
-// the multilevel V-cycle against the flat analytical engine (the
-// placer_scale tier); any gate violation makes the bench exit non-zero.
+// Placement sections gate the multilevel engine against the annealer (the
+// placer tier) and the multilevel V-cycle against its own flat,
+// single-level schedule (`max_levels = 0`, the placer_scale tier); any gate
+// violation makes the bench exit non-zero.
 //
 // The flow_server tier drives the socket front-end with concurrent clients
 // over a Unix socket: p50/p95/p99 submit->result latency, throughput, Busy
@@ -48,7 +49,6 @@
 #include "cad/flow_service.hpp"
 #include "cad/serialize.hpp"
 #include "cad/pack.hpp"
-#include "cad/place_analytical.hpp"
 #include "cad/place_model.hpp"
 #include "cad/place_multilevel.hpp"
 #include "cad/route_search.hpp"
@@ -781,16 +781,18 @@ int main(int argc, char** argv) {
         w.end_object();
     }
 
-    // Tier 7: placement engines. Two checks, both CI gates (a violation
-    // makes the bench exit non-zero):
-    //  (a) head-to-head on the largest sweep fabric — the analytical engine
-    //      (solve + legalize + polish) must be >= 5x faster than the full
+    // Tier 7: placement engines. The analytical side is the multilevel
+    // engine (PlaceAlgorithm::Multilevel; JSON keys keep their historical
+    // `analytical_*` names). Two checks, both CI gates (a violation makes
+    // the bench exit non-zero):
+    //  (a) head-to-head on the largest sweep fabric — the multilevel engine
+    //      (V-cycle + legalize + polish) must be >= 5x faster than the full
     //      anneal at equal-or-better bounding-box cost. Both engines are
-    //      serial, so the ratio is meaningful even on the 1-core container;
-    //      in --smoke the fabric is too small for the asymptotic speedup, so
-    //      only the QoR half gates there.
+    //      serial, so the ratio is meaningful even on one core; in --smoke
+    //      the fabric is too small for the asymptotic speedup, so neither
+    //      half gates there.
     //  (b) a fabric size the annealer cannot finish inside the bench budget
-    //      (10x the analytical wall-clock): the analytical engine must fit
+    //      (5x the multilevel wall-clock): the multilevel engine must fit
     //      the budget while the annealer's projected full run — its first 10
     //      temperature rounds, scaled to the round count the head-to-head
     //      anneal actually needed — must blow it.
@@ -827,7 +829,7 @@ int main(int argc, char** argv) {
         cad::PlaceOptions anneal_opts;
         anneal_opts.seed = 7;
         cad::PlaceOptions ana_opts = anneal_opts;
-        ana_opts.algorithm = cad::PlaceAlgorithm::Analytical;
+        ana_opts.algorithm = cad::PlaceAlgorithm::Multilevel;
 
         const PlaceRun an = time_place(pd, md, arch, anneal_opts, reps);
         const PlaceRun ana = time_place(pd, md, arch, ana_opts, reps);
@@ -839,7 +841,7 @@ int main(int argc, char** argv) {
         const bool speed_ok = smoke || speedup >= 5.0;
 
         std::printf("placer: qdi_adder_%zu on %ux%u: anneal %.1f ms cost %.1f | "
-                    "analytical %.1f ms cost %.1f (solver %llu iters, %d passes, "
+                    "multilevel %.1f ms cost %.1f (solver %llu iters, %d passes, "
                     "legalize max disp %llu) -> %.2fx, qor_ok=%d\n",
                     pt.adder_bits, pt.fabric, pt.fabric, an.ms, an.pl.final_cost, ana.ms,
                     ana.pl.final_cost,
@@ -858,10 +860,10 @@ int main(int argc, char** argv) {
         const auto gmd = cad::techmap(giant.nl, giant.hints);
         const auto gpd = cad::pack(gmd, garch);
 
-        // Budget: five times the analytical wall — the same bar as the
+        // Budget: five times the multilevel wall — the same bar as the
         // head-to-head speed gate — so budget_ok certifies the annealer
         // cannot finish even one full schedule on this fabric in the time
-        // the analytical engine finishes five runs.
+        // the multilevel engine finishes five runs.
         const PlaceRun gana = time_place(gpd, gmd, garch, ana_opts, reps);
         const double budget_ms = 5.0 * gana.ms;
         cad::PlaceOptions probe_opts = anneal_opts;
@@ -873,7 +875,7 @@ int main(int argc, char** argv) {
         const bool budget_ok =
             smoke || (gana.ms <= budget_ms && projected_anneal_ms > budget_ms);
 
-        std::printf("placer: qdi_adder_%zu on %ux%u (budget %.1f ms): analytical %.1f ms "
+        std::printf("placer: qdi_adder_%zu on %ux%u (budget %.1f ms): multilevel %.1f ms "
                     "cost %.1f; anneal 10-round probe %.1f ms -> projected %.1f ms "
                     "(%d rounds) -> budget_ok=%d\n",
                     giant_bits, giant_fabric, giant_fabric, budget_ms, gana.ms,
@@ -916,23 +918,25 @@ int main(int argc, char** argv) {
     }
 
     // Tier 8: global-placement scaling — the multilevel V-cycle's reason to
-    // exist. Subject: the *global* stages head-to-head. Each engine call
+    // exist. Subject: the *global* stage, run two ways by
+    // place_multilevel_global: the default V-cycle ("multilevel") and the
+    // flat, single-level schedule it degenerates to with `max_levels = 0`
+    // ("flat": the full solve+spread schedule at netlist size). Each call
     // already produces a complete legal placement (legalized clusters +
     // refined pads); the driver's polish/detailed-refinement pipeline
-    // downstream is byte-for-byte the same for both engines, so including
-    // it would only dilute the comparison with shared work. Fixture: deep
-    // WCHB FIFOs — cluster-dominated designs (a handful of I/Os, thousands
-    // of clusters) where the flat engine's per-pass spreading schedule, not
-    // the solve, bounds the wall (ROADMAP item 4). Three checks, all CI
-    // gates (a violation makes the bench exit non-zero):
-    //  (a) 60x60 head-to-head: the multilevel engine must be >= 3x faster
-    //      than the flat analytical engine at <= +2% legalized cost. Both
-    //      engines are strictly serial, so the ratio is meaningful on the
-    //      1-core container; both costs are deterministic, so the QoR half
-    //      of the gate is noise-free.
-    //  (b) scaling envelope: at 100x100 (~2.1x the clusters) the multilevel
+    // downstream is the same for both, so including it would only dilute
+    // the comparison with shared work. Fixture: deep WCHB FIFOs —
+    // cluster-dominated designs (a handful of I/Os, thousands of clusters)
+    // where the flat schedule's per-pass spreading, not the solve, bounds
+    // the wall. Three checks, all CI gates (a violation makes the bench exit
+    // non-zero):
+    //  (a) 60x60 head-to-head: the V-cycle must be >= 3x faster than the
+    //      flat schedule at <= +2% legalized cost. Both runs are strictly
+    //      serial, so the ratio is meaningful on one core; both costs are
+    //      deterministic, so the QoR half of the gate is noise-free.
+    //  (b) scaling envelope: at 100x100 (~2.1x the clusters) the V-cycle
     //      wall must stay within 5x of its own 60x60 wall.
-    //  (c) the flat engine must blow that envelope at 100x100: its
+    //  (c) the flat schedule must blow that envelope at 100x100: its
     //      projected wall — the measured wall scaled by the width ratio,
     //      because the spreading pass count still has to grow ~linearly
     //      with fabric width for displacement-bounded convergence — must
@@ -970,16 +974,18 @@ int main(int argc, char** argv) {
             const cad::PlaceModel model(pd, md, arch);
             cad::PlaceOptions po;
             po.seed = 7;
+            cad::PlaceOptions flat_po = po;
+            flat_po.max_levels = 0;
             ScaleRun out;
             out.clusters = pd.clusters.size();
             out.ios = model.io_entity_ids.size();
-            // Interleave the reps so both engines sample the same slice of
-            // machine noise — the ratio is much steadier than with
+            // Interleave the reps so both schedules sample the same slice
+            // of machine noise — the ratio is much steadier than with
             // back-to-back blocks.
             for (int r = 0; r < reps; ++r) {
                 {
                     base::WallTimer t;
-                    auto res = cad::place_analytical_global(model, po, po.seed);
+                    auto res = cad::place_multilevel_global(model, flat_po, flat_po.seed);
                     const double ms = t.elapsed_ms();
                     if (ms < out.flat.ms) {
                         out.flat.ms = ms;

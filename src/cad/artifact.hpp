@@ -134,8 +134,10 @@ struct ArtifactStoreStats {
 class ArtifactStore {
 public:
     /// Version stamped into every disk-blob header. Bump when any encoder
-    /// in cad/serialize.cpp changes shape; older blobs then read as misses.
-    static constexpr std::uint32_t kDiskFormatVersion = 4;
+    /// in cad/serialize.cpp changes shape, or when an unchanged options
+    /// fingerprint starts naming a different product (v5: `Race` dropped
+    /// its flat analytical replica); older blobs then read as misses.
+    static constexpr std::uint32_t kDiskFormatVersion = 5;
 
     /// An unbounded, memory-only store.
     ArtifactStore() = default;

@@ -156,7 +156,7 @@ private:
         report.add_metric("moves_tried", static_cast<double>(pl.moves_tried));
         report.add_metric("moves_accepted", static_cast<double>(pl.moves_accepted));
         report.add_metric("engine", static_cast<double>(pl.engine));
-        if (pl.engine == PlaceEngine::Analytical || pl.engine == PlaceEngine::Multilevel) {
+        if (pl.engine == PlaceEngine::Multilevel) {
             const AnalyticalStats& an = pl.analytical;
             report.add_metric("solver_iterations", static_cast<double>(an.solver_iterations));
             report.add_metric("solver_passes", static_cast<double>(an.solver_passes));

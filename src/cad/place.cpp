@@ -100,7 +100,7 @@ struct State {
 ///
 /// Cold runs (`init_loc == nullptr`) start from a seeded random placement
 /// and derive the initial temperature from an accept-everything probe. Warm
-/// runs (the analytical engine's polish pass) start from the given
+/// runs (the multilevel engine's polish pass) start from the given
 /// placement, skip the probe — its 100 accept-all moves would destroy the
 /// warm start — and open at a low temperature so only local refinement
 /// survives.
@@ -366,16 +366,12 @@ Placement anneal_single(const MappedDesign& md, const PlaceModel& model,
     return result;
 }
 
-/// One analytical-family replica: global placement + legalization (flat
-/// cad/place_analytical.cpp, or the cad/place_multilevel.cpp V-cycle when
-/// `engine == PlaceEngine::Multilevel`), then the optional warm-start
-/// polish anneal — both engines share the polish/descent tail.
-Placement place_analytical_single(const MappedDesign& md, const PlaceModel& model,
-                                  const PlaceOptions& opts, std::uint64_t seed,
-                                  PlaceEngine engine) {
-    AnalyticalResult ar = engine == PlaceEngine::Multilevel
-                              ? place_multilevel_global(model, opts, seed)
-                              : place_analytical_global(model, opts, seed);
+/// One multilevel run: the cad/place_multilevel.cpp V-cycle (global
+/// placement + legalization), then the optional warm-start polish anneal
+/// and the detailed descent.
+Placement place_multilevel_single(const MappedDesign& md, const PlaceModel& model,
+                                  const PlaceOptions& opts, std::uint64_t seed) {
+    AnalyticalResult ar = place_multilevel_global(model, opts, seed);
     Placement result;
     if (opts.polish_rounds > 0 && !model.nets.empty()) {
         result = anneal_single(md, model, opts, seed, &ar.cluster_loc, &ar.pad_of_io,
@@ -406,7 +402,7 @@ Placement place_analytical_single(const MappedDesign& md, const PlaceModel& mode
                 ar.pad_of_io[md.primary_inputs.size() + i];
         result.final_cost = model.total_cost(ar.cluster_loc, ar.pad_of_io);
     }
-    result.engine = engine;
+    result.engine = PlaceEngine::Multilevel;
     result.analytical = std::move(ar.stats);
     return result;
 }
@@ -417,20 +413,17 @@ Placement place(const PackedDesign& pd, const MappedDesign& md, const core::Arch
                 const PlaceOptions& opts) {
     const PlaceModel model(pd, md, arch);
 
-    if (opts.algorithm == PlaceAlgorithm::Analytical)
-        return place_analytical_single(md, model, opts, opts.seed, PlaceEngine::Analytical);
     if (opts.algorithm == PlaceAlgorithm::Multilevel)
-        return place_analytical_single(md, model, opts, opts.seed, PlaceEngine::Multilevel);
+        return place_multilevel_single(md, model, opts, opts.seed);
 
     const int n_anneal = std::max(1, opts.parallel_seeds);
-    const bool with_analytical = opts.algorithm == PlaceAlgorithm::Race;
-    const int n = n_anneal + (with_analytical ? 2 : 0);
+    const bool with_multilevel = opts.algorithm == PlaceAlgorithm::Race;
+    const int n = n_anneal + (with_multilevel ? 1 : 0);
     if (n == 1)
         return anneal_single(md, model, opts, opts.seed, nullptr, nullptr, opts.max_rounds);
 
     // Race N independently-seeded replicas on the pool (in Race mode the
-    // flat analytical and multilevel engines are the two final replicas, in
-    // that fixed order). Every replica is a pure
+    // multilevel engine is the final replica). Every replica is a pure
     // function of (model, opts, derived seed), and the winner is picked by
     // (final_cost, replica index) over the results in replica order, so the
     // outcome is identical whatever the pool size is. Replica slots outlive
@@ -449,11 +442,8 @@ Placement place(const PackedDesign& pd, const MappedDesign& md, const core::Arch
     pool.parallel_for(static_cast<std::size_t>(n), [&](std::size_t i) {
         base::WallTimer t;
         const std::uint64_t rseed = base::Rng::derive_seed(opts.seed, i);
-        if (with_analytical && i >= static_cast<std::size_t>(n_anneal))
-            results[i] = place_analytical_single(
-                md, model, opts, rseed,
-                i == static_cast<std::size_t>(n_anneal) ? PlaceEngine::Analytical
-                                                        : PlaceEngine::Multilevel);
+        if (with_multilevel && i == static_cast<std::size_t>(n_anneal))
+            results[i] = place_multilevel_single(md, model, opts, rseed);
         else
             results[i] = anneal_single(md, model, opts, rseed, nullptr, nullptr,
                                        opts.max_rounds);

@@ -1,20 +1,21 @@
 /// \file
-/// Placement: three engines over one wirelength model (cad/place_model.hpp).
+/// Placement: two engines over one wirelength model (cad/place_model.hpp),
+/// and a race between them.
 ///
 ///  - `anneal`: simulated annealing over PLB locations and I/O pad
 ///    assignment (VPR-style adaptive schedule, half-perimeter wirelength
 ///    cost), optionally raced across independently-seeded replicas.
-///  - `analytical`: quadratic B2B global placement solved by a
-///    deterministic conjugate-gradient solver (cad/place_analytical.hpp),
-///    snapped legal by a Tetris-style legalizer (cad/place_legalize.hpp),
-///    then polished by a short warm-start anneal.
-///  - `multilevel`: the analytical solve run as a coarsen→solve→interpolate
-///    V-cycle (cad/place_coarsen.hpp + cad/place_multilevel.hpp) — the full
-///    spreading schedule runs only on the coarsest few hundred nodes and
-///    each finer level gets a short anchored refinement, so wall time stays
-///    flat where the flat engine's per-pass cost grows with the fabric.
-///  - `race`: the analytical and multilevel engines join the multi-seed
-///    anneal race as two more replicas.
+///  - `multilevel`: analytical placement — quadratic B2B global placement
+///    solved by a deterministic conjugate-gradient solver, run as a
+///    coarsen→solve→interpolate V-cycle (cad/place_coarsen.hpp +
+///    cad/place_multilevel.hpp), snapped legal by a Tetris-style legalizer
+///    (cad/place_legalize.hpp), then polished by a short warm-start anneal
+///    and a detailed descent (cad/place_analytical.hpp). The full spreading
+///    schedule runs only on the coarsest few hundred nodes and each finer
+///    level gets a short anchored refinement, so wall time stays flat as
+///    the fabric grows. `max_levels = 0` runs the flat, single-level
+///    schedule.
+///  - `race`: one multilevel replica joins the multi-seed anneal race.
 ///
 /// Threading: races run replicas on a base::ThreadPool; each replica owns
 /// its state/Rng/cost engine and the winner is chosen by (cost, replica
@@ -35,13 +36,14 @@ namespace afpga::cad {
 /// Which placement engine(s) a place() call runs.
 enum class PlaceAlgorithm : std::uint8_t {
     Anneal = 0,      ///< simulated annealing (optionally multi-seed raced)
-    Analytical = 1,  ///< B2B quadratic solve + legalize + polish anneal
-    Race = 2,        ///< anneal replicas + analytical + multilevel, best wins
+    // 1 is retired (the former flat analytical engine); decoders reject it.
+    Race = 2,        ///< anneal replicas + one multilevel replica, best wins
     Multilevel = 3,  ///< coarsen→solve→interpolate V-cycle + legalize + polish
 };
 
-/// Which engine produced a given placement/replica (telemetry).
-enum class PlaceEngine : std::uint8_t { Anneal = 0, Analytical = 1, Multilevel = 2 };
+/// Which engine produced a given placement/replica (telemetry). 1 is
+/// retired (the former flat analytical engine); decoders reject it.
+enum class PlaceEngine : std::uint8_t { Anneal = 0, Multilevel = 2 };
 
 /// Per-level telemetry of one multilevel V-cycle descent (coarsest level
 /// first; place StageReport metrics, serialized with the Placement).
@@ -54,7 +56,7 @@ struct LevelStats {
     double wall_ms = 0.0;                 ///< wall time spent at this level
 };
 
-/// Analytical-engine telemetry: what the solver, spreader and legalizer
+/// Multilevel-engine telemetry: what the solver, spreader and legalizer
 /// did (place StageReport metrics; serialized with the Placement).
 struct AnalyticalStats {
     std::uint64_t solver_iterations = 0;  ///< total CG iterations, both axes
@@ -63,8 +65,8 @@ struct AnalyticalStats {
     double pre_legal_cost = 0.0;          ///< HPWL at fractional coordinates
     double legalized_cost = 0.0;          ///< HPWL after snapping legal
     LegalizeStats legalize;               ///< displacement histogram etc.
-    /// Multilevel engine only: one entry per V-cycle level, coarsest first
-    /// (empty for the flat engine).
+    /// One entry per V-cycle level, coarsest first (exactly one when the
+    /// coarsening never fired).
     std::vector<LevelStats> levels;
 };
 
@@ -93,7 +95,7 @@ struct Placement {
     std::vector<PlaceReplica> replicas;
     std::size_t winner_replica = 0;        ///< index into replicas
     PlaceEngine engine = PlaceEngine::Anneal;  ///< engine that produced this
-    /// Populated when `engine == Analytical` (zeroed otherwise).
+    /// Populated when `engine == Multilevel` (zeroed otherwise).
     AnalyticalStats analytical;
 };
 
@@ -115,24 +117,24 @@ struct PlaceOptions {
     /// is the lexicographic minimum of (final_cost, replica index), so the
     /// result is bit-reproducible regardless of pool size or scheduling.
     /// 1 = the classic single-seed anneal using `seed` directly. In `Race`
-    /// mode the flat analytical and multilevel engines run as two extra
-    /// replicas after these, in that fixed order.
+    /// mode the multilevel engine runs as one extra replica after these.
     int parallel_seeds = 1;
     /// Pool size for the race; 0 = base::ThreadPool::default_workers().
     unsigned threads = 0;
     /// Hard cap on annealing temperature rounds (the schedule usually
     /// exits on its own well before this).
     int max_rounds = 300;
-    /// Analytical: B2B model rebuild+solve passes of global placement.
+    /// Multilevel: B2B model rebuild+solve passes of the coarsest level's
+    /// full schedule (finer levels run a fraction of it).
     int solver_passes = 16;
-    /// Analytical: CG iteration cap per axis solve.
+    /// Multilevel: CG iteration cap per axis solve at the coarsest level.
     int solver_max_iters = 150;
-    /// Analytical: warm-start polish anneal rounds after legalization
+    /// Multilevel: warm-start polish anneal rounds after legalization
     /// (0 = no polish).
     int polish_rounds = 8;
-    /// Analytical: CG convergence threshold (relative residual).
+    /// Multilevel: CG convergence threshold (relative residual).
     double solver_tolerance = 1e-9;
-    /// Analytical: base weight of spreading anchor pseudo-nets; the
+    /// Multilevel: base weight of spreading anchor pseudo-nets; the
     /// effective weight grows linearly with the pass number.
     double anchor_weight = 0.10;
     /// Multilevel: each coarsening level targets ceil(ratio * nodes) nodes
@@ -141,7 +143,8 @@ struct PlaceOptions {
     /// Multilevel: stop coarsening once a level has this few movable nodes
     /// (the full solve+spread schedule runs there).
     int min_coarse_nodes = 64;
-    /// Multilevel: hard cap on coarsening levels above the finest.
+    /// Multilevel: hard cap on coarsening levels above the finest (0 = no
+    /// coarsening: the flat, single-level schedule).
     int max_levels = 10;
 
     /// Canonical content hash over EVERY field (artifact-key material); the

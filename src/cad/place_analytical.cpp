@@ -3,140 +3,9 @@
 #include <algorithm>
 #include <cmath>
 
-#include "base/check.hpp"
-#include "base/rng.hpp"
-#include "cad/place_solver.hpp"
-
 namespace afpga::cad {
 
-namespace {
-
-/// Minimum pin separation in B2B weights (keeps 1/d bounded when pins
-/// coincide).
-constexpr double kB2bEps = 1e-2;
-
-/// Assemble one axis of the B2B model into the caller's reusable system:
-/// for each net, the two bound pins (min/max coordinate, first-in-net-order
-/// on ties) connect to each other and to every interior pin with weight
-/// 2 / ((p-1) * max(dist, eps)). Fixed pins (I/O pads) fold into diag/rhs;
-/// anchor targets (spreading) attach every cluster to a fixed pseudo-pin.
-void build_axis(const PlaceModel& model, int axis, const std::vector<double>& cx,
-                const std::vector<double>& cy, const std::vector<std::uint32_t>& pad_of_io,
-                const std::vector<double>* anchor_targets, double anchor_w,
-                QuadSystem& sys) {
-    sys.reset(model.num_clusters);
-    auto coord_of = [&](std::size_t eid) -> double {
-        const PlaceEntity& e = model.entities[eid];
-        if (e.kind == PlaceEntity::Kind::Cluster)
-            return axis == 0 ? cx[e.index] : cy[e.index];
-        const PlacePt p = model.pad_pts[pad_of_io[e.io_slot]];
-        return axis == 0 ? p.x : p.y;
-    };
-    for (const PlaceNet& net : model.nets) {
-        const std::size_t p = net.entities.size();
-        if (p < 2) continue;
-        std::size_t lo = net.entities[0];
-        std::size_t hi = lo;
-        double clo = coord_of(lo);
-        double chi = clo;
-        for (std::size_t k = 1; k < p; ++k) {
-            const std::size_t eid = net.entities[k];
-            const double c = coord_of(eid);
-            if (c < clo) {
-                clo = c;
-                lo = eid;
-            }
-            if (c > chi) {
-                chi = c;
-                hi = eid;
-            }
-        }
-        const double base = 2.0 / static_cast<double>(p - 1);
-        auto add_edge = [&](std::size_t a, std::size_t b, double ca, double cb) {
-            if (a == b) return;
-            const double w = base / std::max(std::abs(ca - cb), kB2bEps);
-            const PlaceEntity& ea = model.entities[a];
-            const PlaceEntity& eb = model.entities[b];
-            const bool ma = ea.kind == PlaceEntity::Kind::Cluster;
-            const bool mb = eb.kind == PlaceEntity::Kind::Cluster;
-            if (ma && mb)
-                sys.connect_movable(ea.index, eb.index, w);
-            else if (ma)
-                sys.connect_fixed(ea.index, cb, w);
-            else if (mb)
-                sys.connect_fixed(eb.index, ca, w);
-        };
-        add_edge(lo, hi, clo, chi);
-        for (std::size_t k = 0; k < p; ++k) {
-            const std::size_t eid = net.entities[k];
-            if (eid == lo || eid == hi) continue;
-            const double c = coord_of(eid);
-            add_edge(eid, lo, c, clo);
-            add_edge(eid, hi, c, chi);
-        }
-    }
-    if (anchor_targets != nullptr)
-        for (std::size_t i = 0; i < model.num_clusters; ++i)
-            sys.connect_fixed(i, (*anchor_targets)[i], anchor_w);
-}
-
-/// Reusable buffers of refine_pads (hoisted out of the per-pass loop).
-struct PadScratch {
-    PadFrame frame;
-    std::vector<std::uint32_t> out;
-};
-
-/// Greedy deterministic pad refinement: io slots in slot order each take
-/// the free pad nearest (Manhattan) to the centroid of the clusters on
-/// their nets; ties keep the lowest pad index. The PadFrame answers each
-/// nearest-free query in O(log n_pads), so a pass costs
-/// O(pins + n_io log n_pads) instead of O(n_io * n_pads).
-void refine_pads(const PlaceModel& model, const std::vector<double>& cx,
-                 const std::vector<double>& cy, std::vector<std::uint32_t>& pad_of_io,
-                 PadScratch& scratch) {
-    const std::size_t n_io = model.io_entity_ids.size();
-    PadFrame& frame = scratch.frame;
-    frame.reset();
-    std::vector<std::uint32_t>& out = scratch.out;
-    out.assign(n_io, 0);
-    for (std::size_t s = 0; s < n_io; ++s) {
-        const std::size_t eid = model.io_entity_ids[s];
-        double sx = 0;
-        double sy = 0;
-        std::size_t cnt = 0;
-        for (std::size_t ni : model.nets_of_entity[eid])
-            for (std::size_t other : model.nets[ni].entities) {
-                const PlaceEntity& e = model.entities[other];
-                if (e.kind != PlaceEntity::Kind::Cluster) continue;
-                sx += cx[e.index];
-                sy += cy[e.index];
-                ++cnt;
-            }
-        std::uint32_t best = 0;
-        bool found = false;
-        if (cnt == 0) {
-            // Disconnected I/O: keep its seeded pad if free, else lowest free.
-            if (frame.is_free(pad_of_io[s])) {
-                best = pad_of_io[s];
-                found = true;
-            } else {
-                found = frame.lowest_free(best);
-            }
-        } else {
-            found = frame.nearest_free(sx / static_cast<double>(cnt),
-                                       sy / static_cast<double>(cnt), best);
-        }
-        base::check(found, "place_analytical: ran out of free pads");
-        frame.take(best);
-        out[s] = best;
-    }
-    pad_of_io = out;
-}
-
-}  // namespace
-
-// HPWL over the fractional (pre-legalization) coordinates (shared with the
-// multilevel engine; declared in the header).
+// HPWL over the fractional (pre-legalization) coordinates.
 double fractional_cost(const PlaceModel& model, const std::vector<double>& cx,
                        const std::vector<double>& cy,
                        const std::vector<std::uint32_t>& pad_of_io) {
@@ -323,99 +192,6 @@ void refine_detailed(const PlaceModel& model, std::vector<std::uint32_t>& pad_of
         }
         if (!improved) break;
     }
-}
-
-AnalyticalResult place_analytical_global(const PlaceModel& model, const PlaceOptions& opts,
-                                         std::uint64_t seed) {
-    const std::uint32_t W = model.arch->width;
-    const std::uint32_t H = model.arch->height;
-    const std::size_t n = model.num_clusters;
-    AnalyticalResult res;
-
-    // Seeded pad shuffle — the same init recipe the annealer uses, so the
-    // engines start from comparably random I/O assignments.
-    res.pad_of_io.resize(model.io_entity_ids.size());
-    {
-        base::Rng rng(seed);
-        std::vector<std::uint32_t> pads(model.geom.num_pads());
-        for (std::uint32_t i = 0; i < pads.size(); ++i) pads[i] = i;
-        rng.shuffle(pads);
-        for (std::size_t i = 0; i < res.pad_of_io.size(); ++i) res.pad_of_io[i] = pads[i];
-    }
-
-    // Cluster init: fabric center plus a small deterministic per-index
-    // jitter (RNG-free) so the first B2B bounds are not all degenerate.
-    std::vector<double> cx(n);
-    std::vector<double> cy(n);
-    for (std::size_t i = 0; i < n; ++i) {
-        const std::uint64_t h = (i + 1) * 0x9E3779B97F4A7C15ull;
-        cx[i] = (W + 1) * 0.5 + (static_cast<double>((h >> 16) & 1023) / 1023.0 - 0.5) * 0.5;
-        cy[i] = (H + 1) * 0.5 + (static_cast<double>((h >> 40) & 1023) / 1023.0 - 0.5) * 0.5;
-    }
-
-    std::vector<double> tgt_x(n);
-    std::vector<double> tgt_y(n);
-    bool have_targets = false;
-    double anchor_w = 0.0;
-
-    // Per-pass scratch, hoisted out of the loops: the system/solver/spread/
-    // pad buffers are allocated once and reused every pass.
-    QuadSystem sys;
-    PcgScratch pcg;
-    SpreadScratch spread;
-    PadScratch pads;
-    if (!model.io_entity_ids.empty()) pads.frame.build(model.pad_pts, W, H);
-
-    auto solve_axes = [&] {
-        for (int axis = 0; axis < 2; ++axis) {
-            std::vector<double>& x = axis == 0 ? cx : cy;
-            build_axis(model, axis, cx, cy, res.pad_of_io,
-                       have_targets ? (axis == 0 ? &tgt_x : &tgt_y) : nullptr, anchor_w,
-                       sys);
-            sys.fix_degenerate(x);
-            sys.finalize();
-            res.stats.solver_iterations += solve_pcg(sys, x, std::max(1, opts.solver_max_iters),
-                                                     opts.solver_tolerance, pcg);
-            const double hi = axis == 0 ? static_cast<double>(W) : static_cast<double>(H);
-            for (double& v : x) v = std::clamp(v, 1.0, hi);
-        }
-        ++res.stats.solver_passes;
-    };
-
-    const int passes = std::max(1, opts.solver_passes);
-    for (int pass = 0; pass < passes; ++pass) {
-        solve_axes();
-        // Re-seat the pads against the fresh cluster positions every pass:
-        // on I/O-heavy designs the pad assignment dominates the cost, and
-        // the pads are the solver's fixed anchors, so the two must
-        // co-converge rather than meet once at the end.
-        if (!model.io_entity_ids.empty()) refine_pads(model, cx, cy, res.pad_of_io, pads);
-        if (n != 0) {
-            spread_targets(W, H, n, cx, cy, nullptr, tgt_x, tgt_y, spread);
-            have_targets = true;
-            anchor_w = opts.anchor_weight * static_cast<double>(pass + 1);
-            ++res.stats.spread_passes;
-        }
-    }
-    if (!model.io_entity_ids.empty()) refine_pads(model, cx, cy, res.pad_of_io, pads);
-    // One closing solve against the refined pads and the last anchors.
-    solve_axes();
-
-    res.stats.pre_legal_cost = fractional_cost(model, cx, cy, res.pad_of_io);
-    // Legalize from one last round of bisection targets, not from the raw
-    // solve: the final solve re-clumps (its anchors are mild), and handing
-    // the displacement-greedy Tetris pass a dense clump lets it scatter
-    // nets arbitrarily. The targets are density-feasible (<= 1 cluster per
-    // unit cell whenever the region fits) while staying as close to the
-    // solved positions as capacity allows, so Tetris degenerates to a
-    // near-identity snap and the legalized cost tracks the fractional one.
-    if (n != 0) {
-        spread_targets(W, H, n, cx, cy, nullptr, tgt_x, tgt_y, spread);
-        ++res.stats.spread_passes;
-    }
-    res.cluster_loc = legalize_clusters(tgt_x, tgt_y, W, H, &res.stats.legalize);
-    res.stats.legalized_cost = model.total_cost(res.cluster_loc, res.pad_of_io);
-    return res;
 }
 
 }  // namespace afpga::cad

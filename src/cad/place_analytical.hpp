@@ -1,21 +1,17 @@
 /// \file
-/// Analytical global placement: a bound-to-bound (B2B) quadratic
-/// wirelength model over the placement model (cad/place_model.hpp) with
-/// I/O pads as fixed anchors, solved per axis by a Jacobi-preconditioned
-/// conjugate-gradient solver, interleaved with recursive-bisection
-/// spreading that pulls overlapping clusters apart via growing anchor
-/// pseudo-nets, and finished by a deterministic legalization pass
-/// (cad/place_legalize.hpp).
+/// Pieces of analytical placement shared by the global engine
+/// (cad/place_multilevel.hpp) and the place() driver (cad/place.cpp): the
+/// global-placement result type, HPWL over fractional coordinates, and the
+/// deterministic detailed-placement descent that finishes every analytical
+/// placement.
 ///
 /// Determinism contract: every loop runs in a fixed serial order — net
-/// order from the model, ascending entity/cluster ids, no thread-count-
-/// or scheduling-dependent floating-point reductions — so the result is a
-/// pure function of (model, options, seed) and bit-identical across runs,
-/// machines and pool sizes. The driver in cad/place.cpp layers the
-/// optional warm-start polish anneal on top.
+/// order from the model, ascending entity/cluster ids, fixed tie-breaks —
+/// so each result is a pure function of its inputs, bit-identical across
+/// runs, machines and pool sizes.
 ///
-/// Threading: pure function of its arguments; race replicas may call it
-/// concurrently over one shared PlaceModel.
+/// Threading: pure functions of their arguments; race replicas may call
+/// them concurrently over one shared PlaceModel.
 #pragma once
 
 #include <cstdint>
@@ -33,16 +29,8 @@ struct AnalyticalResult {
     AnalyticalStats stats;                    ///< solver/spread/legalize telemetry
 };
 
-/// Run global placement + pad refinement + legalization. `seed` only
-/// seeds the initial pad shuffle (the solver itself is RNG-free). Uses
-/// PlaceOptions::{solver_passes, solver_max_iters, solver_tolerance,
-/// anchor_weight}.
-[[nodiscard]] AnalyticalResult place_analytical_global(const PlaceModel& model,
-                                                       const PlaceOptions& opts,
-                                                       std::uint64_t seed);
-
 /// HPWL over fractional (pre-legalization) coordinates — the
-/// `pre_legal_cost` telemetry shared by the flat and multilevel engines.
+/// `pre_legal_cost` telemetry.
 [[nodiscard]] double fractional_cost(const PlaceModel& model, const std::vector<double>& cx,
                                      const std::vector<double>& cy,
                                      const std::vector<std::uint32_t>& pad_of_io);

@@ -1,7 +1,7 @@
 /// \file
 /// Deterministic Tetris-style legalization for analytical placement.
 ///
-/// The global placement solver (cad/place_analytical.hpp) produces
+/// The global placement solver (cad/place_multilevel.hpp) produces
 /// fractional cluster coordinates with residual overlap; this pass snaps
 /// them onto distinct PLB sites. Clusters are processed in a fixed order
 /// (sorted by target x, then y, then cluster index) and each takes the

@@ -1,8 +1,8 @@
 /// \file
 /// The placement netlist model shared by every placement engine.
 ///
-/// Both the simulated annealer (cad/place.cpp) and the analytical engine
-/// (cad/place_analytical.cpp) optimize the same objects: clusters movable on
+/// Both the simulated annealer (cad/place.cpp) and the multilevel engine
+/// (cad/place_multilevel.cpp) optimize the same objects: clusters movable on
 /// the PLB grid, primary I/Os movable across perimeter pads, and
 /// half-perimeter wirelength over the logical nets connecting them. This
 /// header owns that model — the entity table, the net list, the reverse

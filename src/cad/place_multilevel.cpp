@@ -14,7 +14,8 @@ namespace afpga::cad {
 
 namespace {
 
-/// Minimum pin separation in B2B weights (matches the flat engine).
+/// Minimum pin separation in B2B weights (keeps 1/d bounded when pins
+/// coincide).
 constexpr double kB2bEps = 1e-2;
 
 /// Intermediate levels run solver_passes / kLevelPassShrink refinement
@@ -22,15 +23,16 @@ constexpr double kB2bEps = 1e-2;
 /// carries the global structure, so the descent only irons out
 /// interpolation artifacts. This is where the speedup comes from — the
 /// full schedule runs only on the coarsest few hundred super-nodes.
-/// Running the descent short also keeps the growing anchor-weight
-/// schedule close to the flat engine's range, which measurably improves
-/// the finest solution (strong leftover anchors pin nodes to their
-/// interpolated spots).
+/// Running the descent short also keeps the growing anchor weight near
+/// the range a single-level schedule of solver_passes reaches, which
+/// measurably improves the finest solution (strong leftover anchors pin
+/// nodes to their interpolated spots).
 constexpr int kLevelPassShrink = 16;
 
 /// The finest level gets solver_passes / kFinestPassShrink passes — more
 /// than the intermediate levels, because its result is the one that
-/// legalizes, but still far short of the flat engine's full schedule.
+/// legalizes, but still far short of the full schedule. (A single-level
+/// hierarchy runs the full schedule: its one level is the coarsest.)
 constexpr int kFinestPassShrink = 4;
 
 /// Sub-coarsest levels also cap CG iterations at solver_max_iters /
@@ -40,17 +42,21 @@ constexpr int kFinestPassShrink = 4;
 /// only re-tighten what spreading is about to move anyway.
 constexpr int kLevelIterShrink = 6;
 
-/// Deterministic RNG-free per-index jitter in [-0.25, 0.25] — the flat
-/// engine's init recipe, reused for coarsest init and interpolation so
-/// coincident nodes never hand the B2B model all-degenerate bounds.
+/// Deterministic RNG-free per-index jitter in [-0.25, 0.25], used for the
+/// coarsest init and for interpolation so coincident nodes never hand the
+/// B2B model all-degenerate bounds.
 double jitter(std::size_t i, int shift) {
     const std::uint64_t h = (i + 1) * 0x9E3779B97F4A7C15ull;
     return (static_cast<double>((h >> shift) & 1023) / 1023.0 - 0.5) * 0.5;
 }
 
-/// Assemble one axis of the B2B model over a coarse level: identical to
-/// the flat engine's build_axis except pins are level nodes / io slots and
-/// the contracted net multiplicity multiplies the B2B weight.
+/// Assemble one axis of the B2B model over one level into the caller's
+/// reusable system: for each net, the two bound pins (min/max coordinate,
+/// first-in-pin-order on ties) connect to each other and to every interior
+/// pin with weight w(net) * 2 / ((p-1) * max(dist, eps)), where w(net) is
+/// the contracted net multiplicity. Fixed pins (io slots on their pads)
+/// fold into diag/rhs; anchor targets (spreading) attach every node to a
+/// fixed pseudo-pin.
 void build_level_axis(const CoarseLevel& lv, const PlaceModel& model, int axis,
                       const std::vector<double>& cx, const std::vector<double>& cy,
                       const std::vector<std::uint32_t>& pad_of_io,
@@ -129,14 +135,16 @@ struct PadScratch {
     std::vector<std::uint32_t> out;
 };
 
-/// Greedy deterministic pad refinement at one level — the flat engine's
-/// refine_pads with node weights: each io slot, in slot order, takes the
-/// free pad nearest (Manhattan) to the weight-weighted centroid of the
-/// level nodes on its nets; ties keep the lowest pad index. The PadFrame
-/// answers each nearest-free query in O(log n_pads), which is what lets
-/// the coarsest level run its full pass schedule without an
-/// O(n_io * n_pads) scan per pass swamping the cheap coarse solves.
-void refine_level_pads(const CoarseLevel& lv, const PlaceModel& model,
+/// Greedy deterministic pad refinement at one level: each io slot, in slot
+/// order, takes the free pad nearest (Manhattan) to the weight-weighted
+/// centroid of the level nodes on its nets; ties keep the lowest pad index.
+/// Re-seating the pads every pass matters on I/O-heavy designs, where the
+/// pad assignment dominates the cost and the pads are the solver's fixed
+/// anchors, so the two must co-converge. The PadFrame answers each
+/// nearest-free query in O(log n_pads), which is what lets the coarsest
+/// level run its full pass schedule without an O(n_io * n_pads) scan per
+/// pass swamping the cheap coarse solves.
+void refine_level_pads(const CoarseLevel& lv,
                        const std::vector<std::vector<std::uint32_t>>& nets_of_io,
                        const std::vector<double>& cx, const std::vector<double>& cy,
                        std::vector<std::uint32_t>& pad_of_io, PadScratch& scratch) {
@@ -185,8 +193,8 @@ AnalyticalResult place_multilevel_global(const PlaceModel& model, const PlaceOpt
     const std::uint32_t H = model.arch->height;
     AnalyticalResult res;
 
-    // Seeded pad shuffle — the same init recipe as the flat engine and the
-    // annealer, so the engines start from comparably random I/O assignments.
+    // Seeded pad shuffle — the same init recipe as the annealer, so the
+    // engines start from comparably random I/O assignments.
     res.pad_of_io.resize(model.io_entity_ids.size());
     {
         base::Rng rng(seed);
@@ -216,8 +224,8 @@ AnalyticalResult place_multilevel_global(const PlaceModel& model, const PlaceOpt
     std::vector<std::vector<std::uint32_t>> nets_of_io;
     bool have_targets = false;
     // The anchor pass counter carries across levels: the anchor weight
-    // keeps growing down the hierarchy exactly as it grows across the flat
-    // engine's passes, so the finest level arrives legalization-ready.
+    // keeps growing down the hierarchy exactly as it grows across one
+    // level's passes, so the finest level arrives legalization-ready.
     int anchor_pass = 0;
     double anchor_w = 0.0;
 
@@ -293,7 +301,7 @@ AnalyticalResult place_multilevel_global(const PlaceModel& model, const PlaceOpt
         for (int pass = 0; pass < passes; ++pass) {
             solve_axes();
             if (lv.num_io != 0)
-                refine_level_pads(lv, model, nets_of_io, cx, cy, res.pad_of_io, pads);
+                refine_level_pads(lv, nets_of_io, cx, cy, res.pad_of_io, pads);
             if (lv.num_nodes != 0) {
                 spread_targets(W, H, lv.num_nodes, cx, cy, lv.node_weight.data(), tgt_x,
                                tgt_y, spread);
@@ -305,11 +313,17 @@ AnalyticalResult place_multilevel_global(const PlaceModel& model, const PlaceOpt
         }
 
         if (li == 0) {
-            // Closing sequence at the finest level, mirroring the flat
-            // engine: re-seat pads, one closing solve, then legalize from a
-            // final round of density-feasible bisection targets.
+            // Closing sequence at the finest level: re-seat the pads, one
+            // closing solve against them and the last anchors, then
+            // legalize from a final round of bisection targets rather than
+            // the raw solve. The closing solve re-clumps (its anchors are
+            // mild), and handing the displacement-greedy Tetris pass a
+            // dense clump lets it scatter nets arbitrarily; the targets are
+            // density-feasible while staying as close to the solved
+            // positions as capacity allows, so Tetris degenerates to a
+            // near-identity snap.
             if (lv.num_io != 0)
-                refine_level_pads(lv, model, nets_of_io, cx, cy, res.pad_of_io, pads);
+                refine_level_pads(lv, nets_of_io, cx, cy, res.pad_of_io, pads);
             solve_axes();
             res.stats.pre_legal_cost = fractional_cost(model, cx, cy, res.pad_of_io);
             if (lv.num_nodes != 0) {

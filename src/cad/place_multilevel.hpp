@@ -1,25 +1,34 @@
 /// \file
-/// Multilevel analytical global placement: a coarsen→solve→interpolate
-/// V-cycle over the coarsening hierarchy of cad/place_coarsen.hpp.
+/// Analytical global placement, run as a coarsen→solve→interpolate
+/// V-cycle over the coarsening hierarchy of cad/place_coarsen.hpp — the
+/// repo's one analytical engine.
 ///
-/// The flat analytical engine (cad/place_analytical.hpp) runs its full
-/// solve+spread schedule at netlist size, so its wall time grows with the
-/// fabric through the per-pass spreading cost (ROADMAP item 4). The
-/// V-cycle instead runs the full schedule only at the coarsest level (a
-/// few hundred super-nodes), then walks down the hierarchy interpolating
-/// each solution to the next finer level and refining it with a short
-/// anchored solve+spread schedule — the growing anchor weights carry
-/// across levels, so by the finest level the placement is already spread
-/// and a handful of passes suffice. The finest level hands off to the same
-/// legalizer (and, in the driver, the same polish pipeline) as the flat
-/// engine. Spreading at coarse levels is weighted by node weight (clusters
-/// represented), so density stays honest at every level.
+/// Each level is a bound-to-bound (B2B) quadratic wirelength model with
+/// I/O pads as fixed anchors, solved per axis by the Jacobi-preconditioned
+/// conjugate-gradient solver of cad/place_solver.hpp and interleaved with
+/// recursive-bisection spreading that pulls overlapping nodes apart via
+/// growing anchor pseudo-nets. The full solve+spread schedule runs only at
+/// the coarsest level (a few hundred super-nodes); the descent then walks
+/// down the hierarchy, interpolating each solution to the next finer level
+/// and refining it with a short anchored schedule — the growing anchor
+/// weights carry across levels, so by the finest level the placement is
+/// already spread and a handful of passes suffice. The finest level hands
+/// off to the Tetris legalizer (cad/place_legalize.hpp); the driver in
+/// cad/place.cpp layers the optional polish anneal and the detailed
+/// descent on top. Spreading at coarse levels is weighted by node weight
+/// (clusters represented), so density stays honest at every level.
 ///
-/// Determinism contract: identical to the flat engine — every loop runs in
-/// a fixed serial order with fixed tie-breaks, the coarsening is itself
-/// deterministic, and `seed` only feeds the initial pad shuffle; the
-/// result is a pure function of (model, options, seed), bit-identical
-/// across runs, machines and thread counts.
+/// When the hierarchy is a single level — `PlaceOptions::max_levels = 0`,
+/// or a design with at most `min_coarse_nodes` clusters — that level is
+/// both coarsest and finest, so the V-cycle runs the flat schedule: the
+/// full `solver_passes` passes plus the closing solve on the netlist
+/// itself.
+///
+/// Determinism contract: every loop runs in a fixed serial order with
+/// fixed tie-breaks, the coarsening is itself deterministic, and `seed`
+/// only feeds the initial pad shuffle; the result is a pure function of
+/// (model, options, seed), bit-identical across runs, machines and thread
+/// counts.
 ///
 /// Threading: pure function of its arguments; race replicas may call it
 /// concurrently over one shared PlaceModel.

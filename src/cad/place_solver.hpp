@@ -1,14 +1,13 @@
 /// \file
-/// Shared numeric machinery of the analytical placement engines: the
-/// per-axis quadratic system (Laplacian + anchors, assembled from
-/// deterministic-order triplets into CSR), the Jacobi-preconditioned
-/// conjugate-gradient solver, and weighted recursive-bisection spreading.
-/// Both the flat engine (cad/place_analytical.cpp) and the multilevel
-/// V-cycle (cad/place_multilevel.cpp) build on these.
+/// Numeric machinery of analytical placement: the per-axis quadratic
+/// system (Laplacian + anchors, assembled from deterministic-order triplets
+/// into CSR), the Jacobi-preconditioned conjugate-gradient solver, and
+/// weighted recursive-bisection spreading. The multilevel V-cycle
+/// (cad/place_multilevel.cpp) builds on these.
 ///
 /// Every type here is designed for reuse across passes: QuadSystem,
 /// PcgScratch and SpreadScratch keep their buffers between calls, so the
-/// per-pass loops of the engines allocate nothing after the first pass.
+/// per-pass loops of the engine allocate nothing after the first pass.
 ///
 /// Determinism: all loops run in fixed serial order with fixed tie-breaks;
 /// given equal inputs every function produces bit-identical outputs on any
@@ -123,8 +122,8 @@ void spread_targets(std::uint32_t width, std::uint32_t height, std::size_t num_n
 /// coordinate runs bracketing the query's projection can hold the
 /// minimum. The (distance, lowest pad index) tie-break reproduces the
 /// argmin of an ascending full scan bit-for-bit — the greedy pad
-/// refinement loops of both engines keep their exact results, they just
-/// stop paying O(n_io * n_pads) per pass.
+/// refinement loop (refine_level_pads) keeps its exact result, it just
+/// stops paying O(n_io * n_pads) per pass.
 ///
 /// Like the other scratch types here, build once and reset() per pass.
 class PadFrame {

@@ -457,9 +457,12 @@ std::size_t ArtifactCodec<Placement>::approx_bytes(const Placement& v) noexcept 
 
 namespace {
 
-std::uint8_t get_engine(BlobReader& r) {
-    const std::uint8_t e = r.u8();
-    base::check(e <= 2, "placement blob: bad engine tag");
+/// Tag 1 (the retired flat analytical engine) is rejected like any other
+/// unknown tag.
+PlaceEngine get_engine(BlobReader& r) {
+    const auto e = static_cast<PlaceEngine>(r.u8());
+    base::check(e == PlaceEngine::Anneal || e == PlaceEngine::Multilevel,
+                "placement blob: bad engine tag");
     return e;
 }
 
@@ -525,11 +528,11 @@ Placement ArtifactCodec<Placement>::decode(BlobReader& r) {
         rep.final_cost = r.f64();
         rep.wall_ms = r.f64();
         rep.cost_trajectory = get_f64_vec(r);
-        rep.engine = static_cast<PlaceEngine>(get_engine(r));
+        rep.engine = get_engine(r);
         v.replicas.push_back(std::move(rep));
     }
     v.winner_replica = static_cast<std::size_t>(r.u64());
-    v.engine = static_cast<PlaceEngine>(get_engine(r));
+    v.engine = get_engine(r);
     v.analytical.solver_iterations = r.u64();
     v.analytical.solver_passes = static_cast<int>(r.i64());
     v.analytical.spread_passes = static_cast<int>(r.i64());

@@ -361,10 +361,13 @@ FlowOptions decode_flow_options(BlobReader& r) {
     o.place.moves_scale = r.f64();
     o.place.anneal = r.boolean();
     o.place.incremental = r.boolean();
-    const std::uint8_t alg = r.u8();
-    check(alg <= static_cast<std::uint8_t>(PlaceAlgorithm::Multilevel),
+    // Tag 1 (the retired flat analytical engine) must not decode: place()
+    // would silently run the annealer for it.
+    const auto alg = static_cast<PlaceAlgorithm>(r.u8());
+    check(alg == PlaceAlgorithm::Anneal || alg == PlaceAlgorithm::Race ||
+              alg == PlaceAlgorithm::Multilevel,
           "wire: place algorithm out of range");
-    o.place.algorithm = static_cast<PlaceAlgorithm>(alg);
+    o.place.algorithm = alg;
     o.place.parallel_seeds = static_cast<int>(r.i64());
     o.place.threads = r.u32();
     o.place.max_rounds = static_cast<int>(r.i64());

@@ -5,6 +5,7 @@
 // their concurrency contracts (this file runs under the TSan CI leg).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <filesystem>
@@ -171,7 +172,6 @@ TEST(OptionFingerprint, PlaceEveryFieldCounts) {
         [](auto& o) { o.seed = 2; }, [](auto& o) { o.alpha = 0.8; },
         [](auto& o) { o.moves_scale = 11.0; }, [](auto& o) { o.anneal = false; },
         [](auto& o) { o.incremental = false; },
-        [](auto& o) { o.algorithm = cad::PlaceAlgorithm::Analytical; },
         [](auto& o) { o.algorithm = cad::PlaceAlgorithm::Race; },
         [](auto& o) { o.parallel_seeds = 2; }, [](auto& o) { o.threads = 3; },
         [](auto& o) { o.max_rounds = 77; }, [](auto& o) { o.solver_passes = 5; },
@@ -506,6 +506,37 @@ TEST(ArtifactStore, CorruptDiskBlobIsAMissNeverACrash) {
     const auto got = reader.get<cad::Placement>(9);
     ASSERT_NE(got, nullptr);
     EXPECT_EQ(got->final_cost, 4.0);
+}
+
+TEST(ArtifactStore, VersionFourDiskBlobIsAStaleMiss) {
+    // Format 4 predates the Race replica change: under an unchanged options
+    // fingerprint a v4 Race blob can name a winner the current code cannot
+    // produce, so a v4 header must read as a stale blob, never a hit.
+    ScratchDir dir;
+    {
+        cad::ArtifactStore writer(cad::ArtifactStoreConfig{0, dir.str()});
+        writer.put(21, make_placement(6.0, 8));
+    }
+    const fs::path blob = dir.path() / cad::key_hex(21);
+    std::vector<char> bytes;
+    {
+        std::ifstream in(blob, std::ios::binary);
+        bytes.assign(std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>());
+    }
+    ASSERT_GT(bytes.size(), 8u);
+    // The header's little-endian u32 format version sits at byte offset 4.
+    const char v4[4] = {4, 0, 0, 0};
+    std::copy(v4, v4 + 4, bytes.begin() + 4);
+    {
+        std::ofstream out(blob, std::ios::binary | std::ios::trunc);
+        out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+    }
+    cad::ArtifactStore reader(cad::ArtifactStoreConfig{0, dir.str()});
+    EXPECT_EQ(reader.get<cad::Placement>(21), nullptr);
+    const auto st = reader.stats();
+    EXPECT_EQ(st.disk_bad_blobs, 1u);
+    EXPECT_EQ(st.disk_hits, 0u);
+    EXPECT_EQ(st.misses, 1u);
 }
 
 TEST(ArtifactStore, TwoStoresShareOneCacheDirectory) {

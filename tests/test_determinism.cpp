@@ -116,8 +116,8 @@ TEST(Determinism, LargerFabricBitstreamInvariantAcrossRouteThreads) {
 }
 
 // --- placement algorithm x thread-count matrix ------------------------------
-// The analytical and multilevel engines are serial by construction, and the
-// race layers them on top of the multi-seed anneal pool — in every case
+// The multilevel engine is serial by construction, and the race layers it
+// on top of the multi-seed anneal pool — in every case
 // PlaceOptions::threads must stay a pure wall-clock knob: every pool size has
 // to produce the same winner, the same placement and therefore the same
 // bitstream, bit for bit.
@@ -149,15 +149,13 @@ void expect_both_algorithms_thread_invariant(const netlist::Netlist& nl,
                                              const asynclib::MappingHints& hints,
                                              const core::ArchSpec& arch,
                                              cad::FlowOptions opts) {
-    expect_place_thread_matrix_identical(nl, hints, arch, opts,
-                                         cad::PlaceAlgorithm::Analytical);
     // A tiny min_coarse_nodes forces real coarsening levels even on the
     // small fixture designs, so the matrix exercises a genuine V-cycle.
     opts.place.min_coarse_nodes = 4;
     expect_place_thread_matrix_identical(nl, hints, arch, opts,
                                          cad::PlaceAlgorithm::Multilevel);
-    // Give the race real annealing replicas to schedule around the two
-    // extra analytical-family ones.
+    // Give the race real annealing replicas to schedule around the extra
+    // multilevel one.
     opts.place.parallel_seeds = 3;
     expect_place_thread_matrix_identical(nl, hints, arch, opts, cad::PlaceAlgorithm::Race);
 }

@@ -1,6 +1,7 @@
-// Analytical placement engine: the Tetris legalizer's determinism and
-// stats, the B2B solver's option contract, engine tagging, and the race
-// winner semantics when the analytical replica joins the anneal pool.
+// Analytical placement: the Tetris legalizer's determinism and stats, the
+// B2B solver's option contract and engine tagging on the flat (single-level,
+// `max_levels = 0`) schedule of the multilevel engine, and the race winner
+// semantics when the multilevel replica joins the anneal pool.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -70,7 +71,7 @@ TEST(Legalizer, ThrowsWhenClustersCannotFit) {
     EXPECT_THROW((void)cad::legalize_clusters(x, y, 2, 2), base::Error);
 }
 
-// --- analytical engine ------------------------------------------------------
+// --- flat schedule of the multilevel engine ----------------------------------
 
 struct Design {
     cad::MappedDesign md;
@@ -84,6 +85,14 @@ Design make_design() {
     d.md = cad::techmap(adder.nl, adder.hints);
     d.pd = cad::pack(d.md, d.arch);
     return d;
+}
+
+/// The multilevel engine with coarsening off: one level, full schedule.
+cad::PlaceOptions flat_opts() {
+    cad::PlaceOptions opts;
+    opts.algorithm = cad::PlaceAlgorithm::Multilevel;
+    opts.max_levels = 0;
+    return opts;
 }
 
 void expect_legal(const cad::Placement& pl, const core::ArchSpec& arch) {
@@ -100,14 +109,14 @@ void expect_legal(const cad::Placement& pl, const core::ArchSpec& arch) {
 
 TEST(PlaceAnalytical, LegalDeterministicAndTagged) {
     const Design d = make_design();
-    cad::PlaceOptions opts;
-    opts.algorithm = cad::PlaceAlgorithm::Analytical;
+    cad::PlaceOptions opts = flat_opts();
     opts.seed = 11;
     const auto a = cad::place(d.pd, d.md, d.arch, opts);
     const auto b = cad::place(d.pd, d.md, d.arch, opts);
 
     expect_legal(a, d.arch);
-    EXPECT_EQ(a.engine, cad::PlaceEngine::Analytical);
+    EXPECT_EQ(a.engine, cad::PlaceEngine::Multilevel);
+    EXPECT_EQ(a.analytical.levels.size(), 1u);
     EXPECT_TRUE(a.replicas.empty());
     ASSERT_EQ(a.cluster_loc.size(), b.cluster_loc.size());
     for (std::size_t i = 0; i < a.cluster_loc.size(); ++i)
@@ -129,8 +138,7 @@ TEST(PlaceAnalytical, LegalDeterministicAndTagged) {
 
 TEST(PlaceAnalytical, SolverOptionCapsAreHonoured) {
     const Design d = make_design();
-    cad::PlaceOptions opts;
-    opts.algorithm = cad::PlaceAlgorithm::Analytical;
+    cad::PlaceOptions opts = flat_opts();
     opts.seed = 11;
     opts.solver_passes = 3;
     opts.solver_max_iters = 7;
@@ -145,13 +153,12 @@ TEST(PlaceAnalytical, SolverOptionCapsAreHonoured) {
 
 TEST(PlaceAnalytical, PolishOffSkipsTheAnneal) {
     const Design d = make_design();
-    cad::PlaceOptions opts;
-    opts.algorithm = cad::PlaceAlgorithm::Analytical;
+    cad::PlaceOptions opts = flat_opts();
     opts.seed = 11;
     opts.polish_rounds = 0;
     const auto pl = cad::place(d.pd, d.md, d.arch, opts);
     expect_legal(pl, d.arch);
-    EXPECT_EQ(pl.engine, cad::PlaceEngine::Analytical);
+    EXPECT_EQ(pl.engine, cad::PlaceEngine::Multilevel);
     EXPECT_EQ(pl.moves_tried, 0u);
     EXPECT_EQ(pl.anneal_rounds, 0);
     EXPECT_GT(pl.final_cost, 0.0);
@@ -159,7 +166,7 @@ TEST(PlaceAnalytical, PolishOffSkipsTheAnneal) {
 
 // --- race -------------------------------------------------------------------
 
-TEST(PlaceRace, AnalyticalJoinsAsFinalReplicaAndLexMinWins) {
+TEST(PlaceRace, MultilevelJoinsAsFinalReplicaAndLexMinWins) {
     const Design d = make_design();
     cad::PlaceOptions opts;
     opts.algorithm = cad::PlaceAlgorithm::Race;
@@ -168,11 +175,11 @@ TEST(PlaceRace, AnalyticalJoinsAsFinalReplicaAndLexMinWins) {
     const auto pl = cad::place(d.pd, d.md, d.arch, opts);
     expect_legal(pl, d.arch);
 
-    ASSERT_EQ(pl.replicas.size(), 5u);
+    // parallel_seeds anneal replicas, then exactly one multilevel replica.
+    ASSERT_EQ(pl.replicas.size(), static_cast<std::size_t>(opts.parallel_seeds) + 1);
     for (std::size_t i = 0; i < 3; ++i)
         EXPECT_EQ(pl.replicas[i].engine, cad::PlaceEngine::Anneal) << i;
-    EXPECT_EQ(pl.replicas[3].engine, cad::PlaceEngine::Analytical);
-    EXPECT_EQ(pl.replicas[4].engine, cad::PlaceEngine::Multilevel);
+    EXPECT_EQ(pl.replicas[3].engine, cad::PlaceEngine::Multilevel);
 
     // Winner is the lexicographic minimum of (final_cost, replica index).
     std::size_t expect_winner = 0;
@@ -194,6 +201,8 @@ TEST(PlaceRace, PoolSizeNeverChangesTheWinner) {
     for (unsigned t : {1u, 2u, 4u, 8u}) {
         opts.threads = t;
         auto pl = cad::place(d.pd, d.md, d.arch, opts);
+        ASSERT_EQ(pl.replicas.size(), static_cast<std::size_t>(opts.parallel_seeds) + 1) << t;
+        EXPECT_EQ(pl.replicas.back().engine, cad::PlaceEngine::Multilevel) << t;
         if (t == 1u) {
             ref = std::move(pl);
             continue;

@@ -238,14 +238,33 @@ TEST(PlaceMultilevel, PerLevelTelemetryDescribesTheVCycle) {
         EXPECT_LT(levels[l].solver_passes, levels[0].solver_passes) << "level " << l;
 }
 
-TEST(PlaceMultilevel, FlatEngineReportsNoLevels) {
+// The single-level V-cycle is the flat schedule: when coarsening does not
+// fire — max_levels = 0, or a design at or below min_coarse_nodes — the one
+// level is both coarsest and finest, so it runs the full solver_passes
+// schedule plus the closing solve.
+void expect_single_level_full_schedule(const Design& d, const cad::PlaceOptions& opts) {
+    const auto pl = cad::place(d.pd, d.md, d.arch, opts);
+    EXPECT_EQ(pl.engine, cad::PlaceEngine::Multilevel);
+    ASSERT_EQ(pl.analytical.levels.size(), 1u);
+    const cad::LevelStats& ls = pl.analytical.levels[0];
+    EXPECT_EQ(ls.nodes, static_cast<std::uint64_t>(pl.cluster_loc.size()));
+    EXPECT_EQ(ls.solver_passes, opts.solver_passes + 1);
+    EXPECT_EQ(pl.analytical.solver_passes, opts.solver_passes + 1);
+}
+
+TEST(PlaceMultilevel, NoCoarseningRunsTheFullScheduleOnOneLevel) {
     const Design d = make_design();
     cad::PlaceOptions opts;
-    opts.algorithm = cad::PlaceAlgorithm::Analytical;
+    opts.algorithm = cad::PlaceAlgorithm::Multilevel;
     opts.seed = 3;
-    const auto pl = cad::place(d.pd, d.md, d.arch, opts);
-    EXPECT_EQ(pl.engine, cad::PlaceEngine::Analytical);
-    EXPECT_TRUE(pl.analytical.levels.empty());
+    opts.max_levels = 0;
+    expect_single_level_full_schedule(d, opts);
+
+    // A design at or below min_coarse_nodes never coarsens either.
+    opts.max_levels = cad::PlaceOptions{}.max_levels;
+    opts.min_coarse_nodes = static_cast<int>(d.pd.clusters.size());
+    opts.solver_passes = 5;
+    expect_single_level_full_schedule(d, opts);
 }
 
 }  // namespace

@@ -104,7 +104,7 @@ cad::Placement make_placement() {
     r1.final_cost = 12.5;
     r1.wall_ms = 1.25;
     r1.cost_trajectory = {29.0, 12.5};
-    r1.engine = cad::PlaceEngine::Analytical;
+    r1.engine = cad::PlaceEngine::Multilevel;
     pl.replicas = {r0, r1};
     pl.winner_replica = 1;
     pl.engine = cad::PlaceEngine::Multilevel;
@@ -511,6 +511,23 @@ TEST(SerializeRobustness, CorruptCountFailsBeforeAllocating) {
     w.u64(0x2000000000000000ULL);
     EXPECT_THROW((void)cad::ArtifactCodec<cad::MappedDesign>::decode_blob(w.bytes()),
                  base::Error);
+}
+
+TEST(SerializeRobustness, PlacementRejectsRetiredEngineTag) {
+    // Tag 1 was the flat analytical engine. It is retired, so a blob that
+    // carries it — in any replica or as the winner — must not decode.
+    const auto retired = static_cast<cad::PlaceEngine>(1);
+    const std::size_t num_replicas = make_placement().replicas.size();
+    for (std::size_t slot = 0; slot <= num_replicas; ++slot) {
+        cad::Placement pl = make_placement();
+        if (slot < num_replicas)
+            pl.replicas[slot].engine = retired;
+        else
+            pl.engine = retired;
+        const auto blob = cad::ArtifactCodec<cad::Placement>::encode_blob(pl);
+        EXPECT_THROW((void)cad::ArtifactCodec<cad::Placement>::decode_blob(blob), base::Error)
+            << "slot " << slot;
+    }
 }
 
 TEST(SerializeRobustness, DecodeArchRejectsGarbage) {

@@ -291,6 +291,24 @@ TEST(WireCodec, FlowOptionsRoundTripNonDefaults) {
     EXPECT_EQ(std::move(w2).take(), bytes);
 }
 
+TEST(WireCodec, FlowOptionsRejectRetiredPlaceAlgorithm) {
+    // Tag 1 was the flat analytical engine. It is retired, so it must not
+    // decode (place() would otherwise silently anneal); the live tags do.
+    for (const std::uint8_t tag : {0, 1, 2, 3, 4}) {
+        cad::FlowOptions o;
+        o.place.algorithm = static_cast<cad::PlaceAlgorithm>(tag);
+        cad::BlobWriter w;
+        wire::encode_flow_options(o, w);
+        const std::vector<std::uint8_t> bytes = std::move(w).take();
+        cad::BlobReader r(bytes);
+        if (tag == 1 || tag == 4)
+            EXPECT_THROW((void)wire::decode_flow_options(r), base::Error) << int{tag};
+        else
+            EXPECT_EQ(wire::decode_flow_options(r).place.algorithm, o.place.algorithm)
+                << int{tag};
+    }
+}
+
 template <typename Msg, typename Decode>
 void expect_msg_roundtrip(const Msg& m, Decode decode, const char* what) {
     const std::vector<std::uint8_t> bytes = wire::encode_payload(m);
