@@ -6,8 +6,11 @@
 
 #include "asynclib/adders.hpp"
 #include "asynclib/fifos.hpp"
+#include "base/check.hpp"
+#include "base/strings.hpp"
 #include "cad/flow.hpp"
 #include "cad/route_search.hpp"
+#include "core/elaborate.hpp"
 #include "sim/channels.hpp"
 #include "sim/simulator.hpp"
 #include "sim/testbench.hpp"
@@ -149,6 +152,46 @@ void BM_SimFifoStream(benchmark::State& state) {
     state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 64);
 }
 BENCHMARK(BM_SimFifoStream)->Unit(benchmark::kMillisecond);
+
+// Post-route simulation, the netlist the simulator's LUT fast path targets:
+// a WCHB FIFO 4x8 compiled onto 12x12, elaborated from its bitstream into
+// LE-level LUT cells and PDE delays, with the routed wire delays applied.
+// Each iteration settles a fresh simulator and streams 1000 tokens.
+void BM_SimPostRoute(benchmark::State& state) {
+    auto fifo = asynclib::make_wchb_fifo(4, 8);
+    const auto fr = cad::run_flow(fifo.nl, fifo.hints, bench_arch(), {});
+    const core::ElaboratedDesign impl = fr.elaborate();
+    const auto delays = core::resolve_wire_delays(impl);
+    const netlist::Netlist& nl = impl.nl;
+    const auto po = [&nl](const std::string& name) {
+        for (const auto& [n, net] : nl.primary_outputs())
+            if (n == name) return net;
+        base::fail("BM_SimPostRoute: missing output " + name);
+    };
+    std::vector<asynclib::DualRail> in;
+    std::vector<asynclib::DualRail> out;
+    for (std::size_t i = 0; i < 4; ++i) {
+        const std::string b = base::bus_bit("in", i);
+        const std::string o = base::bus_bit("out", i);
+        in.push_back({nl.find_net(b + ".t"), nl.find_net(b + ".f")});
+        out.push_back({po(o + ".t"), po(o + ".f")});
+    }
+    constexpr std::size_t kTokens = 1000;
+    std::vector<std::uint64_t> tokens(kTokens);
+    for (std::size_t i = 0; i < kTokens; ++i) tokens[i] = (i * 7 + 3) & 0xF;
+    for (auto _ : state) {
+        sim::Simulator sim(nl);
+        for (const auto& d : delays) sim.set_sink_delay(d.net, d.sink_idx, d.delay_ps);
+        sim.run();
+        sim::DrStreamSource src(sim, in, po("ack_in"), tokens, 400);
+        sim::DrStreamSink sink(sim, out, nl.find_net("ack_out"), 400);
+        src.start();
+        benchmark::DoNotOptimize(sim.run());
+        if (sink.received() != tokens) state.SkipWithError("post-route FIFO lost tokens");
+    }
+    state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations() * kTokens));
+}
+BENCHMARK(BM_SimPostRoute)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

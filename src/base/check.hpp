@@ -27,6 +27,12 @@ inline void check(bool condition, const std::string& message) {
     if (!condition) throw Error(message);
 }
 
+/// Same, for a literal message: the string is only built on failure, so a
+/// passing check costs no allocation (hot accessors call this).
+inline void check(bool condition, const char* message) {
+    if (!condition) [[unlikely]] throw Error(message);
+}
+
 /// Unconditionally throw Error with `message`.
 [[noreturn]] inline void fail(const std::string& message) { throw Error(message); }
 

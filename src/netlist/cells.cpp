@@ -97,20 +97,21 @@ Logic logic_xor(std::span<const Logic> in) {
 Logic eval_lut(const TruthTable& table, std::span<const Logic> in) {
     // Exact three-valued evaluation: enumerate completions of the unknown
     // inputs; if every completion agrees the value is known.
-    std::vector<std::size_t> unknowns;
+    std::array<std::uint8_t, TruthTable::kMaxArity> unknowns{};
+    std::size_t n_unknown = 0;
     std::uint32_t base_assign = 0;
     for (std::size_t i = 0; i < in.size(); ++i) {
         if (in[i] == Logic::X)
-            unknowns.push_back(i);
+            unknowns[n_unknown++] = static_cast<std::uint8_t>(i);
         else if (in[i] == Logic::T)
             base_assign |= 1u << i;
     }
-    if (unknowns.size() > 10) return Logic::X;  // pessimistic cap
+    if (n_unknown > 10) return Logic::X;  // pessimistic cap
     bool first = true;
     bool value = false;
-    for (std::uint32_t m = 0; m < (1u << unknowns.size()); ++m) {
+    for (std::uint32_t m = 0; m < (1u << n_unknown); ++m) {
         std::uint32_t a = base_assign;
-        for (std::size_t k = 0; k < unknowns.size(); ++k)
+        for (std::size_t k = 0; k < n_unknown; ++k)
             if ((m >> k) & 1u) a |= 1u << unknowns[k];
         const bool v = table.eval(a);
         if (first) {

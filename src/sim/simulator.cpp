@@ -1,6 +1,6 @@
 #include "sim/simulator.hpp"
 
-#include <algorithm>
+#include <bit>
 #include <span>
 
 #include "base/check.hpp"
@@ -10,27 +10,123 @@ namespace afpga::sim {
 using base::check;
 using netlist::Cell;
 using netlist::CellFunc;
-using netlist::Net;
+
+// ---------------------------------------------------------------------------
+// EventQueue
+// ---------------------------------------------------------------------------
+
+Simulator::EventQueue::EventQueue() : head_(kSlots, kNil), tail_(kSlots, kNil) {}
+
+void Simulator::EventQueue::push(const Event& ev, std::int64_t now) {
+    if (ev.time - now >= kWindow) {
+        far_.push(ev);
+        return;
+    }
+    std::uint32_t idx = free_;
+    if (idx != kNil) {
+        free_ = pool_[idx].next;
+        pool_[idx] = Node{ev, kNil};
+    } else {
+        idx = static_cast<std::uint32_t>(pool_.size());
+        pool_.push_back(Node{ev, kNil});
+    }
+    const std::size_t slot = static_cast<std::size_t>(ev.time) & (kSlots - 1);
+    if (head_[slot] == kNil) {
+        head_[slot] = idx;
+        occupied_[slot / 64] |= std::uint64_t{1} << (slot % 64);
+    } else {
+        pool_[tail_[slot]].next = idx;
+    }
+    tail_[slot] = idx;
+    ++wheel_size_;
+}
+
+const Simulator::Event& Simulator::EventQueue::front(std::int64_t now) {
+    const Event* wheel = nullptr;
+    if (wheel_size_ != 0) {
+        // Wheel times lie in [now, now + kWindow): the first occupied slot
+        // at or after now's slot, circularly, holds the earliest of them.
+        const std::size_t start = static_cast<std::size_t>(now) & (kSlots - 1);
+        const std::size_t w0 = start / 64;
+        std::uint64_t bits = occupied_[w0] & (~std::uint64_t{0} << (start % 64));
+        std::size_t w = w0;
+        for (std::size_t k = 1; bits == 0; ++k) {
+            w = (w0 + k) % kWords;
+            bits = occupied_[w];  // k == kWords revisits w0: only bits below start remain
+        }
+        front_slot_ = static_cast<std::uint32_t>(w * 64 + std::countr_zero(bits));
+        wheel = &pool_[head_[front_slot_]].ev;
+    }
+    if (!far_.empty()) {
+        const Event& far = far_.top();
+        if (wheel == nullptr || Later{}(*wheel, far)) {
+            front_slot_ = kNil;
+            return far;
+        }
+    }
+    return *wheel;
+}
+
+void Simulator::EventQueue::pop_front() {
+    if (front_slot_ == kNil) {
+        far_.pop();
+        return;
+    }
+    const std::size_t slot = front_slot_;
+    const std::uint32_t idx = head_[slot];
+    head_[slot] = pool_[idx].next;
+    if (head_[slot] == kNil) occupied_[slot / 64] &= ~(std::uint64_t{1} << (slot % 64));
+    pool_[idx].next = free_;
+    free_ = idx;
+    --wheel_size_;
+}
+
+// ---------------------------------------------------------------------------
+// Simulator
+// ---------------------------------------------------------------------------
 
 Simulator::Simulator(const Netlist& nl, InitState init) : nl_(nl) {
     const Logic v0 = init == InitState::AllZero ? Logic::F : Logic::X;
-    net_value_.assign(nl.num_nets(), v0);
-    transitions_.assign(nl.num_nets(), 0);
-    pending_stamp_.assign(nl.num_nets(), 0);
-    pending_value_.assign(nl.num_nets(), Logic::X);
-    callbacks_.resize(nl.num_nets());
-    sink_delay_.resize(nl.num_nets());
-    for (std::size_t n = 0; n < nl.num_nets(); ++n)
-        sink_delay_[n].assign(nl.net(NetId{n}).sinks.size(), 0);
+    const std::size_t n_nets = nl.num_nets();
+    net_value_.assign(n_nets, v0);
+    transitions_.assign(n_nets, 0);
+    pending_stamp_.assign(n_nets, 0);
+    pending_value_.assign(n_nets, Logic::X);
+    has_callback_.assign(n_nets, 0);
+    callbacks_.resize(n_nets);
 
-    pin_base_.resize(nl.num_cells() + 1, 0);
-    for (std::size_t c = 0; c < nl.num_cells(); ++c)
-        pin_base_[c + 1] = pin_base_[c] + nl.cell(CellId{c}).inputs.size();
-    pin_value_.assign(pin_base_.back(), v0);
+    cells_.reserve(nl.num_cells());
+    for (std::size_t c = 0; c < nl.num_cells(); ++c) {
+        const Cell& cell = nl.cell(CellId{c});
+        const std::size_t arity = cell.inputs.size();
+        check(arity <= 32, "Simulator: cell has more than 32 inputs");
+        const bool fast_lut = cell.func == CellFunc::Lut && arity <= 6;
+        cells_.push_back(CompiledCell{
+            .delay_ps = cell.delay_ps.value_or(netlist::default_delay_ps(cell.func)),
+            .lut_rows = fast_lut ? cell.table->bits64() : 0,
+            .table = cell.table ? &*cell.table : nullptr,
+            .first_pin = static_cast<std::uint32_t>(pin_cell_.size()),
+            .output = static_cast<std::uint32_t>(cell.output.index()),
+            .arity = static_cast<std::uint8_t>(arity),
+            .x_inputs = static_cast<std::uint8_t>(v0 == Logic::X ? arity : 0),
+            .func = cell.func,
+            .fast_lut = fast_lut,
+        });
+        pin_cell_.insert(pin_cell_.end(), arity, static_cast<std::uint32_t>(c));
+    }
+    pin_value_.assign(pin_cell_.size(), v0);
+
+    sink_begin_.reserve(n_nets + 1);
+    sink_begin_.push_back(0);
+    for (std::size_t n = 0; n < n_nets; ++n) {
+        for (const netlist::PinRef& s : nl.net(NetId{n}).sinks)
+            sinks_.push_back(Sink{0, cells_[s.cell.index()].first_pin + s.pin});
+        sink_begin_.push_back(static_cast<std::uint32_t>(sinks_.size()));
+    }
 
     // Settle the initial state: every cell whose output disagrees with the
     // init value fires at t=0 (e.g. inverters rise out of the all-zero state).
-    for (std::size_t c = 0; c < nl.num_cells(); ++c) evaluate_cell(CellId{c});
+    for (std::size_t c = 0; c < cells_.size(); ++c) evaluate_cell(static_cast<std::uint32_t>(c));
 }
 
 Logic Simulator::value(NetId net) const {
@@ -44,70 +140,69 @@ Logic Simulator::value(const std::string& net_name) const {
     return value(id);
 }
 
+void Simulator::push(std::int64_t at, std::uint32_t target, Logic v, Kind kind) {
+    queue_.push(Event{at, seq_++, target, v, kind}, now_);
+}
+
 void Simulator::schedule_pi(NetId pi, Logic v, std::int64_t delay_ps) {
     check(pi.valid() && nl_.net(pi).is_primary_input, "schedule_pi: not a primary input");
     check(delay_ps >= 0, "schedule_pi: negative delay");
-    // Transport semantics (stamp 0): successive environment edges all apply.
-    queue_.push(Event{now_ + delay_ps, seq_++, pi.value(), v, Event::Kind::NetCommit, 0});
+    // Transport semantics: successive environment edges all apply.
+    push(now_ + delay_ps, pi.value(), v, Kind::Commit);
 }
 
 void Simulator::set_sink_delay(NetId net, std::size_t sink_idx, std::int64_t delay_ps) {
-    check(net.valid() && net.index() < sink_delay_.size(), "set_sink_delay: bad net");
-    check(sink_idx < sink_delay_[net.index()].size(), "set_sink_delay: bad sink");
+    check(net.valid() && net.index() < net_value_.size(), "set_sink_delay: bad net");
+    const std::size_t first = sink_begin_[net.index()];
+    check(sink_idx < sink_begin_[net.index() + 1] - first, "set_sink_delay: bad sink");
     check(delay_ps >= 0, "set_sink_delay: negative delay");
-    sink_delay_[net.index()][sink_idx] = delay_ps;
+    sinks_[first + sink_idx].delay_ps = delay_ps;
 }
 
 void Simulator::set_net_delay(NetId net, std::int64_t delay_ps) {
-    check(net.valid() && net.index() < sink_delay_.size(), "set_net_delay: bad net");
-    for (auto& d : sink_delay_[net.index()]) d = delay_ps;
+    check(net.valid() && net.index() < net_value_.size(), "set_net_delay: bad net");
+    check(delay_ps >= 0, "set_net_delay: negative delay");
+    for (std::size_t s = sink_begin_[net.index()]; s < sink_begin_[net.index() + 1]; ++s)
+        sinks_[s].delay_ps = delay_ps;
 }
 
-void Simulator::schedule_commit(NetId net, Logic v, std::int64_t at) {
-    const std::size_t n = net.index();
-    if (pending_stamp_[n] != 0) {
-        if (pending_value_[n] == v) return;       // already on its way
-        pending_stamp_[n] = 0;                    // inertial cancellation
+void Simulator::schedule_commit(std::uint32_t net, Logic v, std::int64_t at) {
+    if (pending_stamp_[net] != 0) {
+        if (pending_value_[net] == v) return;     // already on its way
+        pending_stamp_[net] = 0;                  // inertial cancellation
     }
-    if (v == net_value_[n]) return;               // nothing to do
-    static_assert(sizeof(seq_) == 8);
-    const std::uint64_t stamp = ++stamp_counter_;
-    pending_stamp_[n] = stamp;
-    pending_value_[n] = v;
-    queue_.push(Event{at, seq_++, net.value(), v, Event::Kind::NetCommit, stamp});
+    if (v == net_value_[net]) return;             // nothing to do
+    pending_stamp_[net] = seq_ + 1;               // the stamp of the event pushed next
+    pending_value_[net] = v;
+    push(at, net, v, Kind::InertialCommit);
 }
 
-void Simulator::evaluate_cell(CellId cell) {
-    const Cell& c = nl_.cell(cell);
-    const std::size_t base = pin_base_[cell.index()];
-    const std::span<const Logic> pins(pin_value_.data() + base, c.inputs.size());
-    const Logic current = net_value_[c.output.index()];
-    const Logic out =
-        netlist::eval_cell(c.func, pins, current, c.table ? &*c.table : nullptr);
-    const std::int64_t d = c.delay_ps.value_or(netlist::default_delay_ps(c.func));
+void Simulator::evaluate_cell(std::uint32_t cell) {
+    const CompiledCell& c = cells_[cell];
+    Logic out;
+    if (c.fast_lut && c.x_inputs == 0) {
+        out = netlist::from_bool(((c.lut_rows >> c.known_row) & 1u) != 0);
+    } else {
+        const std::span<const Logic> pins(pin_value_.data() + c.first_pin, c.arity);
+        out = netlist::eval_cell(c.func, pins, net_value_[c.output], c.table);
+    }
     if (c.func == CellFunc::Delay) {
         // Pure transport: every input edge is forwarded unconditionally (a
         // same-value commit is a no-op at delivery time).
-        queue_.push(Event{now_ + d, seq_++, c.output.value(), out, Event::Kind::NetCommit, 0});
+        push(now_ + c.delay_ps, c.output, out, Kind::Commit);
         return;
     }
-    schedule_commit(c.output, out, now_ + d);
+    schedule_commit(c.output, out, now_ + c.delay_ps);
 }
 
-void Simulator::commit_net(NetId net, Logic v) {
-    const std::size_t n = net.index();
-    if (net_value_[n] == v) return;
-    net_value_[n] = v;
-    ++transitions_[n];
-    const Net& info = nl_.net(net);
-    for (std::size_t s = 0; s < info.sinks.size(); ++s) {
-        const std::int64_t extra = sink_delay_[n][s];
-        const netlist::PinRef sink = info.sinks[s];
-        const std::uint32_t pin_global =
-            static_cast<std::uint32_t>(pin_base_[sink.cell.index()] + sink.pin);
-        queue_.push(Event{now_ + extra, seq_++, pin_global, v, Event::Kind::PinUpdate, 0});
-    }
-    for (const auto& cb : callbacks_[n]) cb(v, now_);
+void Simulator::commit_net(std::uint32_t net, Logic v) {
+    if (net_value_[net] == v) return;
+    net_value_[net] = v;
+    ++transitions_[net];
+    for (std::uint32_t s = sink_begin_[net]; s < sink_begin_[net + 1]; ++s)
+        push(now_ + sinks_[s].delay_ps, sinks_[s].pin, v, Kind::PinUpdate);
+    if (has_callback_[net] != 0)
+        for (const auto& cb : callbacks_[net]) cb(v, now_);
 }
 
 RunResult Simulator::run(std::int64_t max_time_ps) {
@@ -123,9 +218,9 @@ RunResult Simulator::run_until(NetId net, Logic v, std::int64_t max_time_ps) {
     }
     std::uint64_t processed = 0;
     while (!queue_.empty()) {
-        const Event ev = queue_.top();
+        const Event ev = queue_.front(now_);
         if (ev.time > max_time_ps) break;
-        queue_.pop();
+        queue_.pop_front();
         if (processed >= event_budget_) {
             res.budget_exceeded = true;
             break;
@@ -133,26 +228,29 @@ RunResult Simulator::run_until(NetId net, Logic v, std::int64_t max_time_ps) {
         now_ = ev.time;
         ++processed;
         ++total_events_;
-        if (ev.kind == Event::Kind::NetCommit) {
-            const NetId target{ev.target};
-            if (ev.stamp != 0) {
-                if (pending_stamp_[target.index()] != ev.stamp) continue;  // cancelled
-                pending_stamp_[target.index()] = 0;
-            }
-            commit_net(target, ev.value);
-            if (has_condition && net_value_[net.index()] == v) {
-                res.end_time_ps = now_;
-                res.events = processed;
-                return res;
-            }
-        } else {
-            // Locate the owning cell by binary search on pin_base_.
-            const std::uint32_t pin_global = ev.target;
-            auto it = std::upper_bound(pin_base_.begin(), pin_base_.end(), pin_global);
-            const std::size_t cell_idx = static_cast<std::size_t>(it - pin_base_.begin()) - 1;
-            if (pin_value_[pin_global] == ev.value) continue;
-            pin_value_[pin_global] = ev.value;
-            evaluate_cell(CellId{cell_idx});
+        if (ev.kind == Kind::PinUpdate) {
+            const std::uint32_t pin = ev.target;
+            const Logic old = pin_value_[pin];
+            if (old == ev.value) continue;
+            pin_value_[pin] = ev.value;
+            const std::uint32_t cell = pin_cell_[pin];
+            CompiledCell& c = cells_[cell];
+            const std::uint32_t bit = std::uint32_t{1} << (pin - c.first_pin);
+            if (old == Logic::X) --c.x_inputs;
+            if (ev.value == Logic::X) ++c.x_inputs;
+            c.known_row = ev.value == Logic::T ? c.known_row | bit : c.known_row & ~bit;
+            evaluate_cell(cell);
+            continue;
+        }
+        if (ev.kind == Kind::InertialCommit) {
+            if (pending_stamp_[ev.target] != ev.seq + 1) continue;  // cancelled
+            pending_stamp_[ev.target] = 0;
+        }
+        commit_net(ev.target, ev.value);
+        if (has_condition && net_value_[net.index()] == v) {
+            res.end_time_ps = now_;
+            res.events = processed;
+            return res;
         }
     }
     res.end_time_ps = now_;
@@ -164,6 +262,7 @@ RunResult Simulator::run_until(NetId net, Logic v, std::int64_t max_time_ps) {
 void Simulator::on_commit(NetId net, std::function<void(Logic, std::int64_t)> cb) {
     check(net.valid() && net.index() < callbacks_.size(), "on_commit: bad net");
     callbacks_[net.index()].push_back(std::move(cb));
+    has_callback_[net.index()] = 1;
 }
 
 std::uint64_t Simulator::transitions(NetId net) const {

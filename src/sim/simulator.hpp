@@ -15,8 +15,13 @@
 //  - primary inputs change only via schedule_pi();
 //  - observers can register commit callbacks per net (channel sources/sinks,
 //    protocol monitors, VCD tracing are all built on this hook).
+//
+// The constructor compiles the netlist into flat per-cell and per-sink
+// arrays (delays, LUT words, fanout CSR), so the netlist must not change
+// while a Simulator over it is alive.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <limits>
@@ -88,43 +93,109 @@ public:
     void set_event_budget(std::uint64_t budget) noexcept { event_budget_ = budget; }
 
 private:
+    enum class Kind : std::uint8_t {
+        PinUpdate,       ///< target is a global pin index
+        Commit,          ///< target is a net; transport, always applies
+        InertialCommit,  ///< target is a net; live iff pending_stamp_ == seq + 1
+    };
     struct Event {
         std::int64_t time;
-        std::uint64_t seq;    // FIFO tie-break for determinism
-        std::uint32_t target; // pin-update: encoded (cell,pin); net-commit: net
+        std::uint64_t seq;     ///< FIFO tie-break for determinism
+        std::uint32_t target;
         Logic value;
-        enum class Kind : std::uint8_t { NetCommit, PinUpdate } kind;
-        std::uint64_t stamp;  // cancellation stamp for inertial delays
-    };
-    struct EventOrder {
-        bool operator()(const Event& a, const Event& b) const noexcept {
-            if (a.time != b.time) return a.time > b.time;
-            return a.seq > b.seq;
-        }
+        Kind kind;
     };
 
-    void commit_net(NetId net, Logic v);
-    void evaluate_cell(CellId cell);
-    void schedule_commit(NetId net, Logic v, std::int64_t at);
+    /// Pending events in exact (time, seq) order. Events less than kWindow ps
+    /// ahead of now sit in a timing wheel of 1 ps slots; later ones in a
+    /// small binary heap. Every pending time is >= now and every wheel time is
+    /// < now + kWindow, so one slot only ever holds events of one time, and
+    /// pushes arrive in increasing seq, so each slot's FIFO is in seq order.
+    class EventQueue {
+    public:
+        static constexpr std::int64_t kWindow = 1024;
+
+        EventQueue();
+        [[nodiscard]] bool empty() const noexcept { return wheel_size_ == 0 && far_.empty(); }
+        /// `ev.time` must be >= `now`.
+        void push(const Event& ev, std::int64_t now);
+        /// The earliest pending event; the queue must not be empty.
+        [[nodiscard]] const Event& front(std::int64_t now);
+        /// Remove the event the last front() returned (no push in between).
+        void pop_front();
+
+    private:
+        static constexpr std::uint32_t kNil = std::numeric_limits<std::uint32_t>::max();
+        static constexpr std::size_t kSlots = static_cast<std::size_t>(kWindow);
+        static constexpr std::size_t kWords = kSlots / 64;
+        static_assert((kSlots & (kSlots - 1)) == 0 && kSlots % 64 == 0);
+
+        /// A wheel event, linked into its slot's FIFO or the free list.
+        struct Node {
+            Event ev;
+            std::uint32_t next;
+        };
+        struct Later {
+            bool operator()(const Event& a, const Event& b) const noexcept {
+                if (a.time != b.time) return a.time > b.time;
+                return a.seq > b.seq;
+            }
+        };
+
+        std::vector<Node> pool_;
+        std::uint32_t free_ = kNil;
+        std::size_t wheel_size_ = 0;
+        std::vector<std::uint32_t> head_;
+        std::vector<std::uint32_t> tail_;
+        std::array<std::uint64_t, kWords> occupied_{};  ///< bit s: slot s non-empty
+        std::priority_queue<Event, std::vector<Event>, Later> far_;
+        std::uint32_t front_slot_ = kNil;  ///< slot of the last front(); kNil = far heap
+    };
+
+    /// Everything evaluate_cell needs about one cell, compiled once.
+    struct CompiledCell {
+        std::int64_t delay_ps;
+        std::uint64_t lut_rows;       ///< truth-table word (fast_lut only)
+        const netlist::TruthTable* table;
+        std::uint32_t first_pin;      ///< index into pin_value_
+        std::uint32_t output;         ///< driven net
+        std::uint32_t known_row = 0;  ///< bit i set iff input i is T
+        std::uint8_t arity;
+        std::uint8_t x_inputs = 0;    ///< inputs currently X
+        netlist::CellFunc func;
+        bool fast_lut;                ///< LUT of arity <= 6
+    };
+    /// One fanout branch of a net: the sink's global pin and its wire delay.
+    struct Sink {
+        std::int64_t delay_ps;
+        std::uint32_t pin;
+    };
+
+    void commit_net(std::uint32_t net, Logic v);
+    void evaluate_cell(std::uint32_t cell);
+    void schedule_commit(std::uint32_t net, Logic v, std::int64_t at);
+    void push(std::int64_t at, std::uint32_t target, Logic v, Kind kind);
 
     const Netlist& nl_;
     std::int64_t now_ = 0;
     std::uint64_t seq_ = 0;
-    std::uint64_t stamp_counter_ = 0;
     std::uint64_t total_events_ = 0;
     std::uint64_t event_budget_ = 20'000'000;
 
+    std::vector<CompiledCell> cells_;
+    std::vector<std::uint32_t> pin_cell_;    ///< global pin -> owning cell
+    std::vector<Logic> pin_value_;           ///< flattened cell input pins
+    std::vector<std::uint32_t> sink_begin_;  ///< net -> first entry in sinks_ (CSR)
+    std::vector<Sink> sinks_;
     std::vector<Logic> net_value_;
-    std::vector<Logic> pin_value_;                // flattened cell input pins
-    std::vector<std::size_t> pin_base_;           // cell -> first pin index
-    std::vector<std::vector<std::int64_t>> sink_delay_;  // per net, per sink
-    // Pending inertial commit per net: stamp of the live scheduled event.
+    // Pending inertial commit per net: seq + 1 of the live scheduled event.
     std::vector<std::uint64_t> pending_stamp_;
     std::vector<Logic> pending_value_;
     std::vector<std::uint64_t> transitions_;
+    std::vector<std::uint8_t> has_callback_;
     std::vector<std::vector<std::function<void(Logic, std::int64_t)>>> callbacks_;
 
-    std::priority_queue<Event, std::vector<Event>, EventOrder> queue_;
+    EventQueue queue_;
 };
 
 }  // namespace afpga::sim

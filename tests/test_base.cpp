@@ -127,6 +127,26 @@ TEST(BitVector, OutOfRangeThrows) {
     EXPECT_THROW(bv.set(9, true), afpga::base::Error);
 }
 
+TEST(Check, LiteralAndStringMessagesThrowExactText) {
+    using afpga::base::check;
+    using afpga::base::Error;
+    EXPECT_NO_THROW(check(true, "literal message that passes"));
+    EXPECT_NO_THROW(check(true, std::string("string message that passes")));
+    try {
+        check(false, "a literal message longer than fifteen characters");
+        FAIL() << "check(false, literal) did not throw";
+    } catch (const Error& e) {
+        EXPECT_STREQ(e.what(), "a literal message longer than fifteen characters");
+    }
+    const std::string name = "net42";
+    try {
+        check(false, "unknown net " + name);
+        FAIL() << "check(false, string) did not throw";
+    } catch (const Error& e) {
+        EXPECT_STREQ(e.what(), "unknown net net42");
+    }
+}
+
 TEST(Rng, Deterministic) {
     Rng a(123);
     Rng b(123);

@@ -1,6 +1,10 @@
 // Unit tests for the Netlist graph, validation and static analyses.
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cstdint>
+#include <vector>
+
 #include "base/check.hpp"
 #include "netlist/analyze.hpp"
 #include "netlist/netlist.hpp"
@@ -72,6 +76,43 @@ TEST(Netlist, LutCellRoundTrip) {
     const auto funcs = extract_functions(nl);
     ASSERT_EQ(funcs.size(), 1u);
     EXPECT_EQ(funcs[0], TruthTable::from_bits(2, 0b0110));
+}
+
+TEST(Cells, LutXCompletionAtArity6) {
+    using afpga::netlist::eval_cell;
+    using afpga::netlist::Logic;
+    constexpr Logic F = Logic::F, T = Logic::T, X = Logic::X;
+    const TruthTable and6 = TruthTable::from_bits(6, std::uint64_t{1} << 63);
+    const TruthTable or6 = TruthTable::from_bits(6, ~std::uint64_t{1});
+    const auto lut = [](const TruthTable& t, std::array<Logic, 6> in) {
+        return eval_cell(CellFunc::Lut, in, Logic::X, &t);
+    };
+    // Completions agree: a controlling known input decides the output.
+    EXPECT_EQ(lut(and6, {F, X, X, X, X, X}), F);
+    EXPECT_EQ(lut(or6, {X, X, X, X, X, T}), T);
+    EXPECT_EQ(lut(TruthTable::identity(6, 2), {X, X, T, X, X, X}), T);
+    // Completions disagree.
+    EXPECT_EQ(lut(and6, {T, T, T, T, T, X}), X);
+    EXPECT_EQ(lut(or6, {F, F, X, F, F, F}), X);
+    EXPECT_EQ(lut(and6, {X, X, X, X, X, X}), X);
+    // Fully known.
+    EXPECT_EQ(lut(and6, {T, T, T, T, T, T}), T);
+    EXPECT_EQ(lut(or6, {F, F, F, F, F, F}), F);
+}
+
+TEST(Cells, LutXCompletionCapsAtTenUnknowns) {
+    using afpga::netlist::eval_cell;
+    using afpga::netlist::Logic;
+    // A constant function is known under any completion, but more than ten
+    // unknown inputs are not enumerated: the result is pessimistically X.
+    const TruthTable one10 = TruthTable::constant(10, true);
+    const TruthTable one11 = TruthTable::constant(11, true);
+    const std::vector<Logic> x10(10, Logic::X);
+    std::vector<Logic> x11(11, Logic::X);
+    EXPECT_EQ(eval_cell(CellFunc::Lut, x10, Logic::X, &one10), Logic::T);
+    EXPECT_EQ(eval_cell(CellFunc::Lut, x11, Logic::X, &one11), Logic::X);
+    x11[7] = Logic::F;
+    EXPECT_EQ(eval_cell(CellFunc::Lut, x11, Logic::X, &one11), Logic::T);
 }
 
 TEST(Netlist, RewireInputMovesSink) {

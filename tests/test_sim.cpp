@@ -1,10 +1,25 @@
 // Tests for the event-driven simulator: gate semantics under time, inertial
-// vs transport delays, sequential cells, sink delays, monitors.
+// vs transport delays, sequential cells, sink delays, monitors, event-queue
+// ordering edge cases, and post-route stream goldens that pin the exact
+// event order of every paper style.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <string>
+#include <vector>
+
+#include "asynclib/adders.hpp"
+#include "asynclib/fifos.hpp"
+#include "base/check.hpp"
+#include "base/rng.hpp"
+#include "base/strings.hpp"
+#include "cad/flow.hpp"
 #include "netlist/netlist.hpp"
+#include "sim/channels.hpp"
 #include "sim/monitors.hpp"
 #include "sim/simulator.hpp"
+#include "sim/testbench.hpp"
+#include "support/flow_fixtures.hpp"
 
 namespace {
 
@@ -210,6 +225,153 @@ TEST(Simulator, AllXInitStaysXForUndrivenLogic) {
     EXPECT_EQ(sim.value(y), Logic::F);  // XOR(a,a) resolves once a is known
 }
 
+// ---------------------------------------------------------------------------
+// Event-queue edge cases: events far beyond the near window, long runs,
+// time-bounded runs, cancellation and the event budget.
+// ---------------------------------------------------------------------------
+
+TEST(SimulatorQueue, FarEventTiedWithLaterNearEventCommitsFirst) {
+    Netlist nl;
+    const NetId a = nl.add_input("a");
+    const NetId b = nl.add_input("b");
+    const NetId c = nl.add_input("c");
+    Simulator sim(nl);
+    sim.run();
+    std::vector<NetId> order;
+    for (NetId n : {a, c}) sim.on_commit(n, [&order, n](Logic, std::int64_t) { order.push_back(n); });
+    sim.schedule_pi(a, Logic::T, 20'000);  // far ahead of now = 0
+    sim.schedule_pi(b, Logic::T, 19'500);
+    sim.run(19'500);
+    ASSERT_EQ(sim.now(), 19'500);
+    sim.schedule_pi(c, Logic::T, 500);  // same time as a, pushed later, near
+    const auto r = sim.run();
+    EXPECT_EQ(r.end_time_ps, 20'000);
+    ASSERT_EQ(order.size(), 2u);
+    EXPECT_EQ(order[0], a);
+    EXPECT_EQ(order[1], c);
+}
+
+TEST(SimulatorQueue, LongRunWrapsTheWindowManyTimes) {
+    // Two INV -> DELAY ring oscillators, one with a wire delay on its
+    // feedback long enough that every edge is scheduled beyond the window.
+    // x toggles at 50 + k * period: INV (50 ps inertial) + DELAY + wire.
+    Netlist nl;
+    const NetId en = nl.add_input("en");
+    NetId x[2];
+    for (int i = 0; i < 2; ++i) {
+        const std::string tag = std::to_string(i);
+        const NetId d = nl.add_cell(CellFunc::Delay, "d" + tag, {en});
+        nl.set_cell_delay(nl.driver_of(d), 333);
+        x[i] = nl.add_cell(CellFunc::Inv, "x" + tag, {d});
+        nl.rewire_input(nl.driver_of(d), 0, x[i]);
+        nl.add_output("x" + tag, x[i]);
+    }
+    Simulator sim(nl);
+    sim.set_sink_delay(x[1], 0, 1500);
+    constexpr std::int64_t kPeriod[2] = {50 + 333, 50 + 333 + 1500};
+    std::vector<std::int64_t> edges[2];
+    for (int i = 0; i < 2; ++i)
+        sim.on_commit(x[i], [&edges, i](Logic, std::int64_t t) { edges[i].push_back(t); });
+    const std::int64_t horizon = 1000 * kPeriod[1];  // ~1800 windows
+    sim.run(horizon);
+    for (int i = 0; i < 2; ++i) {
+        ASSERT_EQ(edges[i].size(), static_cast<std::size_t>((horizon - 50) / kPeriod[i] + 1));
+        for (std::size_t k = 0; k < edges[i].size(); ++k)
+            ASSERT_EQ(edges[i][k], 50 + static_cast<std::int64_t>(k) * kPeriod[i]);
+        EXPECT_EQ(sim.transitions(x[i]), edges[i].size());
+    }
+}
+
+TEST(SimulatorQueue, BoundedRunStopsBeforeNextEventAndResumes) {
+    Netlist nl;
+    const NetId a = nl.add_input("a");
+    const NetId b = nl.add_input("b");
+    const NetId y = nl.add_cell(CellFunc::Buf, "y", {a});  // 50ps
+    nl.add_output("y", y);
+    Simulator sim(nl);
+    sim.run();
+    sim.schedule_pi(a, Logic::T, 100);
+    sim.schedule_pi(b, Logic::T, 5000);  // beyond the window
+    auto r = sim.run(99);
+    EXPECT_EQ(r.events, 0u);
+    EXPECT_FALSE(r.quiescent);
+    EXPECT_EQ(sim.value(a), Logic::F);
+    r = sim.run(149);
+    EXPECT_EQ(sim.value(a), Logic::T);
+    EXPECT_EQ(sim.value(y), Logic::F);
+    EXPECT_EQ(r.end_time_ps, 100);
+    r = sim.run(150);
+    EXPECT_EQ(sim.value(y), Logic::T);
+    EXPECT_EQ(r.end_time_ps, 150);
+    r = sim.run(4999);
+    EXPECT_EQ(r.events, 0u);
+    EXPECT_EQ(sim.value(b), Logic::F);
+    r = sim.run(5000);
+    EXPECT_EQ(sim.value(b), Logic::T);
+    EXPECT_TRUE(r.quiescent);
+    EXPECT_EQ(r.end_time_ps, 5000);
+}
+
+TEST(SimulatorQueue, InertialCancellationOfFarPendingEvent) {
+    Netlist nl;
+    const NetId a = nl.add_input("a");
+    const NetId y = nl.add_cell(CellFunc::Buf, "y", {a});
+    nl.set_cell_delay(nl.driver_of(y), 3000);  // every commit lands beyond the window
+    nl.add_output("y", y);
+    Simulator sim(nl);
+    sim.run();
+    sim.schedule_pi(a, Logic::T, 0);
+    sim.schedule_pi(a, Logic::F, 100);  // cancels y's pending rise at 3000
+    auto r = sim.run();
+    EXPECT_EQ(sim.transitions(y), 0u);
+    // a up + pin, a down + pin, and the cancelled event, still popped.
+    EXPECT_EQ(r.events, 5u);
+    EXPECT_EQ(r.end_time_ps, 3000);
+    // Cancel and re-arm: only the second rise commits.
+    sim.schedule_pi(a, Logic::T, 0);
+    sim.schedule_pi(a, Logic::F, 100);
+    sim.schedule_pi(a, Logic::T, 200);
+    r = sim.run();
+    EXPECT_EQ(sim.transitions(y), 1u);
+    EXPECT_EQ(sim.value(y), Logic::T);
+    EXPECT_EQ(r.end_time_ps, 3000 + 200 + 3000);
+}
+
+TEST(SimulatorQueue, EventBudgetCountsExactly) {
+    // a -> b0 -> b1 -> b2: one rise is 4 commits and 3 pin updates.
+    const auto build = [](Netlist& nl) {
+        NetId n = nl.add_input("a");
+        for (int i = 0; i < 3; ++i) n = nl.add_cell(CellFunc::Buf, "b" + std::to_string(i), {n});
+        nl.add_output("y", n);
+        return n;
+    };
+    {
+        Netlist nl;
+        const NetId y = build(nl);
+        Simulator sim(nl);
+        sim.run();
+        sim.set_event_budget(7);
+        sim.schedule_pi(nl.find_net("a"), Logic::T);
+        const auto r = sim.run();
+        EXPECT_TRUE(r.quiescent);
+        EXPECT_FALSE(r.budget_exceeded);
+        EXPECT_EQ(r.events, 7u);
+        EXPECT_EQ(sim.value(y), Logic::T);
+    }
+    {
+        Netlist nl;
+        const NetId y = build(nl);
+        Simulator sim(nl);
+        sim.run();
+        sim.set_event_budget(6);
+        sim.schedule_pi(nl.find_net("a"), Logic::T);
+        const auto r = sim.run();
+        EXPECT_TRUE(r.budget_exceeded);
+        EXPECT_EQ(r.events, 6u);
+        EXPECT_EQ(sim.value(y), Logic::F);
+    }
+}
+
 TEST(GlitchMonitor, DetectsNarrowPulse) {
     Netlist nl;
     const NetId a = nl.add_input("a");
@@ -238,6 +400,226 @@ TEST(GlitchMonitor, CleanSignalNoGlitches) {
     sim.schedule_pi(a, Logic::F, 1000);
     sim.run();
     EXPECT_TRUE(mon.glitches().empty());
+}
+
+// ---------------------------------------------------------------------------
+// Post-route stream goldens. Each paper style is compiled onto one 12x12
+// fabric, elaborated from its bitstream, and streamed 64 tokens with routed
+// wire delays on. The event count, the token completion times and an
+// FNV-1a hash over every (time, net, value) commit after settling pin the
+// simulator's exact event order: any change to queue ordering, inertial
+// cancellation or evaluation shows up here.
+// ---------------------------------------------------------------------------
+
+namespace golden {
+
+using namespace afpga;
+
+constexpr std::size_t kTokens = 64;
+constexpr std::int64_t kEnvDelayPs = 400;
+constexpr std::int64_t kSettlePs = 1000;
+
+/// FNV-1a over every commit the simulator reports.
+class CommitHash {
+public:
+    explicit CommitHash(sim::Simulator& sim) {
+        for (std::size_t n = 0; n < sim.netlist().num_nets(); ++n) {
+            const auto net = static_cast<std::uint32_t>(n);
+            sim.on_commit(NetId{n}, [this, net](Logic v, std::int64_t t) {
+                mix(static_cast<std::uint64_t>(t), 8);
+                mix(net, 4);
+                mix(static_cast<std::uint64_t>(v), 1);
+            });
+        }
+    }
+    [[nodiscard]] std::uint64_t value() const noexcept { return h_; }
+
+private:
+    void mix(std::uint64_t x, int bytes) {
+        for (int i = 0; i < bytes; ++i) {
+            h_ ^= (x >> (8 * i)) & 0xFFu;
+            h_ *= 0x100000001B3ULL;
+        }
+    }
+    std::uint64_t h_ = 0xCBF29CE484222325ULL;
+};
+
+struct StreamTrace {
+    std::uint64_t total_events = 0;
+    std::vector<std::int64_t> token_ps;
+    std::uint64_t hash = 0;
+};
+
+core::ArchSpec fabric12() {
+    core::ArchSpec arch;
+    arch.width = arch.height = 12;
+    arch.channel_width = 16;
+    return arch;
+}
+
+cad::FlowResult compile(const Netlist& nl, const asynclib::MappingHints& hints) {
+    cad::FlowOptions opts;
+    opts.seed = 2026;
+    return cad::run_flow(nl, hints, fabric12(), opts);
+}
+
+std::vector<std::uint64_t> stimulus(std::uint64_t word) {
+    base::Rng rng(15);
+    std::vector<std::uint64_t> v(kTokens);
+    for (auto& t : v) t = rng.below(word);
+    return v;
+}
+
+enum class Style { QdiAdder, MpAdder, WchbFifo, MpFifo, MousetrapFifo };
+
+StreamTrace run_style(Style style) {
+    constexpr std::size_t kBits = 4;
+    constexpr std::size_t kDepth = 8;
+    cad::FlowResult fr = [&] {
+        switch (style) {
+            case Style::QdiAdder: {
+                auto a = asynclib::make_qdi_adder(kBits);
+                return compile(a.nl, a.hints);
+            }
+            case Style::MpAdder: return compile(asynclib::make_micropipeline_adder(kBits).nl, {});
+            case Style::WchbFifo: {
+                auto f = asynclib::make_wchb_fifo(kBits, kDepth);
+                return compile(f.nl, f.hints);
+            }
+            case Style::MpFifo:
+                return compile(asynclib::make_micropipeline_fifo(kBits, kDepth).nl, {});
+            case Style::MousetrapFifo:
+                return compile(asynclib::make_mousetrap_fifo(kBits, kDepth).nl, {});
+        }
+        throw base::Error("unknown style");
+    }();
+    testsupport::PostRouteSim impl(fr);
+    sim::Simulator& sim = *impl.sim;
+    const Netlist& nl = impl.design.nl;
+    CommitHash hash(sim);
+    StreamTrace out;
+    const std::int64_t horizon = static_cast<std::int64_t>(kTokens + 16) * 1'000'000;
+
+    switch (style) {
+        case Style::QdiAdder: {
+            const auto io = testsupport::qdi_adder_iface(nl, kBits);
+            for (std::uint64_t v : stimulus(std::uint64_t{1} << (2 * kBits + 1))) {
+                const std::uint64_t want = (v & 0xF) + ((v >> 4) & 0xF) + (v >> 8);
+                EXPECT_EQ(sim::qdi_apply_token(sim, io, v), want);
+                out.token_ps.push_back(sim.now());
+            }
+            break;
+        }
+        case Style::MpAdder: {
+            const auto io = testsupport::mp_adder_iface(nl, kBits);
+            for (std::uint64_t v : stimulus(std::uint64_t{1} << (2 * kBits + 1))) {
+                const std::uint64_t want = (v & 0xF) + ((v >> 4) & 0xF) + (v >> 8);
+                EXPECT_EQ(sim::bundled_apply_token(sim, io, v, kSettlePs), want);
+                out.token_ps.push_back(sim.now());
+            }
+            break;
+        }
+        case Style::WchbFifo: {
+            std::vector<asynclib::DualRail> in;
+            std::vector<asynclib::DualRail> outr;
+            for (std::size_t i = 0; i < kBits; ++i) {
+                in.push_back(testsupport::find_rails(nl, base::bus_bit("in", i)));
+                outr.push_back(testsupport::po_rails(nl, base::bus_bit("out", i)));
+            }
+            const auto sent = stimulus(1u << kBits);
+            sim::DrStreamSource src(sim, in, testsupport::po_net(nl, "ack_in"), sent, kEnvDelayPs);
+            sim::DrStreamSink sink(sim, outr, nl.find_net("ack_out"), kEnvDelayPs);
+            src.start();
+            EXPECT_TRUE(sim.run(horizon).quiescent);
+            EXPECT_EQ(sink.received(), sent);
+            out.token_ps = sink.times().at_ps;
+            break;
+        }
+        case Style::MpFifo:
+        case Style::MousetrapFifo: {
+            const auto io = testsupport::mp_fifo_iface(nl, kBits);
+            const auto sent = stimulus(1u << kBits);
+            if (style == Style::MpFifo) {
+                sim::BdStreamSource src(sim, io.data_in, io.req_in, io.ack_in, sent, kEnvDelayPs,
+                                        kSettlePs);
+                sim::BdStreamSink sink(sim, io.data_out, io.req_out, io.ack_out, kEnvDelayPs);
+                src.start();
+                EXPECT_TRUE(sim.run(horizon).quiescent);
+                EXPECT_EQ(sink.received(), sent);
+                out.token_ps = sink.times().at_ps;
+            } else {
+                sim::Bd2StreamSource src(sim, io.data_in, io.req_in, io.ack_in, sent, kEnvDelayPs,
+                                         kSettlePs);
+                sim::Bd2StreamSink sink(sim, io.data_out, io.req_out, io.ack_out, kEnvDelayPs);
+                src.start();
+                EXPECT_TRUE(sim.run(horizon).quiescent);
+                EXPECT_EQ(sink.received(), sent);
+                out.token_ps = sink.times().at_ps;
+            }
+            break;
+        }
+    }
+    out.total_events = sim.total_events();
+    out.hash = hash.value();
+    return out;
+}
+
+/// FNV-1a over the token completion times (keeps the goldens one line each).
+std::uint64_t times_hash(const std::vector<std::int64_t>& ts) {
+    std::uint64_t h = 0xCBF29CE484222325ULL;
+    for (std::int64_t t : ts)
+        for (int i = 0; i < 8; ++i) {
+            h ^= (static_cast<std::uint64_t>(t) >> (8 * i)) & 0xFFu;
+            h *= 0x100000001B3ULL;
+        }
+    return h;
+}
+
+/// Recorded on the priority-queue simulator this event order was first
+/// defined by; every later queue must reproduce it bit for bit.
+struct Golden {
+    std::uint64_t total_events;
+    std::int64_t first_token_ps;
+    std::int64_t last_token_ps;
+    std::uint64_t token_times_hash;
+    std::uint64_t commit_hash;
+};
+
+void expect_golden(Style style, const Golden& g) {
+    const StreamTrace t = run_style(style);
+    ASSERT_EQ(t.token_ps.size(), kTokens);
+    EXPECT_EQ(t.total_events, g.total_events);
+    EXPECT_EQ(t.token_ps.front(), g.first_token_ps);
+    EXPECT_EQ(t.token_ps.back(), g.last_token_ps);
+    EXPECT_EQ(times_hash(t.token_ps), g.token_times_hash);
+    EXPECT_EQ(t.hash, g.commit_hash);
+}
+
+}  // namespace golden
+
+TEST(SimGolden, QdiAdder4PostRouteStream) {
+    golden::expect_golden(golden::Style::QdiAdder,
+                          {21120u, 5440, 404560, 0x9B3E451CE75202BBULL, 0xEDB6BEBED3D018A3ULL});
+}
+
+TEST(SimGolden, MicropipelineAdder4PostRouteStream) {
+    golden::expect_golden(golden::Style::MpAdder,
+                          {5591u, 4800, 244200, 0x54537E5080E8B83EULL, 0x343FA090592AF002ULL});
+}
+
+TEST(SimGolden, WchbFifo4x8PostRouteStream) {
+    golden::expect_golden(golden::Style::WchbFifo,
+                          {46313u, 2650, 155110, 0x4FA4FBC49825C5D7ULL, 0x242710E2C9D68914ULL});
+}
+
+TEST(SimGolden, MicropipelineFifo4x8PostRouteStream) {
+    golden::expect_golden(golden::Style::MpFifo,
+                          {17961u, 6170, 168710, 0x12656F31950651BCULL, 0x92A00573F2AC9627ULL});
+}
+
+TEST(SimGolden, MousetrapFifo4x8PostRouteStream) {
+    golden::expect_golden(golden::Style::MousetrapFifo,
+                          {13217u, 6250, 110200, 0x9A5DAA96044265C8ULL, 0xF71654A582324E70ULL});
 }
 
 }  // namespace
