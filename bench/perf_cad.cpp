@@ -56,6 +56,39 @@ BENCHMARK(BM_PackPlace)
     ->ArgNames({"bits", "alg"})
     ->ArgsProduct({{2, 4}, {0, 2, 3}});
 
+// The annealer's move kernel in isolation: one cold anneal per iteration,
+// reported as proposals per second. Arg 0 is a QDI adder 8b on 16x16 (every
+// net takes the fixed-shape small-net path); arg 1 is a WCHB FIFO 8x24 on
+// 18x18, whose wide control nets exercise the per-edge-count box path.
+void BM_Anneal(benchmark::State& state) {
+    netlist::Netlist nl;
+    asynclib::MappingHints hints;
+    core::ArchSpec arch;
+    if (state.range(0) == 0) {
+        auto adder = asynclib::make_qdi_adder(8);
+        nl = std::move(adder.nl);
+        hints = std::move(adder.hints);
+        arch.width = arch.height = 16;
+    } else {
+        auto fifo = asynclib::make_wchb_fifo(8, 24);
+        nl = std::move(fifo.nl);
+        hints = std::move(fifo.hints);
+        arch.width = arch.height = 18;
+    }
+    const auto md = cad::techmap(nl, hints);
+    const auto pd = cad::pack(md, arch);
+    cad::PlaceOptions opts;
+    opts.seed = 7;
+    std::int64_t moves = 0;
+    for (auto _ : state) {
+        const auto pl = cad::place(pd, md, arch, opts);
+        moves += static_cast<std::int64_t>(pl.moves_tried);
+        benchmark::DoNotOptimize(pl.final_cost);
+    }
+    state.SetItemsProcessed(moves);
+}
+BENCHMARK(BM_Anneal)->ArgNames({"wchb"})->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
+
 void BM_FullFlow(benchmark::State& state) {
     auto adder = asynclib::make_qdi_adder(static_cast<std::size_t>(state.range(0)));
     const auto arch = bench_arch();

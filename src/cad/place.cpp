@@ -154,19 +154,30 @@ Placement anneal_single(const MappedDesign& md, const PlaceModel& model,
 
     // --- incremental cost engine -------------------------------------------------
     // Entities and nets mirror the model tables; the engine caches positions
-    // and per-net bounding boxes so move evaluation never rescans positions.
+    // and per-net costs so move evaluation never rescans positions. Every
+    // coordinate is integral (PLBs at x+1, pads on the frame), so the engine
+    // works in integers; the pad points are converted once, here. The 2^29
+    // bound keeps every net's HPWL (two spans) inside int32.
     PlaceCostEngine engine;
+    std::vector<std::int32_t> pad_x;
+    std::vector<std::int32_t> pad_y;
     if (opts.incremental) {
+        auto integral = [](double v) {
+            check(v == std::trunc(v) && v >= 0 && v <= double{1 << 29},
+                  "place: placement coordinate is not an integer in [0, 2^29]");
+            return static_cast<std::int32_t>(v);
+        };
+        for (const PlacePt& p : model.pad_pts) {
+            pad_x.push_back(integral(p.x));
+            pad_y.push_back(integral(p.y));
+        }
         for (std::size_t eid = 0; eid < model.entities.size(); ++eid) {
             const PlacePt p = st.position(eid);
-            engine.add_entity(p.x, p.y);
+            engine.add_entity(integral(p.x), integral(p.y));
         }
         for (const PlaceNet& n : model.nets) engine.add_net(n.entities);
         engine.finalize();
     }
-
-    // Pad coordinates are pure geometry, tabled on the model.
-    const std::vector<PlacePt>& pad_pts = model.pad_pts;
 
     double cost = opts.incremental ? engine.total_cost() : st.total_cost();
 
@@ -227,8 +238,10 @@ Placement anneal_single(const MappedDesign& md, const PlaceModel& model,
             const std::size_t other = st.grid[cell];  // cluster index + 1
             double delta = 0;
             if (opts.incremental) {
-                const EntityMove moves[2] = {{ci, to.x + 1.0, to.y + 1.0},
-                                             {other - 1, from.x + 1.0, from.y + 1.0}};
+                const EntityMove moves[2] = {
+                    {ci, static_cast<std::int32_t>(to.x + 1), static_cast<std::int32_t>(to.y + 1)},
+                    {other - 1, static_cast<std::int32_t>(from.x + 1),
+                     static_cast<std::int32_t>(from.y + 1)}};
                 delta = engine.eval({moves, other ? std::size_t{2} : std::size_t{1}});
             } else {
                 delta = legacy_delta(
@@ -276,11 +289,10 @@ Placement anneal_single(const MappedDesign& md, const PlaceModel& model,
         const std::size_t eid = model.io_entity_ids[slot];
         double delta = 0;
         if (opts.incremental) {
-            const PlacePt p = pad_pts[to_pad];
-            const PlacePt q = pad_pts[from_pad];
             const EntityMove moves[2] = {
-                {eid, p.x, p.y},
-                {other ? model.io_entity_ids[other - 1] : SIZE_MAX, q.x, q.y}};
+                {eid, pad_x[to_pad], pad_y[to_pad]},
+                {other ? model.io_entity_ids[other - 1] : SIZE_MAX, pad_x[from_pad],
+                 pad_y[from_pad]}};
             delta = engine.eval({moves, other ? std::size_t{2} : std::size_t{1}});
         } else {
             delta = legacy_delta(

@@ -1,6 +1,7 @@
 #include "cad/place_cost.hpp"
 
 #include <algorithm>
+#include <limits>
 
 #include "base/check.hpp"
 
@@ -10,11 +11,11 @@ using base::check;
 
 namespace {
 
-/// Exact O(1) bounding-interval update for one coordinate axis: entity moves
+/// Exact O(1) bounding-interval update for one coordinate axis: a pin moves
 /// from `o` to `n`. Returns false when the interval cannot be updated without
 /// rescanning the net (the unique boundary occupant retreated inward).
-bool update_axis(double o, double n, double& mn, double& mx, std::uint16_t& nmn,
-                 std::uint16_t& nmx) {
+bool update_axis(std::int32_t o, std::int32_t n, std::int32_t& mn, std::int32_t& mx,
+                 std::uint16_t& nmn, std::uint16_t& nmx) {
     if (o == n) return true;
     // min side: remove o, add n
     if (n < mn) {
@@ -41,211 +42,211 @@ bool update_axis(double o, double n, double& mn, double& mx, std::uint16_t& nmn,
 
 }  // namespace
 
-std::size_t PlaceCostEngine::add_entity(double x, double y) {
+std::size_t PlaceCostEngine::add_entity(std::int32_t x, std::int32_t y) {
     xs_.push_back(x);
     ys_.push_back(y);
     return xs_.size() - 1;
 }
 
 void PlaceCostEngine::add_net(std::vector<std::size_t> entities) {
+    check(entities.size() <= kMaxNetPins, "PlaceCostEngine: net has more than 65535 pins");
     for (std::size_t eid : entities) check(eid < xs_.size(), "PlaceCostEngine: bad entity id");
+    std::vector<std::size_t> sorted = entities;
+    std::sort(sorted.begin(), sorted.end());
+    check(std::adjacent_find(sorted.begin(), sorted.end()) == sorted.end(),
+          "PlaceCostEngine: repeated entity id in net");
     nets_.push_back(std::move(entities));
 }
 
 void PlaceCostEngine::finalize() {
-    // Flatten both incidence directions into CSR arrays.
-    net_first_.assign(nets_.size() + 1, 0);
-    for (std::size_t ni = 0; ni < nets_.size(); ++ni)
-        net_first_[ni + 1] = net_first_[ni] + static_cast<std::uint32_t>(nets_[ni].size());
-    net_ents_.resize(net_first_.back());
-    noe_first_.assign(xs_.size() + 1, 0);
-    for (const auto& net : nets_)
-        for (std::size_t eid : net) ++noe_first_[eid + 1];
-    for (std::size_t e = 0; e < xs_.size(); ++e) noe_first_[e + 1] += noe_first_[e];
-    noe_nets_.resize(noe_first_.back());
-    {
-        std::vector<std::uint32_t> at(noe_first_.begin(), noe_first_.end() - 1);
-        std::uint32_t idx = 0;
-        for (std::size_t ni = 0; ni < nets_.size(); ++ni)
-            for (std::size_t eid : nets_[ni]) {
-                net_ents_[idx++] = static_cast<std::uint32_t>(eid);
-                noe_nets_[at[eid]++] = static_cast<std::uint32_t>(ni);
-            }
-    }
-
     const std::size_t n_nets = nets_.size();
+    const std::size_t n_ents = xs_.size();
+    net_first_.assign(n_nets + 1, 0);
+    for (std::size_t ni = 0; ni < n_nets; ++ni)
+        net_first_[ni + 1] = net_first_[ni] + static_cast<std::uint32_t>(nets_[ni].size());
+    net_ents_.clear();
+    net_ents_.reserve(net_first_.back());
+    for (const auto& net : nets_)
+        for (std::size_t eid : net) net_ents_.push_back(static_cast<std::uint32_t>(eid));
+
+    // Entity -> incidence CSR, split by net shape. Nets below two pins never
+    // contribute cost, so they get no incidences at all.
+    small_first_.assign(n_ents + 1, 0);
+    large_first_.assign(n_ents + 1, 0);
+    for (const auto& net : nets_) {
+        if (net.size() < 2) continue;
+        auto& first = net.size() <= kSmallNet ? small_first_ : large_first_;
+        for (std::size_t eid : net) ++first[eid + 1];
+    }
+    for (std::size_t e = 0; e < n_ents; ++e) {
+        small_first_[e + 1] += small_first_[e];
+        large_first_[e + 1] += large_first_[e];
+    }
+    small_.resize(small_first_.back());
+    large_.resize(large_first_.back());
+    std::vector<std::uint32_t> small_at(small_first_.begin(), small_first_.end() - 1);
+    std::vector<std::uint32_t> large_at(large_first_.begin(), large_first_.end() - 1);
+    for (std::size_t ni = 0; ni < n_nets; ++ni) {
+        const auto& net = nets_[ni];
+        const auto net_id = static_cast<std::uint32_t>(ni);
+        if (net.size() < 2) continue;
+        if (net.size() > kSmallNet) {
+            for (std::size_t eid : net) large_[large_at[eid]++] = net_id;
+            continue;
+        }
+        for (std::size_t eid : net) {
+            SmallPins& r = small_[small_at[eid]++];
+            r.net = net_id;
+            std::size_t k = 0;
+            for (std::size_t other : net)
+                if (other != eid) r.other[k++] = static_cast<std::uint32_t>(other);
+            for (; k < kSmallNet - 1; ++k) r.other[k] = r.other[k - 1];
+        }
+    }
     nets_.clear();  // fully superseded by the CSR arrays
     nets_.shrink_to_fit();
-    boxes_.resize(n_nets);
-    for (std::size_t ni = 0; ni < n_nets; ++ni) boxes_[ni] = scan_net(ni, {});
+
+    cost_.assign(n_nets, 0);
+    boxes_.assign(n_nets, NetBox{});
+    for (std::uint32_t ni = 0; ni < n_nets; ++ni) {
+        if (net_first_[ni + 1] - net_first_[ni] < 2) continue;
+        boxes_[ni] = scan_net(ni);
+        cost_[ni] = hpwl(boxes_[ni]);
+    }
     net_mark_.assign(n_nets, 0);
     net_slot_.assign(n_nets, 0);
-    slot_box_.resize(n_nets);
-    slot_rescan_.resize(n_nets);
     mark_ = 0;
 }
 
-PlaceCostEngine::NetBox PlaceCostEngine::scan_net(std::size_t ni,
-                                                  std::span<const EntityMove> moves) const {
-    NetBox b{1e18, -1e18, 1e18, -1e18, 0, 0, 0, 0, 0.0};
-    for (std::uint32_t i = net_first_[ni]; i < net_first_[ni + 1]; ++i) {
-        const std::uint32_t eid = net_ents_[i];
-        double x = xs_[eid];
-        double y = ys_[eid];
-        for (const EntityMove& m : moves) {
-            if (m.entity == eid) {
-                x = m.x;
-                y = m.y;
-                break;
-            }
-        }
-        if (x < b.xmin) {
-            b.xmin = x;
-            b.n_xmin = 1;
-        } else if (x == b.xmin) {
-            ++b.n_xmin;
-        }
-        if (x > b.xmax) {
-            b.xmax = x;
-            b.n_xmax = 1;
-        } else if (x == b.xmax) {
-            ++b.n_xmax;
-        }
-        if (y < b.ymin) {
-            b.ymin = y;
-            b.n_ymin = 1;
-        } else if (y == b.ymin) {
-            ++b.n_ymin;
-        }
-        if (y > b.ymax) {
-            b.ymax = y;
-            b.n_ymax = 1;
-        } else if (y == b.ymax) {
-            ++b.n_ymax;
-        }
+PlaceCostEngine::NetBox PlaceCostEngine::scan_net(std::uint32_t ni) const {
+    // Two branchless passes: the extremes, then the pins on each edge.
+    NetBox b{std::numeric_limits<std::int32_t>::max(), std::numeric_limits<std::int32_t>::min(),
+             std::numeric_limits<std::int32_t>::max(), std::numeric_limits<std::int32_t>::min(),
+             0, 0, 0, 0};
+    const std::uint32_t first = net_first_[ni];
+    const std::uint32_t last = net_first_[ni + 1];
+    for (std::uint32_t i = first; i < last; ++i) {
+        const std::int32_t x = xs_[net_ents_[i]];
+        const std::int32_t y = ys_[net_ents_[i]];
+        b.xmin = std::min(b.xmin, x);
+        b.xmax = std::max(b.xmax, x);
+        b.ymin = std::min(b.ymin, y);
+        b.ymax = std::max(b.ymax, y);
     }
-    b.cost = net_size(ni) < 2 ? 0.0 : (b.xmax - b.xmin) + (b.ymax - b.ymin);
+    for (std::uint32_t i = first; i < last; ++i) {
+        const std::int32_t x = xs_[net_ents_[i]];
+        const std::int32_t y = ys_[net_ents_[i]];
+        b.n_xmin = static_cast<std::uint16_t>(b.n_xmin + (x == b.xmin));
+        b.n_xmax = static_cast<std::uint16_t>(b.n_xmax + (x == b.xmax));
+        b.n_ymin = static_cast<std::uint16_t>(b.n_ymin + (y == b.ymin));
+        b.n_ymax = static_cast<std::uint16_t>(b.n_ymax + (y == b.ymax));
+    }
     return b;
 }
 
 double PlaceCostEngine::total_cost() const {
-    double c = 0;
-    for (const NetBox& b : boxes_) c += b.cost;
-    return c;
+    std::int64_t c = 0;
+    for (const std::int32_t nc : cost_) c += nc;
+    return static_cast<double>(c);
 }
 
 double PlaceCostEngine::recompute_from_scratch() const {
-    double c = 0;
-    for (std::size_t ni = 0; ni + 1 < net_first_.size(); ++ni) c += scan_net(ni, {}).cost;
-    return c;
+    std::int64_t c = 0;
+    for (std::uint32_t ni = 0; ni + 1 < net_first_.size(); ++ni) {
+        if (net_first_[ni + 1] - net_first_[ni] < 2) continue;
+        c += hpwl(scan_net(ni));
+    }
+    return static_cast<double>(c);
 }
 
 double PlaceCostEngine::eval(std::span<const EntityMove> moves) {
     AFPGA_ASSERT(!moves.empty(), "PlaceCostEngine::eval: empty proposal");
-    pending_moves_.assign(moves.begin(), moves.end());
-    order_.clear();
-    ++mark_;
+    moves_.clear();
+    small_pending_.clear();
+    large_pending_.clear();
+    if (++mark_ == 0) {  // wrapped: no stale mark may alias the new one
+        std::fill(net_mark_.begin(), net_mark_.end(), 0);
+        mark_ = 1;
+    }
 
-    // The annealer's 1-2 entry proposals unpack into locals for the inlined
-    // small-net scans below; larger proposals take the general scan_net.
-    const EntityMove none{SIZE_MAX, 0, 0};
-    const EntityMove m0 = moves[0];
-    const EntityMove m1 = moves.size() > 1 ? moves[1] : none;
-    const bool general = moves.size() > 2;
-
+    // Tentative apply: every read below sees the proposal.
     for (const EntityMove& m : moves) {
         AFPGA_ASSERT(m.entity < xs_.size(), "PlaceCostEngine: bad entity id in move");
-        const double ox = xs_[m.entity];
-        const double oy = ys_[m.entity];
-        for (std::uint32_t k = noe_first_[m.entity]; k < noe_first_[m.entity + 1]; ++k) {
-            const std::uint32_t ni = noe_nets_[k];
-            std::uint32_t slot;
+        const auto e = static_cast<std::uint32_t>(m.entity);
+        moves_.push_back({e, m.x, m.y, xs_[e], ys_[e]});
+        xs_[e] = m.x;
+        ys_[e] = m.y;
+    }
+
+    std::int64_t delta = 0;
+    for (std::size_t k = 0; k < moves_.size(); ++k) {
+        const PendingMove& m = moves_[k];
+        // Small nets: min/max over the moved pin and the three recorded
+        // others. A net that also holds an earlier mover was already costed.
+        for (std::uint32_t i = small_first_[m.entity]; i < small_first_[m.entity + 1]; ++i) {
+            const SmallPins& r = small_[i];
+            bool seen = false;
+            for (std::size_t j = 0; j < k; ++j) {
+                const std::uint32_t ej = moves_[j].entity;
+                seen |= (r.other[0] == ej) | (r.other[1] == ej) | (r.other[2] == ej);
+            }
+            if (seen) continue;
+            const std::int32_t x0 = xs_[r.other[0]];
+            const std::int32_t x1 = xs_[r.other[1]];
+            const std::int32_t x2 = xs_[r.other[2]];
+            const std::int32_t y0 = ys_[r.other[0]];
+            const std::int32_t y1 = ys_[r.other[1]];
+            const std::int32_t y2 = ys_[r.other[2]];
+            const std::int32_t xmin = std::min(std::min(m.x, x0), std::min(x1, x2));
+            const std::int32_t xmax = std::max(std::max(m.x, x0), std::max(x1, x2));
+            const std::int32_t ymin = std::min(std::min(m.y, y0), std::min(y1, y2));
+            const std::int32_t ymax = std::max(std::max(m.y, y0), std::max(y1, y2));
+            const std::int32_t c = (xmax - xmin) + (ymax - ymin);
+            delta += c - cost_[r.net];
+            small_pending_.push_back({r.net, c});
+        }
+        // Large nets: VPR's per-edge-count update on a copy of the box.
+        for (std::uint32_t i = large_first_[m.entity]; i < large_first_[m.entity + 1]; ++i) {
+            const std::uint32_t ni = large_[i];
             if (net_mark_[ni] != mark_) {
                 net_mark_[ni] = mark_;
-                slot = static_cast<std::uint32_t>(order_.size());
-                net_slot_[ni] = slot;
-                order_.push_back(ni);
-                // For tiny nets the O(1) boundary bookkeeping costs as much
-                // as a rescan, so flag them for the inlined scan below (their
-                // cached counts are never read, only their cost).
-                const bool rescan = net_size(ni) <= 3;
-                slot_rescan_[slot] = rescan;
-                if (!rescan) slot_box_[slot] = boxes_[ni];
-            } else {
-                slot = net_slot_[ni];
+                net_slot_[ni] = static_cast<std::uint32_t>(large_pending_.size());
+                large_pending_.push_back({ni, false, boxes_[ni]});
             }
-            if (slot_rescan_[slot]) continue;  // scanning later anyway
-            NetBox& b = slot_box_[slot];
-            if (!update_axis(ox, m.x, b.xmin, b.xmax, b.n_xmin, b.n_xmax) ||
-                !update_axis(oy, m.y, b.ymin, b.ymax, b.n_ymin, b.n_ymax))
-                slot_rescan_[slot] = 1;
+            PendingBox& p = large_pending_[net_slot_[ni]];
+            if (p.rescan) continue;
+            NetBox& b = p.box;
+            p.rescan = !update_axis(m.ox, m.x, b.xmin, b.xmax, b.n_xmin, b.n_xmax) ||
+                       !update_axis(m.oy, m.y, b.ymin, b.ymax, b.n_ymin, b.n_ymax);
         }
+    }
+    for (PendingBox& p : large_pending_) {
+        if (p.rescan) p.box = scan_net(p.net);
+        delta += hpwl(p.box) - cost_[p.net];
     }
 
-    for (std::uint32_t slot = 0; slot < order_.size(); ++slot) {
-        const std::uint32_t ni = order_[slot];
-        if (!slot_rescan_[slot]) {
-            NetBox& b = slot_box_[slot];
-            b.cost = (b.xmax - b.xmin) + (b.ymax - b.ymin);
-            continue;
-        }
-        const std::size_t sz = net_size(ni);
-        if (general || sz < 2 || sz > 3) {
-            // Large nets land here when the O(1) update bailed; they need the
-            // full scan so their boundary counts stay exact.
-            slot_box_[slot] = scan_net(ni, moves);
-            continue;
-        }
-        // Inlined min/max-only scan for the common tiny-net rescan: only the
-        // cost is needed downstream (see the rescan flag above).
-        double xmin = 1e18;
-        double xmax = -1e18;
-        double ymin = 1e18;
-        double ymax = -1e18;
-        for (std::uint32_t i = net_first_[ni]; i < net_first_[ni + 1]; ++i) {
-            const std::uint32_t eid = net_ents_[i];
-            double x;
-            double y;
-            if (eid == m0.entity) {
-                x = m0.x;
-                y = m0.y;
-            } else if (eid == m1.entity) {
-                x = m1.x;
-                y = m1.y;
-            } else {
-                x = xs_[eid];
-                y = ys_[eid];
-            }
-            xmin = std::min(xmin, x);
-            xmax = std::max(xmax, x);
-            ymin = std::min(ymin, y);
-            ymax = std::max(ymax, y);
-        }
-        slot_box_[slot].cost = (xmax - xmin) + (ymax - ymin);
+    // Restore the committed positions (reverse order, so a repeated entity
+    // ends at its committed spot too).
+    for (auto it = moves_.rbegin(); it != moves_.rend(); ++it) {
+        xs_[it->entity] = it->ox;
+        ys_[it->entity] = it->oy;
     }
-
-    // Deterministic evaluation order regardless of which entity listed the
-    // net first, and the same "cost(after) - cost(before)" float rounding as
-    // a full rescan evaluator: the two sums are accumulated separately over
-    // the affected nets in ascending net order, so incremental and rescan
-    // evaluation reach bit-identical accept/reject decisions.
-    std::sort(order_.begin(), order_.end());
-    double before = 0;
-    double after = 0;
-    for (const std::uint32_t ni : order_) {
-        before += boxes_[ni].cost;
-        after += slot_box_[net_slot_[ni]].cost;
-    }
-    return after - before;
+    return static_cast<double>(delta);
 }
 
 void PlaceCostEngine::commit() {
-    for (const EntityMove& m : pending_moves_) {
+    for (const PendingMove& m : moves_) {
         xs_[m.entity] = m.x;
         ys_[m.entity] = m.y;
     }
-    for (const std::uint32_t ni : order_) boxes_[ni] = slot_box_[net_slot_[ni]];
-    pending_moves_.clear();
-    order_.clear();
+    for (const PendingCost& p : small_pending_) cost_[p.net] = p.cost;
+    for (const PendingBox& p : large_pending_) {
+        boxes_[p.net] = p.box;
+        cost_[p.net] = hpwl(p.box);
+    }
+    moves_.clear();
+    small_pending_.clear();
+    large_pending_.clear();
 }
+
 }  // namespace afpga::cad

@@ -5,12 +5,29 @@
 /// relocation, a cluster swap, a pad reassignment). Instead of rescanning
 /// every entity of every affected net through a position lookup — the
 /// pre-refactor placer even did a linear io_slot search per lookup — the
-/// engine caches every entity's position and every net's bounding box with
-/// per-boundary occupancy counts (how many entities sit on each box edge,
-/// VPR-style). A move then updates each affected box in O(1); only when the
-/// last entity on a boundary retreats inward does the net get rescanned.
-/// Every update path produces bit-identical boxes to a from-scratch rescan,
-/// and evaluation never mutates state — commit or discard, no rollback.
+/// engine caches every entity's position and every net's cost.
+///
+/// Every placement coordinate is an integer: a PLB sits at (x+1, y+1) and
+/// a pad on the 0 / W+1 / H+1 frame at offset+1. So every net's HPWL is an
+/// integer, every cost sum is exact in any order, and the engine keeps
+/// positions as int32 and accumulates deltas in int64. A rescan evaluator
+/// summing the same integers in doubles reaches the same value bit for bit
+/// (all sums stay far below 2^53), so both make identical accept/reject
+/// decisions with no ordering rule.
+///
+/// Two net shapes, after VPR's placer:
+/// - Nets of at most kSmallNet pins: every (entity, net) incidence carries
+///   the other pins' entity ids, padded to a fixed three by repetition, so
+///   the post-move HPWL is a branchless min/max over four points.
+/// - Larger nets: a cached bounding box with per-edge occupancy counts (how
+///   many pins sit on each edge). A move updates each affected box in O(1);
+///   only when the last pin on an edge retreats inward is the net rescanned.
+///   Updated and rescanned boxes are identical.
+///
+/// eval() applies a proposal tentatively: it writes the proposed positions
+/// into the position arrays, evaluates, and restores the committed
+/// positions before it returns. commit() then applies the stashed result;
+/// a proposal that is not committed leaves no trace.
 ///
 /// Threading: one engine per annealing replica, never shared; replicas on
 /// the pool each own an engine (see cad/place.hpp).
@@ -26,82 +43,105 @@ namespace afpga::cad {
 /// One tentative entity relocation inside a move proposal.
 struct EntityMove {
     std::size_t entity;  ///< entity id (from add_entity)
-    double x;            ///< proposed x
-    double y;            ///< proposed y
+    std::int32_t x;      ///< proposed x
+    std::int32_t y;      ///< proposed y
 };
 
 /// The incremental HPWL cost engine (see the file comment for the model).
 class PlaceCostEngine {
 public:
+    /// Nets with at most this many pins take the fixed-shape path.
+    static constexpr std::size_t kSmallNet = 4;
+    /// Most pins one net may have (the per-edge counts are 16-bit).
+    static constexpr std::size_t kMaxNetPins = 65535;
+
     // --- construction -------------------------------------------------------
     /// Register an entity at its initial position; ids are dense from 0.
-    std::size_t add_entity(double x, double y);
-    /// Register a net over entity ids (>= 2 of them to contribute cost).
+    std::size_t add_entity(std::int32_t x, std::int32_t y);
+    /// Register a net over distinct entity ids, at most kMaxNetPins of them
+    /// (>= 2 to contribute cost). Throws base::Error on a bad or repeated id
+    /// or an oversized net.
     void add_net(std::vector<std::size_t> entities);
-    /// Build the reverse index and the initial boxes. Call once, after all
-    /// entities and nets are in; positions may still change via moves.
+    /// Build the incidence records and the initial costs. Call once, after
+    /// all entities and nets are in; positions may still change via moves.
     void finalize();
 
     // --- queries ------------------------------------------------------------
-    /// Sum of cached per-net costs (O(nets); bit-identical to a from-scratch
-    /// recomputation because cached boxes are always exact).
+    /// Sum of the cached per-net costs (O(nets); equal to a from-scratch
+    /// recomputation because cached costs are always exact).
     [[nodiscard]] double total_cost() const;
-    /// Validation-only: recompute every box from positions and sum.
+    /// Validation-only: recompute every net from positions and sum.
     [[nodiscard]] double recompute_from_scratch() const;
     /// Current committed x of an entity.
-    [[nodiscard]] double entity_x(std::size_t eid) const { return xs_[eid]; }
+    [[nodiscard]] std::int32_t entity_x(std::size_t eid) const { return xs_[eid]; }
     /// Current committed y of an entity.
-    [[nodiscard]] double entity_y(std::size_t eid) const { return ys_[eid]; }
+    [[nodiscard]] std::int32_t entity_y(std::size_t eid) const { return ys_[eid]; }
 
     // --- move protocol ------------------------------------------------------
-    /// Cost delta of applying `moves` (typically 1-2 entries, e.g. a stack
-    /// array; one entry per entity). Nothing is mutated; the tentative boxes
-    /// are stashed for a follow-up commit(). The delta is accumulated as
-    /// sum(after) - sum(before) over the affected nets in ascending net
-    /// order, reproducing the float rounding of a full rescan evaluator so
-    /// both reach bit-identical accept/reject decisions.
+    /// Exact cost delta of applying `moves` (typically 1-2 entries, e.g. a
+    /// stack array; one entry per entity). Committed state is unchanged on
+    /// return; the tentative costs are stashed for a follow-up commit().
     double eval(std::span<const EntityMove> moves);
-    /// Apply the last evaluated proposal (positions + cached boxes).
+    /// Apply the last evaluated proposal (positions + cached costs).
     void commit();
 
 private:
     struct NetBox {
-        double xmin, xmax, ymin, ymax;
-        std::uint16_t n_xmin, n_xmax, n_ymin, n_ymax;  ///< entities on each edge
-        double cost;
+        std::int32_t xmin, xmax, ymin, ymax;
+        std::uint16_t n_xmin, n_xmax, n_ymin, n_ymax;  ///< pins on each edge
+    };
+    /// One incidence of an entity on a small net: the net and the other
+    /// pins, padded by repeating an id.
+    struct SmallPins {
+        std::uint32_t net;
+        std::uint32_t other[kSmallNet - 1];
+    };
+    /// A move with the committed position it overwrites during eval.
+    struct PendingMove {
+        std::uint32_t entity;
+        std::int32_t x, y;    ///< proposed
+        std::int32_t ox, oy;  ///< committed
+    };
+    struct PendingCost {
+        std::uint32_t net;
+        std::int32_t cost;
+    };
+    struct PendingBox {
+        std::uint32_t net;
+        bool rescan;  ///< the O(1) update bailed; rebuild the box by scan
+        NetBox box;
     };
 
-    [[nodiscard]] NetBox scan_net(std::size_t ni, std::span<const EntityMove> moves) const;
-    [[nodiscard]] std::size_t net_size(std::size_t ni) const {
-        return net_first_[ni + 1] - net_first_[ni];
+    /// Box of a net from the current position arrays.
+    [[nodiscard]] NetBox scan_net(std::uint32_t ni) const;
+    [[nodiscard]] static std::int32_t hpwl(const NetBox& b) {
+        return (b.xmax - b.xmin) + (b.ymax - b.ymin);
     }
 
-    std::vector<double> xs_;
-    std::vector<double> ys_;
+    std::vector<std::int32_t> xs_;
+    std::vector<std::int32_t> ys_;
     /// Construction-time staging only; finalize() flattens it into the CSR
     /// arrays below and clears it.
     std::vector<std::vector<std::size_t>> nets_;
-    std::vector<NetBox> boxes_;
+    std::vector<std::int32_t> cost_;  ///< per net
+    std::vector<NetBox> boxes_;       ///< per net; read for large nets only
 
-    // Flat CSR views built by finalize(): nets -> entities and the reverse,
-    // so the per-move hot loops walk contiguous arrays.
-    std::vector<std::uint32_t> net_first_;   // net -> first index into net_ents_
-    std::vector<std::uint32_t> net_ents_;    // entity ids flattened by net
-    std::vector<std::uint32_t> noe_first_;   // entity -> first index into noe_nets_
-    std::vector<std::uint32_t> noe_nets_;    // net ids flattened by entity
+    // Flat CSR views built by finalize().
+    std::vector<std::uint32_t> net_first_;    // net -> first index into net_ents_
+    std::vector<std::uint32_t> net_ents_;     // entity ids flattened by net
+    std::vector<std::uint32_t> small_first_;  // entity -> first index into small_
+    std::vector<SmallPins> small_;            // small-net incidences by entity
+    std::vector<std::uint32_t> large_first_;  // entity -> first index into large_
+    std::vector<std::uint32_t> large_;        // large-net ids by entity
 
-    // Pending proposal (filled by eval, consumed by commit). Affected nets
-    // get a dense slot in creation order: order_[slot] is the net id,
-    // slot_box_[slot] its tentative box, slot_rescan_[slot] whether the O(1)
-    // update bailed and the box must be rebuilt by scan. slot_box_ is sized
-    // once and never cleared — every slot is written before it is read.
-    std::vector<EntityMove> pending_moves_;
-    std::vector<std::uint32_t> order_;  ///< affected net ids, sorted by eval
-    std::vector<NetBox> slot_box_;
-    std::vector<std::uint8_t> slot_rescan_;
+    // Pending proposal (filled by eval, consumed by commit).
+    std::vector<PendingMove> moves_;
+    std::vector<PendingCost> small_pending_;
+    std::vector<PendingBox> large_pending_;
 
-    // O(1) affected-net dedup across one eval call: net_mark_[ni] == mark_
-    // means net ni already owns slot net_slot_[ni].
+    // O(1) large-net dedup across one eval call: net_mark_[ni] == mark_
+    // means net ni already owns large_pending_[net_slot_[ni]]. Small nets
+    // dedup by their pin records instead.
     std::vector<std::uint32_t> net_mark_;
     std::vector<std::uint32_t> net_slot_;
     std::uint32_t mark_ = 0;

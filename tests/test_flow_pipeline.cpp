@@ -1,7 +1,8 @@
 // Staged-pipeline and incremental-engine regressions:
 //  - PlaceCostEngine's incremental delta cost matches a from-scratch HPWL
-//    recomputation after randomized move sequences (the boundary-count
-//    bookkeeping is exact, not approximate);
+//    recomputation exactly after randomized move sequences, shared-net
+//    swaps and discarded proposals, and add_net rejects malformed nets;
+//  - PlaceGolden.* pin the annealer's move sequence on the paper designs;
 //  - the placer's incremental and pre-refactor rescan evaluators make
 //    bit-identical decisions (same placement, same cost) on a mixed
 //    cluster/IO design, which also pins down the stored Entity::io_slot
@@ -13,7 +14,12 @@
 //    to JSON.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <climits>
+#include <map>
 #include <set>
+#include <unordered_map>
 
 #include "asynclib/adders.hpp"
 #include "asynclib/fifos.hpp"
@@ -29,17 +35,32 @@ using namespace afpga;
 using cad::EntityMove;
 using cad::PlaceCostEngine;
 
+/// Brute-force HPWL of one net from explicit positions: the oracle the
+/// engine's cached costs are checked against.
+std::int64_t brute_hpwl(const std::vector<std::size_t>& net,
+                        const std::vector<std::pair<std::int32_t, std::int32_t>>& pos) {
+    std::int32_t xmin = INT32_MAX;
+    std::int32_t xmax = INT32_MIN;
+    std::int32_t ymin = INT32_MAX;
+    std::int32_t ymax = INT32_MIN;
+    for (std::size_t e : net) {
+        xmin = std::min(xmin, pos[e].first);
+        xmax = std::max(xmax, pos[e].first);
+        ymin = std::min(ymin, pos[e].second);
+        ymax = std::max(ymax, pos[e].second);
+    }
+    return (xmax - xmin) + (ymax - ymin);
+}
+
+std::int32_t coord(base::Rng& rng, std::uint64_t n) {
+    return static_cast<std::int32_t>(rng.below(n));
+}
+
 TEST(PlaceCostEngine, IncrementalMatchesScratchAfterRandomMoves) {
     base::Rng rng(99);
     // A random hypergraph: 40 entities on a 12x12 grid, 60 nets of 2-7 pins.
     PlaceCostEngine eng;
-    std::vector<std::pair<double, double>> pos;
-    for (int e = 0; e < 40; ++e) {
-        const double x = static_cast<double>(rng.below(12));
-        const double y = static_cast<double>(rng.below(12));
-        eng.add_entity(x, y);
-        pos.emplace_back(x, y);
-    }
+    for (int e = 0; e < 40; ++e) eng.add_entity(coord(rng, 12), coord(rng, 12));
     for (int n = 0; n < 60; ++n) {
         const std::size_t pins = 2 + rng.below(6);
         std::set<std::size_t> ents;
@@ -47,15 +68,14 @@ TEST(PlaceCostEngine, IncrementalMatchesScratchAfterRandomMoves) {
         eng.add_net({ents.begin(), ents.end()});
     }
     eng.finalize();
-    EXPECT_DOUBLE_EQ(eng.total_cost(), eng.recompute_from_scratch());
+    ASSERT_EQ(eng.total_cost(), eng.recompute_from_scratch());
 
     double running = eng.total_cost();
     for (int step = 0; step < 2000; ++step) {
         // Single moves and swaps, committed or discarded at random.
         EntityMove moves[2];
         const std::size_t n_moves = 1 + rng.below(2);
-        moves[0] = {rng.below(40), static_cast<double>(rng.below(12)),
-                    static_cast<double>(rng.below(12))};
+        moves[0] = {rng.below(40), coord(rng, 12), coord(rng, 12)};
         if (n_moves == 2) {
             std::size_t e2 = rng.below(40);
             while (e2 == moves[0].entity) e2 = rng.below(40);
@@ -67,19 +87,17 @@ TEST(PlaceCostEngine, IncrementalMatchesScratchAfterRandomMoves) {
             eng.commit();
             running += delta;
         }
-        // Cached boxes stay exact: the running sum may accumulate float dust,
-        // but total_cost() (sum of cached boxes) must equal a full rebuild
-        // bit-for-bit because every cached box is rebuilt, never drifted.
-        ASSERT_DOUBLE_EQ(eng.total_cost(), eng.recompute_from_scratch()) << "step " << step;
+        // Costs are integers, so the cached sum, a full rebuild and the
+        // running sum of deltas all agree exactly.
+        ASSERT_EQ(eng.total_cost(), eng.recompute_from_scratch()) << "step " << step;
+        ASSERT_EQ(running, eng.total_cost()) << "step " << step;
     }
-    EXPECT_NEAR(running, eng.total_cost(), 1e-6);
 }
 
 TEST(PlaceCostEngine, DeltaMatchesRescanDifference) {
     base::Rng rng(5);
     PlaceCostEngine eng;
-    for (int e = 0; e < 12; ++e)
-        eng.add_entity(static_cast<double>(rng.below(8)), static_cast<double>(rng.below(8)));
+    for (int e = 0; e < 12; ++e) eng.add_entity(coord(rng, 8), coord(rng, 8));
     for (int n = 0; n < 20; ++n) {
         std::set<std::size_t> ents;
         while (ents.size() < 3) ents.insert(rng.below(12));
@@ -87,14 +105,158 @@ TEST(PlaceCostEngine, DeltaMatchesRescanDifference) {
     }
     eng.finalize();
     for (int step = 0; step < 500; ++step) {
-        const EntityMove mv{rng.below(12), static_cast<double>(rng.below(8)),
-                            static_cast<double>(rng.below(8))};
+        const EntityMove mv{rng.below(12), coord(rng, 8), coord(rng, 8)};
         const double before = eng.recompute_from_scratch();
         const double delta = eng.eval({&mv, 1});
         eng.commit();
         const double after = eng.recompute_from_scratch();
-        ASSERT_NEAR(after - before, delta, 1e-9) << "step " << step;
+        ASSERT_EQ(after - before, delta) << "step " << step;
     }
+}
+
+// Two movers that share a net must cost it once, with both pins at their
+// new spots, on the fixed-shape path (2-4 pins) and on the per-edge-count
+// path (5+ pins) alike. A pure swap leaves the shared net's HPWL as it was,
+// so each trial first swaps entities 0 and 1, then moves 0 to a fresh spot
+// while 1 takes 0's old one, which does change the shared net.
+TEST(PlaceCostEngine, SwapsOfEntitiesSharingANetOfEverySize) {
+    for (std::size_t pins : {2u, 3u, 4u, 5u, 8u}) {
+        base::Rng rng(1000 + pins);
+        for (int trial = 0; trial < 200; ++trial) {
+            // The shared net holds entities 0 and 1 plus pins - 2 others,
+            // and 0 and 1 each also sit on a private 2-pin net.
+            const std::size_t n_ents = pins + 2;
+            std::vector<std::pair<std::int32_t, std::int32_t>> pos;
+            PlaceCostEngine eng;
+            for (std::size_t e = 0; e < n_ents; ++e) {
+                pos.emplace_back(coord(rng, 6), coord(rng, 6));
+                eng.add_entity(pos.back().first, pos.back().second);
+            }
+            std::vector<std::vector<std::size_t>> nets;
+            nets.emplace_back();
+            for (std::size_t e = 0; e < pins; ++e) nets.back().push_back(e);
+            nets.push_back({0, pins});
+            nets.push_back({1, pins + 1});
+            for (const auto& n : nets) eng.add_net(n);
+            eng.finalize();
+
+            auto brute_total = [&] {
+                std::int64_t c = 0;
+                for (const auto& n : nets) c += brute_hpwl(n, pos);
+                return static_cast<double>(c);
+            };
+            ASSERT_EQ(eng.total_cost(), brute_total());
+            for (const bool swap : {true, false}) {
+                const std::pair<std::int32_t, std::int32_t> to =
+                    swap ? pos[1] : std::pair{coord(rng, 6), coord(rng, 6)};
+                const double before = brute_total();
+                const EntityMove moves[2] = {{0, to.first, to.second},
+                                             {1, pos[0].first, pos[0].second}};
+                const double delta = eng.eval(moves);
+                pos[1] = pos[0];
+                pos[0] = to;
+                ASSERT_EQ(delta, brute_total() - before)
+                    << pins << " pins, trial " << trial << (swap ? ", swap" : ", shift");
+                eng.commit();
+                ASSERT_EQ(eng.total_cost(), brute_total()) << pins << " pins, trial " << trial;
+                ASSERT_EQ(eng.total_cost(), eng.recompute_from_scratch());
+            }
+        }
+    }
+}
+
+// The per-edge-count update cannot follow the sole occupant of a box edge
+// moving inward; the engine must rescan that net and keep exact counts.
+TEST(PlaceCostEngine, LargeNetRescansWhenSoleEdgeOccupantMovesInward) {
+    PlaceCostEngine eng;
+    // Six pins: entity 0 alone on the left edge (x = 0) and alone on the
+    // bottom edge (y = 0); the others share x = 4..6, y = 2..5.
+    const std::int32_t xy[6][2] = {{0, 0}, {4, 2}, {5, 3}, {6, 5}, {4, 5}, {6, 2}};
+    for (const auto& p : xy) eng.add_entity(p[0], p[1]);
+    eng.add_net({0, 1, 2, 3, 4, 5});
+    eng.finalize();
+    ASSERT_EQ(eng.total_cost(), (6 - 0) + (5 - 0));
+
+    // Inward to the middle of the box: both edges it held retreat.
+    const EntityMove in{0, 5, 4};
+    ASSERT_EQ(eng.eval({&in, 1}), ((6 - 4) + (5 - 2)) - ((6 - 0) + (5 - 0)));
+    eng.commit();
+    ASSERT_EQ(eng.total_cost(), (6 - 4) + (5 - 2));
+    ASSERT_EQ(eng.total_cost(), eng.recompute_from_scratch());
+
+    // The rescanned counts must be exact: entity 1 is now one of two pins
+    // on the left edge, so moving it right leaves the edge in place...
+    const EntityMove right{1, 5, 3};
+    ASSERT_EQ(eng.eval({&right, 1}), 0.0);
+    eng.commit();
+    // ...and then entity 4, the last pin at x = 4, moving right shrinks it.
+    const EntityMove last{4, 5, 5};
+    ASSERT_EQ(eng.eval({&last, 1}), -1.0);
+    eng.commit();
+    ASSERT_EQ(eng.total_cost(), (6 - 5) + (5 - 2));
+    ASSERT_EQ(eng.total_cost(), eng.recompute_from_scratch());
+}
+
+// eval() applies the proposal tentatively and must restore it: a proposal
+// that is never committed leaves the cost and every position untouched.
+TEST(PlaceCostEngine, DiscardedProposalsLeaveNoTrace) {
+    base::Rng rng(17);
+    PlaceCostEngine eng;
+    for (int e = 0; e < 30; ++e) eng.add_entity(coord(rng, 10), coord(rng, 10));
+    for (int n = 0; n < 40; ++n) {
+        const std::size_t pins = 2 + rng.below(7);
+        std::set<std::size_t> ents;
+        while (ents.size() < pins) ents.insert(rng.below(30));
+        eng.add_net({ents.begin(), ents.end()});
+    }
+    eng.finalize();
+    const double cost = eng.total_cost();
+    std::vector<std::pair<std::int32_t, std::int32_t>> pos;
+    for (std::size_t e = 0; e < 30; ++e) pos.emplace_back(eng.entity_x(e), eng.entity_y(e));
+
+    for (int step = 0; step < 500; ++step) {
+        const std::size_t a = rng.below(30);
+        std::size_t b = rng.below(30);
+        while (b == a) b = rng.below(30);
+        const EntityMove moves[2] = {{a, coord(rng, 10), coord(rng, 10)},
+                                     {b, eng.entity_x(a), eng.entity_y(a)}};
+        (void)eng.eval({moves, 1 + rng.below(2)});
+        ASSERT_EQ(eng.total_cost(), cost) << "step " << step;
+        for (std::size_t e = 0; e < 30; ++e) {
+            ASSERT_EQ(eng.entity_x(e), pos[e].first) << "step " << step << " entity " << e;
+            ASSERT_EQ(eng.entity_y(e), pos[e].second) << "step " << step << " entity " << e;
+        }
+    }
+    ASSERT_EQ(eng.recompute_from_scratch(), cost);
+}
+
+TEST(PlaceCostEngine, AddNetRejectsRepeatedEntity) {
+    PlaceCostEngine eng;
+    for (int e = 0; e < 3; ++e) eng.add_entity(e, e);
+    try {
+        eng.add_net({0, 1, 2, 1});
+        FAIL() << "expected a repeated-entity error";
+    } catch (const base::Error& e) {
+        EXPECT_NE(std::string(e.what()).find("repeated entity id"), std::string::npos)
+            << e.what();
+    }
+}
+
+TEST(PlaceCostEngine, AddNetRejectsNetOverCountWidth) {
+    // One pin past what a 16-bit edge count can hold.
+    PlaceCostEngine eng;
+    std::vector<std::size_t> net;
+    for (std::size_t e = 0; e <= PlaceCostEngine::kMaxNetPins; ++e)
+        net.push_back(eng.add_entity(0, 0));
+    try {
+        eng.add_net(net);
+        FAIL() << "expected an oversized-net error";
+    } catch (const base::Error& e) {
+        EXPECT_NE(std::string(e.what()).find("more than 65535 pins"), std::string::npos)
+            << e.what();
+    }
+    net.pop_back();
+    EXPECT_NO_THROW(eng.add_net(net));
 }
 
 // The stored Entity::io_slot must agree with the pre-refactor linear-search
@@ -136,6 +298,194 @@ TEST(PlaceIncremental, MatchesPreRefactorEvaluatorOnMixedDesign) {
         EXPECT_LT(pad, geom.num_pads());
         EXPECT_TRUE(pads.insert(pad).second) << "pad shared: " << name;
     }
+}
+
+// ---------------------------------------------------------------------------
+// Placement goldens. Each design is techmapped, packed and placed twice: a
+// cold anneal and a multilevel run (whose warm polish anneal drives the same
+// cost engine). The move counters, the final cost and an FNV-1a hash over
+// the cluster locations, the name-sorted pad assignment and the bits of the
+// cost trajectory pin every accept/reject decision of the annealer: any
+// change to the cost engine's arithmetic or the RNG draw order shows up here.
+// ---------------------------------------------------------------------------
+
+namespace place_golden {
+
+enum class Design { QdiAdder, MpAdder, WchbFifo, MpFifo, MousetrapFifo };
+
+class Fnv {
+public:
+    void mix(std::uint64_t x, int bytes) {
+        for (int i = 0; i < bytes; ++i) {
+            h_ ^= (x >> (8 * i)) & 0xFFu;
+            h_ *= 0x100000001B3ULL;
+        }
+    }
+    void mix(const std::string& s) {
+        for (unsigned char c : s) mix(c, 1);
+    }
+    [[nodiscard]] std::uint64_t value() const noexcept { return h_; }
+
+private:
+    std::uint64_t h_ = 0xCBF29CE484222325ULL;
+};
+
+void mix_pads(Fnv& h, const std::unordered_map<std::string, std::uint32_t>& pads) {
+    const std::map<std::string, std::uint32_t> sorted(pads.begin(), pads.end());
+    for (const auto& [name, pad] : sorted) {
+        h.mix(name);
+        h.mix(pad, 4);
+    }
+}
+
+std::uint64_t placement_hash(const cad::Placement& pl) {
+    Fnv h;
+    for (const core::PlbCoord& c : pl.cluster_loc) {
+        h.mix(c.x, 4);
+        h.mix(c.y, 4);
+    }
+    mix_pads(h, pl.pi_pad);
+    mix_pads(h, pl.po_pad);
+    for (double c : pl.cost_trajectory) h.mix(std::bit_cast<std::uint64_t>(c), 8);
+    return h.value();
+}
+
+/// Recorded on the double-precision cost engine this move sequence was
+/// first defined by; every later engine must reproduce it bit for bit.
+struct Golden {
+    std::uint64_t moves_tried;
+    std::uint64_t moves_accepted;
+    int anneal_rounds;
+    double final_cost;
+    std::uint64_t hash;
+};
+
+void expect_golden(Design design, std::size_t bits, std::size_t depth, std::uint32_t fabric,
+                   cad::PlaceAlgorithm algorithm, const Golden& g) {
+    netlist::Netlist nl;
+    asynclib::MappingHints hints;
+    switch (design) {
+        case Design::QdiAdder: {
+            auto a = asynclib::make_qdi_adder(bits);
+            nl = std::move(a.nl);
+            hints = std::move(a.hints);
+            break;
+        }
+        case Design::MpAdder: nl = std::move(asynclib::make_micropipeline_adder(bits).nl); break;
+        case Design::WchbFifo: {
+            auto f = asynclib::make_wchb_fifo(bits, depth);
+            nl = std::move(f.nl);
+            hints = std::move(f.hints);
+            break;
+        }
+        case Design::MpFifo: nl = std::move(asynclib::make_micropipeline_fifo(bits, depth).nl); break;
+        case Design::MousetrapFifo:
+            nl = std::move(asynclib::make_mousetrap_fifo(bits, depth).nl);
+            break;
+    }
+    core::ArchSpec arch;
+    arch.width = arch.height = fabric;
+    const auto md = cad::techmap(nl, hints);
+    const auto pd = cad::pack(md, arch);
+    cad::PlaceOptions opts;
+    opts.seed = 7;
+    opts.algorithm = algorithm;
+    const cad::Placement pl = cad::place(pd, md, arch, opts);
+    EXPECT_EQ(pl.moves_tried, g.moves_tried);
+    EXPECT_EQ(pl.moves_accepted, g.moves_accepted);
+    EXPECT_EQ(pl.anneal_rounds, g.anneal_rounds);
+    EXPECT_EQ(pl.final_cost, g.final_cost);
+    EXPECT_EQ(placement_hash(pl), g.hash) << std::hex << "0x" << placement_hash(pl);
+}
+
+constexpr auto kAnneal = cad::PlaceAlgorithm::Anneal;
+constexpr auto kMultilevel = cad::PlaceAlgorithm::Multilevel;
+
+}  // namespace place_golden
+
+using place_golden::Design;
+using place_golden::expect_golden;
+using place_golden::kAnneal;
+using place_golden::kMultilevel;
+
+TEST(PlaceGolden, QdiAdder2Anneal) {
+    expect_golden(Design::QdiAdder, 2, 0, 10, kAnneal,
+                  {73100u, 24170u, 100, 84.0, 0x473755A271DAEA97ULL});
+}
+
+TEST(PlaceGolden, QdiAdder2Multilevel) {
+    expect_golden(Design::QdiAdder, 2, 0, 10, kMultilevel,
+                  {5848u, 862u, 8, 87.0, 0x7BC006D51F39CE3AULL});
+}
+
+TEST(PlaceGolden, QdiAdder8Anneal) {
+    expect_golden(Design::QdiAdder, 8, 0, 16, kAnneal,
+                  {393546u, 137922u, 107, 415.0, 0x1AF0CBC4093ECBBFULL});
+}
+
+TEST(PlaceGolden, QdiAdder8Multilevel) {
+    expect_golden(Design::QdiAdder, 8, 0, 16, kMultilevel,
+                  {29424u, 5444u, 8, 447.0, 0x68B7F1E5B099A536ULL});
+}
+
+TEST(PlaceGolden, QdiAdder4Anneal) {
+    expect_golden(Design::QdiAdder, 4, 0, 12, kAnneal,
+                  {166400u, 57427u, 104, 175.0, 0x35B6F333EC0B8F71ULL});
+}
+
+TEST(PlaceGolden, QdiAdder4Multilevel) {
+    expect_golden(Design::QdiAdder, 4, 0, 12, kMultilevel,
+                  {12800u, 1742u, 8, 178.0, 0xD900546EF701314FULL});
+}
+
+TEST(PlaceGolden, MpAdder4Anneal) {
+    expect_golden(Design::MpAdder, 4, 0, 12, kAnneal,
+                  {68670u, 22489u, 105, 36.0, 0xD1B915D7C4B88784ULL});
+}
+
+TEST(PlaceGolden, MpAdder4Multilevel) {
+    expect_golden(Design::MpAdder, 4, 0, 12, kMultilevel,
+                  {5232u, 473u, 8, 36.0, 0x6E53B01F528E3B6FULL});
+}
+
+TEST(PlaceGolden, WchbFifo4x8Anneal) {
+    expect_golden(Design::WchbFifo, 4, 8, 12, kAnneal,
+                  {132200u, 44787u, 100, 163.0, 0xB151DFB0A542CE93ULL});
+}
+
+TEST(PlaceGolden, WchbFifo4x8Multilevel) {
+    expect_golden(Design::WchbFifo, 4, 8, 12, kMultilevel,
+                  {10576u, 1261u, 8, 159.0, 0x52DBABFEF24D9D4BULL});
+}
+
+TEST(PlaceGolden, MpFifo4x8Anneal) {
+    expect_golden(Design::MpFifo, 4, 8, 12, kAnneal,
+                  {78540u, 25990u, 102, 83.0, 0x6E3ED5C0D9CA33F8ULL});
+}
+
+TEST(PlaceGolden, MpFifo4x8Multilevel) {
+    expect_golden(Design::MpFifo, 4, 8, 12, kMultilevel,
+                  {6160u, 723u, 8, 78.0, 0xACDD917B9E34FAE5ULL});
+}
+
+TEST(PlaceGolden, MousetrapFifo4x8Anneal) {
+    expect_golden(Design::MousetrapFifo, 4, 8, 12, kAnneal,
+                  {71968u, 23854u, 104, 80.0, 0xD5B960BE8D83FEEEULL});
+}
+
+TEST(PlaceGolden, MousetrapFifo4x8Multilevel) {
+    expect_golden(Design::MousetrapFifo, 4, 8, 12, kMultilevel,
+                  {5536u, 716u, 8, 77.0, 0xF71E5F7A02F01939ULL});
+}
+
+TEST(PlaceGolden, WchbFifo8x24Anneal) {
+    expect_golden(Design::WchbFifo, 8, 24, 18, kAnneal,
+                  {930546u, 307370u, 102, 1187.0, 0xB3B97DEE40153773ULL});
+}
+
+TEST(PlaceGolden, WchbFifo8x24Multilevel) {
+    expect_golden(Design::WchbFifo, 8, 24, 18, kMultilevel,
+                  {72984u, 10373u, 8, 1105.0, 0x5C00A5A17E57E78EULL});
 }
 
 cad::RouteRequest plb_to_plb(core::PlbCoord from, core::PlbCoord to) {
