@@ -136,8 +136,9 @@ public:
     /// Version stamped into every disk-blob header. Bump when any encoder
     /// in cad/serialize.cpp changes shape, or when an unchanged options
     /// fingerprint starts naming a different product (v5: `Race` dropped
-    /// its flat analytical replica); older blobs then read as misses.
-    static constexpr std::uint32_t kDiskFormatVersion = 5;
+    /// its flat analytical replica; v6: `route.threads = 0` routes with the
+    /// partitioned PathFinder); older blobs then read as misses.
+    static constexpr std::uint32_t kDiskFormatVersion = 6;
 
     /// An unbounded, memory-only store.
     ArtifactStore() = default;

@@ -9,7 +9,6 @@
 #include "base/timer.hpp"
 #include "cad/artifact.hpp"
 #include "cad/fingerprint.hpp"
-#include "cad/route_parallel.hpp"
 #include "cad/serialize.hpp"
 
 namespace afpga::cad {
@@ -209,10 +208,9 @@ public:
 
     void run(FlowContext& ctx, StageReport& report) override {
         FlowResult& fr = ctx.result;
-        // RouterOptions::threads >= 1 turns on in-flow parallelism: the RR
-        // graph is built per-row on the pool and the nets are routed by the
-        // deterministic partitioned PathFinder. Both are bit-reproducible
-        // for any worker count, so `threads` is a pure wall-clock knob.
+        // With a pool the RR graph is built per-row on it and the router's
+        // bins run on it. Both are bit-reproducible for any worker count and
+        // without a pool, so `threads` is a pure wall-clock knob.
         std::unique_ptr<base::ThreadPool> pool = make_route_pool(ctx.opts.route);
 
         acquire_rr(ctx, pool.get(), report);
@@ -220,8 +218,7 @@ public:
         build_requests(ctx);
         report.add_metric("nets", static_cast<double>(ctx.reqs.size()));
 
-        fr.routing = pool ? route_parallel(*fr.rr, ctx.reqs, ctx.opts.route, *pool)
-                          : route(*fr.rr, ctx.reqs, ctx.opts.route);
+        fr.routing = route(*fr.rr, ctx.reqs, ctx.opts.route, pool.get());
         check(fr.routing.success,
               "flow: routing failed after " + std::to_string(fr.routing.iterations) +
                   " iterations (" + std::to_string(fr.routing.overused_nodes) +
@@ -229,16 +226,13 @@ public:
 
         report_metrics(fr.routing, report);
         report.add_metric("kernel_search_ms", fr.routing.kernel.search_ms);
-        if (pool) {
-            report.add_metric("route_threads", static_cast<double>(pool->num_workers()));
-            report.add_metric("route_bins", static_cast<double>(fr.routing.num_bins));
-            report.add_metric("route_boundary_nets",
-                              static_cast<double>(fr.routing.boundary_nets));
-            report.add_metric("route_boundary_ms", fr.routing.boundary_wall_ms);
-            for (std::size_t b = 0; b < fr.routing.bin_wall_ms.size(); ++b)
-                report.add_metric("route_bin" + std::to_string(b) + "_ms",
-                                  fr.routing.bin_wall_ms[b]);
-        }
+        report.add_metric("route_threads",
+                          static_cast<double>(pool ? pool->num_workers() : 1));
+        report.add_metric("route_bins", static_cast<double>(fr.routing.num_bins));
+        report.add_metric("route_boundary_nets", static_cast<double>(fr.routing.boundary_nets));
+        report.add_metric("route_boundary_ms", fr.routing.boundary_wall_ms);
+        for (std::size_t b = 0; b < fr.routing.bin_wall_ms.size(); ++b)
+            report.add_metric("route_bin" + std::to_string(b) + "_ms", fr.routing.bin_wall_ms[b]);
     }
 
     [[nodiscard]] std::uint64_t options_fingerprint(const FlowContext& ctx) const override {
@@ -279,13 +273,6 @@ public:
     }
 
 private:
-    /// The one place the pool-selection policy lives: threads >= 1 turns on
-    /// in-flow parallelism, 0 keeps everything serial.
-    static std::unique_ptr<base::ThreadPool> make_route_pool(const RouterOptions& opts) {
-        if (opts.threads < 1) return nullptr;
-        return std::make_unique<base::ThreadPool>(opts.threads);
-    }
-
     /// Attach the routing-resource graph: an explicitly prebuilt one wins,
     /// then the artifact store's per-architecture memo, then a local build.
     static void acquire_rr(FlowContext& ctx, base::ThreadPool* pool, StageReport& report) {

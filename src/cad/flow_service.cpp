@@ -136,8 +136,7 @@ void FlowService::execute(Job& job) {
             // that build the pool width the job's route stage would use.
             // Jobs whose graph is already memoized skip the pool entirely.
             std::unique_ptr<base::ThreadPool> rr_pool;
-            if (o.route.threads >= 1 && !store_->has_rr(job.spec.arch))
-                rr_pool = std::make_unique<base::ThreadPool>(o.route.threads);
+            if (!store_->has_rr(job.spec.arch)) rr_pool = make_route_pool(o.route);
             o.prebuilt_rr = store_->rr_for(job.spec.arch, rr_pool.get());
         }
         fr = run_flow(*job.spec.nl, hints, job.spec.arch, o);

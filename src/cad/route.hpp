@@ -1,6 +1,8 @@
 /// \file
-/// Routing: PathFinder negotiated-congestion routing over the RR graph with
-/// an A* lookahead.
+/// Routing: a partitioned PathFinder (negotiated-congestion routing over the
+/// RR graph with an A* lookahead) that routes independent spatial bins of
+/// the fabric concurrently while keeping the routed result bit-identical
+/// for every worker count, including none.
 ///
 /// Two architecture-specific twists:
 ///  - sources are pin-equivalent: a net driven by a PLB may leave through ANY
@@ -10,18 +12,54 @@
 ///  - sinks are pin-equivalent per PLB: a net needs to reach ONE input pin of
 ///    each consumer PLB (the IM fans it out internally).
 ///
-/// Threading: route() is the single-threaded reference router. The
-/// deterministic in-flow parallel router lives in cad/route_parallel and
-/// shares this header's request/result/options types; RouterOptions::threads
-/// selects between them inside the flow (see cad/flow.cpp's route stage).
+/// How the partitioning works, and why it is deterministic:
+///
+///  1. The PLB grid is recursively bisected into a partition tree. Every cut
+///     reserves one full separator column (or row) of PLBs for the parent,
+///     so the two children's regions — read as channel-space rectangles, see
+///     detail::RouteBBox — touch disjoint RR-node sets. The tree is a pure
+///     function of the fabric dimensions and RouterOptions::min_bin_dim,
+///     never of the worker count.
+///  2. Each net gets a search region: the bounding box of its terminals
+///     expanded by RouterOptions::bin_margin (growing deterministically when
+///     a sink proves unreachable inside it). A net whose region fits a leaf
+///     is binned there; a net whose region crosses a cut is a *boundary
+///     net* and stays at an internal tree node.
+///  3. Per PathFinder iteration the dirty-net set is computed serially in
+///     fixed request order, then each leaf bin's dirty nets are routed by one
+///     task in fixed rotated order, wavefronts confined to each net's region.
+///     Bins never share RR nodes, so their occupancy reads/writes cannot
+///     interact: any interleaving of bin tasks produces the same occupancy
+///     state.
+///  4. Boundary nets are routed bottom-up through the partition tree, one
+///     depth level per barrier: same-depth internal nodes live in disjoint
+///     subtrees and run concurrently, while a parent (whose nets may use its
+///     separator channels and anything inside either child) runs strictly
+///     after its children's level. Only the root's nets are inherently
+///     serial.
+///  5. Congestion accounting (pres_fac growth, history cost updates,
+///     overuse counting) runs serially at the end of the iteration, scanning
+///     nodes in fixed index order.
+///
+/// Threading: with a base::ThreadPool each depth level's tasks run through
+/// parallel_for; without one they run in a plain loop on the calling thread.
+/// The pool therefore only ever decides *when* a bin is routed, never *what*
+/// any net sees — the base::ThreadPool determinism contract — so the result
+/// is bit-identical with no pool and with any worker count, which is what
+/// the cross-thread determinism suite pins.
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "core/rrgraph.hpp"
 #include "netlist/netlist.hpp"
+
+namespace afpga::base {
+class ThreadPool;
+}
 
 namespace afpga::cad {
 
@@ -56,8 +94,7 @@ struct RouteTree {
     std::vector<SinkResult> sinks;           ///< parallel to RouteRequest::sinks
 };
 
-/// Knobs of both the serial reference router and the partitioned parallel
-/// router (the partition-specific fields are ignored by cad::route).
+/// Knobs of the router.
 struct RouterOptions {
     int max_iterations = 40;        ///< PathFinder iteration budget
     double pres_fac_first = 0.6;    ///< present-congestion factor, iteration 1
@@ -75,12 +112,12 @@ struct RouterOptions {
     int stall_full_reroute = 4;
     bool verbose = false;    ///< print per-iteration congestion to stderr
 
-    // --- partitioned parallel router (cad/route_parallel) -------------------
-    /// Flow-level router selection: 0 keeps the serial reference router;
-    /// any value >= 1 routes with the deterministic partitioned PathFinder on
-    /// a pool of that many workers. The partitioned result is bit-identical
-    /// for every worker count (1, 2, 4, 8, ... all agree), so `threads` only
-    /// changes wall-clock time, never the bitstream.
+    // --- partitioning --------------------------------------------------------
+    /// Flow-level worker count (see make_route_pool): 0 and 1 route on the
+    /// calling thread and spawn no thread; any value >= 2 routes (and builds
+    /// the RR graph) on a pool of that many workers. The result is
+    /// bit-identical for every value, so `threads` only changes wall-clock
+    /// time, never the bitstream.
     unsigned threads = 0;
     /// Margin (in PLBs) added around a net's terminal bounding box to form
     /// its search region. Grows automatically per net when a sink turns out
@@ -113,8 +150,9 @@ struct RouteKernelStats {
     /// this stops moving after warm-up.
     std::uint64_t allocations = 0;
     /// Growth events after the first PathFinder iteration. The zero-steady-
-    /// state-allocation contract gates on this; only the serial router fills
-    /// it (the parallel router's scratch-pool growth is schedule-dependent).
+    /// state-allocation contract gates on this. Exact when routing without a
+    /// pool; with one, a scratch first created after iteration 1 adds its
+    /// warm-up growth, so the figure is schedule-dependent there.
     std::uint64_t steady_allocations = 0;
     std::uint64_t nets_routed = 0;    ///< route_one_net invocations
     /// Wall time inside route_one_net (timing only — schedule-dependent).
@@ -149,7 +187,7 @@ struct RoutingResult {
     std::size_t wirelength = 0;      ///< channel-wire nodes used (on success)
     RouteKernelStats kernel;         ///< inner search-kernel counters
 
-    // --- partitioned parallel router only ------------------------------------
+    // --- partitioning ----------------------------------------------------------
     std::size_t num_bins = 0;        ///< leaf regions of the partition tree
     std::size_t boundary_nets = 0;   ///< nets serialized because they cross a cut
     /// Cumulative wall time each leaf bin's worker spent routing, indexed by
@@ -162,10 +200,17 @@ struct RoutingResult {
     double boundary_wall_ms = 0.0;
 };
 
-/// Route all requests with the serial reference router. Throws base::Error
+/// Route all requests, on `pool` when one is given and on the calling
+/// thread otherwise; the result is the same either way. Throws base::Error
 /// only on malformed requests; congestion failure is reported via
 /// RoutingResult::success.
 [[nodiscard]] RoutingResult route(const core::RRGraph& rr, const std::vector<RouteRequest>& reqs,
-                                  const RouterOptions& opts = {});
+                                  const RouterOptions& opts = {},
+                                  base::ThreadPool* pool = nullptr);
+
+/// The flow's pool policy for the route stage (routing and the RR-graph
+/// build): a pool of RouterOptions::threads workers when that is at least
+/// 2, otherwise none.
+[[nodiscard]] std::unique_ptr<base::ThreadPool> make_route_pool(const RouterOptions& opts);
 
 }  // namespace afpga::cad

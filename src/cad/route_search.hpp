@@ -1,19 +1,17 @@
 /// \file
-/// Internal single-net search core shared by the serial PathFinder
-/// (cad/route) and the deterministic partitioned parallel PathFinder
-/// (cad/route_parallel).
+/// Internal single-net search core of the partitioned PathFinder
+/// (cad/route).
 ///
 /// route_one_net() performs the multi-sink A* wavefront search of one net
 /// against the caller's congestion state (occupancy, history, present-cost
 /// factor) and commits the resulting tree's occupancy. It is a pure function
 /// of its inputs: the same (request, costs, scratch-reset) always yields the
-/// same tree, which is the property both routers' determinism rests on.
+/// same tree, which is the property the router's determinism rests on.
 ///
-/// Threading: route_one_net itself is single-threaded. The parallel router
-/// calls it concurrently from several workers, one SearchScratch per worker
-/// and one RouteBBox per net; node-disjointness of the bounding boxes (see
-/// cad/route_parallel) is what makes the concurrent occupancy writes
-/// race-free. `hist` is read-only during a routing phase and only updated at
+/// Threading: route_one_net itself is single-threaded. The router calls it
+/// concurrently from several pool workers, one SearchScratch per worker and
+/// one RouteBBox per net; node-disjointness of the bounding boxes (see
+/// cad/route.hpp) is what makes the concurrent occupancy writes race-free. `hist` is read-only during a routing phase and only updated at
 /// the end-of-iteration barrier.
 #pragma once
 
@@ -33,8 +31,8 @@ namespace afpga::cad::detail {
 /// x in [x0,x1] and channel row ych in [y0,y1+1], and CHANY wires with
 /// channel column xch in [x0,x1+1] and y in [y0,y1]. Two boxes whose PLB
 /// rects are separated by at least one full column (or row) therefore touch
-/// disjoint RR-node sets — the invariant the parallel router's partition
-/// cuts enforce.
+/// disjoint RR-node sets — the invariant the router's partition cuts
+/// enforce.
 struct RouteBBox {
     std::uint32_t x0 = 0;  ///< leftmost PLB column, inclusive
     std::uint32_t y0 = 0;  ///< bottom PLB row, inclusive
@@ -246,10 +244,10 @@ void report_overuse_reference(const core::RRGraph& rr, const std::vector<RouteRe
                               const std::vector<std::vector<std::uint32_t>>& net_nodes,
                               const std::vector<std::uint16_t>& occ, RoutingResult& result);
 
-/// Test/bench hook: route every subsequent route()/route_parallel() call with
-/// the reference kernel instead of the pooled one. The flag is read ONCE at
-/// router entry (never mid-run), so flipping it concurrently with a routing
-/// call selects whole runs, not individual nets.
+/// Test/bench hook: route every subsequent route() call with the reference
+/// kernel instead of the pooled one. The flag is read ONCE at router entry
+/// (never mid-run), so flipping it concurrently with a routing call selects
+/// whole runs, not individual nets.
 void set_use_reference_kernel(bool on) noexcept;
 /// Current state of the set_use_reference_kernel() hook.
 [[nodiscard]] bool use_reference_kernel() noexcept;

@@ -508,35 +508,38 @@ TEST(ArtifactStore, CorruptDiskBlobIsAMissNeverACrash) {
     EXPECT_EQ(got->final_cost, 4.0);
 }
 
-TEST(ArtifactStore, VersionFourDiskBlobIsAStaleMiss) {
-    // Format 4 predates the Race replica change: under an unchanged options
-    // fingerprint a v4 Race blob can name a winner the current code cannot
-    // produce, so a v4 header must read as a stale blob, never a hit.
-    ScratchDir dir;
-    {
-        cad::ArtifactStore writer(cad::ArtifactStoreConfig{0, dir.str()});
-        writer.put(21, make_placement(6.0, 8));
+TEST(ArtifactStore, OlderFormatVersionDiskBlobsAreStaleMisses) {
+    // Format 4 predates the Race replica change and format 5 predates the
+    // partitioned router at `route.threads = 0`: under an unchanged options
+    // fingerprint such a blob can name a product the current code cannot
+    // produce, so an older header must read as a stale blob, never a hit.
+    for (const char version : {char{4}, char{5}}) {
+        ScratchDir dir;
+        {
+            cad::ArtifactStore writer(cad::ArtifactStoreConfig{0, dir.str()});
+            writer.put(21, make_placement(6.0, 8));
+        }
+        const fs::path blob = dir.path() / cad::key_hex(21);
+        std::vector<char> bytes;
+        {
+            std::ifstream in(blob, std::ios::binary);
+            bytes.assign(std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>());
+        }
+        ASSERT_GT(bytes.size(), 8u);
+        // The header's little-endian u32 format version sits at byte offset 4.
+        const char le[4] = {version, 0, 0, 0};
+        std::copy(le, le + 4, bytes.begin() + 4);
+        {
+            std::ofstream out(blob, std::ios::binary | std::ios::trunc);
+            out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+        }
+        cad::ArtifactStore reader(cad::ArtifactStoreConfig{0, dir.str()});
+        EXPECT_EQ(reader.get<cad::Placement>(21), nullptr) << "v" << int{version};
+        const auto st = reader.stats();
+        EXPECT_EQ(st.disk_bad_blobs, 1u) << "v" << int{version};
+        EXPECT_EQ(st.disk_hits, 0u) << "v" << int{version};
+        EXPECT_EQ(st.misses, 1u) << "v" << int{version};
     }
-    const fs::path blob = dir.path() / cad::key_hex(21);
-    std::vector<char> bytes;
-    {
-        std::ifstream in(blob, std::ios::binary);
-        bytes.assign(std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>());
-    }
-    ASSERT_GT(bytes.size(), 8u);
-    // The header's little-endian u32 format version sits at byte offset 4.
-    const char v4[4] = {4, 0, 0, 0};
-    std::copy(v4, v4 + 4, bytes.begin() + 4);
-    {
-        std::ofstream out(blob, std::ios::binary | std::ios::trunc);
-        out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-    }
-    cad::ArtifactStore reader(cad::ArtifactStoreConfig{0, dir.str()});
-    EXPECT_EQ(reader.get<cad::Placement>(21), nullptr);
-    const auto st = reader.stats();
-    EXPECT_EQ(st.disk_bad_blobs, 1u);
-    EXPECT_EQ(st.disk_hits, 0u);
-    EXPECT_EQ(st.misses, 1u);
 }
 
 TEST(ArtifactStore, TwoStoresShareOneCacheDirectory) {

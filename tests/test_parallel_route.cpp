@@ -1,7 +1,7 @@
-// The deterministic in-flow parallel router and the parallel RR-graph build:
-// thread-count invariance of the routed result, legality under congestion,
-// boundary-net handling across partition cuts, and byte-identity of the
-// pool-built RR graph against the serial build.
+// The partitioned router and the parallel RR-graph build: thread-count
+// invariance of the routed result (no pool included), legality under
+// congestion, boundary-net handling across partition cuts, and byte-identity
+// of the pool-built RR graph against the serial build.
 #include <gtest/gtest.h>
 
 #include <set>
@@ -9,7 +9,6 @@
 
 #include "base/threadpool.hpp"
 #include "cad/route.hpp"
-#include "cad/route_parallel.hpp"
 #include "core/rrgraph.hpp"
 
 namespace {
@@ -102,9 +101,11 @@ TEST(ParallelRoute, ThreadCountInvariance) {
     const auto reqs = quadrant_mix();
     RouterOptions opts;
     std::vector<RoutingResult> results;
+    results.push_back(cad::route(rr, reqs, opts));
+    ASSERT_TRUE(results.back().success) << "no pool";
     for (unsigned t : {1u, 2u, 4u, 8u}) {
         base::ThreadPool pool(t);
-        results.push_back(cad::route_parallel(rr, reqs, opts, pool));
+        results.push_back(cad::route(rr, reqs, opts, &pool));
         ASSERT_TRUE(results.back().success) << t << " threads";
     }
     for (std::size_t i = 1; i < results.size(); ++i)
@@ -117,8 +118,8 @@ TEST(ParallelRoute, RepeatedRunsIdentical) {
     const RRGraph rr(arch_of(13, 13, 10));
     const auto reqs = quadrant_mix();
     base::ThreadPool pool(4);
-    const auto a = cad::route_parallel(rr, reqs, {}, pool);
-    const auto b = cad::route_parallel(rr, reqs, {}, pool);
+    const auto a = cad::route(rr, reqs, {}, &pool);
+    const auto b = cad::route(rr, reqs, {}, &pool);
     expect_identical_routing(a, b);
 }
 
@@ -133,8 +134,8 @@ TEST(ParallelRoute, LegalityUnderCongestion) {
         if (i != 6) reqs.push_back(plb_to_plb({6, 12 - i}, {i, 0}));
     base::ThreadPool one(1);
     base::ThreadPool four(4);
-    const auto a = cad::route_parallel(rr, reqs, {}, one);
-    const auto b = cad::route_parallel(rr, reqs, {}, four);
+    const auto a = cad::route(rr, reqs, {}, &one);
+    const auto b = cad::route(rr, reqs, {}, &four);
     ASSERT_TRUE(a.success);
     expect_identical_routing(a, b);
     expect_legal(rr, a);
@@ -147,7 +148,7 @@ TEST(ParallelRoute, BoundaryNetsRouteCorrectly) {
     std::vector<RouteRequest> reqs;
     for (std::uint32_t i = 0; i < 5; ++i) reqs.push_back(plb_to_plb({1, 2 + i}, {11, 2 + i}));
     base::ThreadPool pool(4);
-    const auto res = cad::route_parallel(rr, reqs, {}, pool);
+    const auto res = cad::route(rr, reqs, {}, &pool);
     ASSERT_TRUE(res.success);
     EXPECT_EQ(res.boundary_nets, reqs.size());
     expect_legal(rr, res);
@@ -189,8 +190,8 @@ TEST(ParallelRoute, PadNetsAndMulticastAcrossCuts) {
     reqs.push_back(out);
     base::ThreadPool one(1);
     base::ThreadPool three(3);
-    const auto a = cad::route_parallel(rr, reqs, {}, one);
-    const auto b = cad::route_parallel(rr, reqs, {}, three);
+    const auto a = cad::route(rr, reqs, {}, &one);
+    const auto b = cad::route(rr, reqs, {}, &three);
     ASSERT_TRUE(a.success);
     expect_identical_routing(a, b);
     EXPECT_EQ(a.trees[1].sinks[0].ipin, rr.pad_ipin(9));
@@ -205,29 +206,13 @@ TEST(ParallelRoute, SingleBinFabricStillWorks) {
     for (std::uint32_t i = 0; i < 6; ++i) reqs.push_back(plb_to_plb({i, 0}, {7 - i, 7}));
     base::ThreadPool one(1);
     base::ThreadPool four(4);
-    const auto a = cad::route_parallel(rr, reqs, {}, one);
-    const auto b = cad::route_parallel(rr, reqs, {}, four);
+    const auto a = cad::route(rr, reqs, {}, &one);
+    const auto b = cad::route(rr, reqs, {}, &four);
     ASSERT_TRUE(a.success);
     EXPECT_EQ(a.num_bins, 1u);
     EXPECT_EQ(a.boundary_nets, 0u);
     expect_identical_routing(a, b);
     expect_legal(rr, a);
-}
-
-TEST(ParallelRoute, SerialRouterStillAgreesWithItself) {
-    // The partitioned router is not required to match cad::route bit-for-bit
-    // (net order and search confinement differ), but both must be legal on
-    // the same problem and within a sane quality envelope.
-    const RRGraph rr(arch_of(13, 13, 10));
-    const auto reqs = quadrant_mix();
-    base::ThreadPool pool(4);
-    const auto par = cad::route_parallel(rr, reqs, {}, pool);
-    const auto ser = cad::route(rr, reqs, {});
-    ASSERT_TRUE(par.success);
-    ASSERT_TRUE(ser.success);
-    expect_legal(rr, par);
-    expect_legal(rr, ser);
-    EXPECT_LT(par.wirelength, 3 * ser.wirelength + 10);
 }
 
 // --- parallel RR-graph construction -----------------------------------------

@@ -15,7 +15,6 @@
 #include "base/threadpool.hpp"
 #include "cad/flow.hpp"
 #include "cad/route.hpp"
-#include "cad/route_parallel.hpp"
 #include "cad/route_search.hpp"
 #include "core/rrgraph.hpp"
 #include "support/flow_fixtures.hpp"
@@ -219,7 +218,7 @@ TEST(RouteKernel, MatchesReferenceNetByNet) {
     EXPECT_GE(scratch_new.stats.heap_pushes, scratch_new.stats.heap_pops);
 }
 
-// Bounding-box confinement must agree too (the parallel router's mode).
+// Bounding-box confinement must agree too (every router search is confined).
 TEST(RouteKernel, MatchesReferenceUnderBBox) {
     const RRGraph rr(arch_of(13, 13, 10));
     RouterOptions opts;
@@ -294,38 +293,56 @@ TEST(RouteKernel, EpochStampWraparoundIsInvisible) {
 }
 
 // ---------------------------------------------------------------------------
-// Full-router equivalence: serial, parallel, thread matrix
+// Full-router equivalence: no pool and the thread matrix
 // ---------------------------------------------------------------------------
 
-TEST(RouteKernel, SerialRouterBitIdenticalToReference) {
-    const RRGraph rr(arch_of(13, 13, 8));
-    // Congested enough to take several PathFinder iterations, exercising
-    // rip-up, history costs and the stall/full-reroute path on both kernels.
+/// Route `reqs` on the calling thread (`threads == 0`) or on a pool of
+/// `threads` workers.
+RoutingResult route_with(const RRGraph& rr, const std::vector<RouteRequest>& reqs,
+                         const RouterOptions& opts, unsigned threads) {
+    if (threads == 0) return cad::route(rr, reqs, opts);
+    base::ThreadPool pool(threads);
+    return cad::route(rr, reqs, opts, &pool);
+}
+
+/// Funnel many nets into one column so PathFinder has to negotiate over
+/// several iterations, exercising rip-up, history costs and the
+/// stall/full-reroute path.
+std::vector<RouteRequest> congested_column() {
     std::vector<RouteRequest> reqs;
     for (std::uint32_t i = 0; i < 12; ++i) reqs.push_back(plb_to_plb({i, 0}, {6, 12}));
     for (std::uint32_t i = 0; i < 12; ++i)
         if (i != 6) reqs.push_back(plb_to_plb({6, 12 - i}, {i, 0}));
-    const RoutingResult a = cad::route(rr, reqs, {});
-    const RoutingResult b = with_reference_kernel([&] { return cad::route(rr, reqs, {}); });
-    ASSERT_TRUE(a.success);
-    EXPECT_GT(a.iterations, 1);
-    expect_identical_routing(a, b);
-    EXPECT_GT(a.kernel.heap_pops, 0u);
-    EXPECT_EQ(a.kernel.steady_allocations, 0u);
-    EXPECT_EQ(b.kernel.heap_pops, 0u) << "reference kernel fills no telemetry";
+    return reqs;
 }
 
-TEST(RouteKernel, ParallelRouterBitIdenticalToReferenceAcrossThreads) {
-    const RRGraph rr(arch_of(13, 13, 10));
-    const auto reqs = quadrant_mix();
-    for (unsigned t : {1u, 2u, 4u, 8u}) {
-        base::ThreadPool pool(t);
-        const RoutingResult a = cad::route_parallel(rr, reqs, {}, pool);
-        const RoutingResult b =
-            with_reference_kernel([&] { return cad::route_parallel(rr, reqs, {}, pool); });
-        ASSERT_TRUE(a.success) << t << " threads";
-        expect_identical_routing(a, b);
-        EXPECT_GT(a.kernel.heap_pops, 0u);
+TEST(RouteKernel, RouterBitIdenticalToReferenceAcrossThreads) {
+    struct Fixture {
+        const char* name;
+        RRGraph rr;
+        std::vector<RouteRequest> reqs;
+        bool negotiates;  ///< must take more than one PathFinder iteration
+    };
+    const Fixture fixtures[] = {
+        {"congested_column", RRGraph(arch_of(13, 13, 8)), congested_column(), true},
+        {"quadrant_mix", RRGraph(arch_of(13, 13, 10)), quadrant_mix(), false},
+    };
+    for (const Fixture& fx : fixtures) {
+        for (unsigned t : {0u, 1u, 2u, 4u, 8u}) {
+            const RoutingResult a = route_with(fx.rr, fx.reqs, {}, t);
+            const RoutingResult b =
+                with_reference_kernel([&] { return route_with(fx.rr, fx.reqs, {}, t); });
+            ASSERT_TRUE(a.success) << fx.name << " threads=" << t;
+            expect_identical_routing(a, b);
+            EXPECT_GT(a.kernel.heap_pops, 0u) << fx.name << " threads=" << t;
+            EXPECT_EQ(b.kernel.heap_pops, 0u) << "reference kernel fills no telemetry";
+            if (t == 0) {
+                EXPECT_EQ(a.kernel.steady_allocations, 0u) << fx.name;
+            }
+            if (fx.negotiates) {
+                EXPECT_GT(a.iterations, 1) << fx.name << " threads=" << t;
+            }
+        }
     }
 }
 
@@ -346,16 +363,15 @@ TEST(RouteKernel, FailureReportBitIdenticalToReference) {
     EXPECT_EQ(a.overused_nodes, b.overused_nodes);
 }
 
-// Kernel counters are decision-deterministic: every thread count reports the
-// same pushes/pops/expansions (only search_ms may differ).
+// Kernel counters are decision-deterministic: no pool and every thread count
+// report the same pushes/pops/expansions (only search_ms may differ).
 TEST(RouteKernel, CountersInvariantAcrossThreadCounts) {
     const RRGraph rr(arch_of(13, 13, 10));
     const auto reqs = quadrant_mix();
     std::vector<RoutingResult> results;
-    for (unsigned t : {1u, 2u, 4u, 8u}) {
-        base::ThreadPool pool(t);
-        results.push_back(cad::route_parallel(rr, reqs, {}, pool));
-        ASSERT_TRUE(results.back().success);
+    for (unsigned t : {0u, 1u, 2u, 4u, 8u}) {
+        results.push_back(route_with(rr, reqs, {}, t));
+        ASSERT_TRUE(results.back().success) << t << " threads";
     }
     for (std::size_t i = 1; i < results.size(); ++i) {
         EXPECT_EQ(results[i].kernel.heap_pushes, results[0].kernel.heap_pushes);
@@ -405,14 +421,11 @@ TEST(RouteKernel, FlowBitstreamsIdenticalToReferenceAcrossThreads) {
 // ---------------------------------------------------------------------------
 
 TEST(RouteKernel, ZeroSteadyStateAllocations) {
-    // Multi-iteration congested run: after iteration 1 warms the pooled
-    // heap/buffers, the wavefront loop must never grow a buffer again.
+    // Multi-iteration congested run without a pool (where the count is
+    // exact): after iteration 1 warms the pooled heap/buffers, the wavefront
+    // loop must never grow a buffer again.
     const RRGraph rr(arch_of(13, 13, 8));
-    std::vector<RouteRequest> reqs;
-    for (std::uint32_t i = 0; i < 12; ++i) reqs.push_back(plb_to_plb({i, 0}, {6, 12}));
-    for (std::uint32_t i = 0; i < 12; ++i)
-        if (i != 6) reqs.push_back(plb_to_plb({6, 12 - i}, {i, 0}));
-    const RoutingResult res = cad::route(rr, reqs, {});
+    const RoutingResult res = cad::route(rr, congested_column(), {});
     ASSERT_TRUE(res.success);
     ASSERT_GT(res.iterations, 1) << "fixture must negotiate congestion";
     EXPECT_GT(res.kernel.allocations, 0u) << "warm-up growth should be visible";
