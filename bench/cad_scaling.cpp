@@ -76,6 +76,9 @@ RunResult run_flow_best(const netlist::Netlist& nl, const asynclib::MappingHints
     for (int r = 0; r < reps; ++r) {
         cad::FlowOptions opts;
         opts.seed = 7;
+        // Both evaluators being compared are the cold annealer's, so both
+        // sides name it rather than take the default placer.
+        opts.place.algorithm = cad::PlaceAlgorithm::Anneal;
         opts.place.incremental = incremental;
         opts.route.incremental = incremental;
         base::WallTimer t;
@@ -194,6 +197,7 @@ int main(int argc, char** argv) {
         const auto pd = cad::pack(md, arch, {});
 
         cad::PlaceOptions single;
+        single.algorithm = cad::PlaceAlgorithm::Anneal;
         single.seed = 7;
         const double single_cost = cad::place(pd, md, arch, single).final_cost;
 
@@ -821,6 +825,7 @@ int main(int argc, char** argv) {
         };
 
         cad::PlaceOptions anneal_opts;
+        anneal_opts.algorithm = cad::PlaceAlgorithm::Anneal;
         anneal_opts.seed = 7;
         cad::PlaceOptions ana_opts = anneal_opts;
         ana_opts.algorithm = cad::PlaceAlgorithm::Multilevel;
@@ -884,6 +889,11 @@ int main(int argc, char** argv) {
         w.key("anneal_ms").value(an.ms);
         w.key("anneal_cost").value(an.pl.final_cost);
         w.key("anneal_rounds").value(an.pl.anneal_rounds);
+        // Proof that the comparator is a real cold anneal and not a second
+        // V-cycle, whose polish tries moves too: CI asserts moves were tried
+        // and that the annealer (PlaceEngine 0) produced the placement.
+        w.key("anneal_moves_tried").value(an.pl.moves_tried);
+        w.key("anneal_engine").value(static_cast<std::uint64_t>(an.pl.engine));
         w.key("analytical_ms").value(ana.ms);
         w.key("analytical_cost").value(ana.pl.final_cost);
         w.key("analytical_pre_legal_cost").value(ana.pl.analytical.pre_legal_cost);

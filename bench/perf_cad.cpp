@@ -78,6 +78,7 @@ void BM_Anneal(benchmark::State& state) {
     const auto md = cad::techmap(nl, hints);
     const auto pd = cad::pack(md, arch);
     cad::PlaceOptions opts;
+    opts.algorithm = cad::PlaceAlgorithm::Anneal;
     opts.seed = 7;
     std::int64_t moves = 0;
     for (auto _ : state) {

@@ -423,10 +423,17 @@ Placement place_multilevel_single(const MappedDesign& md, const PlaceModel& mode
 
 Placement place(const PackedDesign& pd, const MappedDesign& md, const core::ArchSpec& arch,
                 const PlaceOptions& opts) {
+    if (opts.algorithm == PlaceAlgorithm::Multilevel) {
+        // Both knobs belong to the cold annealer; the V-cycle would drop them.
+        check(opts.parallel_seeds <= 1,
+              "place: parallel_seeds > 1 needs algorithm Anneal or Race (Multilevel runs one "
+              "V-cycle)");
+        check(opts.anneal,
+              "place: anneal = false needs algorithm Anneal or Race (Multilevel always "
+              "places analytically)");
+        return place_multilevel_single(md, PlaceModel(pd, md, arch), opts, opts.seed);
+    }
     const PlaceModel model(pd, md, arch);
-
-    if (opts.algorithm == PlaceAlgorithm::Multilevel)
-        return place_multilevel_single(md, model, opts, opts.seed);
 
     const int n_anneal = std::max(1, opts.parallel_seeds);
     const bool with_multilevel = opts.algorithm == PlaceAlgorithm::Race;

@@ -2,12 +2,9 @@
 /// Placement: two engines over one wirelength model (cad/place_model.hpp),
 /// and a race between them.
 ///
-///  - `anneal`: simulated annealing over PLB locations and I/O pad
-///    assignment (VPR-style adaptive schedule, half-perimeter wirelength
-///    cost), optionally raced across independently-seeded replicas.
-///  - `multilevel`: analytical placement — quadratic B2B global placement
-///    solved by a deterministic conjugate-gradient solver, run as a
-///    coarsen→solve→interpolate V-cycle (cad/place_coarsen.hpp +
+///  - `multilevel` (the default): analytical placement — quadratic B2B
+///    global placement solved by a deterministic conjugate-gradient solver,
+///    run as a coarsen→solve→interpolate V-cycle (cad/place_coarsen.hpp +
 ///    cad/place_multilevel.hpp), snapped legal by a Tetris-style legalizer
 ///    (cad/place_legalize.hpp), then polished by a short warm-start anneal
 ///    and a detailed descent (cad/place_analytical.hpp). The full spreading
@@ -15,6 +12,10 @@
 ///    level gets a short anchored refinement, so wall time stays flat as
 ///    the fabric grows. `max_levels = 0` runs the flat, single-level
 ///    schedule.
+///  - `anneal`: cold simulated annealing over PLB locations and I/O pad
+///    assignment (VPR-style adaptive schedule, half-perimeter wirelength
+///    cost), optionally raced across independently-seeded replicas. The
+///    same annealer, started warm, is the V-cycle's polish.
 ///  - `race`: one multilevel replica joins the multi-seed anneal race.
 ///
 /// Threading: races run replicas on a base::ThreadPool; each replica owns
@@ -38,7 +39,7 @@ enum class PlaceAlgorithm : std::uint8_t {
     Anneal = 0,      ///< simulated annealing (optionally multi-seed raced)
     // 1 is retired (the former flat analytical engine); decoders reject it.
     Race = 2,        ///< anneal replicas + one multilevel replica, best wins
-    Multilevel = 3,  ///< coarsen→solve→interpolate V-cycle + legalize + polish
+    Multilevel = 3,  ///< V-cycle + legalize + polish (the default)
 };
 
 /// Which engine produced a given placement/replica (telemetry). 1 is
@@ -104,20 +105,25 @@ struct PlaceOptions {
     std::uint64_t seed = 1;        ///< RNG seed (the flow injects its own)
     double alpha = 0.9;            ///< temperature decay
     double moves_scale = 10.0;     ///< moves per temperature ~ scale * n^(4/3)
-    bool anneal = true;            ///< false: keep the seeded random placement
+    /// false: keep the seeded random placement (Anneal and Race only).
+    bool anneal = true;
     /// false: pre-refactor cost evaluation (rescan affected nets through
     /// position lookups with mutate/rollback) — kept as the bench baseline
     /// and as a cross-check; decisions are bit-identical in both modes.
     bool incremental = true;
-    /// Engine selection; see PlaceAlgorithm. `Anneal` preserves the
-    /// historical behaviour bit-for-bit.
-    PlaceAlgorithm algorithm = PlaceAlgorithm::Anneal;
+    /// Engine selection; see PlaceAlgorithm. The default is the multilevel
+    /// V-cycle, which matches the cold annealer's wirelength on this fabric
+    /// at a fraction of its moves. `Anneal` and `Race` stay selectable by
+    /// name; `parallel_seeds > 1` and `anneal = false` need one of them, and
+    /// place() rejects either with `Multilevel` rather than ignore it.
+    PlaceAlgorithm algorithm = PlaceAlgorithm::Multilevel;
     /// Number of independently-seeded annealing replicas raced on a thread
     /// pool; replica i anneals with Rng::derive_seed(seed, i) and the winner
     /// is the lexicographic minimum of (final_cost, replica index), so the
     /// result is bit-reproducible regardless of pool size or scheduling.
     /// 1 = the classic single-seed anneal using `seed` directly. In `Race`
     /// mode the multilevel engine runs as one extra replica after these.
+    /// Anneal and Race only.
     int parallel_seeds = 1;
     /// Pool size for the race; 0 = base::ThreadPool::default_workers().
     unsigned threads = 0;

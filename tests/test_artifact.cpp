@@ -178,7 +178,7 @@ TEST(OptionFingerprint, PlaceEveryFieldCounts) {
         [](auto& o) { o.solver_max_iters = 60; }, [](auto& o) { o.polish_rounds = 3; },
         [](auto& o) { o.solver_tolerance = 1e-6; },
         [](auto& o) { o.anchor_weight = 0.25; },
-        [](auto& o) { o.algorithm = cad::PlaceAlgorithm::Multilevel; },
+        [](auto& o) { o.algorithm = cad::PlaceAlgorithm::Anneal; },
         [](auto& o) { o.coarsen_ratio = 0.4; }, [](auto& o) { o.min_coarse_nodes = 32; },
         [](auto& o) { o.max_levels = 4; });
 }

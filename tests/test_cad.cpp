@@ -194,11 +194,11 @@ TEST(Place, AnnealingBeatsRandom) {
     const auto md = cad::techmap(adder.nl, adder.hints);
     const ArchSpec arch;
     const auto pd = cad::pack(md, arch);
-    cad::PlaceOptions random_only;
-    random_only.anneal = false;
-    random_only.seed = 7;
     cad::PlaceOptions annealed;
+    annealed.algorithm = cad::PlaceAlgorithm::Anneal;
     annealed.seed = 7;
+    cad::PlaceOptions random_only = annealed;
+    random_only.anneal = false;
     const auto pl0 = cad::place(pd, md, arch, random_only);
     const auto pl1 = cad::place(pd, md, arch, annealed);
     const double w0 = cad::placement_wirelength(pd, md, arch, pl0);
@@ -229,6 +229,42 @@ TEST(Place, ThrowsWhenDesignTooBig) {
     tiny.height = 2;
     const auto pd = cad::pack(md, tiny);
     EXPECT_THROW(cad::place(pd, md, tiny, {}), base::Error);
+}
+
+/// The message of the base::Error `fn` throws (a test failure if none).
+template <typename Fn>
+std::string error_message(Fn&& fn) {
+    try {
+        fn();
+    } catch (const base::Error& e) {
+        return e.what();
+    }
+    ADD_FAILURE() << "no base::Error thrown";
+    return {};
+}
+
+// `parallel_seeds > 1` and `anneal = false` are cold-annealer knobs. The
+// default V-cycle would drop them, so place() rejects them by name instead.
+TEST(Place, MultilevelRejectsAnnealOnlyKnobs) {
+    auto adder = asynclib::make_qdi_adder(2);
+    const auto md = cad::techmap(adder.nl, adder.hints);
+    const ArchSpec arch;
+    const auto pd = cad::pack(md, arch);
+    cad::PlaceOptions seeds;
+    seeds.parallel_seeds = 4;
+    EXPECT_NE(error_message([&] { (void)cad::place(pd, md, arch, seeds); }).find("parallel_seeds"),
+              std::string::npos);
+    cad::PlaceOptions random_only;
+    random_only.anneal = false;
+    EXPECT_NE(error_message([&] { (void)cad::place(pd, md, arch, random_only); })
+                  .find("anneal = false"),
+              std::string::npos);
+
+    // Both stay valid for the annealer that honours them.
+    seeds.algorithm = cad::PlaceAlgorithm::Anneal;
+    EXPECT_EQ(cad::place(pd, md, arch, seeds).replicas.size(), 4u);
+    random_only.algorithm = cad::PlaceAlgorithm::Anneal;
+    EXPECT_EQ(cad::place(pd, md, arch, random_only).moves_tried, 0u);
 }
 
 // --- full flow ----------------------------------------------------------------------
@@ -325,6 +361,21 @@ TEST(Flow, DeterministicBitstreamForSeed) {
     const auto a = run_flow(adder.nl, adder.hints, arch, opts);
     const auto b = run_flow(adder.nl, adder.hints, arch, opts);
     EXPECT_TRUE(a.bits->serialize() == b.bits->serialize());
+}
+
+TEST(Flow, DefaultPlacerRejectsAnnealOnlyKnobs) {
+    auto adder = asynclib::make_qdi_adder(1);
+    const ArchSpec arch;
+    FlowOptions seeds;
+    seeds.place.parallel_seeds = 4;
+    EXPECT_NE(error_message([&] { (void)run_flow(adder.nl, adder.hints, arch, seeds); })
+                  .find("parallel_seeds"),
+              std::string::npos);
+    FlowOptions random_only;
+    random_only.place.anneal = false;
+    EXPECT_NE(error_message([&] { (void)run_flow(adder.nl, adder.hints, arch, random_only); })
+                  .find("anneal = false"),
+              std::string::npos);
 }
 
 TEST(Flow, RoutingFailsGracefullyOnStarvedChannels) {

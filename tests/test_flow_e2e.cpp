@@ -2,12 +2,12 @@
 //
 // Drives two representative designs — a dual-rail (QDI) ripple-carry adder
 // and a bundled-data micropipeline FIFO — through the complete pipeline:
-// elaborate -> techmap -> pack -> place (annealing, fixed seed) -> route ->
-// bitstream, then reconstructs the implemented netlist from the bitstream
-// and simulates it against the behavioural (source netlist) model. Every
-// stage's artifact is checked for structural legality, and the whole flow
-// is checked to be seed-stable, so later placer/router optimisation PRs
-// have a trustworthy baseline to diff against.
+// elaborate -> techmap -> pack -> place (multilevel V-cycle, fixed seed) ->
+// route -> bitstream, then reconstructs the implemented netlist from the
+// bitstream and simulates it against the behavioural (source netlist)
+// model. Every stage's artifact is checked for structural legality, and the
+// whole flow is checked to be seed-stable, so later placer/router
+// optimisations have a trustworthy baseline to diff against.
 #include <gtest/gtest.h>
 
 #include <set>
@@ -29,6 +29,27 @@ using testsupport::PostRouteSim;
 
 constexpr std::uint64_t kSeed = 2026;
 
+/// Legal placement: every cluster on its own PLB, every PI and PO on its
+/// own pad.
+void expect_legal_placement(const cad::FlowResult& fr) {
+    const core::FabricGeometry geom(fr.arch);
+    ASSERT_EQ(fr.placement.cluster_loc.size(), fr.packed.clusters.size());
+    std::set<std::pair<std::uint32_t, std::uint32_t>> used;
+    for (const auto& c : fr.placement.cluster_loc) {
+        EXPECT_LT(c.x, fr.arch.width);
+        EXPECT_LT(c.y, fr.arch.height);
+        EXPECT_TRUE(used.emplace(c.x, c.y).second) << "two clusters on one PLB";
+    }
+    EXPECT_EQ(fr.placement.pi_pad.size(), fr.mapped.primary_inputs.size());
+    EXPECT_EQ(fr.placement.po_pad.size(), fr.mapped.primary_outputs.size());
+    std::set<std::uint32_t> pads;
+    for (const auto* m : {&fr.placement.pi_pad, &fr.placement.po_pad})
+        for (const auto& [name, pad] : *m) {
+            EXPECT_LT(pad, geom.num_pads()) << name;
+            EXPECT_TRUE(pads.insert(pad).second) << "pad shared: " << name;
+        }
+}
+
 // Structural legality of every intermediate artifact the flow produced.
 void expect_legal_flow_result(const cad::FlowResult& fr, std::size_t n_clusters_max) {
     // techmap: at least one LE, and the mapping was verified by the flow.
@@ -40,17 +61,7 @@ void expect_legal_flow_result(const cad::FlowResult& fr, std::size_t n_clusters_
         EXPECT_LE(c.le_indices.size(), fr.arch.les_per_plb);
         EXPECT_LE(c.external_inputs(fr.mapped).size(), fr.arch.plb_inputs);
     }
-    // place: on-grid, one cluster per PLB, pads unique.
-    ASSERT_EQ(fr.placement.cluster_loc.size(), fr.packed.clusters.size());
-    std::set<std::pair<std::uint32_t, std::uint32_t>> used;
-    for (const auto& c : fr.placement.cluster_loc) {
-        EXPECT_LT(c.x, fr.arch.width);
-        EXPECT_LT(c.y, fr.arch.height);
-        EXPECT_TRUE(used.emplace(c.x, c.y).second) << "two clusters on one PLB";
-    }
-    std::set<std::uint32_t> pads;
-    for (const auto& [n, p] : fr.placement.pi_pad) EXPECT_TRUE(pads.insert(p).second);
-    for (const auto& [n, p] : fr.placement.po_pad) EXPECT_TRUE(pads.insert(p).second);
+    expect_legal_placement(fr);
     // route: converged, nothing overused, every tree rooted.
     EXPECT_TRUE(fr.routing.success);
     EXPECT_EQ(fr.routing.overused_nodes, 0u);
@@ -142,6 +153,75 @@ TEST(FlowE2E, FifoFlowIsSeedStable) {
     const auto a = cad::run_flow(fifo.nl, {}, core::ArchSpec{}, opts);
     const auto b = cad::run_flow(fifo.nl, {}, core::ArchSpec{}, opts);
     EXPECT_EQ(testsupport::flow_fingerprint(a), testsupport::flow_fingerprint(b));
+}
+
+// --- edge cases of the default placer ------------------------------------------
+// The V-cycle's coarsening and spreading assume some clusters to work on.
+// These designs have one cluster (far below min_coarse_nodes), none at all,
+// or one full adder, and each must still compile through the default
+// options to a legal placement that elaborates, the same way every time.
+
+/// Compile with default options: legal, routed, elaborates with every pad
+/// named, identical across two runs and across route.threads {0, 2}.
+cad::FlowResult expect_stable_default_compile(const netlist::Netlist& nl,
+                                              const asynclib::MappingHints& hints) {
+    const cad::FlowResult fr = cad::run_flow(nl, hints, core::ArchSpec{}, {});
+    EXPECT_EQ(fr.placement.engine, cad::PlaceEngine::Multilevel);
+    expect_legal_placement(fr);
+    EXPECT_TRUE(fr.routing.success);
+    const core::ElaboratedDesign design = fr.elaborate();
+    EXPECT_EQ(design.pad_to_pi.size(), nl.primary_inputs().size());
+    EXPECT_EQ(design.pad_to_po.size(), nl.primary_outputs().size());
+
+    const std::string fp = testsupport::flow_fingerprint(fr);
+    EXPECT_EQ(testsupport::flow_fingerprint(cad::run_flow(nl, hints, core::ArchSpec{}, {})), fp);
+    cad::FlowOptions pooled;
+    pooled.route.threads = 2;
+    EXPECT_EQ(testsupport::flow_fingerprint(cad::run_flow(nl, hints, core::ArchSpec{}, pooled)),
+              fp);
+    return fr;
+}
+
+/// Drive PI `a` to each value and check that PO `y` is its inverse
+/// post-route.
+void expect_post_route_inverter(const cad::FlowResult& fr) {
+    PostRouteSim prs(fr);
+    const netlist::NetId in = prs.design.nl.find_net("a");
+    const netlist::NetId out = testsupport::po_net(prs.design.nl, "y");
+    for (const netlist::Logic v : {netlist::Logic::T, netlist::Logic::F}) {
+        prs.sim->schedule_pi(in, v);
+        EXPECT_TRUE(prs.sim->run().quiescent);
+        EXPECT_EQ(prs.sim->value(out),
+                  v == netlist::Logic::T ? netlist::Logic::F : netlist::Logic::T);
+    }
+}
+
+TEST(FlowEdgeCases, OneInverterPlacesBelowTheCoarseningFloor) {
+    netlist::Netlist nl("inv");
+    const netlist::NetId a = nl.add_input("a");
+    nl.add_output("y", nl.add_cell(netlist::CellFunc::Inv, "y", {a}));
+    const cad::FlowResult fr = expect_stable_default_compile(nl, {});
+    EXPECT_EQ(fr.packed.clusters.size(), 1u);
+    expect_post_route_inverter(fr);
+}
+
+TEST(FlowEdgeCases, PrimaryInputsOnlyPlacesWithNoClusters) {
+    // Nothing but pads to place (a PI wired straight to a PO is rejected by
+    // the flow, so the design has inputs only).
+    netlist::Netlist nl("pads");
+    nl.add_input("a");
+    nl.add_input("b");
+    const cad::FlowResult fr = expect_stable_default_compile(nl, {});
+    EXPECT_TRUE(fr.packed.clusters.empty());
+    EXPECT_EQ(fr.placement.pi_pad.size(), 2u);
+}
+
+TEST(FlowEdgeCases, OneBitQdiAdder) {
+    auto adder = asynclib::make_qdi_adder(1);
+    const cad::FlowResult fr = expect_stable_default_compile(adder.nl, adder.hints);
+    PostRouteSim prs(fr);
+    const auto iface = testsupport::qdi_adder_iface(prs.design.nl, 1);
+    EXPECT_EQ(sim::qdi_apply_token(*prs.sim, iface, 0b1'1'1), 3u);
 }
 
 }  // namespace

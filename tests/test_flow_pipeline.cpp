@@ -272,6 +272,7 @@ TEST(PlaceIncremental, MatchesPreRefactorEvaluatorOnMixedDesign) {
     ASSERT_FALSE(md.primary_outputs.empty());
 
     cad::PlaceOptions inc;
+    inc.algorithm = cad::PlaceAlgorithm::Anneal;
     inc.seed = 31;
     cad::PlaceOptions legacy = inc;
     legacy.incremental = false;

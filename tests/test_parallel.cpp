@@ -115,6 +115,7 @@ void expect_same_placement(const cad::Placement& a, const cad::Placement& b) {
 TEST(ParallelPlace, PoolSizeDoesNotChangeTheWinner) {
     const PlacedDesign d = prepare_adder(2);
     cad::PlaceOptions opts;
+    opts.algorithm = cad::PlaceAlgorithm::Anneal;
     opts.seed = 11;
     opts.parallel_seeds = 4;
     opts.threads = 1;
@@ -141,6 +142,7 @@ TEST(ParallelPlace, ReplicaResultsArePureFunctionsOfTheirSeed) {
     // with the same derived seed.
     const PlacedDesign d = prepare_adder(2);
     cad::PlaceOptions opts;
+    opts.algorithm = cad::PlaceAlgorithm::Anneal;
     opts.seed = 23;
     opts.parallel_seeds = 2;
     const cad::Placement two = cad::place(d.pd, d.md, d.arch, opts);
@@ -154,6 +156,7 @@ TEST(ParallelPlace, ReplicaResultsArePureFunctionsOfTheirSeed) {
     }
     // Cross-check replica 1 against a plain single-seed anneal.
     cad::PlaceOptions single;
+    single.algorithm = cad::PlaceAlgorithm::Anneal;
     single.seed = base::Rng::derive_seed(23, 1);
     const cad::Placement alone = cad::place(d.pd, d.md, d.arch, single);
     EXPECT_EQ(alone.final_cost, four.replicas[1].final_cost);
@@ -162,6 +165,7 @@ TEST(ParallelPlace, ReplicaResultsArePureFunctionsOfTheirSeed) {
 TEST(ParallelPlace, WinnerIsMinCostThenLowestReplica) {
     const PlacedDesign d = prepare_adder(2);
     cad::PlaceOptions opts;
+    opts.algorithm = cad::PlaceAlgorithm::Anneal;
     opts.seed = 31;
     opts.parallel_seeds = 4;
     const cad::Placement pl = cad::place(d.pd, d.md, d.arch, opts);
@@ -183,6 +187,7 @@ TEST(ParallelFlow, FingerprintInvariantUnderPoolSize) {
     auto adder = asynclib::make_qdi_adder(2);
     cad::FlowOptions opts;
     opts.seed = 77;
+    opts.place.algorithm = cad::PlaceAlgorithm::Anneal;
     opts.place.parallel_seeds = 4;
     std::set<std::string> fingerprints;
     for (unsigned t : {1u, 2u, 4u}) {
@@ -290,6 +295,7 @@ TEST(BatchFlow, ParallelSeedsInsideBatchJobsStaysDeterministic) {
     j.nl = &adder.nl;
     j.hints = &adder.hints;
     j.opts.seed = 13;
+    j.opts.place.algorithm = cad::PlaceAlgorithm::Anneal;
     j.opts.place.parallel_seeds = 3;
     j.opts.place.threads = 2;
 

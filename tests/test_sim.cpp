@@ -577,8 +577,8 @@ std::uint64_t times_hash(const std::vector<std::int64_t>& ts) {
 
 /// Recorded on the priority-queue simulator this event order was first
 /// defined by; every later queue must reproduce it bit for bit. The inputs
-/// are routed designs, so a change of routing (and only that) re-records
-/// them with the simulator untouched.
+/// are placed and routed designs, so a change of placement or routing (and
+/// only that) re-records them with the simulator untouched.
 struct Golden {
     std::uint64_t total_events;
     std::int64_t first_token_ps;
@@ -601,27 +601,27 @@ void expect_golden(Style style, const Golden& g) {
 
 TEST(SimGolden, QdiAdder4PostRouteStream) {
     golden::expect_golden(golden::Style::QdiAdder,
-                          {21120u, 5440, 403600, 0xADE58315CEC7638EULL, 0xD07FCCF515A444C0ULL});
+                          {21120u, 5240, 406640, 0x554A0F3FFFDA126AULL, 0x7238A4055803F1DDULL});
 }
 
 TEST(SimGolden, MicropipelineAdder4PostRouteStream) {
     golden::expect_golden(golden::Style::MpAdder,
-                          {5591u, 4800, 244200, 0x54537E5080E8B83EULL, 0x343FA090592AF002ULL});
+                          {5591u, 4840, 246760, 0x5333FAF5F4D9141EULL, 0x4E688D47FDDDC1EFULL});
 }
 
 TEST(SimGolden, WchbFifo4x8PostRouteStream) {
     golden::expect_golden(golden::Style::WchbFifo,
-                          {46313u, 2610, 155070, 0x9BABAD03D1988C68ULL, 0x1110E48375D6C606ULL});
+                          {46313u, 2610, 150070, 0xC2B14477F1D2F27DULL, 0x3BF719DC77524205ULL});
 }
 
 TEST(SimGolden, MicropipelineFifo4x8PostRouteStream) {
     golden::expect_golden(golden::Style::MpFifo,
-                          {17961u, 6170, 168710, 0x12656F31950651BCULL, 0x92A00573F2AC9627ULL});
+                          {17961u, 6290, 171350, 0x21D357273DF6DB0BULL, 0x7443E9B44CAEB816ULL});
 }
 
 TEST(SimGolden, MousetrapFifo4x8PostRouteStream) {
     golden::expect_golden(golden::Style::MousetrapFifo,
-                          {13217u, 6250, 110200, 0x9A5DAA96044265C8ULL, 0x4DDCF91B2AE7E8C2ULL});
+                          {13217u, 6170, 110120, 0x8978A58780169735ULL, 0x9C17E49B75641D86ULL});
 }
 
 }  // namespace
