@@ -1,20 +1,19 @@
 // CAD flow scaling sweep: run the full techmap -> pack -> place -> route ->
-// bitstream flow on generated designs across increasing fabric sizes, in both
-// the optimized configuration (incremental place cost + incremental
-// PathFinder) and the pre-refactor baseline (rescan evaluator + full rip-up),
-// and emit BENCH_flow.json with per-stage wall times, router iterations,
-// total wirelength and the end-to-end speedup per design.
+// bitstream flow on generated designs across increasing fabric sizes, with
+// the default placer on both sides, once with incremental PathFinder and
+// once with the router's full rip-up every iteration, and emit
+// BENCH_flow.json with per-stage wall times, router iterations, total
+// wirelength and the end-to-end speedup per design.
 //
 // A second section sweeps the parallel CAD subsystem over thread counts
-// (1/2/4/8): multi-seed placement racing (4 replicas) and the concurrent
-// BatchFlowRunner (8 jobs), reporting wall-clock speedup against the
-// one-worker run plus the QoR delta / bit-identity checks that prove
+// (1/2/4/8): the concurrent BatchFlowRunner (8 jobs), in-flow parallel
+// routing and RR-graph construction, reporting wall-clock speedup against
+// the one-worker run plus the QoR delta / bit-identity checks that prove
 // parallelism never changes results.
 //
-// Placement sections gate the multilevel engine against the annealer (the
-// placer tier) and the multilevel V-cycle against its own flat,
-// single-level schedule (`max_levels = 0`, the placer_scale tier); any gate
-// violation makes the bench exit non-zero.
+// The placer_scale tier gates the multilevel V-cycle against its own flat,
+// single-level schedule (`max_levels = 0`); any gate violation makes the
+// bench exit non-zero.
 //
 // The flow_server tier drives the socket front-end with concurrent clients
 // over a Unix socket: p50/p95/p99 submit->result latency, throughput, Busy
@@ -76,10 +75,6 @@ RunResult run_flow_best(const netlist::Netlist& nl, const asynclib::MappingHints
     for (int r = 0; r < reps; ++r) {
         cad::FlowOptions opts;
         opts.seed = 7;
-        // Both evaluators being compared are the cold annealer's, so both
-        // sides name it rather than take the default placer.
-        opts.place.algorithm = cad::PlaceAlgorithm::Anneal;
-        opts.place.incremental = incremental;
         opts.route.incremental = incremental;
         base::WallTimer t;
         auto fr = cad::run_flow(nl, hints, arch, opts);
@@ -184,64 +179,7 @@ int main(int argc, char** argv) {
                      "speedups as noise\n",
                      thread_counts.back(), hw_threads);
 
-    // Tier 1: multi-seed placement racing. Four replicas on a growing pool;
-    // the winner must be bit-identical whatever the pool size, so the only
-    // moving number is the wall clock.
-    {
-        const std::size_t bits = smoke ? 4 : 8;
-        auto adder = asynclib::make_qdi_adder(bits);
-        core::ArchSpec arch;
-        arch.width = arch.height = smoke ? 10 : 14;
-        arch.channel_width = smoke ? 12 : 14;
-        const auto md = cad::techmap(adder.nl, adder.hints, {});
-        const auto pd = cad::pack(md, arch, {});
-
-        cad::PlaceOptions single;
-        single.algorithm = cad::PlaceAlgorithm::Anneal;
-        single.seed = 7;
-        const double single_cost = cad::place(pd, md, arch, single).final_cost;
-
-        cad::PlaceOptions race = single;
-        race.parallel_seeds = 4;
-
-        double one_worker_ms = 0.0;
-        w.key("parallel_place").begin_array();
-        for (unsigned t : thread_counts) {
-            race.threads = t;
-            double best_ms = 1e18;
-            cad::Placement pl;
-            for (int r = 0; r < reps; ++r) {
-                base::WallTimer timer;
-                cad::Placement p = cad::place(pd, md, arch, race);
-                const double ms = timer.elapsed_ms();
-                if (ms < best_ms) {
-                    best_ms = ms;
-                    pl = std::move(p);
-                }
-            }
-            if (t == thread_counts.front()) one_worker_ms = best_ms;
-            const double speedup = one_worker_ms / best_ms;
-            const double qor_delta_pct =
-                single_cost > 0 ? (single_cost - pl.final_cost) / single_cost * 100.0 : 0.0;
-            std::printf("parallel_place qdi_adder_%zu: %u threads, 4 seeds: %.1f ms "
-                        "(%.2fx vs 1 thread), winner replica %zu cost %.1f "
-                        "(%.1f%% vs single seed)\n",
-                        bits, t, best_ms, speedup, pl.winner_replica, pl.final_cost,
-                        qor_delta_pct);
-            w.begin_object();
-            w.key("threads").value(std::uint64_t{t});
-            w.key("parallel_seeds").value(std::uint64_t{4});
-            w.key("wall_ms").value(best_ms);
-            w.key("speedup_vs_1_thread").value(speedup);
-            w.key("winner_replica").value(std::uint64_t{pl.winner_replica});
-            w.key("winner_cost").value(pl.final_cost);
-            w.key("qor_delta_vs_single_seed_pct").value(qor_delta_pct);
-            w.end_object();
-        }
-        w.end_array();
-    }
-
-    // Tier 2: BatchFlowRunner throughput. Eight independent jobs (same
+    // Tier 1: BatchFlowRunner throughput. Eight independent jobs (same
     // design, different seeds) against the one-worker batch; per-job QoR must
     // be bit-identical to a sequential run_flow of the same options.
     {
@@ -320,7 +258,7 @@ int main(int argc, char** argv) {
         w.end_array();
     }
 
-    // Tier 3: deterministic in-flow parallel routing. The largest sweep
+    // Tier 2: deterministic in-flow parallel routing. The largest sweep
     // design re-runs with the partitioned PathFinder at threads = 0 (on the
     // calling thread, the scaling baseline) and then at growing worker
     // counts; the bitstream must be bit-identical at every point (that is
@@ -404,7 +342,7 @@ int main(int argc, char** argv) {
         w.end_array();
     }
 
-    // Tier 3b: route_kernel — the pooled search kernel raced against the
+    // Tier 2b: route_kernel — the pooled search kernel raced against the
     // retained pre-rework reference kernel on the largest sweep design.
     // Three checks, all CI gates (a violation makes the bench exit
     // non-zero): (1) the bitstream must be byte-identical to the reference
@@ -509,7 +447,7 @@ int main(int argc, char** argv) {
         w.end_object();
     }
 
-    // Tier 4: parallel RR-graph construction. A fabric larger than any
+    // Tier 3: parallel RR-graph construction. A fabric larger than any
     // routed sweep point (the graph is the flow's biggest single
     // allocation) is built serially and then on pools of growing size; the
     // content fingerprint proves every build is byte-identical.
@@ -562,7 +500,7 @@ int main(int argc, char** argv) {
         w.end_array();
     }
 
-    // Tier 5: FlowService artifact reuse. A seed grid runs cold on a fresh
+    // Tier 4: FlowService artifact reuse. A seed grid runs cold on a fresh
     // service, then re-runs warm with ONLY a route-stage knob changed: the
     // warm grid must restore techmap/pack/place from the artifact store
     // (visible as cache_hit in the per-stage telemetry) and produce
@@ -644,7 +582,7 @@ int main(int argc, char** argv) {
         w.end_object();
     }
 
-    // Tier 6: the two-tier artifact cache. Two checks, both CI gates (a
+    // Tier 5: the two-tier artifact cache. Two checks, both CI gates (a
     // violation makes the bench exit non-zero):
     //  (a) disk-warm restart — a service populates a cache directory, dies,
     //      and a fresh service over the same directory must restore every
@@ -779,149 +717,7 @@ int main(int argc, char** argv) {
         w.end_object();
     }
 
-    // Tier 7: placement engines. The analytical side is the multilevel
-    // engine (PlaceAlgorithm::Multilevel; JSON keys keep their historical
-    // `analytical_*` names). Two checks, both CI gates (a violation makes
-    // the bench exit non-zero):
-    //  (a) head-to-head on the largest sweep fabric — the multilevel engine
-    //      (V-cycle + legalize + polish) must be >= 5x faster than the full
-    //      anneal at equal-or-better bounding-box cost. Both engines are
-    //      serial, so the ratio is meaningful even on one core; in --smoke
-    //      the fabric is too small for the asymptotic speedup, so neither
-    //      half gates there.
-    //  (b) a fabric size the annealer cannot finish inside the bench budget
-    //      (5x the multilevel wall-clock): the multilevel engine must fit
-    //      the budget while the annealer's projected full run — its first 10
-    //      temperature rounds, scaled to the round count the head-to-head
-    //      anneal actually needed — must blow it.
-    bool placer_gate_ok = true;
-    {
-        const SweepPoint pt = smoke ? sweep.front() : SweepPoint{24, 24, 16};
-        auto adder = asynclib::make_qdi_adder(pt.adder_bits);
-        core::ArchSpec arch;
-        arch.width = arch.height = pt.fabric;
-        arch.channel_width = pt.channel_width;
-        const auto md = cad::techmap(adder.nl, adder.hints);
-        const auto pd = cad::pack(md, arch);
-
-        struct PlaceRun {
-            double ms = 1e18;
-            cad::Placement pl;
-        };
-        auto time_place = [&](const cad::PackedDesign& pdx, const cad::MappedDesign& mdx,
-                              const core::ArchSpec& archx, const cad::PlaceOptions& po,
-                              int n_reps) {
-            PlaceRun best;
-            for (int r = 0; r < n_reps; ++r) {
-                base::WallTimer t;
-                auto pl = cad::place(pdx, mdx, archx, po);
-                const double ms = t.elapsed_ms();
-                if (ms < best.ms) {
-                    best.ms = ms;
-                    best.pl = std::move(pl);
-                }
-            }
-            return best;
-        };
-
-        cad::PlaceOptions anneal_opts;
-        anneal_opts.algorithm = cad::PlaceAlgorithm::Anneal;
-        anneal_opts.seed = 7;
-        cad::PlaceOptions ana_opts = anneal_opts;
-        ana_opts.algorithm = cad::PlaceAlgorithm::Multilevel;
-
-        const PlaceRun an = time_place(pd, md, arch, anneal_opts, reps);
-        const PlaceRun ana = time_place(pd, md, arch, ana_opts, reps);
-        const double speedup = ana.ms > 0 ? an.ms / ana.ms : 0.0;
-        // Both gates are meaningful only on the full-size point: the smoke
-        // fabric is too small for the solver's asymptotic advantage (or for
-        // QoR parity with a fully converged anneal) to show.
-        const bool qor_ok = smoke || ana.pl.final_cost <= an.pl.final_cost;
-        const bool speed_ok = smoke || speedup >= 5.0;
-
-        std::printf("placer: qdi_adder_%zu on %ux%u: anneal %.1f ms cost %.1f | "
-                    "multilevel %.1f ms cost %.1f (solver %llu iters, %d passes, "
-                    "legalize max disp %llu) -> %.2fx, qor_ok=%d\n",
-                    pt.adder_bits, pt.fabric, pt.fabric, an.ms, an.pl.final_cost, ana.ms,
-                    ana.pl.final_cost,
-                    static_cast<unsigned long long>(ana.pl.analytical.solver_iterations),
-                    ana.pl.analytical.solver_passes,
-                    static_cast<unsigned long long>(ana.pl.analytical.legalize.max_displacement),
-                    speedup, qor_ok);
-
-        // (b) the annealer-can't-finish fabric.
-        const std::size_t giant_bits = smoke ? 16 : 40;
-        const std::uint32_t giant_fabric = smoke ? 20 : 40;
-        auto giant = asynclib::make_qdi_adder(giant_bits);
-        core::ArchSpec garch;
-        garch.width = garch.height = giant_fabric;
-        garch.channel_width = 16;
-        const auto gmd = cad::techmap(giant.nl, giant.hints);
-        const auto gpd = cad::pack(gmd, garch);
-
-        // Budget: five times the multilevel wall — the same bar as the
-        // head-to-head speed gate — so budget_ok certifies the annealer
-        // cannot finish even one full schedule on this fabric in the time
-        // the multilevel engine finishes five runs.
-        const PlaceRun gana = time_place(gpd, gmd, garch, ana_opts, reps);
-        const double budget_ms = 5.0 * gana.ms;
-        cad::PlaceOptions probe_opts = anneal_opts;
-        probe_opts.max_rounds = 10;
-        const PlaceRun gprobe = time_place(gpd, gmd, garch, probe_opts, reps);
-        const int full_rounds = std::max(an.pl.anneal_rounds, 10);
-        const double projected_anneal_ms =
-            gprobe.ms * (static_cast<double>(full_rounds) / 10.0);
-        const bool budget_ok =
-            smoke || (gana.ms <= budget_ms && projected_anneal_ms > budget_ms);
-
-        std::printf("placer: qdi_adder_%zu on %ux%u (budget %.1f ms): multilevel %.1f ms "
-                    "cost %.1f; anneal 10-round probe %.1f ms -> projected %.1f ms "
-                    "(%d rounds) -> budget_ok=%d\n",
-                    giant_bits, giant_fabric, giant_fabric, budget_ms, gana.ms,
-                    gana.pl.final_cost, gprobe.ms, projected_anneal_ms, full_rounds,
-                    budget_ok);
-
-        placer_gate_ok = qor_ok && speed_ok && budget_ok;
-
-        w.key("placer").begin_object();
-        w.key("fabric").value(std::to_string(pt.fabric) + "x" + std::to_string(pt.fabric));
-        w.key("clusters").value(std::uint64_t{pd.clusters.size()});
-        w.key("anneal_ms").value(an.ms);
-        w.key("anneal_cost").value(an.pl.final_cost);
-        w.key("anneal_rounds").value(an.pl.anneal_rounds);
-        // Proof that the comparator is a real cold anneal and not a second
-        // V-cycle, whose polish tries moves too: CI asserts moves were tried
-        // and that the annealer (PlaceEngine 0) produced the placement.
-        w.key("anneal_moves_tried").value(an.pl.moves_tried);
-        w.key("anneal_engine").value(static_cast<std::uint64_t>(an.pl.engine));
-        w.key("analytical_ms").value(ana.ms);
-        w.key("analytical_cost").value(ana.pl.final_cost);
-        w.key("analytical_pre_legal_cost").value(ana.pl.analytical.pre_legal_cost);
-        w.key("analytical_legalized_cost").value(ana.pl.analytical.legalized_cost);
-        w.key("solver_iterations").value(ana.pl.analytical.solver_iterations);
-        w.key("solver_passes").value(ana.pl.analytical.solver_passes);
-        w.key("spread_passes").value(ana.pl.analytical.spread_passes);
-        w.key("legalize_max_displacement")
-            .value(ana.pl.analytical.legalize.max_displacement);
-        w.key("legalize_avg_displacement")
-            .value(ana.pl.analytical.legalize.avg_displacement);
-        w.key("speedup").value(speedup);
-        w.key("qor_ok").value(qor_ok);
-        w.key("speed_ok").value(speed_ok);
-        w.key("giant_fabric")
-            .value(std::to_string(giant_fabric) + "x" + std::to_string(giant_fabric));
-        w.key("giant_clusters").value(std::uint64_t{gpd.clusters.size()});
-        w.key("giant_budget_ms").value(budget_ms);
-        w.key("giant_analytical_ms").value(gana.ms);
-        w.key("giant_analytical_cost").value(gana.pl.final_cost);
-        w.key("giant_anneal_probe_ms").value(gprobe.ms);
-        w.key("giant_anneal_projected_ms").value(projected_anneal_ms);
-        w.key("budget_ok").value(budget_ok);
-        w.key("gate_ok").value(placer_gate_ok);
-        w.end_object();
-    }
-
-    // Tier 8: global-placement scaling — the multilevel V-cycle's reason to
+    // Tier 6: global-placement scaling — the multilevel V-cycle's reason to
     // exist. Subject: the *global* stage, run two ways by
     // place_multilevel_global: the default V-cycle ("multilevel") and the
     // flat, single-level schedule it degenerates to with `max_levels = 0`
@@ -1255,10 +1051,6 @@ int main(int argc, char** argv) {
     }
     if (!cache_gate_ok) {
         std::fprintf(stderr, "cad_scaling: artifact-cache gate violated (see above)\n");
-        ok = false;
-    }
-    if (!placer_gate_ok) {
-        std::fprintf(stderr, "cad_scaling: placer gate violated (see above)\n");
         ok = false;
     }
     if (!placer_scale_ok) {

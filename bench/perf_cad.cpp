@@ -36,9 +36,6 @@ void BM_Techmap(benchmark::State& state) {
 }
 BENCHMARK(BM_Techmap)->Arg(1)->Arg(4)->Arg(8);
 
-// Second arg selects the placement engine (PlaceAlgorithm: 0 = anneal,
-// 2 = race, 3 = multilevel; 1 is retired) so perf trajectories cover every
-// engine, not just the annealer.
 void BM_PackPlace(benchmark::State& state) {
     auto adder = asynclib::make_qdi_adder(static_cast<std::size_t>(state.range(0)));
     const auto arch = bench_arch();
@@ -47,20 +44,18 @@ void BM_PackPlace(benchmark::State& state) {
         auto pd = cad::pack(md, arch);
         cad::PlaceOptions opts;
         opts.seed = 7;
-        opts.algorithm = static_cast<cad::PlaceAlgorithm>(state.range(1));
         auto pl = cad::place(pd, md, arch, opts);
         benchmark::DoNotOptimize(pl.final_cost);
     }
 }
-BENCHMARK(BM_PackPlace)
-    ->ArgNames({"bits", "alg"})
-    ->ArgsProduct({{2, 4}, {0, 2, 3}});
+BENCHMARK(BM_PackPlace)->ArgNames({"bits"})->Arg(2)->Arg(4);
 
-// The annealer's move kernel in isolation: one cold anneal per iteration,
-// reported as proposals per second. Arg 0 is a QDI adder 8b on 16x16 (every
-// net takes the fixed-shape small-net path); arg 1 is a WCHB FIFO 8x24 on
-// 18x18, whose wide control nets exercise the per-edge-count box path.
-void BM_Anneal(benchmark::State& state) {
+// The placer with its polish anneal's move rate: one default place() per
+// iteration, reported as polish proposals per second. Arg 0 is a QDI adder
+// 8b on 16x16 (every net takes the fixed-shape small-net path); arg 1 is a
+// WCHB FIFO 8x24 on 18x18, whose wide control nets exercise the
+// per-edge-count box path.
+void BM_Polish(benchmark::State& state) {
     netlist::Netlist nl;
     asynclib::MappingHints hints;
     core::ArchSpec arch;
@@ -78,7 +73,6 @@ void BM_Anneal(benchmark::State& state) {
     const auto md = cad::techmap(nl, hints);
     const auto pd = cad::pack(md, arch);
     cad::PlaceOptions opts;
-    opts.algorithm = cad::PlaceAlgorithm::Anneal;
     opts.seed = 7;
     std::int64_t moves = 0;
     for (auto _ : state) {
@@ -88,7 +82,7 @@ void BM_Anneal(benchmark::State& state) {
     }
     state.SetItemsProcessed(moves);
 }
-BENCHMARK(BM_Anneal)->ArgNames({"wchb"})->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_Polish)->ArgNames({"wchb"})->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
 void BM_FullFlow(benchmark::State& state) {
     auto adder = asynclib::make_qdi_adder(static_cast<std::size_t>(state.range(0)));

@@ -8,7 +8,7 @@
 ///
 /// Threading: an Rng object is never shared between threads. Parallel work
 /// derives one independent stream per task up front — derive_seed for
-/// replica seeds, fork for child generators — which is the seed-derivation
+/// per-task seeds, fork for child generators — which is the seed-derivation
 /// half of the determinism contract (docs/ARCHITECTURE.md).
 #pragma once
 
@@ -21,7 +21,7 @@ namespace afpga::base {
 ///
 /// Chosen over std::mt19937_64 for a compact, well-documented state that makes
 /// determinism across standard-library implementations trivial to guarantee.
-/// The draw methods are header-inline: the annealer takes millions of draws
+/// The draw methods are header-inline: the placement anneal takes many draws
 /// per flow and an out-of-line call per draw showed up in profiles.
 class Rng {
 public:
@@ -32,9 +32,9 @@ public:
     void reseed(std::uint64_t seed) noexcept;
 
     /// Canonical seed of sub-stream `stream_id` under `base_seed`. Parallel
-    /// replicas (multi-seed placement, batch jobs) seed replica i with
-    /// derive_seed(job_seed, i): the mapping is a pure function of the two
-    /// arguments, so the same job seed reproduces the same replica streams
+    /// tasks (seed sweeps, batch jobs) seed task i with
+    /// derive_seed(base_seed, i): the mapping is a pure function of the two
+    /// arguments, so the same base seed reproduces the same task streams
     /// regardless of thread count or scheduling.
     [[nodiscard]] static std::uint64_t derive_seed(std::uint64_t base_seed,
                                                    std::uint64_t stream_id) noexcept;

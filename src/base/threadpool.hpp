@@ -1,8 +1,8 @@
 /// \file
 /// Fixed-size thread pool with a work-stealing task queue.
 ///
-/// The CAD layer races independent annealing replicas, routes partition
-/// bins, and runs independent flow jobs concurrently; all are coarse tasks
+/// The CAD layer builds RR graph rows, routes partition bins, and runs
+/// independent flow jobs concurrently; all are coarse tasks
 /// (microseconds to seconds), so the pool optimizes for simplicity and
 /// predictable shutdown rather than nanosecond dispatch. Each worker owns a
 /// deque: submissions are distributed round-robin, a worker pops its own

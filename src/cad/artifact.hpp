@@ -137,8 +137,9 @@ public:
     /// in cad/serialize.cpp changes shape, or when an unchanged options
     /// fingerprint starts naming a different product (v5: `Race` dropped
     /// its flat analytical replica; v6: `route.threads = 0` routes with the
-    /// partitioned PathFinder); older blobs then read as misses.
-    static constexpr std::uint32_t kDiskFormatVersion = 6;
+    /// partitioned PathFinder; v7: the Placement blob lost its replica and
+    /// engine fields); older blobs then read as misses.
+    static constexpr std::uint32_t kDiskFormatVersion = 7;
 
     /// An unbounded, memory-only store.
     ArtifactStore() = default;

@@ -145,56 +145,41 @@ private:
         popts.seed = ctx.opts.seed;
         return popts;
     }
-    /// `restored` suppresses the scheduling-dependent replica wall times:
-    /// a cache hit re-emits only deterministic product metrics, never the
-    /// original run's timings (docs/TELEMETRY.md).
+    /// `restored` suppresses the per-level wall times: a cache hit re-emits
+    /// only deterministic product metrics, never the original run's timings
+    /// (docs/TELEMETRY.md).
     static void report_metrics(const Placement& pl, StageReport& report, bool restored) {
         report.iterations = pl.anneal_rounds;
         report.cost_trajectory = pl.cost_trajectory;
         report.add_metric("final_cost", pl.final_cost);
         report.add_metric("moves_tried", static_cast<double>(pl.moves_tried));
         report.add_metric("moves_accepted", static_cast<double>(pl.moves_accepted));
-        report.add_metric("engine", static_cast<double>(pl.engine));
-        if (pl.engine == PlaceEngine::Multilevel) {
-            const AnalyticalStats& an = pl.analytical;
-            report.add_metric("solver_iterations", static_cast<double>(an.solver_iterations));
-            report.add_metric("solver_passes", static_cast<double>(an.solver_passes));
-            report.add_metric("spread_passes", static_cast<double>(an.spread_passes));
-            report.add_metric("pre_legal_cost", an.pre_legal_cost);
-            report.add_metric("legalized_cost", an.legalized_cost);
-            report.add_metric("legalize_max_displacement",
-                              static_cast<double>(an.legalize.max_displacement));
-            report.add_metric("legalize_avg_displacement", an.legalize.avg_displacement);
-            for (std::size_t b = 0; b < an.legalize.displacement_histogram.size(); ++b)
-                report.add_metric("legalize_disp_bucket" + std::to_string(b),
-                                  static_cast<double>(an.legalize.displacement_histogram[b]));
-            // Multilevel V-cycle: one metric group per level, coarsest
-            // first (docs/TELEMETRY.md). Level walls are timings and are
-            // suppressed on cache hits like the replica walls above.
-            report.add_metric("levels", static_cast<double>(an.levels.size()));
-            for (std::size_t l = 0; l < an.levels.size(); ++l) {
-                const LevelStats& ls = an.levels[l];
-                const std::string p = "level" + std::to_string(l) + "_";
-                report.add_metric(p + "nodes", static_cast<double>(ls.nodes));
-                report.add_metric(p + "nets", static_cast<double>(ls.nets));
-                report.add_metric(p + "solver_passes", static_cast<double>(ls.solver_passes));
-                report.add_metric(p + "spread_passes", static_cast<double>(ls.spread_passes));
-                report.add_metric(p + "solver_iterations",
-                                  static_cast<double>(ls.solver_iterations));
-                if (!restored) report.add_metric(p + "wall_ms", ls.wall_ms);
-            }
-        }
-        if (!pl.replicas.empty()) {
-            report.add_metric("parallel_seeds", static_cast<double>(pl.replicas.size()));
-            report.add_metric("winner_replica", static_cast<double>(pl.winner_replica));
-            for (std::size_t i = 0; i < pl.replicas.size(); ++i) {
-                const PlaceReplica& r = pl.replicas[i];
-                report.add_metric("replica" + std::to_string(i) + "_cost", r.final_cost);
-                report.add_metric("replica" + std::to_string(i) + "_engine",
-                                  static_cast<double>(r.engine));
-                if (!restored)
-                    report.add_metric("replica" + std::to_string(i) + "_ms", r.wall_ms);
-            }
+        const AnalyticalStats& an = pl.analytical;
+        report.add_metric("solver_iterations", static_cast<double>(an.solver_iterations));
+        report.add_metric("solver_passes", static_cast<double>(an.solver_passes));
+        report.add_metric("spread_passes", static_cast<double>(an.spread_passes));
+        report.add_metric("pre_legal_cost", an.pre_legal_cost);
+        report.add_metric("legalized_cost", an.legalized_cost);
+        report.add_metric("legalize_max_displacement",
+                          static_cast<double>(an.legalize.max_displacement));
+        report.add_metric("legalize_avg_displacement", an.legalize.avg_displacement);
+        for (std::size_t b = 0; b < an.legalize.displacement_histogram.size(); ++b)
+            report.add_metric("legalize_disp_bucket" + std::to_string(b),
+                              static_cast<double>(an.legalize.displacement_histogram[b]));
+        // One metric group per V-cycle level, coarsest first
+        // (docs/TELEMETRY.md). Level walls are timings and are suppressed
+        // on cache hits.
+        report.add_metric("levels", static_cast<double>(an.levels.size()));
+        for (std::size_t l = 0; l < an.levels.size(); ++l) {
+            const LevelStats& ls = an.levels[l];
+            const std::string p = "level" + std::to_string(l) + "_";
+            report.add_metric(p + "nodes", static_cast<double>(ls.nodes));
+            report.add_metric(p + "nets", static_cast<double>(ls.nets));
+            report.add_metric(p + "solver_passes", static_cast<double>(ls.solver_passes));
+            report.add_metric(p + "spread_passes", static_cast<double>(ls.spread_passes));
+            report.add_metric(p + "solver_iterations",
+                              static_cast<double>(ls.solver_iterations));
+            if (!restored) report.add_metric(p + "wall_ms", ls.wall_ms);
         }
     }
 };
@@ -651,7 +636,7 @@ std::uint64_t FlowOptions::fingerprint() const noexcept {
     // prebuilt_rr and artifact_store are deliberately NOT mixed: they are
     // plumbing, not semantics (the RR graph is a pure function of the arch,
     // and the store only changes where products come from).
-    static_assert(sizeof(FlowOptions) == 232,
+    static_assert(sizeof(FlowOptions) == 216,
                   "FlowOptions changed: update fingerprint() and this assert");
     Fingerprint f;
     f.mix(seed)

@@ -71,7 +71,7 @@ struct FlowResult {
     core::ArchSpec arch;      ///< the architecture compiled against
     MappedDesign mapped;      ///< techmap product
     PackedDesign packed;      ///< pack product
-    Placement placement;      ///< place product (incl. replica telemetry)
+    Placement placement;      ///< place product (incl. placer telemetry)
     RoutingResult routing;    ///< route product (incl. partition telemetry)
     /// Shared and immutable: benches reuse it, and concurrent batch jobs on
     /// the same architecture all point at one graph.

@@ -27,7 +27,7 @@ struct FlowOptions;
 struct FlowResult;
 
 /// What one stage did: wall time, iteration count and per-iteration cost
-/// trajectory where the stage is iterative (annealer rounds, PathFinder
+/// trajectory where the stage is iterative (polish anneal rounds, PathFinder
 /// iterations), plus free-form named metrics.
 struct StageReport {
     std::string stage;      ///< stage name (techmap/pack/place/route/bitstream)

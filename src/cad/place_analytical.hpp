@@ -10,8 +10,8 @@
 /// so each result is a pure function of its inputs, bit-identical across
 /// runs, machines and pool sizes.
 ///
-/// Threading: pure functions of their arguments; race replicas may call
-/// them concurrently over one shared PlaceModel.
+/// Threading: pure functions of their arguments; concurrent place() calls
+/// may run them at the same time.
 #pragma once
 
 #include <cstdint>

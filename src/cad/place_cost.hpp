@@ -1,10 +1,9 @@
 /// \file
 /// Incremental half-perimeter wirelength (HPWL) engine for the placer.
 ///
-/// The annealer proposes moves of one or two entities (a cluster
+/// The polish anneal proposes moves of one or two entities (a cluster
 /// relocation, a cluster swap, a pad reassignment). Instead of rescanning
-/// every entity of every affected net through a position lookup — the
-/// pre-refactor placer even did a linear io_slot search per lookup — the
+/// every entity of every affected net through a position lookup, the
 /// engine caches every entity's position and every net's cost.
 ///
 /// Every placement coordinate is an integer: a PLB sits at (x+1, y+1) and
@@ -29,8 +28,7 @@
 /// positions before it returns. commit() then applies the stashed result;
 /// a proposal that is not committed leaves no trace.
 ///
-/// Threading: one engine per annealing replica, never shared; replicas on
-/// the pool each own an engine (see cad/place.hpp).
+/// Threading: each polish run owns its engine; an engine is never shared.
 #pragma once
 
 #include <cstddef>

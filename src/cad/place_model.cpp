@@ -37,8 +37,8 @@ PlaceModel::PlaceModel(const PackedDesign& pd, const MappedDesign& md,
     // --- nets ------------------------------------------------------------------
     // NOTE: net order falls out of unordered_map iteration below. That order
     // is deterministic for a given libstdc++ + insertion history, and the
-    // annealer's move sequence (hence every placement bit) depends on it —
-    // this code was moved here from the annealer verbatim; keep it that way.
+    // polish's move sequence (hence every placement bit) depends on it —
+    // keep it that way.
     const auto consumers = pd.build_consumers(md);
     std::unordered_map<NetId, std::size_t> pi_entity;  // signal -> entity
     for (std::size_t i = 0; i < md.primary_inputs.size(); ++i)

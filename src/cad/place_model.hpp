@@ -1,20 +1,20 @@
 /// \file
 /// The placement netlist model shared by every placement engine.
 ///
-/// Both the simulated annealer (cad/place.cpp) and the multilevel engine
-/// (cad/place_multilevel.cpp) optimize the same objects: clusters movable on
-/// the PLB grid, primary I/Os movable across perimeter pads, and
-/// half-perimeter wirelength over the logical nets connecting them. This
-/// header owns that model — the entity table, the net list, the reverse
-/// index and the pad geometry — built once per place() call and shared
-/// read-only by every replica of a race.
+/// The multilevel engine (cad/place_multilevel.cpp), the legalizer, the
+/// polish anneal and the detailed descent (cad/place.cpp) optimize the same
+/// objects: clusters movable on the PLB grid, primary I/Os movable across
+/// perimeter pads, and half-perimeter wirelength over the logical nets
+/// connecting them. This header owns that model — the entity table, the
+/// net list, the reverse index and the pad geometry — built once per
+/// place() call and read by every phase.
 ///
-/// Determinism: construction is RNG-free and reproduces the historical
-/// entity/net ordering of the pre-split annealer exactly (the annealer's
-/// move sequence, and therefore every placement bit, depends on it).
+/// Determinism: construction is RNG-free and keeps a fixed entity/net
+/// order (the polish's move sequence, and therefore every placement bit,
+/// depends on it).
 ///
-/// Threading: a built PlaceModel is immutable; concurrent replicas may read
-/// one instance freely.
+/// Threading: a built PlaceModel is immutable; any number of threads may
+/// read one instance.
 #pragma once
 
 #include <cstdint>
@@ -57,16 +57,14 @@ struct PlaceModel {
     std::vector<PlacePt> pad_pts;            ///< pad index -> fixed frame point
 
     /// Build the model (validates that the design fits the fabric; throws
-    /// base::Error otherwise, with the same messages the annealer always
-    /// produced).
+    /// base::Error otherwise).
     PlaceModel(const PackedDesign& pd, const MappedDesign& md, const core::ArchSpec& a);
 
     /// The frame point of a pad (tabled geometry).
     [[nodiscard]] PlacePt pad_pt(std::uint32_t pad) const { return pad_pts[pad]; }
 
     /// HPWL of one net given per-cluster locations and the io-slot -> pad
-    /// map; accumulation order matches the annealer's evaluators so equal
-    /// placements report bit-identical costs whichever engine scored them.
+    /// map.
     [[nodiscard]] double net_cost(const PlaceNet& n,
                                   const std::vector<core::PlbCoord>& cluster_loc,
                                   const std::vector<std::uint32_t>& pad_of_io) const;

@@ -193,8 +193,7 @@ AnalyticalResult place_multilevel_global(const PlaceModel& model, const PlaceOpt
     const std::uint32_t H = model.arch->height;
     AnalyticalResult res;
 
-    // Seeded pad shuffle — the same init recipe as the annealer, so the
-    // engines start from comparably random I/O assignments.
+    // Seeded pad shuffle: a random initial I/O assignment.
     res.pad_of_io.resize(model.io_entity_ids.size());
     {
         base::Rng rng(seed);

@@ -30,8 +30,8 @@
 /// (model, options, seed), bit-identical across runs, machines and thread
 /// counts.
 ///
-/// Threading: pure function of its arguments; race replicas may call it
-/// concurrently over one shared PlaceModel.
+/// Threading: pure function of its arguments; concurrent place() calls may
+/// run it at the same time.
 #pragma once
 
 #include <cstdint>

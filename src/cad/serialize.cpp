@@ -449,24 +449,9 @@ std::size_t ArtifactCodec<Placement>::approx_bytes(const Placement& v) noexcept 
     for (const auto& [name, pad] : v.pi_pad) total += name.size() + 48;
     for (const auto& [name, pad] : v.po_pad) total += name.size() + 48;
     total += v.cost_trajectory.size() * 8;
-    for (const auto& rep : v.replicas)
-        total += sizeof(PlaceReplica) + rep.cost_trajectory.size() * 8;
     total += v.analytical.levels.size() * sizeof(LevelStats);
     return total;
 }
-
-namespace {
-
-/// Tag 1 (the retired flat analytical engine) is rejected like any other
-/// unknown tag.
-PlaceEngine get_engine(BlobReader& r) {
-    const auto e = static_cast<PlaceEngine>(r.u8());
-    base::check(e == PlaceEngine::Anneal || e == PlaceEngine::Multilevel,
-                "placement blob: bad engine tag");
-    return e;
-}
-
-}  // namespace
 
 void ArtifactCodec<Placement>::encode(const Placement& v, BlobWriter& w) {
     w.u64(v.cluster_loc.size());
@@ -478,16 +463,6 @@ void ArtifactCodec<Placement>::encode(const Placement& v, BlobWriter& w) {
     w.u64(v.moves_accepted);
     w.i64(v.anneal_rounds);
     put_f64_vec(w, v.cost_trajectory);
-    w.u64(v.replicas.size());
-    for (const auto& rep : v.replicas) {
-        w.u64(rep.seed);
-        w.f64(rep.final_cost);
-        w.f64(rep.wall_ms);
-        put_f64_vec(w, rep.cost_trajectory);
-        w.u8(static_cast<std::uint8_t>(rep.engine));
-    }
-    w.u64(v.winner_replica);
-    w.u8(static_cast<std::uint8_t>(v.engine));
     w.u64(v.analytical.solver_iterations);
     w.i64(v.analytical.solver_passes);
     w.i64(v.analytical.spread_passes);
@@ -520,19 +495,6 @@ Placement ArtifactCodec<Placement>::decode(BlobReader& r) {
     v.moves_accepted = r.u64();
     v.anneal_rounds = static_cast<int>(r.i64());
     v.cost_trajectory = get_f64_vec(r);
-    const std::size_t num_reps = get_count(r, 32);
-    v.replicas.reserve(num_reps);
-    for (std::size_t i = 0; i < num_reps; ++i) {
-        PlaceReplica rep;
-        rep.seed = r.u64();
-        rep.final_cost = r.f64();
-        rep.wall_ms = r.f64();
-        rep.cost_trajectory = get_f64_vec(r);
-        rep.engine = get_engine(r);
-        v.replicas.push_back(std::move(rep));
-    }
-    v.winner_replica = static_cast<std::size_t>(r.u64());
-    v.engine = get_engine(r);
     v.analytical.solver_iterations = r.u64();
     v.analytical.solver_passes = static_cast<int>(r.i64());
     v.analytical.spread_passes = static_cast<int>(r.i64());

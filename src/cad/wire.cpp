@@ -304,10 +304,10 @@ void encode_flow_options(const FlowOptions& o, BlobWriter& w) {
     // fingerprint() implementations: adding a knob without teaching the wire
     // about it must fail the build, not silently desynchronize client and
     // server.
-    static_assert(sizeof(FlowOptions) == 232, "FlowOptions changed: update wire codec");
+    static_assert(sizeof(FlowOptions) == 216, "FlowOptions changed: update wire codec");
     static_assert(sizeof(TechmapOptions) == 16, "TechmapOptions changed: update wire codec");
     static_assert(sizeof(PackOptions) == 1, "PackOptions changed: update wire codec");
-    static_assert(sizeof(PlaceOptions) == 88, "PlaceOptions changed: update wire codec");
+    static_assert(sizeof(PlaceOptions) == 72, "PlaceOptions changed: update wire codec");
     static_assert(sizeof(RouterOptions) == 64, "RouterOptions changed: update wire codec");
 
     w.u64(o.seed);
@@ -317,14 +317,9 @@ void encode_flow_options(const FlowOptions& o, BlobWriter& w) {
     w.u64(o.techmap.pairing_window);
     w.boolean(o.pack.affinity_clustering);
     w.u64(o.place.seed);
-    w.f64(o.place.alpha);
     w.f64(o.place.moves_scale);
-    w.boolean(o.place.anneal);
-    w.boolean(o.place.incremental);
     w.u8(static_cast<std::uint8_t>(o.place.algorithm));
-    w.i64(o.place.parallel_seeds);
     w.u32(o.place.threads);
-    w.i64(o.place.max_rounds);
     w.i64(o.place.solver_passes);
     w.i64(o.place.solver_max_iters);
     w.i64(o.place.polish_rounds);
@@ -357,20 +352,13 @@ FlowOptions decode_flow_options(BlobReader& r) {
     o.techmap.pairing_window = static_cast<std::size_t>(r.u64());
     o.pack.affinity_clustering = r.boolean();
     o.place.seed = r.u64();
-    o.place.alpha = r.f64();
     o.place.moves_scale = r.f64();
-    o.place.anneal = r.boolean();
-    o.place.incremental = r.boolean();
-    // Tag 1 (the retired flat analytical engine) must not decode: place()
-    // would silently run the annealer for it.
+    // The retired engine tags (0 cold annealer, 1 flat analytical, 2 race)
+    // must not decode.
     const auto alg = static_cast<PlaceAlgorithm>(r.u8());
-    check(alg == PlaceAlgorithm::Anneal || alg == PlaceAlgorithm::Race ||
-              alg == PlaceAlgorithm::Multilevel,
-          "wire: place algorithm out of range");
+    check(alg == PlaceAlgorithm::Multilevel, "wire: place algorithm out of range");
     o.place.algorithm = alg;
-    o.place.parallel_seeds = static_cast<int>(r.i64());
     o.place.threads = r.u32();
-    o.place.max_rounds = static_cast<int>(r.i64());
     o.place.solver_passes = static_cast<int>(r.i64());
     o.place.solver_max_iters = static_cast<int>(r.i64());
     o.place.polish_rounds = static_cast<int>(r.i64());

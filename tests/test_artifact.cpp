@@ -169,16 +169,13 @@ TEST(OptionFingerprint, PackEveryFieldCounts) {
 
 TEST(OptionFingerprint, PlaceEveryFieldCounts) {
     expect_every_field_counts<cad::PlaceOptions>(
-        [](auto& o) { o.seed = 2; }, [](auto& o) { o.alpha = 0.8; },
-        [](auto& o) { o.moves_scale = 11.0; }, [](auto& o) { o.anneal = false; },
-        [](auto& o) { o.incremental = false; },
-        [](auto& o) { o.algorithm = cad::PlaceAlgorithm::Race; },
-        [](auto& o) { o.parallel_seeds = 2; }, [](auto& o) { o.threads = 3; },
-        [](auto& o) { o.max_rounds = 77; }, [](auto& o) { o.solver_passes = 5; },
+        [](auto& o) { o.seed = 2; }, [](auto& o) { o.moves_scale = 11.0; },
+        // Single-valued, but still hashed: a retired tag must not alias.
+        [](auto& o) { o.algorithm = static_cast<cad::PlaceAlgorithm>(0); },
+        [](auto& o) { o.threads = 3; }, [](auto& o) { o.solver_passes = 5; },
         [](auto& o) { o.solver_max_iters = 60; }, [](auto& o) { o.polish_rounds = 3; },
         [](auto& o) { o.solver_tolerance = 1e-6; },
         [](auto& o) { o.anchor_weight = 0.25; },
-        [](auto& o) { o.algorithm = cad::PlaceAlgorithm::Anneal; },
         [](auto& o) { o.coarsen_ratio = 0.4; }, [](auto& o) { o.min_coarse_nodes = 32; },
         [](auto& o) { o.max_levels = 4; });
 }
@@ -198,7 +195,7 @@ TEST(OptionFingerprint, FlowEverySemanticFieldCounts) {
         [](auto& o) { o.seed = 2; },
         [](auto& o) { o.techmap.pairing_window = 65; },
         [](auto& o) { o.pack.affinity_clustering = false; },
-        [](auto& o) { o.place.alpha = 0.8; },
+        [](auto& o) { o.place.moves_scale = 11.0; },
         [](auto& o) { o.route.max_iterations = 41; },
         [](auto& o) { o.pde_extra_margin = 0.5; },
         [](auto& o) { o.verify_mapping = false; });
@@ -509,11 +506,12 @@ TEST(ArtifactStore, CorruptDiskBlobIsAMissNeverACrash) {
 }
 
 TEST(ArtifactStore, OlderFormatVersionDiskBlobsAreStaleMisses) {
-    // Format 4 predates the Race replica change and format 5 predates the
-    // partitioned router at `route.threads = 0`: under an unchanged options
-    // fingerprint such a blob can name a product the current code cannot
-    // produce, so an older header must read as a stale blob, never a hit.
-    for (const char version : {char{4}, char{5}}) {
+    // Format 4 predates the Race replica change, format 5 the partitioned
+    // router at `route.threads = 0`, and format 6 carries the retired
+    // replica and engine fields in its Placement blobs: such a blob can name
+    // a product the current code cannot produce, or not decode at all, so
+    // an older header must read as a stale blob, never a hit.
+    for (const char version : {char{4}, char{5}, char{6}}) {
         ScratchDir dir;
         {
             cad::ArtifactStore writer(cad::ArtifactStoreConfig{0, dir.str()});

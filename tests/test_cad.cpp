@@ -3,9 +3,13 @@
 // equivalence that anchors the whole reproduction.
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <limits>
+
 #include "asynclib/adders.hpp"
 #include "asynclib/fifos.hpp"
 #include "base/check.hpp"
+#include "base/rng.hpp"
 #include "base/strings.hpp"
 #include "cad/flow.hpp"
 #include "sim/channels.hpp"
@@ -189,21 +193,32 @@ TEST(Place, ProducesLegalPlacement) {
     for (const auto& [n, p] : pl.po_pad) EXPECT_TRUE(pads.insert(p).second);
 }
 
-TEST(Place, AnnealingBeatsRandom) {
+TEST(Place, DefaultPlacerBeatsRandom) {
     auto adder = asynclib::make_qdi_adder(4);
     const auto md = cad::techmap(adder.nl, adder.hints);
     const ArchSpec arch;
     const auto pd = cad::pack(md, arch);
-    cad::PlaceOptions annealed;
-    annealed.algorithm = cad::PlaceAlgorithm::Anneal;
-    annealed.seed = 7;
-    cad::PlaceOptions random_only = annealed;
-    random_only.anneal = false;
-    const auto pl0 = cad::place(pd, md, arch, random_only);
-    const auto pl1 = cad::place(pd, md, arch, annealed);
-    const double w0 = cad::placement_wirelength(pd, md, arch, pl0);
-    const double w1 = cad::placement_wirelength(pd, md, arch, pl1);
-    EXPECT_LT(w1, w0);
+    cad::PlaceOptions opts;
+    opts.seed = 7;
+    const auto placed = cad::place(pd, md, arch, opts);
+
+    // A seeded random legal placement: distinct PLBs, distinct pads.
+    base::Rng rng(7);
+    std::vector<std::uint32_t> cells(std::size_t{arch.width} * arch.height);
+    for (std::uint32_t i = 0; i < cells.size(); ++i) cells[i] = i;
+    rng.shuffle(cells);
+    std::vector<std::uint32_t> pads(core::FabricGeometry(arch).num_pads());
+    for (std::uint32_t i = 0; i < pads.size(); ++i) pads[i] = i;
+    rng.shuffle(pads);
+    cad::Placement scattered;
+    for (std::size_t ci = 0; ci < pd.clusters.size(); ++ci)
+        scattered.cluster_loc.push_back({cells[ci] % arch.width, cells[ci] / arch.width});
+    std::size_t next_pad = 0;
+    for (const auto& [name, net] : md.primary_inputs) scattered.pi_pad[name] = pads[next_pad++];
+    for (const auto& [name, net] : md.primary_outputs) scattered.po_pad[name] = pads[next_pad++];
+
+    EXPECT_LT(cad::placement_wirelength(pd, md, arch, placed),
+              cad::placement_wirelength(pd, md, arch, scattered));
 }
 
 TEST(Place, DeterministicForSeed) {
@@ -243,28 +258,41 @@ std::string error_message(Fn&& fn) {
     return {};
 }
 
-// `parallel_seeds > 1` and `anneal = false` are cold-annealer knobs. The
-// default V-cycle would drop them, so place() rejects them by name instead.
-TEST(Place, MultilevelRejectsAnnealOnlyKnobs) {
+// Every float knob can arrive from the wire and reaches a size cast in the
+// placer, so place() refuses non-finite, negative or oversized values by
+// name.
+TEST(Place, RejectsOutOfRangeFloatKnobs) {
     auto adder = asynclib::make_qdi_adder(2);
     const auto md = cad::techmap(adder.nl, adder.hints);
     const ArchSpec arch;
     const auto pd = cad::pack(md, arch);
-    cad::PlaceOptions seeds;
-    seeds.parallel_seeds = 4;
-    EXPECT_NE(error_message([&] { (void)cad::place(pd, md, arch, seeds); }).find("parallel_seeds"),
-              std::string::npos);
-    cad::PlaceOptions random_only;
-    random_only.anneal = false;
-    EXPECT_NE(error_message([&] { (void)cad::place(pd, md, arch, random_only); })
-                  .find("anneal = false"),
-              std::string::npos);
-
-    // Both stay valid for the annealer that honours them.
-    seeds.algorithm = cad::PlaceAlgorithm::Anneal;
-    EXPECT_EQ(cad::place(pd, md, arch, seeds).replicas.size(), 4u);
-    random_only.algorithm = cad::PlaceAlgorithm::Anneal;
-    EXPECT_EQ(cad::place(pd, md, arch, random_only).moves_tried, 0u);
+    const double inf = std::numeric_limits<double>::infinity();
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    const std::vector<std::pair<std::string, std::function<void(cad::PlaceOptions&)>>> bad = {
+        {"moves_scale", [&](auto& o) { o.moves_scale = inf; }},
+        {"moves_scale", [&](auto& o) { o.moves_scale = -1.0; }},
+        {"moves_scale", [&](auto& o) { o.moves_scale = 1e300; }},
+        {"anchor_weight", [&](auto& o) { o.anchor_weight = nan; }},
+        {"anchor_weight", [&](auto& o) { o.anchor_weight = -0.5; }},
+        {"solver_tolerance", [&](auto& o) { o.solver_tolerance = -inf; }},
+        {"solver_tolerance", [&](auto& o) { o.solver_tolerance = -1e-9; }},
+        {"coarsen_ratio", [&](auto& o) { o.coarsen_ratio = nan; }},
+        {"coarsen_ratio", [&](auto& o) { o.coarsen_ratio = inf; }},
+    };
+    for (const auto& [field, mutate] : bad) {
+        cad::PlaceOptions opts;
+        mutate(opts);
+        EXPECT_NE(error_message([&] { (void)cad::place(pd, md, arch, opts); }).find(field),
+                  std::string::npos)
+            << field;
+    }
+    // Zero is a legal value for every knob but the ratio, which clamps.
+    cad::PlaceOptions zeros;
+    zeros.moves_scale = 0.0;
+    zeros.anchor_weight = 0.0;
+    zeros.solver_tolerance = 0.0;
+    zeros.coarsen_ratio = -3.0;
+    EXPECT_EQ(cad::place(pd, md, arch, zeros).cluster_loc.size(), pd.clusters.size());
 }
 
 // --- full flow ----------------------------------------------------------------------
@@ -361,21 +389,6 @@ TEST(Flow, DeterministicBitstreamForSeed) {
     const auto a = run_flow(adder.nl, adder.hints, arch, opts);
     const auto b = run_flow(adder.nl, adder.hints, arch, opts);
     EXPECT_TRUE(a.bits->serialize() == b.bits->serialize());
-}
-
-TEST(Flow, DefaultPlacerRejectsAnnealOnlyKnobs) {
-    auto adder = asynclib::make_qdi_adder(1);
-    const ArchSpec arch;
-    FlowOptions seeds;
-    seeds.place.parallel_seeds = 4;
-    EXPECT_NE(error_message([&] { (void)run_flow(adder.nl, adder.hints, arch, seeds); })
-                  .find("parallel_seeds"),
-              std::string::npos);
-    FlowOptions random_only;
-    random_only.place.anneal = false;
-    EXPECT_NE(error_message([&] { (void)run_flow(adder.nl, adder.hints, arch, random_only); })
-                  .find("anneal = false"),
-              std::string::npos);
 }
 
 TEST(Flow, RoutingFailsGracefullyOnStarvedChannels) {

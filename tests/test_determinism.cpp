@@ -115,78 +115,46 @@ TEST(Determinism, LargerFabricBitstreamInvariantAcrossRouteThreads) {
     expect_thread_matrix_identical(adder.nl, adder.hints, arch, opts);
 }
 
-// --- placement algorithm x thread-count matrix ------------------------------
-// The multilevel engine is serial by construction, and the race layers it
-// on top of the multi-seed anneal pool — in every case
-// PlaceOptions::threads must stay a pure wall-clock knob: every pool size has
-// to produce the same winner, the same placement and therefore the same
-// bitstream, bit for bit.
+// --- a genuine V-cycle -------------------------------------------------------
+// A tiny min_coarse_nodes forces real coarsening levels on every fixture
+// with more than four clusters, so the repeat exercises a genuine V-cycle.
 
-void expect_place_thread_matrix_identical(const netlist::Netlist& nl,
-                                          const asynclib::MappingHints& hints,
-                                          const core::ArchSpec& arch,
-                                          cad::FlowOptions opts,
-                                          cad::PlaceAlgorithm algorithm) {
-    opts.place.algorithm = algorithm;
-    std::string ref_fp;
-    base::BitVector ref_bits;
-    for (unsigned t : {1u, 2u, 4u, 8u}) {
-        opts.place.threads = t;
-        const auto fr = cad::run_flow(nl, hints, arch, opts);
-        const std::string fp = testsupport::flow_fingerprint(fr);
-        const base::BitVector bits = fr.bits->serialize();
-        if (t == 1) {
-            ref_fp = fp;
-            ref_bits = bits;
-            continue;
-        }
-        EXPECT_EQ(ref_fp, fp) << t << " place threads changed the flow fingerprint";
-        EXPECT_TRUE(ref_bits == bits) << t << " place threads changed the bitstream";
-    }
-}
-
-void expect_both_algorithms_thread_invariant(const netlist::Netlist& nl,
-                                             const asynclib::MappingHints& hints,
-                                             const core::ArchSpec& arch,
-                                             cad::FlowOptions opts) {
-    // A tiny min_coarse_nodes forces real coarsening levels even on the
-    // small fixture designs, so the matrix exercises a genuine V-cycle.
+void expect_vcycle_repeats(const netlist::Netlist& nl, const asynclib::MappingHints& hints,
+                           const core::ArchSpec& arch, cad::FlowOptions opts) {
     opts.place.min_coarse_nodes = 4;
-    expect_place_thread_matrix_identical(nl, hints, arch, opts,
-                                         cad::PlaceAlgorithm::Multilevel);
-    // Give the race real annealing replicas to schedule around the extra
-    // multilevel one.
-    opts.place.parallel_seeds = 3;
-    expect_place_thread_matrix_identical(nl, hints, arch, opts, cad::PlaceAlgorithm::Race);
+    const auto a = cad::run_flow(nl, hints, arch, opts);
+    const auto b = cad::run_flow(nl, hints, arch, opts);
+    expect_identical_flow_decisions(a, b);
+    EXPECT_EQ(testsupport::flow_fingerprint(a), testsupport::flow_fingerprint(b));
 }
 
-TEST(Determinism, QdiAdderInvariantAcrossPlaceAlgorithmAndThreads) {
+TEST(Determinism, QdiAdderVCycleSameSeedSameResult) {
     auto adder = asynclib::make_qdi_adder(2);
     cad::FlowOptions opts;
     opts.seed = 424242;
-    expect_both_algorithms_thread_invariant(adder.nl, adder.hints, core::ArchSpec{}, opts);
+    expect_vcycle_repeats(adder.nl, adder.hints, core::ArchSpec{}, opts);
 }
 
-TEST(Determinism, WchbFifoInvariantAcrossPlaceAlgorithmAndThreads) {
+TEST(Determinism, WchbFifoVCycleSameSeedSameResult) {
     auto fifo = asynclib::make_wchb_fifo(2, 2);
     cad::FlowOptions opts;
     opts.seed = 7;
-    expect_both_algorithms_thread_invariant(fifo.nl, fifo.hints, core::ArchSpec{}, opts);
+    expect_vcycle_repeats(fifo.nl, fifo.hints, core::ArchSpec{}, opts);
 }
 
-TEST(Determinism, LargerFabricInvariantAcrossPlaceAlgorithmAndThreads) {
+TEST(Determinism, LargerFabricVCycleSameSeedSameResult) {
     auto adder = asynclib::make_qdi_adder(4);
     core::ArchSpec arch;
     arch.width = arch.height = 13;
     arch.channel_width = 12;
     cad::FlowOptions opts;
     opts.seed = 99;
-    expect_both_algorithms_thread_invariant(adder.nl, adder.hints, arch, opts);
+    expect_vcycle_repeats(adder.nl, adder.hints, arch, opts);
 }
 
 TEST(Determinism, FingerprintReflectsSeedChange) {
     // Not a promise that every seed differs — just that the fingerprint is
-    // sensitive enough to notice when the annealer takes a different path.
+    // sensitive enough to notice when the placer takes a different path.
     auto adder = asynclib::make_qdi_adder(2);
     cad::FlowOptions s1;
     s1.seed = 1;

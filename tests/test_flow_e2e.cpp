@@ -166,7 +166,6 @@ TEST(FlowE2E, FifoFlowIsSeedStable) {
 cad::FlowResult expect_stable_default_compile(const netlist::Netlist& nl,
                                               const asynclib::MappingHints& hints) {
     const cad::FlowResult fr = cad::run_flow(nl, hints, core::ArchSpec{}, {});
-    EXPECT_EQ(fr.placement.engine, cad::PlaceEngine::Multilevel);
     expect_legal_placement(fr);
     EXPECT_TRUE(fr.routing.success);
     const core::ElaboratedDesign design = fr.elaborate();

@@ -2,11 +2,10 @@
 //  - PlaceCostEngine's incremental delta cost matches a from-scratch HPWL
 //    recomputation exactly after randomized move sequences, shared-net
 //    swaps and discarded proposals, and add_net rejects malformed nets;
-//  - PlaceGolden.* pin the annealer's move sequence on the paper designs;
-//  - the placer's incremental and pre-refactor rescan evaluators make
-//    bit-identical decisions (same placement, same cost) on a mixed
-//    cluster/IO design, which also pins down the stored Entity::io_slot
-//    against the old linear-search derivation;
+//  - PlaceGolden.* pin the polish anneal's move sequence on the paper
+//    designs;
+//  - PlaceModel's io slots index their entities, and the default placer's
+//    pads are distinct, on a mixed cluster/IO design;
 //  - incremental PathFinder rerouting produces legal (no overuse) routings
 //    of the same quality class as classic full rip-up;
 //  - multi-capacity channels (ArchSpec::wire_capacity) are honoured;
@@ -28,6 +27,7 @@
 #include "base/rng.hpp"
 #include "cad/flow.hpp"
 #include "cad/place_cost.hpp"
+#include "cad/place_model.hpp"
 
 namespace {
 
@@ -259,10 +259,10 @@ TEST(PlaceCostEngine, AddNetRejectsNetOverCountWidth) {
     EXPECT_NO_THROW(eng.add_net(net));
 }
 
-// The stored Entity::io_slot must agree with the pre-refactor linear-search
-// derivation on a design with both clusters and I/O pads: the two evaluators
-// are bit-identical, so the whole annealed placement must match exactly.
-TEST(PlaceIncremental, MatchesPreRefactorEvaluatorOnMixedDesign) {
+// On a design with both clusters and I/O pads, every io slot's entity
+// points back at that slot (the polish and the cost tables index pads
+// through it), and the default placer hands out distinct in-range pads.
+TEST(PlaceModel, IoSlotsIndexTheirEntitiesOnMixedDesign) {
     auto adder = asynclib::make_qdi_adder(3);
     const auto md = cad::techmap(adder.nl, adder.hints);
     core::ArchSpec arch;
@@ -271,24 +271,18 @@ TEST(PlaceIncremental, MatchesPreRefactorEvaluatorOnMixedDesign) {
     ASSERT_FALSE(md.primary_inputs.empty());
     ASSERT_FALSE(md.primary_outputs.empty());
 
-    cad::PlaceOptions inc;
-    inc.algorithm = cad::PlaceAlgorithm::Anneal;
-    inc.seed = 31;
-    cad::PlaceOptions legacy = inc;
-    legacy.incremental = false;
-    const auto a = cad::place(pd, md, arch, inc);
-    const auto b = cad::place(pd, md, arch, legacy);
+    const cad::PlaceModel model(pd, md, arch);
+    ASSERT_EQ(model.io_entity_ids.size(),
+              md.primary_inputs.size() + md.primary_outputs.size());
+    for (std::size_t i = 0; i < model.io_entity_ids.size(); ++i) {
+        const cad::PlaceEntity& e = model.entities[model.io_entity_ids[i]];
+        EXPECT_NE(e.kind, cad::PlaceEntity::Kind::Cluster) << "slot " << i;
+        EXPECT_EQ(e.io_slot, i);
+    }
 
-    ASSERT_EQ(a.cluster_loc.size(), b.cluster_loc.size());
-    for (std::size_t i = 0; i < a.cluster_loc.size(); ++i)
-        EXPECT_TRUE(a.cluster_loc[i] == b.cluster_loc[i]) << "cluster " << i;
-    EXPECT_EQ(a.pi_pad, b.pi_pad);
-    EXPECT_EQ(a.po_pad, b.po_pad);
-    EXPECT_DOUBLE_EQ(a.final_cost, b.final_cost);
-    EXPECT_EQ(a.moves_tried, b.moves_tried);
-    EXPECT_EQ(a.moves_accepted, b.moves_accepted);
-
-    // Pad assignment sanity on the mixed design: all pads distinct, in range.
+    cad::PlaceOptions opts;
+    opts.seed = 31;
+    const auto a = cad::place(pd, md, arch, opts);
     core::FabricGeometry geom(arch);
     std::set<std::uint32_t> pads;
     for (const auto& [name, pad] : a.pi_pad) {
@@ -302,12 +296,12 @@ TEST(PlaceIncremental, MatchesPreRefactorEvaluatorOnMixedDesign) {
 }
 
 // ---------------------------------------------------------------------------
-// Placement goldens. Each design is techmapped, packed and placed twice: a
-// cold anneal and a multilevel run (whose warm polish anneal drives the same
-// cost engine). The move counters, the final cost and an FNV-1a hash over
-// the cluster locations, the name-sorted pad assignment and the bits of the
-// cost trajectory pin every accept/reject decision of the annealer: any
-// change to the cost engine's arithmetic or the RNG draw order shows up here.
+// Placement goldens. Each design is techmapped, packed and placed by the
+// default placer, whose warm polish anneal drives the integer cost engine.
+// The move counters, the final cost and an FNV-1a hash over the cluster
+// locations, the name-sorted pad assignment and the bits of the cost
+// trajectory pin every accept/reject decision of the polish: any change to
+// the cost engine's arithmetic or the RNG draw order shows up here.
 // ---------------------------------------------------------------------------
 
 namespace place_golden {
@@ -362,7 +356,7 @@ struct Golden {
 };
 
 void expect_golden(Design design, std::size_t bits, std::size_t depth, std::uint32_t fabric,
-                   cad::PlaceAlgorithm algorithm, const Golden& g) {
+                   const Golden& g) {
     netlist::Netlist nl;
     asynclib::MappingHints hints;
     switch (design) {
@@ -390,7 +384,6 @@ void expect_golden(Design design, std::size_t bits, std::size_t depth, std::uint
     const auto pd = cad::pack(md, arch);
     cad::PlaceOptions opts;
     opts.seed = 7;
-    opts.algorithm = algorithm;
     const cad::Placement pl = cad::place(pd, md, arch, opts);
     EXPECT_EQ(pl.moves_tried, g.moves_tried);
     EXPECT_EQ(pl.moves_accepted, g.moves_accepted);
@@ -399,93 +392,48 @@ void expect_golden(Design design, std::size_t bits, std::size_t depth, std::uint
     EXPECT_EQ(placement_hash(pl), g.hash) << std::hex << "0x" << placement_hash(pl);
 }
 
-constexpr auto kAnneal = cad::PlaceAlgorithm::Anneal;
-constexpr auto kMultilevel = cad::PlaceAlgorithm::Multilevel;
-
 }  // namespace place_golden
 
 using place_golden::Design;
 using place_golden::expect_golden;
-using place_golden::kAnneal;
-using place_golden::kMultilevel;
-
-TEST(PlaceGolden, QdiAdder2Anneal) {
-    expect_golden(Design::QdiAdder, 2, 0, 10, kAnneal,
-                  {73100u, 24170u, 100, 84.0, 0x473755A271DAEA97ULL});
-}
 
 TEST(PlaceGolden, QdiAdder2Multilevel) {
-    expect_golden(Design::QdiAdder, 2, 0, 10, kMultilevel,
+    expect_golden(Design::QdiAdder, 2, 0, 10,
                   {5848u, 862u, 8, 87.0, 0x7BC006D51F39CE3AULL});
 }
 
-TEST(PlaceGolden, QdiAdder8Anneal) {
-    expect_golden(Design::QdiAdder, 8, 0, 16, kAnneal,
-                  {393546u, 137922u, 107, 415.0, 0x1AF0CBC4093ECBBFULL});
-}
-
 TEST(PlaceGolden, QdiAdder8Multilevel) {
-    expect_golden(Design::QdiAdder, 8, 0, 16, kMultilevel,
+    expect_golden(Design::QdiAdder, 8, 0, 16,
                   {29424u, 5444u, 8, 447.0, 0x68B7F1E5B099A536ULL});
 }
 
-TEST(PlaceGolden, QdiAdder4Anneal) {
-    expect_golden(Design::QdiAdder, 4, 0, 12, kAnneal,
-                  {166400u, 57427u, 104, 175.0, 0x35B6F333EC0B8F71ULL});
-}
-
 TEST(PlaceGolden, QdiAdder4Multilevel) {
-    expect_golden(Design::QdiAdder, 4, 0, 12, kMultilevel,
+    expect_golden(Design::QdiAdder, 4, 0, 12,
                   {12800u, 1742u, 8, 178.0, 0xD900546EF701314FULL});
 }
 
-TEST(PlaceGolden, MpAdder4Anneal) {
-    expect_golden(Design::MpAdder, 4, 0, 12, kAnneal,
-                  {68670u, 22489u, 105, 36.0, 0xD1B915D7C4B88784ULL});
-}
-
 TEST(PlaceGolden, MpAdder4Multilevel) {
-    expect_golden(Design::MpAdder, 4, 0, 12, kMultilevel,
+    expect_golden(Design::MpAdder, 4, 0, 12,
                   {5232u, 473u, 8, 36.0, 0x6E53B01F528E3B6FULL});
 }
 
-TEST(PlaceGolden, WchbFifo4x8Anneal) {
-    expect_golden(Design::WchbFifo, 4, 8, 12, kAnneal,
-                  {132200u, 44787u, 100, 163.0, 0xB151DFB0A542CE93ULL});
-}
-
 TEST(PlaceGolden, WchbFifo4x8Multilevel) {
-    expect_golden(Design::WchbFifo, 4, 8, 12, kMultilevel,
+    expect_golden(Design::WchbFifo, 4, 8, 12,
                   {10576u, 1261u, 8, 159.0, 0x52DBABFEF24D9D4BULL});
 }
 
-TEST(PlaceGolden, MpFifo4x8Anneal) {
-    expect_golden(Design::MpFifo, 4, 8, 12, kAnneal,
-                  {78540u, 25990u, 102, 83.0, 0x6E3ED5C0D9CA33F8ULL});
-}
-
 TEST(PlaceGolden, MpFifo4x8Multilevel) {
-    expect_golden(Design::MpFifo, 4, 8, 12, kMultilevel,
+    expect_golden(Design::MpFifo, 4, 8, 12,
                   {6160u, 723u, 8, 78.0, 0xACDD917B9E34FAE5ULL});
 }
 
-TEST(PlaceGolden, MousetrapFifo4x8Anneal) {
-    expect_golden(Design::MousetrapFifo, 4, 8, 12, kAnneal,
-                  {71968u, 23854u, 104, 80.0, 0xD5B960BE8D83FEEEULL});
-}
-
 TEST(PlaceGolden, MousetrapFifo4x8Multilevel) {
-    expect_golden(Design::MousetrapFifo, 4, 8, 12, kMultilevel,
+    expect_golden(Design::MousetrapFifo, 4, 8, 12,
                   {5536u, 716u, 8, 77.0, 0xF71E5F7A02F01939ULL});
 }
 
-TEST(PlaceGolden, WchbFifo8x24Anneal) {
-    expect_golden(Design::WchbFifo, 8, 24, 18, kAnneal,
-                  {930546u, 307370u, 102, 1187.0, 0xB3B97DEE40153773ULL});
-}
-
 TEST(PlaceGolden, WchbFifo8x24Multilevel) {
-    expect_golden(Design::WchbFifo, 8, 24, 18, kMultilevel,
+    expect_golden(Design::WchbFifo, 8, 24, 18,
                   {72984u, 10373u, 8, 1105.0, 0x5C00A5A17E57E78EULL});
 }
 

@@ -1,6 +1,7 @@
 // Fault injection for the FlowServer socket front-end: wire-vs-in-process
 // bit identity over both transports, request-level errors that must not kill
-// the connection, garbage bytes that must kill exactly one connection,
+// the connection, non-finite place knobs that must fail only their job,
+// garbage bytes that must kill exactly one connection,
 // client disconnects cancelling queued jobs and orphaning running ones,
 // cancel-after-disconnect, slow-reader backpressure with a bounded outbound
 // backlog, Busy queue-bound backpressure, graceful drain, and a multi-client
@@ -16,6 +17,7 @@
 #include <chrono>
 #include <cstring>
 #include <filesystem>
+#include <limits>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -182,6 +184,37 @@ TEST(FlowServer, RequestErrorsDoNotPoisonTheConnection) {
     // A streamed result is gone: a second Wait is UnknownJob, not a replay.
     EXPECT_THROW((void)client.wait(id), base::Error);
     EXPECT_EQ(server.stats().protocol_errors, 0u);  // none of these poison
+    server.stop();
+}
+
+TEST(FlowServer, NonFinitePlaceKnobsFailOnlyThatJob) {
+    // A Submit frame can carry any float bit pattern. A NaN coarsen_ratio or
+    // an infinite moves_scale must fail that job by name, not the daemon.
+    auto adder = asynclib::make_qdi_adder(2);
+    const core::ArchSpec arch;
+    cad::FlowServerOptions so;
+    so.unix_path = sock_path("nonfinite");
+    so.service.threads = 1;
+    cad::FlowServer server(std::move(so));
+    server.start();
+
+    cad::FlowClient client = cad::FlowClient::connect_unix(server.unix_path());
+    cad::RemoteJobSpec nan_ratio = adder_job(adder, arch, 1);
+    nan_ratio.opts.place.coarsen_ratio = std::numeric_limits<double>::quiet_NaN();
+    cad::RemoteJobSpec inf_moves = adder_job(adder, arch, 1);
+    inf_moves.opts.place.moves_scale = std::numeric_limits<double>::infinity();
+    const std::uint64_t id_nan = client.submit(nan_ratio);
+    const std::uint64_t id_inf = client.submit(inf_moves);
+    const std::uint64_t id_ok = client.submit(adder_job(adder, arch, 1));
+
+    const auto r_nan = client.wait(id_nan);
+    EXPECT_EQ(r_nan.status, cad::FlowJobStatus::Failed);
+    EXPECT_NE(r_nan.error.find("coarsen_ratio"), std::string::npos) << r_nan.error;
+    const auto r_inf = client.wait(id_inf);
+    EXPECT_EQ(r_inf.status, cad::FlowJobStatus::Failed);
+    EXPECT_NE(r_inf.error.find("moves_scale"), std::string::npos) << r_inf.error;
+    EXPECT_TRUE(client.wait(id_ok).ok());
+    EXPECT_EQ(server.stats().protocol_errors, 0u);
     server.stop();
 }
 

@@ -10,6 +10,7 @@
 
 #include <atomic>
 #include <filesystem>
+#include <limits>
 #include <string>
 #include <thread>
 #include <vector>
@@ -20,6 +21,7 @@
 #include "cad/artifact.hpp"
 #include "cad/flow.hpp"
 #include "cad/flow_service.hpp"
+#include "cad/wire.hpp"
 #include "support/flow_fixtures.hpp"
 
 namespace {
@@ -273,6 +275,46 @@ TEST(FlowService, FailuresAreIsolatedPerJob) {
     EXPECT_EQ(svc.wait(id_big).status, cad::FlowJobStatus::Failed);
     EXPECT_FALSE(svc.wait(id_big).error.empty());
     EXPECT_TRUE(svc.wait(id_small).ok()) << svc.wait(id_small).error;
+}
+
+// The place knobs a Submit frame carries reach size casts in the placer.
+// Non-finite values pass the wire codec (it carries bit patterns) and must
+// then fail their own job by name, leaving the service and its other jobs
+// alone.
+TEST(FlowService, NonFinitePlaceKnobsFailTheJobByName) {
+    auto adder = asynclib::make_qdi_adder(2);
+    auto through_wire = [](const cad::FlowOptions& o) {
+        cad::BlobWriter w;
+        cad::wire::encode_flow_options(o, w);
+        const std::vector<std::uint8_t> bytes = std::move(w).take();
+        cad::BlobReader r(bytes);
+        return cad::wire::decode_flow_options(r);
+    };
+    cad::FlowOptions nan_ratio;
+    nan_ratio.place.coarsen_ratio = std::numeric_limits<double>::quiet_NaN();
+    cad::FlowOptions inf_moves;
+    inf_moves.place.moves_scale = std::numeric_limits<double>::infinity();
+
+    cad::FlowService svc;
+    auto submit = [&](const char* name, const cad::FlowOptions& opts) {
+        cad::FlowJob j;
+        j.name = name;
+        j.nl = &adder.nl;
+        j.hints = &adder.hints;
+        j.opts = through_wire(opts);
+        return svc.submit(std::move(j));
+    };
+    const auto id_nan = submit("nan_ratio", nan_ratio);
+    const auto id_inf = submit("inf_moves", inf_moves);
+    const auto id_ok = submit("fits", {});
+
+    const cad::FlowJobResult& r_nan = svc.wait(id_nan);
+    EXPECT_EQ(r_nan.status, cad::FlowJobStatus::Failed);
+    EXPECT_NE(r_nan.error.find("coarsen_ratio"), std::string::npos) << r_nan.error;
+    const cad::FlowJobResult& r_inf = svc.wait(id_inf);
+    EXPECT_EQ(r_inf.status, cad::FlowJobStatus::Failed);
+    EXPECT_NE(r_inf.error.find("moves_scale"), std::string::npos) << r_inf.error;
+    EXPECT_TRUE(svc.wait(id_ok).ok()) << svc.wait(id_ok).error;
 }
 
 TEST(FlowService, CancelDropsQueuedJobs) {

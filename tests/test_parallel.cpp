@@ -1,5 +1,4 @@
-// The parallel CAD subsystem: thread-pool semantics, determinism of
-// multi-seed placement racing under different pool sizes, and the concurrent
+// The parallel CAD subsystem: thread-pool semantics and the concurrent
 // BatchFlowRunner against its sequential equivalent. Everything here must
 // also run clean under ThreadSanitizer (the CI tsan leg executes this
 // binary); tests deliberately push work through pools wider and narrower
@@ -8,20 +7,15 @@
 
 #include <atomic>
 #include <cstdlib>
-#include <set>
 #include <string>
 #include <vector>
 
 #include "asynclib/adders.hpp"
 #include "asynclib/fifos.hpp"
 #include "base/check.hpp"
-#include "base/rng.hpp"
 #include "base/threadpool.hpp"
 #include "cad/batch.hpp"
 #include "cad/flow.hpp"
-#include "cad/pack.hpp"
-#include "cad/place.hpp"
-#include "cad/techmap.hpp"
 #include "support/flow_fixtures.hpp"
 
 namespace {
@@ -82,121 +76,6 @@ TEST(ThreadPool, DefaultWorkersHonoursEnv) {
         }
     }
     EXPECT_GE(base::ThreadPool::default_workers(), 1u);
-}
-
-// ---------------------------------------------------------------------------
-// Multi-seed placement racing
-// ---------------------------------------------------------------------------
-
-struct PlacedDesign {
-    cad::MappedDesign md;
-    cad::PackedDesign pd;
-    core::ArchSpec arch;
-};
-
-PlacedDesign prepare_adder(std::size_t bits) {
-    auto adder = asynclib::make_qdi_adder(bits);
-    PlacedDesign out;
-    out.md = cad::techmap(adder.nl, adder.hints, {});
-    out.pd = cad::pack(out.md, out.arch, {});
-    return out;
-}
-
-void expect_same_placement(const cad::Placement& a, const cad::Placement& b) {
-    ASSERT_EQ(a.cluster_loc.size(), b.cluster_loc.size());
-    for (std::size_t i = 0; i < a.cluster_loc.size(); ++i)
-        EXPECT_TRUE(a.cluster_loc[i] == b.cluster_loc[i]) << "cluster " << i;
-    EXPECT_EQ(a.pi_pad, b.pi_pad);
-    EXPECT_EQ(a.po_pad, b.po_pad);
-    EXPECT_EQ(a.final_cost, b.final_cost);
-    EXPECT_EQ(a.winner_replica, b.winner_replica);
-}
-
-TEST(ParallelPlace, PoolSizeDoesNotChangeTheWinner) {
-    const PlacedDesign d = prepare_adder(2);
-    cad::PlaceOptions opts;
-    opts.algorithm = cad::PlaceAlgorithm::Anneal;
-    opts.seed = 11;
-    opts.parallel_seeds = 4;
-    opts.threads = 1;
-    const cad::Placement serial = cad::place(d.pd, d.md, d.arch, opts);
-    ASSERT_EQ(serial.replicas.size(), 4u);
-    for (unsigned t : {2u, 4u}) {
-        opts.threads = t;
-        const cad::Placement racy = cad::place(d.pd, d.md, d.arch, opts);
-        expect_same_placement(serial, racy);
-        ASSERT_EQ(racy.replicas.size(), 4u);
-        for (std::size_t i = 0; i < 4; ++i) {
-            EXPECT_EQ(serial.replicas[i].seed, racy.replicas[i].seed) << "replica " << i;
-            EXPECT_EQ(serial.replicas[i].final_cost, racy.replicas[i].final_cost)
-                << "replica " << i;
-            EXPECT_EQ(serial.replicas[i].cost_trajectory, racy.replicas[i].cost_trajectory)
-                << "replica " << i;
-        }
-    }
-}
-
-TEST(ParallelPlace, ReplicaResultsArePureFunctionsOfTheirSeed) {
-    // Growing the race keeps the existing replicas' per-seed QoR bit-identical
-    // (N=2 is a prefix of N=4), and every replica equals a single-seed run
-    // with the same derived seed.
-    const PlacedDesign d = prepare_adder(2);
-    cad::PlaceOptions opts;
-    opts.algorithm = cad::PlaceAlgorithm::Anneal;
-    opts.seed = 23;
-    opts.parallel_seeds = 2;
-    const cad::Placement two = cad::place(d.pd, d.md, d.arch, opts);
-    opts.parallel_seeds = 4;
-    const cad::Placement four = cad::place(d.pd, d.md, d.arch, opts);
-    ASSERT_EQ(two.replicas.size(), 2u);
-    ASSERT_EQ(four.replicas.size(), 4u);
-    for (std::size_t i = 0; i < 2; ++i) {
-        EXPECT_EQ(two.replicas[i].seed, four.replicas[i].seed);
-        EXPECT_EQ(two.replicas[i].final_cost, four.replicas[i].final_cost);
-    }
-    // Cross-check replica 1 against a plain single-seed anneal.
-    cad::PlaceOptions single;
-    single.algorithm = cad::PlaceAlgorithm::Anneal;
-    single.seed = base::Rng::derive_seed(23, 1);
-    const cad::Placement alone = cad::place(d.pd, d.md, d.arch, single);
-    EXPECT_EQ(alone.final_cost, four.replicas[1].final_cost);
-}
-
-TEST(ParallelPlace, WinnerIsMinCostThenLowestReplica) {
-    const PlacedDesign d = prepare_adder(2);
-    cad::PlaceOptions opts;
-    opts.algorithm = cad::PlaceAlgorithm::Anneal;
-    opts.seed = 31;
-    opts.parallel_seeds = 4;
-    const cad::Placement pl = cad::place(d.pd, d.md, d.arch, opts);
-    ASSERT_EQ(pl.replicas.size(), 4u);
-    for (std::size_t i = 0; i < pl.replicas.size(); ++i) {
-        if (i < pl.winner_replica)
-            EXPECT_GT(pl.replicas[i].final_cost, pl.final_cost) << "replica " << i;
-        else
-            EXPECT_GE(pl.replicas[i].final_cost, pl.final_cost) << "replica " << i;
-    }
-    EXPECT_EQ(pl.final_cost, pl.replicas[pl.winner_replica].final_cost);
-}
-
-// ---------------------------------------------------------------------------
-// Whole-flow determinism under parallelism
-// ---------------------------------------------------------------------------
-
-TEST(ParallelFlow, FingerprintInvariantUnderPoolSize) {
-    auto adder = asynclib::make_qdi_adder(2);
-    cad::FlowOptions opts;
-    opts.seed = 77;
-    opts.place.algorithm = cad::PlaceAlgorithm::Anneal;
-    opts.place.parallel_seeds = 4;
-    std::set<std::string> fingerprints;
-    for (unsigned t : {1u, 2u, 4u}) {
-        opts.place.threads = t;
-        const auto fr = cad::run_flow(adder.nl, adder.hints, core::ArchSpec{}, opts);
-        fingerprints.insert(testsupport::flow_fingerprint(fr));
-    }
-    EXPECT_EQ(fingerprints.size(), 1u)
-        << "placement race winner depended on the pool size";
 }
 
 // ---------------------------------------------------------------------------
@@ -284,30 +163,6 @@ TEST(BatchFlow, JobFailureIsIsolated) {
     const std::string report = runner.report_json(results);
     EXPECT_NE(report.find("\"jobs_ok\":2"), std::string::npos) << report;
     EXPECT_NE(report.find("\"jobs_total\":3"), std::string::npos) << report;
-}
-
-TEST(BatchFlow, ParallelSeedsInsideBatchJobsStaysDeterministic) {
-    // The two tiers compose: batch jobs that each race placement replicas
-    // still reproduce the sequential result.
-    auto adder = asynclib::make_qdi_adder(2);
-    cad::BatchJob j;
-    j.name = "racing";
-    j.nl = &adder.nl;
-    j.hints = &adder.hints;
-    j.opts.seed = 13;
-    j.opts.place.algorithm = cad::PlaceAlgorithm::Anneal;
-    j.opts.place.parallel_seeds = 3;
-    j.opts.place.threads = 2;
-
-    const core::ArchSpec arch;
-    cad::BatchFlowRunner runner(arch, {.threads = 2, .share_rr = true});
-    const auto results = runner.run({j, j});
-    ASSERT_TRUE(results[0].ok && results[1].ok);
-    const auto solo = cad::run_flow(*j.nl, *j.hints, arch, j.opts);
-    EXPECT_EQ(testsupport::flow_fingerprint(results[0].result),
-              testsupport::flow_fingerprint(solo));
-    EXPECT_EQ(testsupport::flow_fingerprint(results[1].result),
-              testsupport::flow_fingerprint(solo));
 }
 
 }  // namespace

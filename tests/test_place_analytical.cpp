@@ -1,7 +1,6 @@
-// Analytical placement: the Tetris legalizer's determinism and stats, the
-// B2B solver's option contract and engine tagging on the flat (single-level,
-// `max_levels = 0`) schedule of the multilevel engine, and the race winner
-// semantics when the multilevel replica joins the anneal pool.
+// Analytical placement: the Tetris legalizer's determinism and stats, and
+// the B2B solver's option contract on the flat (single-level,
+// `max_levels = 0`) schedule of the multilevel engine.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -90,7 +89,6 @@ Design make_design() {
 /// The multilevel engine with coarsening off: one level, full schedule.
 cad::PlaceOptions flat_opts() {
     cad::PlaceOptions opts;
-    opts.algorithm = cad::PlaceAlgorithm::Multilevel;
     opts.max_levels = 0;
     return opts;
 }
@@ -107,7 +105,7 @@ void expect_legal(const cad::Placement& pl, const core::ArchSpec& arch) {
     for (const auto& [name, pad] : pl.po_pad) EXPECT_TRUE(pads.insert(pad).second) << name;
 }
 
-TEST(PlaceAnalytical, LegalDeterministicAndTagged) {
+TEST(PlaceAnalytical, LegalAndDeterministic) {
     const Design d = make_design();
     cad::PlaceOptions opts = flat_opts();
     opts.seed = 11;
@@ -115,9 +113,7 @@ TEST(PlaceAnalytical, LegalDeterministicAndTagged) {
     const auto b = cad::place(d.pd, d.md, d.arch, opts);
 
     expect_legal(a, d.arch);
-    EXPECT_EQ(a.engine, cad::PlaceEngine::Multilevel);
     EXPECT_EQ(a.analytical.levels.size(), 1u);
-    EXPECT_TRUE(a.replicas.empty());
     ASSERT_EQ(a.cluster_loc.size(), b.cluster_loc.size());
     for (std::size_t i = 0; i < a.cluster_loc.size(); ++i)
         EXPECT_TRUE(a.cluster_loc[i] == b.cluster_loc[i]) << i;
@@ -158,62 +154,9 @@ TEST(PlaceAnalytical, PolishOffSkipsTheAnneal) {
     opts.polish_rounds = 0;
     const auto pl = cad::place(d.pd, d.md, d.arch, opts);
     expect_legal(pl, d.arch);
-    EXPECT_EQ(pl.engine, cad::PlaceEngine::Multilevel);
     EXPECT_EQ(pl.moves_tried, 0u);
     EXPECT_EQ(pl.anneal_rounds, 0);
     EXPECT_GT(pl.final_cost, 0.0);
-}
-
-// --- race -------------------------------------------------------------------
-
-TEST(PlaceRace, MultilevelJoinsAsFinalReplicaAndLexMinWins) {
-    const Design d = make_design();
-    cad::PlaceOptions opts;
-    opts.algorithm = cad::PlaceAlgorithm::Race;
-    opts.parallel_seeds = 3;
-    opts.seed = 5;
-    const auto pl = cad::place(d.pd, d.md, d.arch, opts);
-    expect_legal(pl, d.arch);
-
-    // parallel_seeds anneal replicas, then exactly one multilevel replica.
-    ASSERT_EQ(pl.replicas.size(), static_cast<std::size_t>(opts.parallel_seeds) + 1);
-    for (std::size_t i = 0; i < 3; ++i)
-        EXPECT_EQ(pl.replicas[i].engine, cad::PlaceEngine::Anneal) << i;
-    EXPECT_EQ(pl.replicas[3].engine, cad::PlaceEngine::Multilevel);
-
-    // Winner is the lexicographic minimum of (final_cost, replica index).
-    std::size_t expect_winner = 0;
-    for (std::size_t i = 1; i < pl.replicas.size(); ++i)
-        if (pl.replicas[i].final_cost < pl.replicas[expect_winner].final_cost)
-            expect_winner = i;
-    EXPECT_EQ(pl.winner_replica, expect_winner);
-    EXPECT_EQ(pl.final_cost, pl.replicas[expect_winner].final_cost);
-    EXPECT_EQ(pl.engine, pl.replicas[expect_winner].engine);
-}
-
-TEST(PlaceRace, PoolSizeNeverChangesTheWinner) {
-    const Design d = make_design();
-    cad::PlaceOptions opts;
-    opts.algorithm = cad::PlaceAlgorithm::Race;
-    opts.parallel_seeds = 2;
-    opts.seed = 5;
-    cad::Placement ref;
-    for (unsigned t : {1u, 2u, 4u, 8u}) {
-        opts.threads = t;
-        auto pl = cad::place(d.pd, d.md, d.arch, opts);
-        ASSERT_EQ(pl.replicas.size(), static_cast<std::size_t>(opts.parallel_seeds) + 1) << t;
-        EXPECT_EQ(pl.replicas.back().engine, cad::PlaceEngine::Multilevel) << t;
-        if (t == 1u) {
-            ref = std::move(pl);
-            continue;
-        }
-        EXPECT_EQ(pl.winner_replica, ref.winner_replica) << t;
-        EXPECT_EQ(pl.final_cost, ref.final_cost) << t;
-        EXPECT_EQ(pl.engine, ref.engine) << t;
-        ASSERT_EQ(pl.cluster_loc.size(), ref.cluster_loc.size());
-        for (std::size_t i = 0; i < pl.cluster_loc.size(); ++i)
-            EXPECT_TRUE(pl.cluster_loc[i] == ref.cluster_loc[i]) << t << " threads, cluster " << i;
-    }
 }
 
 }  // namespace

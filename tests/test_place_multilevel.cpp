@@ -185,16 +185,14 @@ void expect_legal(const cad::Placement& pl, const core::ArchSpec& arch) {
     for (const auto& [name, pad] : pl.po_pad) EXPECT_TRUE(pads.insert(pad).second) << name;
 }
 
-TEST(PlaceMultilevel, LegalDeterministicAndTagged) {
+TEST(PlaceMultilevel, LegalAndDeterministic) {
     const Design d = make_design();
     cad::PlaceOptions opts;
-    opts.algorithm = cad::PlaceAlgorithm::Multilevel;
     opts.seed = 3;
     opts.min_coarse_nodes = 4;  // force real levels on the small fixture
     const auto a = cad::place(d.pd, d.md, d.arch, opts);
     const auto b = cad::place(d.pd, d.md, d.arch, opts);
     expect_legal(a, d.arch);
-    EXPECT_EQ(a.engine, cad::PlaceEngine::Multilevel);
     EXPECT_GT(a.final_cost, 0.0);
     ASSERT_EQ(a.cluster_loc.size(), b.cluster_loc.size());
     for (std::size_t i = 0; i < a.cluster_loc.size(); ++i)
@@ -207,7 +205,6 @@ TEST(PlaceMultilevel, LegalDeterministicAndTagged) {
 TEST(PlaceMultilevel, PerLevelTelemetryDescribesTheVCycle) {
     const Design d = make_design();
     cad::PlaceOptions opts;
-    opts.algorithm = cad::PlaceAlgorithm::Multilevel;
     opts.seed = 3;
     opts.min_coarse_nodes = 4;
     opts.polish_rounds = 0;
@@ -244,7 +241,6 @@ TEST(PlaceMultilevel, PerLevelTelemetryDescribesTheVCycle) {
 // schedule plus the closing solve.
 void expect_single_level_full_schedule(const Design& d, const cad::PlaceOptions& opts) {
     const auto pl = cad::place(d.pd, d.md, d.arch, opts);
-    EXPECT_EQ(pl.engine, cad::PlaceEngine::Multilevel);
     ASSERT_EQ(pl.analytical.levels.size(), 1u);
     const cad::LevelStats& ls = pl.analytical.levels[0];
     EXPECT_EQ(ls.nodes, static_cast<std::uint64_t>(pl.cluster_loc.size()));
@@ -255,7 +251,6 @@ void expect_single_level_full_schedule(const Design& d, const cad::PlaceOptions&
 TEST(PlaceMultilevel, NoCoarseningRunsTheFullScheduleOnOneLevel) {
     const Design d = make_design();
     cad::PlaceOptions opts;
-    opts.algorithm = cad::PlaceAlgorithm::Multilevel;
     opts.seed = 3;
     opts.max_levels = 0;
     expect_single_level_full_schedule(d, opts);

@@ -94,20 +94,6 @@ cad::Placement make_placement() {
     pl.moves_accepted = 420;
     pl.anneal_rounds = 7;
     pl.cost_trajectory = {30.0, 20.0, 12.5};
-    cad::PlaceReplica r0;
-    r0.seed = 99;
-    r0.final_cost = 13.0;
-    r0.wall_ms = 1.5;
-    r0.cost_trajectory = {31.0, 13.0};
-    cad::PlaceReplica r1;
-    r1.seed = 100;
-    r1.final_cost = 12.5;
-    r1.wall_ms = 1.25;
-    r1.cost_trajectory = {29.0, 12.5};
-    r1.engine = cad::PlaceEngine::Multilevel;
-    pl.replicas = {r0, r1};
-    pl.winner_replica = 1;
-    pl.engine = cad::PlaceEngine::Multilevel;
     pl.analytical.solver_iterations = 321;
     pl.analytical.solver_passes = 9;
     pl.analytical.spread_passes = 8;
@@ -315,16 +301,6 @@ TEST(SerializeCodec, PlacementRoundtrip) {
     EXPECT_EQ(back.moves_accepted, pl.moves_accepted);
     EXPECT_EQ(back.anneal_rounds, pl.anneal_rounds);
     EXPECT_EQ(back.cost_trajectory, pl.cost_trajectory);
-    ASSERT_EQ(back.replicas.size(), pl.replicas.size());
-    for (std::size_t i = 0; i < pl.replicas.size(); ++i) {
-        EXPECT_EQ(back.replicas[i].seed, pl.replicas[i].seed);
-        EXPECT_EQ(back.replicas[i].final_cost, pl.replicas[i].final_cost);
-        EXPECT_EQ(back.replicas[i].wall_ms, pl.replicas[i].wall_ms);
-        EXPECT_EQ(back.replicas[i].cost_trajectory, pl.replicas[i].cost_trajectory);
-        EXPECT_EQ(back.replicas[i].engine, pl.replicas[i].engine);
-    }
-    EXPECT_EQ(back.winner_replica, pl.winner_replica);
-    EXPECT_EQ(back.engine, pl.engine);
     EXPECT_EQ(back.analytical.solver_iterations, pl.analytical.solver_iterations);
     EXPECT_EQ(back.analytical.solver_passes, pl.analytical.solver_passes);
     EXPECT_EQ(back.analytical.spread_passes, pl.analytical.spread_passes);
@@ -511,23 +487,6 @@ TEST(SerializeRobustness, CorruptCountFailsBeforeAllocating) {
     w.u64(0x2000000000000000ULL);
     EXPECT_THROW((void)cad::ArtifactCodec<cad::MappedDesign>::decode_blob(w.bytes()),
                  base::Error);
-}
-
-TEST(SerializeRobustness, PlacementRejectsRetiredEngineTag) {
-    // Tag 1 was the flat analytical engine. It is retired, so a blob that
-    // carries it — in any replica or as the winner — must not decode.
-    const auto retired = static_cast<cad::PlaceEngine>(1);
-    const std::size_t num_replicas = make_placement().replicas.size();
-    for (std::size_t slot = 0; slot <= num_replicas; ++slot) {
-        cad::Placement pl = make_placement();
-        if (slot < num_replicas)
-            pl.replicas[slot].engine = retired;
-        else
-            pl.engine = retired;
-        const auto blob = cad::ArtifactCodec<cad::Placement>::encode_blob(pl);
-        EXPECT_THROW((void)cad::ArtifactCodec<cad::Placement>::decode_blob(blob), base::Error)
-            << "slot " << slot;
-    }
 }
 
 TEST(SerializeRobustness, DecodeArchRejectsGarbage) {

@@ -272,7 +272,7 @@ TEST(WireCodec, FlowOptionsRoundTripNonDefaults) {
     o.pack.affinity_clustering = false;
     o.place.algorithm = cad::PlaceAlgorithm::Multilevel;
     o.place.threads = 3;
-    o.place.alpha = 0.123;
+    o.place.moves_scale = 0.123;
     o.route.astar_fac = 0.0;
     o.route.threads = 2;
     o.route.max_iterations = 17;
@@ -285,6 +285,7 @@ TEST(WireCodec, FlowOptionsRoundTripNonDefaults) {
     r.expect_end();
     EXPECT_EQ(back.seed, o.seed);
     EXPECT_EQ(back.place.algorithm, o.place.algorithm);
+    EXPECT_EQ(back.place.moves_scale, o.place.moves_scale);
     EXPECT_EQ(back.route.max_iterations, o.route.max_iterations);
     cad::BlobWriter w2;
     wire::encode_flow_options(back, w2);
@@ -292,20 +293,20 @@ TEST(WireCodec, FlowOptionsRoundTripNonDefaults) {
 }
 
 TEST(WireCodec, FlowOptionsRejectRetiredPlaceAlgorithm) {
-    // Tag 1 was the flat analytical engine. It is retired, so it must not
-    // decode (place() would otherwise silently anneal); the live tags do.
-    for (const std::uint8_t tag : {0, 1, 2, 3, 4}) {
+    // Tags 0 (cold annealer), 1 (flat analytical engine) and 2 (replica
+    // race) are retired and 4+ never existed; only the V-cycle decodes.
+    for (const std::uint8_t tag : {0, 1, 2, 3, 4, 255}) {
         cad::FlowOptions o;
         o.place.algorithm = static_cast<cad::PlaceAlgorithm>(tag);
         cad::BlobWriter w;
         wire::encode_flow_options(o, w);
         const std::vector<std::uint8_t> bytes = std::move(w).take();
         cad::BlobReader r(bytes);
-        if (tag == 1 || tag == 4)
-            EXPECT_THROW((void)wire::decode_flow_options(r), base::Error) << int{tag};
+        if (tag == 3)
+            EXPECT_EQ(wire::decode_flow_options(r).place.algorithm,
+                      cad::PlaceAlgorithm::Multilevel);
         else
-            EXPECT_EQ(wire::decode_flow_options(r).place.algorithm, o.place.algorithm)
-                << int{tag};
+            EXPECT_THROW((void)wire::decode_flow_options(r), base::Error) << int{tag};
     }
 }
 
