@@ -1,23 +1,22 @@
-// CAD flow scaling sweep: run the full techmap -> pack -> place -> route ->
-// bitstream flow on generated designs across increasing fabric sizes, with
-// the default placer on both sides, once with incremental PathFinder and
-// once with the router's full rip-up every iteration, and emit
-// BENCH_flow.json with per-stage wall times, router iterations, total
-// wirelength and the end-to-end speedup per design.
+// CAD flow scaling sweep: the parallel and cached paths of the flow across
+// thread counts and fabric sizes, written to BENCH_flow.json.
 //
-// A second section sweeps the parallel CAD subsystem over thread counts
-// (1/2/4/8): the concurrent BatchFlowRunner (8 jobs), in-flow parallel
-// routing and RR-graph construction, reporting wall-clock speedup against
-// the one-worker run plus the QoR delta / bit-identity checks that prove
-// parallelism never changes results.
+// Tiers, in output order:
+//  - parallel_route: the partitioned PathFinder at threads 0/1/2/4/8, with
+//    the bitstream bit-identical at every point;
+//  - route_kernel (gated): the pooled search kernel against the retained
+//    reference kernel;
+//  - rr_build: parallel RR-graph construction against the serial build;
+//  - artifact_cache (gated): disk-warm restart and a tight-budget soak of
+//    the two-tier artifact store;
+//  - placer_scale (gated): the multilevel V-cycle against its own flat,
+//    single-level schedule (`max_levels = 0`);
+//  - flow_server (gated): concurrent clients through the socket front-end:
+//    p50/p95/p99 submit->result latency, throughput, Busy backpressure and
+//    bit identity against in-process run_flow.
 //
-// The placer_scale tier gates the multilevel V-cycle against its own flat,
-// single-level schedule (`max_levels = 0`); any gate violation makes the
-// bench exit non-zero.
-//
-// The flow_server tier drives the socket front-end with concurrent clients
-// over a Unix socket: p50/p95/p99 submit->result latency, throughput, Busy
-// backpressure counts, and a bit-identity gate against in-process run_flow.
+// Every gated tier publishes `gates: {name: {value, threshold, ok}}` and a
+// `gate_ok` conjunction; the bench exits non-zero when any gate fails.
 //
 // Usage: cad_scaling [--smoke] [--reps N] [--out FILE]
 //   --smoke   only the smallest fabric and thread counts {1,2}, one rep
@@ -33,6 +32,8 @@
 #include <fstream>
 #include <string>
 #include <thread>
+#include <utility>
+#include <variant>
 #include <vector>
 
 #include "asynclib/adders.hpp"
@@ -41,7 +42,6 @@
 #include "base/json.hpp"
 #include "base/threadpool.hpp"
 #include "base/timer.hpp"
-#include "cad/batch.hpp"
 #include "cad/flow.hpp"
 #include "cad/flow_client.hpp"
 #include "cad/flow_server.hpp"
@@ -69,23 +69,58 @@ struct RunResult {
     cad::FlowResult fr;  // of the best rep
 };
 
-RunResult run_flow_best(const netlist::Netlist& nl, const asynclib::MappingHints& hints,
-                        const core::ArchSpec& arch, bool incremental, int reps) {
-    RunResult best;
-    for (int r = 0; r < reps; ++r) {
-        cad::FlowOptions opts;
-        opts.seed = 7;
-        opts.route.incremental = incremental;
-        base::WallTimer t;
-        auto fr = cad::run_flow(nl, hints, arch, opts);
-        const double ms = t.elapsed_ms();
-        if (ms < best.total_ms) {
-            best.total_ms = ms;
-            best.fr = std::move(fr);
-        }
+/// One tier's pass/fail checks, written as
+/// `"gates": {name: {"value", "threshold", "ok"}}` plus their conjunction
+/// `"gate_ok"`. A yes/no check records its flag as `value` against a
+/// `threshold` of true; a measured check records the number and the bound
+/// it was held to, with the comparison its name states.
+class Gates {
+public:
+    /// A flag that must be true.
+    void require(std::string name, bool value) {
+        gates_.push_back({std::move(name), value, true, value});
     }
-    return best;
-}
+    /// A measured value held against `threshold`; `ok` is the verdict.
+    void check(std::string name, double value, double threshold, bool ok) {
+        gates_.push_back({std::move(name), value, threshold, ok});
+    }
+
+    [[nodiscard]] bool ok() const {
+        return std::all_of(gates_.begin(), gates_.end(), [](const Gate& g) { return g.ok; });
+    }
+
+    void write(base::JsonWriter& w) const {
+        w.key("gates").begin_object();
+        for (const Gate& g : gates_) {
+            w.key(g.name).begin_object();
+            w.key("value");
+            std::visit([&](auto v) { w.value(v); }, g.value);
+            w.key("threshold");
+            std::visit([&](auto v) { w.value(v); }, g.threshold);
+            w.key("ok").value(g.ok);
+            w.end_object();
+        }
+        w.end_object();
+        w.key("gate_ok").value(ok());
+    }
+
+    /// Name every failed gate on stderr; returns ok().
+    bool report(const char* tier) const {
+        for (const Gate& g : gates_)
+            if (!g.ok)
+                std::fprintf(stderr, "cad_scaling: %s gate '%s' failed\n", tier, g.name.c_str());
+        return ok();
+    }
+
+private:
+    struct Gate {
+        std::string name;
+        std::variant<bool, double> value;
+        std::variant<bool, double> threshold;
+        bool ok;
+    };
+    std::vector<Gate> gates_;
+};
 
 }  // namespace
 
@@ -105,17 +140,9 @@ int main(int argc, char** argv) {
             return 2;
         }
     }
-
-    std::vector<SweepPoint> sweep{
-        {4, 10, 12},
-        {8, 14, 14},
-        {16, 20, 16},
-        {24, 24, 16},
-    };
-    if (smoke) {
-        sweep.resize(1);
-        reps = 1;
-    }
+    if (smoke) reps = 1;
+    // The routed design of the parallel_route and route_kernel tiers.
+    const SweepPoint routed = smoke ? SweepPoint{4, 10, 12} : SweepPoint{24, 24, 16};
 
     base::JsonWriter w;
     w.begin_object();
@@ -123,51 +150,12 @@ int main(int argc, char** argv) {
     w.key("reps").value(reps);
     // Machine-detectable parallelism context: every thread-sweep speedup in
     // this file is only meaningful when the hardware actually has that many
-    // cores (the dev container famously has one). Consumers should compare
-    // each sweep's thread count against hardware_concurrency instead of
-    // trusting a prose footnote.
+    // cores. Consumers should compare each sweep's thread count against
+    // hardware_concurrency instead of trusting a prose footnote.
     const unsigned hw_threads = std::thread::hardware_concurrency();
     w.key("hardware_concurrency").value(std::uint64_t{hw_threads});
     w.key("effective_workers")
         .value(std::uint64_t{base::ThreadPool::default_workers()});
-    w.key("designs").begin_array();
-
-    for (const SweepPoint& pt : sweep) {
-        auto adder = asynclib::make_qdi_adder(pt.adder_bits);
-        core::ArchSpec arch;
-        arch.width = pt.fabric;
-        arch.height = pt.fabric;
-        arch.channel_width = pt.channel_width;
-
-        const RunResult opt = run_flow_best(adder.nl, adder.hints, arch, true, reps);
-        const RunResult base = run_flow_best(adder.nl, adder.hints, arch, false, reps);
-        const double speedup = base.total_ms / opt.total_ms;
-
-        std::printf("qdi_adder_%zu on %ux%u cw=%u: optimized %.1f ms, baseline %.1f ms, "
-                    "speedup %.2fx, route iters %d, wirelength %zu\n",
-                    pt.adder_bits, pt.fabric, pt.fabric, pt.channel_width, opt.total_ms,
-                    base.total_ms, speedup, opt.fr.routing.iterations,
-                    opt.fr.routing.wirelength);
-
-        w.begin_object();
-        w.key("name").value("qdi_adder_" + std::to_string(pt.adder_bits));
-        w.key("fabric").value(std::to_string(pt.fabric) + "x" + std::to_string(pt.fabric));
-        w.key("channel_width").value(std::uint64_t{pt.channel_width});
-        w.key("clusters").value(std::uint64_t{opt.fr.packed.clusters.size()});
-        w.key("nets").value(std::uint64_t{opt.fr.routing.trees.size()});
-        w.key("optimized_total_ms").value(opt.total_ms);
-        w.key("baseline_total_ms").value(base.total_ms);
-        w.key("speedup").value(speedup);
-        w.key("route_iterations").value(opt.fr.routing.iterations);
-        w.key("nets_rerouted").value(std::uint64_t{opt.fr.routing.nets_rerouted});
-        w.key("wirelength").value(std::uint64_t{opt.fr.routing.wirelength});
-        w.key("placement_cost").value(opt.fr.placement.final_cost);
-        // Per-stage wall times and trajectories of the optimized flow.
-        w.key("telemetry").raw(opt.fr.telemetry.to_json());
-        w.end_object();
-    }
-
-    w.end_array();
 
     // --- parallel subsystem sweep: thread counts 1/2/4/8 ----------------------
     std::vector<unsigned> thread_counts{1, 2, 4, 8};
@@ -179,96 +167,16 @@ int main(int argc, char** argv) {
                      "speedups as noise\n",
                      thread_counts.back(), hw_threads);
 
-    // Tier 1: BatchFlowRunner throughput. Eight independent jobs (same
-    // design, different seeds) against the one-worker batch; per-job QoR must
-    // be bit-identical to a sequential run_flow of the same options.
-    {
-        auto adder = asynclib::make_qdi_adder(4);
-        core::ArchSpec arch;
-        arch.width = arch.height = 10;
-        arch.channel_width = 12;
-
-        // The batch runner amortizes one shared RRGraph outside its timed
-        // run() window; hand the sequential reference the same prebuilt
-        // graph so both sides do equal work and the speedup measures pure
-        // concurrency.
-        const std::shared_ptr<const core::RRGraph> prebuilt_rr =
-            std::make_shared<core::RRGraph>(arch);
-
-        std::vector<cad::BatchJob> jobs;
-        for (std::uint64_t seed = 1; seed <= 8; ++seed) {
-            cad::BatchJob j;
-            j.name = "qdi_adder_4_s" + std::to_string(seed);
-            j.nl = &adder.nl;
-            j.hints = &adder.hints;
-            j.opts.seed = seed;
-            j.opts.prebuilt_rr = prebuilt_rr;  // the runner swaps in its own
-            jobs.push_back(j);
-        }
-
-        // Sequential reference: the same eight flows, one after another. Only
-        // run_flow is timed — serialization happens outside the window, like
-        // the batch side.
-        std::vector<base::BitVector> sequential_bits;
-        double sequential_ms = 1e18;
-        for (int r = 0; r < reps; ++r) {
-            std::vector<cad::FlowResult> frs;
-            frs.reserve(jobs.size());
-            base::WallTimer timer;
-            for (const cad::BatchJob& j : jobs)
-                frs.push_back(cad::run_flow(*j.nl, *j.hints, arch, j.opts));
-            const double ms = timer.elapsed_ms();
-            if (ms < sequential_ms) {
-                sequential_ms = ms;
-                sequential_bits.clear();
-                for (const cad::FlowResult& fr : frs) sequential_bits.push_back(fr.bits->serialize());
-            }
-        }
-
-        w.key("batch_runner").begin_array();
-        for (unsigned t : thread_counts) {
-            cad::BatchOptions bopts;
-            bopts.threads = t;
-            cad::BatchFlowRunner runner(arch, bopts);
-            double best_ms = 1e18;
-            bool qor_identical = true;  // ANDed over every rep: one drift fails it
-            for (int r = 0; r < reps; ++r) {
-                const auto results = runner.run(jobs);
-                for (std::size_t i = 0; i < results.size(); ++i)
-                    qor_identical = qor_identical && results[i].ok &&
-                                    results[i].result.bits->serialize() == sequential_bits[i];
-                best_ms = std::min(best_ms, runner.last_batch_ms());
-            }
-            const double speedup = sequential_ms / best_ms;
-            const double throughput =
-                best_ms > 0 ? static_cast<double>(jobs.size()) * 1000.0 / best_ms : 0.0;
-            std::printf("batch_runner: %u threads, %zu jobs: %.1f ms (%.2fx vs "
-                        "sequential, %.2f jobs/s), qor_identical=%d\n",
-                        t, jobs.size(), best_ms, speedup, throughput, qor_identical);
-            w.begin_object();
-            w.key("threads").value(std::uint64_t{t});
-            w.key("jobs").value(std::uint64_t{jobs.size()});
-            w.key("wall_ms").value(best_ms);
-            w.key("sequential_ms").value(sequential_ms);
-            w.key("speedup_vs_sequential").value(speedup);
-            w.key("throughput_jobs_per_s").value(throughput);
-            w.key("qor_identical").value(qor_identical);
-            w.end_object();
-        }
-        w.end_array();
-    }
-
-    // Tier 2: deterministic in-flow parallel routing. The largest sweep
-    // design re-runs with the partitioned PathFinder at threads = 0 (on the
+    // parallel_route: deterministic in-flow parallel routing. The routed
+    // design runs with the partitioned PathFinder at threads = 0 (on the
     // calling thread, the scaling baseline) and then at growing worker
     // counts; the bitstream must be bit-identical at every point (that is
-    // the router's core guarantee), so wall clock is again the only moving
-    // number.
+    // the router's core guarantee), so wall clock is the only moving number.
     std::vector<unsigned> route_thread_counts{0};
     route_thread_counts.insert(route_thread_counts.end(), thread_counts.begin(),
                                thread_counts.end());
     {
-        const SweepPoint pt = smoke ? sweep.front() : sweep.back();
+        const SweepPoint& pt = routed;
         auto adder = asynclib::make_qdi_adder(pt.adder_bits);
         core::ArchSpec arch;
         arch.width = pt.fabric;
@@ -342,22 +250,20 @@ int main(int argc, char** argv) {
         w.end_array();
     }
 
-    // Tier 2b: route_kernel — the pooled search kernel raced against the
-    // retained pre-rework reference kernel on the largest sweep design.
-    // Three checks, all CI gates (a violation makes the bench exit
-    // non-zero): (1) the bitstream must be byte-identical to the reference
-    // kernel's at threads = 0 and at every thread count — the whole rework
-    // is sold as observation-equivalent; (2) the pooled kernel must actually
-    // have run (heap_pops > 0 — the reference kernel fills no telemetry,
-    // so a silent fallback would zero the counters); (3) zero steady-state
-    // heap growth (steady_allocations == 0: after the first PathFinder
-    // iteration every scratch buffer has reached capacity — an exact count
-    // at threads = 0, where the router runs without a pool). The recorded
-    // speedup is reference route-stage wall over pooled route-stage wall,
-    // both best-of-reps at threads = 0.
-    bool route_kernel_gate_ok = true;
+    // route_kernel: the pooled search kernel raced against the retained
+    // pre-rework reference kernel on the routed design. Its gates: the
+    // bitstream must be byte-identical to the reference kernel's at
+    // threads = 0 and at every thread count (the rework is sold as
+    // observation-equivalent); the pooled kernel must actually have run
+    // (the reference kernel fills no telemetry, so a silent fallback would
+    // zero the counters); and zero steady-state heap growth (after the first
+    // PathFinder iteration every scratch buffer has reached capacity — an
+    // exact count at threads = 0, where the router runs without a pool). The
+    // recorded speedup is reference route-stage wall over pooled route-stage
+    // wall, both best-of-reps at threads = 0.
+    Gates route_kernel_gates;
     {
-        const SweepPoint pt = smoke ? sweep.front() : sweep.back();
+        const SweepPoint& pt = routed;
         auto adder = asynclib::make_qdi_adder(pt.adder_bits);
         core::ArchSpec arch;
         arch.width = pt.fabric;
@@ -414,8 +320,20 @@ int main(int argc, char** argv) {
         const cad::RouteKernelStats& ks = pooled.fr.routing.kernel;
         const double speedup =
             pooled.total_ms > 0.0 ? ref.total_ms / pooled.total_ms : 0.0;
-        route_kernel_gate_ok =
-            bit_identical && ks.heap_pops > 0 && ks.steady_allocations == 0;
+        Gates& g = route_kernel_gates;
+        g.require("bit_identical", bit_identical);
+        g.check("kernel ran (heap_pops > 0)", static_cast<double>(ks.heap_pops), 0,
+                ks.heap_pops > 0);
+        g.check("pushes >= pops", static_cast<double>(ks.heap_pushes),
+                static_cast<double>(ks.heap_pops), ks.heap_pushes >= ks.heap_pops);
+        g.check("nodes expanded", static_cast<double>(ks.nodes_expanded), 0,
+                ks.nodes_expanded > 0);
+        g.check("wavefront observed", static_cast<double>(ks.wavefront_peak), 0,
+                ks.wavefront_peak > 0);
+        g.check("zero steady-state allocations", static_cast<double>(ks.steady_allocations),
+                0, ks.steady_allocations == 0);
+        const double min_ms = std::min(ref.total_ms, pooled.total_ms);
+        g.check("both kernels timed", min_ms, 0, min_ms > 0);
 
         std::printf("route_kernel qdi_adder_%zu on %ux%u cw=%u: reference %.1f ms, "
                     "pooled %.1f ms (%.2fx), pops %llu, expanded %llu, wavefront "
@@ -426,7 +344,7 @@ int main(int argc, char** argv) {
                     static_cast<unsigned long long>(ks.nodes_expanded),
                     static_cast<unsigned long long>(ks.wavefront_peak),
                     static_cast<unsigned long long>(ks.steady_allocations),
-                    bit_identical, route_kernel_gate_ok ? "ok" : "VIOLATED");
+                    bit_identical, g.ok() ? "ok" : "VIOLATED");
 
         w.key("route_kernel").begin_object();
         w.key("design").value("qdi_adder_" + std::to_string(pt.adder_bits));
@@ -443,12 +361,12 @@ int main(int argc, char** argv) {
         w.key("wavefront_peak").value(ks.wavefront_peak);
         w.key("allocations").value(ks.allocations);
         w.key("steady_allocations").value(ks.steady_allocations);
-        w.key("gate_ok").value(route_kernel_gate_ok);
+        g.write(w);
         w.end_object();
     }
 
-    // Tier 3: parallel RR-graph construction. A fabric larger than any
-    // routed sweep point (the graph is the flow's biggest single
+    // rr_build: parallel RR-graph construction. A fabric larger than the
+    // routed design (the graph is the flow's biggest single
     // allocation) is built serially and then on pools of growing size; the
     // content fingerprint proves every build is byte-identical.
     {
@@ -500,97 +418,14 @@ int main(int argc, char** argv) {
         w.end_array();
     }
 
-    // Tier 4: FlowService artifact reuse. A seed grid runs cold on a fresh
-    // service, then re-runs warm with ONLY a route-stage knob changed: the
-    // warm grid must restore techmap/pack/place from the artifact store
-    // (visible as cache_hit in the per-stage telemetry) and produce
-    // bitstreams bit-identical to a cold compile of the same options.
-    {
-        const std::size_t bits = smoke ? 4 : 8;
-        auto adder = asynclib::make_qdi_adder(bits);
-        core::ArchSpec arch;
-        arch.width = arch.height = smoke ? 10 : 14;
-        arch.channel_width = smoke ? 12 : 14;
-
-        const std::vector<std::uint64_t> seeds{1, 2, 3, 4};
-        auto make_jobs = [&](const cad::FlowOptions& opts) {
-            std::vector<cad::FlowJob> jobs;
-            for (std::uint64_t seed : seeds) {
-                cad::FlowJob j;
-                j.name = "qdi_adder_" + std::to_string(bits) + "_s" + std::to_string(seed);
-                j.nl = &adder.nl;
-                j.hints = &adder.hints;
-                j.arch = arch;
-                j.opts = opts;
-                j.opts.seed = seed;
-                jobs.push_back(std::move(j));
-            }
-            return jobs;
-        };
-        auto run_grid_ms = [](cad::FlowService& svc, std::vector<cad::FlowJob> jobs,
-                              std::vector<const cad::FlowJobResult*>* out_results) {
-            base::WallTimer t;
-            *out_results = eval::run_grid(svc, std::move(jobs));
-            return t.elapsed_ms();
-        };
-
-        cad::FlowOptions cold_opts;
-        cad::FlowOptions warm_opts;
-        warm_opts.route.astar_fac = 0.5;  // a route-stage knob, nothing upstream
-
-        cad::FlowService svc;
-        std::vector<const cad::FlowJobResult*> cold;
-        const double cold_ms = run_grid_ms(svc, make_jobs(cold_opts), &cold);
-        std::vector<const cad::FlowJobResult*> warm;
-        const double warm_ms = run_grid_ms(svc, make_jobs(warm_opts), &warm);
-
-        // Reference: the warm options compiled cold on a fresh service.
-        cad::FlowService ref_svc;
-        std::vector<const cad::FlowJobResult*> ref;
-        (void)run_grid_ms(ref_svc, make_jobs(warm_opts), &ref);
-
-        std::size_t upstream_hits = 0;
-        std::size_t upstream_stages = 0;
-        bool bit_identical = true;
-        for (std::size_t i = 0; i < warm.size(); ++i) {
-            for (const char* stage : {"techmap", "pack", "place"}) {
-                const cad::StageReport* s = warm[i]->result.telemetry.stage(stage);
-                ++upstream_stages;
-                upstream_hits += (s && s->cache_hit == 1) ? 1u : 0u;
-            }
-            bit_identical = bit_identical && warm[i]->ok() && ref[i]->ok() &&
-                            warm[i]->result.bits->serialize() ==
-                                ref[i]->result.bits->serialize();
-        }
-        std::printf("flow_service warm sweep (route knob only): cold %.1f ms, warm "
-                    "%.1f ms (%.2fx), upstream cache hits %zu/%zu, bit_identical=%d\n",
-                    cold_ms, warm_ms, warm_ms > 0 ? cold_ms / warm_ms : 0.0,
-                    upstream_hits, upstream_stages, bit_identical);
-
-        w.key("flow_service").begin_object();
-        w.key("jobs").value(std::uint64_t{seeds.size()});
-        w.key("threads").value(std::uint64_t{svc.threads()});
-        w.key("cold_grid_ms").value(cold_ms);
-        w.key("warm_grid_ms").value(warm_ms);
-        w.key("warm_speedup").value(warm_ms > 0 ? cold_ms / warm_ms : 0.0);
-        w.key("upstream_cache_hits").value(std::uint64_t{upstream_hits});
-        w.key("upstream_stages").value(std::uint64_t{upstream_stages});
-        w.key("store_hits").value(svc.store().hits());
-        w.key("store_misses").value(svc.store().misses());
-        w.key("store_entries").value(std::uint64_t{svc.store().num_artifacts()});
-        w.key("bit_identical_to_cold").value(bit_identical);
-        w.end_object();
-    }
-
-    // Tier 5: the two-tier artifact cache. Two checks, both CI gates (a
-    // violation makes the bench exit non-zero):
+    // artifact_cache: the two-tier artifact cache. Its gates:
     //  (a) disk-warm restart — a service populates a cache directory, dies,
     //      and a fresh service over the same directory must restore every
     //      stage from disk and produce bit-identical bitstreams;
     //  (b) cache soak — the same grid under a tiny memory budget must never
     //      let the resident tier exceed its cap, must actually evict, and
     //      must still be bit-identical.
-    bool cache_gate_ok = true;
+    Gates cache_gates;
     {
         const std::size_t bits = smoke ? 4 : 8;
         auto adder = asynclib::make_qdi_adder(bits);
@@ -685,8 +520,15 @@ int main(int argc, char** argv) {
         fs::remove_all(cache_dir);
 
         const bool cap_ok = max_resident <= budget;
-        cache_gate_ok = warm_bit_identical && nothing_recomputed && disk_hits > 0 &&
-                        soak_bit_identical && cap_ok && evictions > 0;
+        Gates& g = cache_gates;
+        g.require("disk_warm_bit_identical", warm_bit_identical);
+        g.require("nothing_recomputed", nothing_recomputed);
+        g.check("disk_hits > 0", static_cast<double>(disk_hits), 0, disk_hits > 0);
+        g.require("soak_cap_ok", cap_ok);
+        g.check("max_resident <= budget", static_cast<double>(max_resident),
+                static_cast<double>(budget), cap_ok);
+        g.check("soak_evictions > 0", static_cast<double>(evictions), 0, evictions > 0);
+        g.require("soak_bit_identical", soak_bit_identical);
         std::printf("artifact_cache: cold %.1f ms, disk-warm restart %.1f ms (%.2fx), "
                     "%llu blobs written, %llu disk hits, warm_identical=%d "
                     "nothing_recomputed=%d; soak: budget %zu B, max resident %zu B, "
@@ -696,7 +538,7 @@ int main(int argc, char** argv) {
                     static_cast<unsigned long long>(disk_hits), warm_bit_identical,
                     nothing_recomputed, budget, max_resident,
                     static_cast<unsigned long long>(evictions), soak_bit_identical,
-                    cache_gate_ok ? "ok" : "VIOLATED");
+                    g.ok() ? "ok" : "VIOLATED");
 
         w.key("artifact_cache").begin_object();
         w.key("jobs").value(std::uint64_t{seeds.size()});
@@ -710,14 +552,13 @@ int main(int argc, char** argv) {
         w.key("stages_restored_from_disk").value(stages_from_disk);
         w.key("soak_budget_bytes").value(std::uint64_t{budget});
         w.key("soak_max_resident_bytes").value(std::uint64_t{max_resident});
-        w.key("soak_cap_ok").value(cap_ok);
         w.key("soak_evictions").value(evictions);
         w.key("soak_bit_identical").value(soak_bit_identical);
-        w.key("gate_ok").value(cache_gate_ok);
+        g.write(w);
         w.end_object();
     }
 
-    // Tier 6: global-placement scaling — the multilevel V-cycle's reason to
+    // placer_scale: global-placement scaling — the multilevel V-cycle's reason to
     // exist. Subject: the *global* stage, run two ways by
     // place_multilevel_global: the default V-cycle ("multilevel") and the
     // flat, single-level schedule it degenerates to with `max_levels = 0`
@@ -728,8 +569,7 @@ int main(int argc, char** argv) {
     // the comparison with shared work. Fixture: deep WCHB FIFOs —
     // cluster-dominated designs (a handful of I/Os, thousands of clusters)
     // where the flat schedule's per-pass spreading, not the solve, bounds
-    // the wall. Three checks, all CI gates (a violation makes the bench exit
-    // non-zero):
+    // the wall. Three threshold gates:
     //  (a) 60x60 head-to-head: the V-cycle must be >= 3x faster than the
     //      flat schedule at <= +2% legalized cost. Both runs are strictly
     //      serial, so the ratio is meaningful on one core; both costs are
@@ -743,8 +583,9 @@ int main(int argc, char** argv) {
     //      exceed the budget. In practice even its unscaled measured wall
     //      does.
     // In --smoke the fixtures shrink to toys (the asymptotic gap cannot
-    // show) and every gate is exempt; the tier still runs end to end.
-    bool placer_scale_ok = true;
+    // show) and these three are exempt (ok whatever the value); the gates
+    // that every schedule ran and did solver work hold at every size.
+    Gates placer_gates;
     {
         struct ScalePoint {
             std::size_t fifo_bits;
@@ -821,11 +662,31 @@ int main(int argc, char** argv) {
         const double width_ratio =
             static_cast<double>(p100.fabric) / static_cast<double>(p60.fabric);
         const double flat100_projected_ms = b.flat.ms * width_ratio;
+        const auto& levels = b.multi.res.stats.levels;
+        double min_level_iters = 0.0;
+        if (!levels.empty())
+            min_level_iters = static_cast<double>(
+                std::min_element(levels.begin(), levels.end(), [](const auto& x, const auto& y) {
+                    return x.solver_iterations < y.solver_iterations;
+                })->solver_iterations);
+        Gates& g = placer_gates;
+        g.check("flat ran at 60", a.flat.ms, 0, a.flat.ms > 0);
+        g.check("multilevel ran at 60", a.multi.ms, 0, a.multi.ms > 0);
+        g.check("multilevel ran at 100", b.multi.ms, 0, b.multi.ms > 0);
+        g.check("flat ran at 100", b.flat.ms, 0, b.flat.ms > 0);
+        g.check("qor ratio computed", qor60, 0, qor60 > 0);
+        g.check("budget computed", budget_ms, 0, budget_ms > 0);
+        g.check("levels reported", static_cast<double>(levels.size()), 1, !levels.empty());
+        g.check("levels did solver work", min_level_iters, 0,
+                levels.empty() || min_level_iters > 0);
         const bool speed_ok = smoke || speedup60 >= 3.0;
         const bool qor_ok = smoke || qor60 <= 1.02;
         const bool envelope_ok = smoke || b.multi.ms <= budget_ms;
         const bool flat_blows_ok = smoke || flat100_projected_ms > budget_ms;
-        placer_scale_ok = speed_ok && qor_ok && envelope_ok && flat_blows_ok;
+        g.check("speed_ok", speedup60, 3.0, speed_ok);
+        g.check("qor_ok", qor60, 1.02, qor_ok);
+        g.check("envelope_ok", b.multi.ms, budget_ms, envelope_ok);
+        g.check("flat_blows_budget", flat100_projected_ms, budget_ms, flat_blows_ok);
 
         std::printf("placer_scale: wchb_fifo_%zux%zu on %ux%u (n=%zu, io=%zu): "
                     "flat %.1f ms cost %.1f | multilevel %.1f ms cost %.1f "
@@ -855,8 +716,6 @@ int main(int argc, char** argv) {
         w.key("multilevel_cost_60").value(a.multi.res.stats.legalized_cost);
         w.key("speedup_60").value(speedup60);
         w.key("qor_ratio_60").value(qor60);
-        w.key("speed_ok").value(speed_ok);
-        w.key("qor_ok").value(qor_ok);
         w.key("fixture_100").value("wchb_fifo_" + std::to_string(p100.fifo_bits) + "x" +
                                    std::to_string(p100.fifo_depth));
         w.key("fabric_100").value(std::to_string(p100.fabric) + "x" +
@@ -869,12 +728,10 @@ int main(int argc, char** argv) {
         w.key("qor_ratio_100").value(qor100);
         w.key("flat_ms_100").value(b.flat.ms);
         w.key("flat_projected_ms_100").value(flat100_projected_ms);
-        w.key("envelope_ok").value(envelope_ok);
-        w.key("flat_blows_budget").value(flat_blows_ok);
         // Per-level telemetry of the 100x100 V-cycle (coarsest first) — the
         // same LevelStats the place StageReport carries.
         w.key("levels_100").begin_array();
-        for (const auto& lv : b.multi.res.stats.levels) {
+        for (const auto& lv : levels) {
             w.begin_object();
             w.key("nodes").value(lv.nodes);
             w.key("nets").value(lv.nets);
@@ -884,7 +741,7 @@ int main(int argc, char** argv) {
             w.end_object();
         }
         w.end_array();
-        w.key("gate_ok").value(placer_scale_ok);
+        g.write(w);
         w.end_object();
     }
 
@@ -893,13 +750,15 @@ int main(int argc, char** argv) {
     // An in-process FlowServer on a Unix socket, a deliberately small queue
     // bound, and C client threads each pushing J compiles through the wire.
     // Gates: every remote result byte-identical to an in-process run_flow of
-    // the same job, backpressure observed (Busy responses > 0, queue depth
-    // never above the bound), and the protocol clean (no errors). Reports
-    // p50/p95/p99 submit->result latency and end-to-end throughput.
-    bool flow_server_gate_ok = true;
+    // the same job, backpressure observed (a probe bounced at the bound,
+    // Busy responses > 0, queue depth never above the bound), and the
+    // protocol clean (no errors). Reports p50/p95/p99 submit->result latency
+    // and end-to-end throughput.
+    Gates server_gates;
     {
         const std::size_t n_clients = smoke ? 2 : 3;
         const std::size_t jobs_per_client = smoke ? 2 : 4;
+        const std::uint32_t max_pending = 2;
         auto adder = asynclib::make_qdi_adder(4);
         core::ArchSpec arch;
         arch.width = arch.height = 10;
@@ -910,7 +769,7 @@ int main(int argc, char** argv) {
                         ("afpga_bench_" + std::to_string(::getpid()) + ".sock"))
                            .string();
         so.service.threads = 1;  // one worker: the queue must actually form
-        so.max_pending = 2;
+        so.max_pending = max_pending;
         so.retry_after_ms = 2;
         cad::FlowServer server(std::move(so));
         server.start();
@@ -927,19 +786,16 @@ int main(int argc, char** argv) {
 
         // Backpressure probe (untimed): fill the paused queue to its bound,
         // demand a Busy bounce, then let the probes drain.
+        bool bounced = false;
         {
             server.service().pause();
             cad::FlowClient probe = cad::FlowClient::connect_unix(server.unix_path(), "probe");
             std::vector<std::uint64_t> probe_ids;
-            for (std::uint64_t s = 1; s <= 2; ++s) {
+            for (std::uint64_t s = 1; s <= max_pending; ++s) {
                 const auto id = probe.try_submit(make_job(s));
                 if (id) probe_ids.push_back(*id);
             }
-            const bool bounced = !probe.try_submit(make_job(3)).has_value();
-            if (!bounced) {
-                std::fprintf(stderr, "cad_scaling: flow_server queue bound did not bounce\n");
-                flow_server_gate_ok = false;
-            }
+            bounced = !probe.try_submit(make_job(max_pending + 1)).has_value();
             server.service().resume();
             for (const auto id : probe_ids) (void)probe.wait(id);
         }
@@ -1003,23 +859,34 @@ int main(int argc, char** argv) {
         const std::size_t jobs_total = latencies.size();
         const double throughput = static_cast<double>(jobs_total) / (phase_ms / 1000.0);
 
-        const bool backpressure_seen =
-            st.submits_rejected_busy > 0 && st.max_queue_depth_observed <= 2;
-        flow_server_gate_ok =
-            flow_server_gate_ok && bit_identical && backpressure_seen && st.protocol_errors == 0;
+        Gates& g = server_gates;
+        g.check("jobs ran", static_cast<double>(jobs_total), 0, jobs_total > 0);
+        g.check("all results streamed", static_cast<double>(st.results_streamed),
+                static_cast<double>(jobs_total), st.results_streamed >= jobs_total);
+        g.require("bit_identical", bit_identical);
+        g.require("probe bounced at the queue bound", bounced);
+        g.check("busy backpressure observed", static_cast<double>(st.submits_rejected_busy), 0,
+                st.submits_rejected_busy > 0);
+        g.check("queue bound held", static_cast<double>(st.max_queue_depth_observed),
+                static_cast<double>(max_pending), st.max_queue_depth_observed <= max_pending);
+        g.check("no protocol errors", static_cast<double>(st.protocol_errors), 0,
+                st.protocol_errors == 0);
+        g.require("latency percentiles ordered",
+                  0 < pct(0.50) && pct(0.50) <= pct(0.95) && pct(0.95) <= pct(0.99));
+        g.check("throughput computed", throughput, 0, throughput > 0);
 
         std::printf("flow_server: %zu clients x %zu jobs: p50 %.1f ms, p95 %.1f ms, p99 %.1f ms, "
                     "%.1f jobs/s, %llu busy bounces, peak queue %llu -> gate %s\n",
                     n_clients, jobs_per_client, pct(0.50), pct(0.95), pct(0.99), throughput,
                     static_cast<unsigned long long>(st.submits_rejected_busy),
                     static_cast<unsigned long long>(st.max_queue_depth_observed),
-                    flow_server_gate_ok ? "ok" : "VIOLATED");
+                    g.ok() ? "ok" : "VIOLATED");
 
         w.key("flow_server").begin_object();
         w.key("clients").value(std::uint64_t{n_clients});
         w.key("jobs_per_client").value(std::uint64_t{jobs_per_client});
         w.key("jobs_total").value(std::uint64_t{jobs_total});
-        w.key("max_pending").value(std::uint64_t{2});
+        w.key("max_pending").value(std::uint64_t{max_pending});
         w.key("p50_ms").value(pct(0.50));
         w.key("p95_ms").value(pct(0.95));
         w.key("p99_ms").value(pct(0.99));
@@ -1031,7 +898,7 @@ int main(int argc, char** argv) {
         w.key("max_outbound_bytes_observed").value(st.max_outbound_bytes_observed);
         w.key("protocol_errors").value(st.protocol_errors);
         w.key("bit_identical").value(bit_identical);
-        w.key("gate_ok").value(flow_server_gate_ok);
+        g.write(w);
         w.end_object();
     }
 
@@ -1044,22 +911,10 @@ int main(int argc, char** argv) {
     }
     out << w.str() << "\n";
     std::printf("wrote %s\n", out_path.c_str());
-    bool ok = true;
-    if (!route_kernel_gate_ok) {
-        std::fprintf(stderr, "cad_scaling: route_kernel gate violated (see above)\n");
-        ok = false;
-    }
-    if (!cache_gate_ok) {
-        std::fprintf(stderr, "cad_scaling: artifact-cache gate violated (see above)\n");
-        ok = false;
-    }
-    if (!placer_scale_ok) {
-        std::fprintf(stderr, "cad_scaling: placer_scale gate violated (see above)\n");
-        ok = false;
-    }
-    if (!flow_server_gate_ok) {
-        std::fprintf(stderr, "cad_scaling: flow_server gate violated (see above)\n");
-        ok = false;
-    }
+    // Every tier names its own failures, so none is short-circuited away.
+    bool ok = route_kernel_gates.report("route_kernel");
+    ok = cache_gates.report("artifact_cache") && ok;
+    ok = placer_gates.report("placer_scale") && ok;
+    ok = server_gates.report("flow_server") && ok;
     return ok ? 0 : 1;
 }

@@ -37,8 +37,8 @@
 #include "core/plb.hpp"        // IWYU pragma: export
 #include "core/rrgraph.hpp"    // IWYU pragma: export
 
-#include "cad/batch.hpp"    // IWYU pragma: export
 #include "cad/flow.hpp"     // IWYU pragma: export
+#include "cad/flow_service.hpp"  // IWYU pragma: export
 #include "cad/mapped.hpp"   // IWYU pragma: export
 #include "cad/pack.hpp"     // IWYU pragma: export
 #include "cad/place.hpp"    // IWYU pragma: export

@@ -263,7 +263,7 @@ private:
     static void acquire_rr(FlowContext& ctx, base::ThreadPool* pool, StageReport& report) {
         FlowResult& fr = ctx.result;
         if (ctx.opts.prebuilt_rr) {
-            // Shared immutable graph (batch jobs). The graph keeps its own
+            // Shared immutable graph (FlowService jobs). The graph keeps its own
             // ArchSpec copy; the parameter fingerprint proves it describes
             // exactly the fabric this flow targets.
             check(ctx.opts.prebuilt_rr->arch().fingerprint() == ctx.arch.fingerprint(),

@@ -4,11 +4,11 @@
 /// asynchronous styles need.
 ///
 /// Threading: run_flow itself is called from one thread, but may fan out
-/// internally (multi-seed placement racing via PlaceOptions, partitioned
-/// parallel routing + RR build via RouterOptions::threads); concurrent
-/// run_flow calls over one shared immutable prebuilt RR graph are the
-/// BatchFlowRunner pattern (cad/batch.hpp). Every parallel path is
-/// bit-reproducible for any worker count.
+/// internally (partitioned parallel routing + RR build via
+/// RouterOptions::threads); concurrent run_flow calls over one shared
+/// immutable prebuilt RR graph are the FlowService pattern
+/// (cad/flow_service.hpp). Every parallel path is bit-reproducible for any
+/// worker count.
 #pragma once
 
 #include <cstdint>
@@ -46,7 +46,7 @@ struct FlowOptions {
     bool verify_mapping = true;
     /// Routing-resource graph to reuse instead of building one per flow. The
     /// graph is immutable through the whole flow (routing and elaboration
-    /// only read it), so BatchFlowRunner builds it once per architecture and
+    /// only read it), so FlowService builds it once per architecture and
     /// shares it across all concurrent jobs. Its ArchSpec fingerprint must
     /// match the arch passed to run_flow.
     std::shared_ptr<const core::RRGraph> prebuilt_rr;
@@ -73,7 +73,7 @@ struct FlowResult {
     PackedDesign packed;      ///< pack product
     Placement placement;      ///< place product (incl. placer telemetry)
     RoutingResult routing;    ///< route product (incl. partition telemetry)
-    /// Shared and immutable: benches reuse it, and concurrent batch jobs on
+    /// Shared and immutable: benches reuse it, and concurrent service jobs on
     /// the same architecture all point at one graph.
     std::shared_ptr<const core::RRGraph> rr;
     std::shared_ptr<core::Bitstream> bits;  ///< the programmed configuration

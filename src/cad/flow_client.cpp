@@ -252,17 +252,4 @@ std::uint64_t FlowClient::drain_server() {
     return wire::decode_drain_ok(f.payload).jobs_total;
 }
 
-std::vector<RemoteFlowResult> RemoteBatchRunner::run(const std::vector<RemoteJobSpec>& jobs) {
-    // Submit everything first (submit() rides out Busy backpressure), then
-    // collect in job order — the FlowService end already schedules fairly.
-    std::vector<std::uint64_t> ids;
-    ids.reserve(jobs.size());
-    for (const RemoteJobSpec& j : jobs) ids.push_back(client_.submit(j));
-    std::vector<RemoteFlowResult> results;
-    results.reserve(jobs.size());
-    for (std::size_t i = 0; i < jobs.size(); ++i)
-        results.push_back(client_.wait(ids[i], jobs[i].name));
-    return results;
-}
-
 }  // namespace afpga::cad

@@ -1,7 +1,5 @@
 /// \file
-/// FlowClient: the blocking-socket client side of the cad/wire protocol,
-/// plus a BatchFlowRunner-shaped adapter that makes the examples/ and eval/
-/// grids remote-capable.
+/// FlowClient: the blocking-socket client side of the cad/wire protocol.
 ///
 /// A FlowClient is one connection = one FlowService fairness lane. It is
 /// intentionally synchronous (one request, one reply) — concurrency comes
@@ -107,20 +105,6 @@ private:
     wire::FrameDecoder dec_;
     wire::HelloOkMsg hello_;
     std::uint32_t last_busy_retry_ms_ = 50;  ///< latest server backoff hint
-};
-
-/// BatchFlowRunner-shaped adapter over one FlowClient: submit a whole grid
-/// (riding out Busy backpressure), then collect every result in job order.
-class RemoteBatchRunner {
-public:
-    /// Borrow `client`; it must outlive the runner.
-    explicit RemoteBatchRunner(FlowClient& client) : client_(client) {}
-
-    /// Compile every job remotely; results are indexed like `jobs`.
-    [[nodiscard]] std::vector<RemoteFlowResult> run(const std::vector<RemoteJobSpec>& jobs);
-
-private:
-    FlowClient& client_;
 };
 
 }  // namespace afpga::cad

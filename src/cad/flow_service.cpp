@@ -31,9 +31,9 @@ FlowService::FlowService(FlowServiceOptions opts)
                               opts.artifact_disk_budget_bytes,
                               opts.artifact_disk_max_age_seconds})),
       pool_(threads_) {
-    // Make the single-core-container caveat machine-detectable: a pool wider
-    // than the hardware can only time-slice, so wall-clock "speedups"
-    // measured that way are noise.
+    // Make oversubscription machine-detectable: a pool wider than the
+    // hardware can only time-slice, so wall-clock "speedups" measured that
+    // way are noise.
     const unsigned hw = std::thread::hardware_concurrency();
     if (hw != 0 && threads_ > hw)
         std::fprintf(stderr,
@@ -130,8 +130,8 @@ void FlowService::execute(Job& job) {
         // the Failed path, never escape into the pool (a swallowed escape
         // would leave the job Running and wait() blocked forever).
         FlowOptions o = job.spec.opts;
-        if (opts_.share_artifacts && !o.artifact_store) o.artifact_store = store_;
-        if (opts_.share_rr && !o.prebuilt_rr) {
+        if (!o.artifact_store) o.artifact_store = store_;
+        if (!o.prebuilt_rr) {
             // First flow of a new architecture builds the shared graph; give
             // that build the pool width the job's route stage would use.
             // Jobs whose graph is already memoized skip the pool entirely.
@@ -304,8 +304,6 @@ std::string FlowService::report_json() const {
     w.key("threads").value(std::uint64_t{threads_});
     w.key("hardware_concurrency")
         .value(std::uint64_t{std::thread::hardware_concurrency()});
-    w.key("share_artifacts").value(opts_.share_artifacts);
-    w.key("share_rr").value(opts_.share_rr);
     w.key("artifact_cache_dir").value(opts_.artifact_cache_dir);
     w.key("jobs_total").value(std::uint64_t{jobs_.size()});
     w.key("jobs_ok").value(std::uint64_t{ok});

@@ -1,16 +1,16 @@
 /// \file
 /// FlowService: the persistent flow server.
 ///
-/// Where BatchFlowRunner (cad/batch.hpp) executes one closed batch over one
-/// architecture, the FlowService is long-lived: it owns a ThreadPool, a
-/// shared content-addressed ArtifactStore (cad/artifact.hpp) and a memo of
+/// The FlowService is long-lived: it owns a ThreadPool, a shared
+/// content-addressed ArtifactStore (cad/artifact.hpp) and a memo of
 /// prebuilt RR graphs per architecture, and accepts FlowJobs through a
-/// thread-safe queue for as long as it exists. Experiment grids — many
-/// designs x architectures x seeds x stage knobs — are expressed as job
-/// sets on one service; jobs that share upstream inputs share the cached
-/// techmap/pack/place products, so a warm sweep that varies only downstream
-/// knobs runs at a fraction of the cold cost while producing bit-identical
-/// results.
+/// thread-safe queue for as long as it exists. Every job gets the shared
+/// store and its architecture's shared RR graph unless its options bring
+/// their own. Experiment grids — many designs x architectures x seeds x
+/// stage knobs — are expressed as job sets on one service; jobs that share
+/// upstream inputs share the cached techmap/pack/place products, so a warm
+/// sweep that varies only downstream knobs runs at a fraction of the cold
+/// cost while producing bit-identical results.
 ///
 /// Ownership/threading contract:
 ///  - submit/wait/cancel/report may be called from any thread;
@@ -45,12 +45,6 @@ using FlowJobId = std::size_t;
 /// Service configuration.
 struct FlowServiceOptions {
     unsigned threads = 0;  ///< pool size; 0 = base::ThreadPool::default_workers()
-    /// Hand every job the service's ArtifactStore so stage products are
-    /// cached and shared across jobs (jobs that set their own store keep it).
-    bool share_artifacts = true;
-    /// Give every job a per-architecture prebuilt RR graph (jobs that set
-    /// their own prebuilt_rr keep it).
-    bool share_rr = true;
     /// Byte budget of the store's in-memory tier (0 = unbounded); see
     /// ArtifactStoreConfig::memory_budget_bytes.
     std::size_t artifact_memory_budget_bytes = 0;
@@ -184,8 +178,8 @@ public:
     /// hand the same graph elsewhere.
     std::shared_ptr<const core::RRGraph> prewarm_rr(const core::ArchSpec& arch);
 
-    /// The shared artifact cache (always present; jobs only use it when
-    /// share_artifacts is on or their options carry it explicitly).
+    /// The shared artifact cache (used by every job whose options do not
+    /// carry a store of their own).
     [[nodiscard]] ArtifactStore& store() noexcept { return *store_; }
     /// Read-only view of the shared artifact cache.
     [[nodiscard]] const ArtifactStore& store() const noexcept { return *store_; }

@@ -254,27 +254,38 @@ TEST(FlowService, ConcurrentJobsShareOneStore) {
 }
 
 TEST(FlowService, FailuresAreIsolatedPerJob) {
+    // The doomed job sits between two fitting ones in one grid, so the
+    // three workers run all of them side by side.
     auto big = asynclib::make_qdi_adder(16);
     auto small = asynclib::make_qdi_adder(2);
     core::ArchSpec tiny;  // 8x8 cannot hold the 16-bit adder
 
-    cad::FlowService svc;
-    cad::FlowJob jb;
-    jb.name = "too_big";
-    jb.nl = &big.nl;
-    jb.hints = &big.hints;
-    jb.arch = tiny;
-    cad::FlowJob js;
-    js.name = "fits";
-    js.nl = &small.nl;
-    js.hints = &small.hints;
-    js.arch = tiny;
-    const auto id_big = svc.submit(std::move(jb));
-    const auto id_small = svc.submit(std::move(js));
+    cad::FlowServiceOptions so;
+    so.threads = 3;
+    cad::FlowService svc(so);
+    auto job = [&](const char* name, const asynclib::QdiAdder& d, std::uint64_t seed) {
+        cad::FlowJob j;
+        j.name = name;
+        j.nl = &d.nl;
+        j.hints = &d.hints;
+        j.arch = tiny;
+        j.opts.seed = seed;
+        return j;
+    };
+    std::vector<cad::FlowJob> jobs;
+    jobs.push_back(job("fits_a", small, 1));
+    jobs.push_back(job("too_big", big, 1));
+    jobs.back().opts.route.max_iterations = 5;  // give up on the doomed job quickly
+    jobs.push_back(job("fits_b", small, 5));
+    const auto ids = svc.submit_grid(std::move(jobs));
 
-    EXPECT_EQ(svc.wait(id_big).status, cad::FlowJobStatus::Failed);
-    EXPECT_FALSE(svc.wait(id_big).error.empty());
-    EXPECT_TRUE(svc.wait(id_small).ok()) << svc.wait(id_small).error;
+    EXPECT_TRUE(svc.wait(ids[0]).ok()) << svc.wait(ids[0]).error;
+    EXPECT_EQ(svc.wait(ids[1]).status, cad::FlowJobStatus::Failed);
+    EXPECT_FALSE(svc.wait(ids[1]).error.empty());
+    EXPECT_TRUE(svc.wait(ids[2]).ok()) << svc.wait(ids[2]).error;
+    const std::string report = svc.report_json();
+    EXPECT_NE(report.find("\"jobs_ok\":2"), std::string::npos) << report;
+    EXPECT_NE(report.find("\"jobs_failed\":1"), std::string::npos) << report;
 }
 
 // The place knobs a Submit frame carries reach size casts in the placer.
@@ -496,15 +507,18 @@ TEST(FlowService, PrewarmedRrIsSharedIntoResults) {
     const core::ArchSpec arch;
     cad::FlowService svc;
     const auto rr = svc.prewarm_rr(arch);
-    cad::FlowJob j;
-    j.name = "warm_rr";
-    j.nl = &adder.nl;
-    j.hints = &adder.hints;
-    j.arch = arch;
-    const auto id = svc.submit(std::move(j));
-    const cad::FlowJobResult& r = svc.wait(id);
-    ASSERT_TRUE(r.ok()) << r.error;
-    EXPECT_EQ(r.result.rr.get(), rr.get());  // one graph end to end
+    std::vector<cad::FlowJob> jobs;
+    for (std::uint64_t seed = 1; seed <= 3; ++seed)
+        jobs.push_back(adder_job("warm_rr_s" + std::to_string(seed), adder, arch, seed));
+    const auto ids = svc.submit_grid(std::move(jobs));
+    for (const cad::FlowJobId id : ids) {
+        const cad::FlowJobResult& r = svc.wait(id);
+        ASSERT_TRUE(r.ok()) << r.name << ": " << r.error;
+        EXPECT_EQ(r.result.rr.get(), rr.get()) << r.name;  // one graph end to end
+        const cad::StageReport* route = r.result.telemetry.stage("route");
+        ASSERT_NE(route, nullptr) << r.name;
+        EXPECT_NE(route->metric("rr_shared"), nullptr) << r.name;
+    }
 }
 
 TEST(FlowServiceScheduling, PriorityOrdersDispatchAcrossSubmissionOrder) {
