@@ -564,7 +564,8 @@ int main(int argc, char** argv) {
     // flat, single-level schedule it degenerates to with `max_levels = 0`
     // ("flat": the full solve+spread schedule at netlist size). Each call
     // already produces a complete legal placement (legalized clusters +
-    // refined pads); the driver's polish/detailed-refinement pipeline
+    // refined pads) and the cost engine over it, whose total is the
+    // legalized cost; the driver's polish/detailed-refinement pipeline
     // downstream is the same for both, so including it would only dilute
     // the comparison with shared work. Fixture: deep WCHB FIFOs —
     // cluster-dominated designs (a handful of I/Os, thousands of clusters)

@@ -118,6 +118,7 @@ int main() {
     std::printf("bundled data (paper: +25pp; measured: +%.0fpp). The absolute QDI\n",
                 (qdi_sum / qdi_n - mp_sum / mp_n) * 100.0);
     std::printf("value is below the paper's 76%% because DIMS OR planes and C-trees\n");
-    std::printf("cannot use the validity slot (see EXPERIMENTS.md).\n");
+    std::printf("cannot use the validity slot (see \"QDI filling gap\" in\n");
+    std::printf("docs/BENCHMARKS.md).\n");
     return 0;
 }

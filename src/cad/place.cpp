@@ -6,7 +6,6 @@
 #include "base/check.hpp"
 #include "base/rng.hpp"
 #include "cad/fingerprint.hpp"
-#include "cad/place_analytical.hpp"
 #include "cad/place_cost.hpp"
 #include "cad/place_model.hpp"
 #include "cad/place_multilevel.hpp"
@@ -25,19 +24,23 @@ namespace {
 constexpr double kPolishT0 = 0.8;
 constexpr double kPolishAlpha = 0.85;
 
-/// Warm-start simulated-annealing polish of a legal placement, in place:
-/// at most `opts.polish_rounds` temperature rounds of cluster relocations
-/// and swaps and pad reassignments, scored by the integer HPWL engine. The
-/// opening temperature is low and the proposal window shrinks
-/// geometrically from half the fabric down to 1 (VPR's rlim idea, on a
-/// fixed schedule to stay deterministic), so only local refinement
+/// Warm-start simulated-annealing polish of the legal placement in `ar`,
+/// in place: at most `opts.polish_rounds` temperature rounds of cluster
+/// relocations and swaps and pad reassignments, scored and committed on
+/// `ar.engine`. The opening temperature is low and the proposal window
+/// shrinks geometrically from half the fabric down to 1 (VPR's rlim idea,
+/// on a fixed schedule to stay deterministic), so only local refinement
 /// survives. Move counts, rounds and the per-round cost land in `stats`.
 /// A pure function of its arguments and `seed`.
 void polish_anneal(const PlaceModel& model, const PlaceOptions& opts, std::uint64_t seed,
-                   std::vector<PlbCoord>& cluster_loc, std::vector<std::uint32_t>& pad_of_io,
-                   Placement& stats) {
+                   AnalyticalResult& ar, Placement& stats) {
     const std::uint32_t W = model.arch->width;
     const std::uint32_t H = model.arch->height;
+    std::vector<PlbCoord>& cluster_loc = ar.cluster_loc;
+    std::vector<std::uint32_t>& pad_of_io = ar.pad_of_io;
+    const std::vector<std::int32_t>& pad_x = ar.pad_x;
+    const std::vector<std::int32_t>& pad_y = ar.pad_y;
+    PlaceCostEngine& engine = ar.engine;
     base::Rng rng(seed);
 
     // Occupancy: PLB (x + y*W) -> cluster index + 1, pad -> io slot + 1.
@@ -46,36 +49,6 @@ void polish_anneal(const PlaceModel& model, const PlaceOptions& opts, std::uint6
         grid[cluster_loc[ci].y * W + cluster_loc[ci].x] = ci + 1;
     std::vector<std::size_t> pad_owner(model.geom.num_pads(), 0);
     for (std::size_t i = 0; i < pad_of_io.size(); ++i) pad_owner[pad_of_io[i]] = i + 1;
-
-    // --- incremental cost engine -------------------------------------------------
-    // Entities and nets mirror the model tables; the engine caches positions
-    // and per-net costs so move evaluation never rescans positions. Every
-    // coordinate is integral (PLBs at x+1, pads on the frame), so the engine
-    // works in integers; the pad points are converted once, here. The 2^29
-    // bound keeps every net's HPWL (two spans) inside int32.
-    auto integral = [](double v) {
-        check(v == std::trunc(v) && v >= 0 && v <= double{1 << 29},
-              "place: placement coordinate is not an integer in [0, 2^29]");
-        return static_cast<std::int32_t>(v);
-    };
-    std::vector<std::int32_t> pad_x;
-    std::vector<std::int32_t> pad_y;
-    for (const PlacePt& p : model.pad_pts) {
-        pad_x.push_back(integral(p.x));
-        pad_y.push_back(integral(p.y));
-    }
-    PlaceCostEngine engine;
-    for (const PlaceEntity& e : model.entities) {
-        if (e.kind == PlaceEntity::Kind::Cluster) {
-            const PlbCoord c = cluster_loc[e.index];
-            engine.add_entity(integral(c.x + 1.0), integral(c.y + 1.0));
-        } else {
-            const std::uint32_t pad = pad_of_io[e.io_slot];
-            engine.add_entity(pad_x[pad], pad_y[pad]);
-        }
-    }
-    for (const PlaceNet& n : model.nets) engine.add_net(n.entities);
-    engine.finalize();
     double cost = engine.total_cost();
 
     // --- moves ---------------------------------------------------------------------
@@ -177,6 +150,159 @@ void polish_anneal(const PlaceModel& model, const PlaceOptions& opts, std::uint6
     }
 }
 
+/// Deterministic detailed-placement descent of the placement in `ar`, in
+/// place, priced and committed on `ar.engine`: each cluster, in index
+/// order, takes the best strictly-improving free site or swap inside a
+/// small window, then each io slot takes the best strictly-improving pad
+/// move or pad swap; passes repeat until dry (VPR's zero-temperature
+/// quench, on the anneal's own cost engine). Cluster passes alternate with
+/// pad passes because on I/O-heavy designs most of the recoverable
+/// wirelength is in the pad assignment, which greedy seeding and short
+/// polishing leave suboptimal. place() runs it last, after the polish:
+/// descending before annealing traps the anneal in the descent's local
+/// basin and measurably worsens the result. A pure function of its
+/// arguments.
+void refine_detailed(const PlaceModel& model, AnalyticalResult& ar) {
+    const std::uint32_t W = model.arch->width;
+    const std::uint32_t H = model.arch->height;
+    std::vector<PlbCoord>& loc = ar.cluster_loc;
+    std::vector<std::uint32_t>& pad_of_io = ar.pad_of_io;
+    PlaceCostEngine& engine = ar.engine;
+    constexpr int kRadius = 3;
+    constexpr int kMaxPasses = 16;
+    const std::size_t n = model.num_clusters;
+    const std::size_t n_io = model.io_entity_ids.size();
+    const std::size_t n_pads = model.pad_pts.size();
+    constexpr std::uint32_t kFree = 0xffffffffu;
+    std::vector<std::uint32_t> grid(std::size_t{W} * H, kFree);
+    auto cell = [&](std::uint32_t gx, std::uint32_t gy) -> std::uint32_t& {
+        return grid[std::size_t{gy} * W + gx];
+    };
+    for (std::size_t i = 0; i < n; ++i) cell(loc[i].x, loc[i].y) = static_cast<std::uint32_t>(i);
+    std::vector<std::uint32_t> pad_owner(n_pads, kFree);
+    for (std::size_t s = 0; s < n_io; ++s) pad_owner[pad_of_io[s]] = static_cast<std::uint32_t>(s);
+
+    // Cost delta of moving cluster i to `to`, swapping with its occupant
+    // if any. commit() applies the last one evaluated.
+    auto eval_cluster = [&](std::size_t i, PlbCoord to) {
+        const PlbCoord from = loc[i];
+        const std::uint32_t j = cell(to.x, to.y);
+        const EntityMove moves[2] = {
+            {i, static_cast<std::int32_t>(to.x + 1), static_cast<std::int32_t>(to.y + 1)},
+            {j, static_cast<std::int32_t>(from.x + 1), static_cast<std::int32_t>(from.y + 1)}};
+        return engine.eval({moves, j == kFree ? std::size_t{1} : std::size_t{2}});
+    };
+    // Cost delta of moving io slot s to pad `to`, swapping with its owner
+    // if any.
+    auto eval_pad = [&](std::size_t s, std::uint32_t to) {
+        const std::uint32_t from = pad_of_io[s];
+        const std::uint32_t t = pad_owner[to];
+        const EntityMove moves[2] = {
+            {model.io_entity_ids[s], ar.pad_x[to], ar.pad_y[to]},
+            {t == kFree ? SIZE_MAX : model.io_entity_ids[t], ar.pad_x[from], ar.pad_y[from]}};
+        return engine.eval({moves, t == kFree ? std::size_t{1} : std::size_t{2}});
+    };
+
+    for (int pass = 0; pass < kMaxPasses; ++pass) {
+        bool improved = false;
+        for (std::size_t i = 0; i < n; ++i) {
+            const PlbCoord from = loc[i];
+            const std::uint32_t ty0 =
+                from.y > static_cast<std::uint32_t>(kRadius) ? from.y - kRadius : 0;
+            const std::uint32_t ty1 = std::min(H - 1, from.y + kRadius);
+            const std::uint32_t tx0 =
+                from.x > static_cast<std::uint32_t>(kRadius) ? from.x - kRadius : 0;
+            const std::uint32_t tx1 = std::min(W - 1, from.x + kRadius);
+            double best_delta = -1e-9;  // strict improvement only
+            PlbCoord best_to{};
+            bool have = false;
+            for (std::uint32_t ty = ty0; ty <= ty1; ++ty)
+                for (std::uint32_t tx = tx0; tx <= tx1; ++tx) {
+                    if (tx == from.x && ty == from.y) continue;
+                    const double delta = eval_cluster(i, {tx, ty});
+                    if (delta < best_delta) {
+                        best_delta = delta;
+                        best_to = {tx, ty};
+                        have = true;
+                    }
+                }
+            if (have) {
+                (void)eval_cluster(i, best_to);
+                engine.commit();
+                const std::uint32_t occ = cell(best_to.x, best_to.y);
+                loc[i] = best_to;
+                if (occ != kFree) loc[occ] = from;
+                cell(from.x, from.y) = occ;
+                cell(best_to.x, best_to.y) = static_cast<std::uint32_t>(i);
+                improved = true;
+            }
+        }
+        // Pad pass: each io slot, in slot order, tries pads in a Manhattan
+        // window around the centroid of the other entities on its nets —
+        // free pads as moves, owned pads as slot swaps. Full-delta
+        // evaluation of every pad made this pass O(n_io * n_pads * pins)
+        // and it dominated the entire placer at 100x100; every pad still
+        // gets a cheap distance test, but only pads within kPadWindow of
+        // the nearest-pad distance to the centroid (where any improving
+        // move must roughly land, since the moved slot's nets are anchored
+        // at that centroid) pay for a full delta.
+        constexpr double kPadWindow = 8.0;
+        for (std::size_t s = 0; s < n_io; ++s) {
+            const std::size_t es = model.io_entity_ids[s];
+            const std::uint32_t from = pad_of_io[s];
+            double gx = model.pad_pts[from].x;
+            double gy = model.pad_pts[from].y;
+            {
+                double sx = 0;
+                double sy = 0;
+                std::size_t cnt = 0;
+                for (std::size_t ni : model.nets_of_entity[es])
+                    for (std::size_t other : model.nets[ni].entities) {
+                        if (other == es) continue;
+                        sx += engine.entity_x(other);
+                        sy += engine.entity_y(other);
+                        ++cnt;
+                    }
+                if (cnt != 0) {
+                    gx = sx / static_cast<double>(cnt);
+                    gy = sy / static_cast<double>(cnt);
+                }
+            }
+            double d_floor = 1e300;
+            for (std::uint32_t p = 0; p < n_pads; ++p)
+                d_floor = std::min(d_floor, std::abs(model.pad_pts[p].x - gx) +
+                                                std::abs(model.pad_pts[p].y - gy));
+            const double d_cut = d_floor + kPadWindow;
+            double best_delta = -1e-9;  // strict improvement only
+            std::uint32_t best_pad = 0;
+            bool have = false;
+            for (std::uint32_t p = 0; p < n_pads; ++p) {
+                if (p == from) continue;
+                if (std::abs(model.pad_pts[p].x - gx) + std::abs(model.pad_pts[p].y - gy) >
+                    d_cut)
+                    continue;
+                const double delta = eval_pad(s, p);
+                if (delta < best_delta) {
+                    best_delta = delta;
+                    best_pad = p;
+                    have = true;
+                }
+            }
+            if (have) {
+                (void)eval_pad(s, best_pad);
+                engine.commit();
+                const std::uint32_t owner = pad_owner[best_pad];
+                pad_of_io[s] = best_pad;
+                if (owner != kFree) pad_of_io[owner] = from;
+                pad_owner[from] = owner;
+                pad_owner[best_pad] = static_cast<std::uint32_t>(s);
+                improved = true;
+            }
+        }
+        if (!improved) break;
+    }
+}
+
 }  // namespace
 
 Placement place(const PackedDesign& pd, const MappedDesign& md, const core::ArchSpec& arch,
@@ -192,14 +318,16 @@ Placement place(const PackedDesign& pd, const MappedDesign& md, const core::Arch
     check(std::isfinite(opts.coarsen_ratio), "place: coarsen_ratio must be finite");
 
     const PlaceModel model(pd, md, arch);
+    // One cost engine, built at the legal placement, prices every move of
+    // the polish and of the final descent.
     AnalyticalResult ar = place_multilevel_global(model, opts, opts.seed);
     Placement result;
     if (opts.polish_rounds > 0 && !model.nets.empty())
-        polish_anneal(model, opts, opts.seed, ar.cluster_loc, ar.pad_of_io, result);
+        polish_anneal(model, opts, opts.seed, ar, result);
     // Final detailed-placement descent (the anneal leaves low-temperature
     // residual the exhaustive window cleans up deterministically).
-    refine_detailed(model, ar.pad_of_io, ar.cluster_loc);
-    result.final_cost = model.total_cost(ar.cluster_loc, ar.pad_of_io);
+    refine_detailed(model, ar);
+    result.final_cost = ar.engine.total_cost();
     result.cluster_loc = std::move(ar.cluster_loc);
     for (std::size_t i = 0; i < md.primary_inputs.size(); ++i)
         result.pi_pad[md.primary_inputs[i].first] = ar.pad_of_io[i];

@@ -6,8 +6,11 @@
 /// global placement, solved by a deterministic conjugate-gradient solver
 /// (cad/place_coarsen.hpp + cad/place_multilevel.hpp), snaps it legal with
 /// a Tetris-style legalizer (cad/place_legalize.hpp), then polishes it with
-/// a short warm-start anneal over PLB locations and I/O pads and a
-/// detailed descent (cad/place_analytical.hpp). The full spreading
+/// a short warm-start anneal over PLB locations and I/O pads and finishes
+/// with a deterministic detailed descent. The anneal and the descent price
+/// every move on one integer HPWL engine (cad/place_cost.hpp), built once
+/// per call at the legal placement; its totals are `legalized_cost` and
+/// `final_cost`. The full spreading
 /// schedule runs only on the coarsest few hundred nodes and each finer
 /// level gets a short anchored refinement, so wall time stays flat as the
 /// fabric grows. `max_levels = 0` runs the flat, single-level schedule.
@@ -120,6 +123,9 @@ struct PlaceOptions {
                               const core::ArchSpec& arch, const PlaceOptions& opts = {});
 
 /// Total half-perimeter wirelength of a placement (reported by benches).
+/// Computed from the signals directly, sharing no code with the placer's
+/// cost engine, so tests use it as the oracle for `final_cost` and
+/// `legalized_cost`.
 [[nodiscard]] double placement_wirelength(const PackedDesign& pd, const MappedDesign& md,
                                           const core::ArchSpec& arch, const Placement& pl);
 

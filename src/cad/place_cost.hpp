@@ -1,18 +1,21 @@
 /// \file
 /// Incremental half-perimeter wirelength (HPWL) engine for the placer.
 ///
-/// The polish anneal proposes moves of one or two entities (a cluster
-/// relocation, a cluster swap, a pad reassignment). Instead of rescanning
-/// every entity of every affected net through a position lookup, the
-/// engine caches every entity's position and every net's cost.
+/// The placer's one move evaluator. The polish anneal and the final
+/// descent (cad/place.cpp) both propose moves of one or two entities (a
+/// cluster relocation, a cluster swap, a pad reassignment or pad swap).
+/// Instead of rescanning every entity of every affected net through a
+/// position lookup, the engine caches every entity's position and every
+/// net's cost. The V-cycle (cad/place_multilevel.hpp) builds it at the
+/// legal placement.
 ///
 /// Every placement coordinate is an integer: a PLB sits at (x+1, y+1) and
 /// a pad on the 0 / W+1 / H+1 frame at offset+1. So every net's HPWL is an
 /// integer, every cost sum is exact in any order, and the engine keeps
-/// positions as int32 and accumulates deltas in int64. A rescan evaluator
-/// summing the same integers in doubles reaches the same value bit for bit
-/// (all sums stay far below 2^53), so both make identical accept/reject
-/// decisions with no ordering rule.
+/// positions as int32 and accumulates deltas in int64. A recomputation
+/// summing the same integers in doubles, such as cad::placement_wirelength,
+/// reaches the same value bit for bit (all sums stay far below 2^53), in
+/// any order.
 ///
 /// Two net shapes, after VPR's placer:
 /// - Nets of at most kSmallNet pins: every (entity, net) incidence carries
@@ -25,10 +28,10 @@
 ///
 /// eval() applies a proposal tentatively: it writes the proposed positions
 /// into the position arrays, evaluates, and restores the committed
-/// positions before it returns. commit() then applies the stashed result;
-/// a proposal that is not committed leaves no trace.
+/// positions before it returns. commit() then applies the stashed result
+/// of the last eval(); a proposal that is not committed leaves no trace.
 ///
-/// Threading: each polish run owns its engine; an engine is never shared.
+/// Threading: each place() call owns its engine; an engine is never shared.
 #pragma once
 
 #include <cstddef>

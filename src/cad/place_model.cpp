@@ -96,30 +96,4 @@ PlaceModel::PlaceModel(const PackedDesign& pd, const MappedDesign& md,
     }
 }
 
-double PlaceModel::net_cost(const PlaceNet& n, const std::vector<core::PlbCoord>& cluster_loc,
-                            const std::vector<std::uint32_t>& pad_of_io) const {
-    double xmin = 1e18;
-    double xmax = -1e18;
-    double ymin = 1e18;
-    double ymax = -1e18;
-    for (std::size_t eid : n.entities) {
-        const PlaceEntity& e = entities[eid];
-        const PlacePt p = e.kind == PlaceEntity::Kind::Cluster
-                              ? PlacePt{cluster_loc[e.index].x + 1.0, cluster_loc[e.index].y + 1.0}
-                              : pad_pts[pad_of_io[e.io_slot]];
-        xmin = std::min(xmin, p.x);
-        xmax = std::max(xmax, p.x);
-        ymin = std::min(ymin, p.y);
-        ymax = std::max(ymax, p.y);
-    }
-    return (xmax - xmin) + (ymax - ymin);
-}
-
-double PlaceModel::total_cost(const std::vector<core::PlbCoord>& cluster_loc,
-                              const std::vector<std::uint32_t>& pad_of_io) const {
-    double c = 0;
-    for (const PlaceNet& n : nets) c += net_cost(n, cluster_loc, pad_of_io);
-    return c;
-}
-
 }  // namespace afpga::cad

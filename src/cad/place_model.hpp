@@ -7,7 +7,10 @@
 /// perimeter pads, and half-perimeter wirelength over the logical nets
 /// connecting them. This header owns that model — the entity table, the
 /// net list, the reverse index and the pad geometry — built once per
-/// place() call and read by every phase.
+/// place() call and read by every phase. The model holds no positions and
+/// prices nothing: once the placement is legal, the integer cost engine
+/// (cad/place_cost.hpp), built over these entity ids and nets, is the one
+/// evaluator of every move.
 ///
 /// Determinism: construction is RNG-free and keeps a fixed entity/net
 /// order (the polish's move sequence, and therefore every placement bit,
@@ -59,19 +62,6 @@ struct PlaceModel {
     /// Build the model (validates that the design fits the fabric; throws
     /// base::Error otherwise).
     PlaceModel(const PackedDesign& pd, const MappedDesign& md, const core::ArchSpec& a);
-
-    /// The frame point of a pad (tabled geometry).
-    [[nodiscard]] PlacePt pad_pt(std::uint32_t pad) const { return pad_pts[pad]; }
-
-    /// HPWL of one net given per-cluster locations and the io-slot -> pad
-    /// map.
-    [[nodiscard]] double net_cost(const PlaceNet& n,
-                                  const std::vector<core::PlbCoord>& cluster_loc,
-                                  const std::vector<std::uint32_t>& pad_of_io) const;
-
-    /// Total HPWL over every net (sum in net order).
-    [[nodiscard]] double total_cost(const std::vector<core::PlbCoord>& cluster_loc,
-                                    const std::vector<std::uint32_t>& pad_of_io) const;
 };
 
 }  // namespace afpga::cad

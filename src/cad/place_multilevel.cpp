@@ -185,6 +185,60 @@ void refine_level_pads(const CoarseLevel& lv,
     pad_of_io = scratch.out;
 }
 
+/// HPWL over the fractional (pre-legalization) coordinates — the
+/// `pre_legal_cost` telemetry. The cost engine needs integer coordinates,
+/// so this one sums doubles.
+double fractional_cost(const PlaceModel& model, const std::vector<double>& cx,
+                       const std::vector<double>& cy,
+                       const std::vector<std::uint32_t>& pad_of_io) {
+    double total = 0;
+    for (const PlaceNet& net : model.nets) {
+        double xmin = 1e18;
+        double xmax = -1e18;
+        double ymin = 1e18;
+        double ymax = -1e18;
+        for (std::size_t eid : net.entities) {
+            const PlaceEntity& e = model.entities[eid];
+            const PlacePt p = e.kind == PlaceEntity::Kind::Cluster
+                                  ? PlacePt{cx[e.index], cy[e.index]}
+                                  : model.pad_pts[pad_of_io[e.io_slot]];
+            xmin = std::min(xmin, p.x);
+            xmax = std::max(xmax, p.x);
+            ymin = std::min(ymin, p.y);
+            ymax = std::max(ymax, p.y);
+        }
+        total += (xmax - xmin) + (ymax - ymin);
+    }
+    return total;
+}
+
+/// Fill `res.engine` and the pad table from the legal placement in `res`.
+/// Every coordinate is integral (PLBs at x+1, pads on the frame), so the
+/// engine works in integers; the pad points are converted once, here. The
+/// 2^29 bound keeps every net's HPWL (two spans) inside int32.
+void build_cost_engine(const PlaceModel& model, AnalyticalResult& res) {
+    auto integral = [](double v) {
+        base::check(v == std::trunc(v) && v >= 0 && v <= double{1 << 29},
+                    "place: placement coordinate is not an integer in [0, 2^29]");
+        return static_cast<std::int32_t>(v);
+    };
+    for (const PlacePt& p : model.pad_pts) {
+        res.pad_x.push_back(integral(p.x));
+        res.pad_y.push_back(integral(p.y));
+    }
+    for (const PlaceEntity& e : model.entities) {
+        if (e.kind == PlaceEntity::Kind::Cluster) {
+            const core::PlbCoord c = res.cluster_loc[e.index];
+            res.engine.add_entity(integral(c.x + 1.0), integral(c.y + 1.0));
+        } else {
+            const std::uint32_t pad = res.pad_of_io[e.io_slot];
+            res.engine.add_entity(res.pad_x[pad], res.pad_y[pad]);
+        }
+    }
+    for (const PlaceNet& n : model.nets) res.engine.add_net(n.entities);
+    res.engine.finalize();
+}
+
 }  // namespace
 
 AnalyticalResult place_multilevel_global(const PlaceModel& model, const PlaceOptions& opts,
@@ -340,7 +394,8 @@ AnalyticalResult place_multilevel_global(const PlaceModel& model, const PlaceOpt
     }
 
     res.cluster_loc = legalize_clusters(tgt_x, tgt_y, W, H, &res.stats.legalize);
-    res.stats.legalized_cost = model.total_cost(res.cluster_loc, res.pad_of_io);
+    build_cost_engine(model, res);
+    res.stats.legalized_cost = res.engine.total_cost();
     return res;
 }
 

@@ -1,5 +1,7 @@
 #include "cad/wire.hpp"
 
+#include <limits>
+#include <string>
 #include <utility>
 
 #include "base/check.hpp"
@@ -138,6 +140,15 @@ std::size_t get_count(BlobReader& r, std::size_t min_elem_bytes) {
     const std::uint64_t n = r.u64();
     check(n <= r.remaining() / min_elem_bytes, "wire: count overruns payload");
     return static_cast<std::size_t>(n);
+}
+
+/// An int field travels as an i64; a value outside int is corruption, not
+/// something to wrap.
+int get_int(BlobReader& r, const char* field) {
+    const std::int64_t v = r.i64();
+    check(v >= std::numeric_limits<int>::min() && v <= std::numeric_limits<int>::max(),
+          std::string("wire: ") + field + " out of range");
+    return static_cast<int>(v);
 }
 
 void put_bytes(BlobWriter& w, const std::uint8_t* data, std::size_t n) {
@@ -359,21 +370,21 @@ FlowOptions decode_flow_options(BlobReader& r) {
     check(alg == PlaceAlgorithm::Multilevel, "wire: place algorithm out of range");
     o.place.algorithm = alg;
     o.place.threads = r.u32();
-    o.place.solver_passes = static_cast<int>(r.i64());
-    o.place.solver_max_iters = static_cast<int>(r.i64());
-    o.place.polish_rounds = static_cast<int>(r.i64());
+    o.place.solver_passes = get_int(r, "place.solver_passes");
+    o.place.solver_max_iters = get_int(r, "place.solver_max_iters");
+    o.place.polish_rounds = get_int(r, "place.polish_rounds");
     o.place.solver_tolerance = r.f64();
     o.place.anchor_weight = r.f64();
     o.place.coarsen_ratio = r.f64();
-    o.place.min_coarse_nodes = static_cast<int>(r.i64());
-    o.place.max_levels = static_cast<int>(r.i64());
-    o.route.max_iterations = static_cast<int>(r.i64());
+    o.place.min_coarse_nodes = get_int(r, "place.min_coarse_nodes");
+    o.place.max_levels = get_int(r, "place.max_levels");
+    o.route.max_iterations = get_int(r, "route.max_iterations");
     o.route.pres_fac_first = r.f64();
     o.route.pres_fac_mult = r.f64();
     o.route.hist_fac = r.f64();
     o.route.astar_fac = r.f64();
     o.route.incremental = r.boolean();
-    o.route.stall_full_reroute = static_cast<int>(r.i64());
+    o.route.stall_full_reroute = get_int(r, "route.stall_full_reroute");
     o.route.verbose = r.boolean();
     o.route.threads = r.u32();
     o.route.bin_margin = r.u32();
@@ -449,7 +460,7 @@ SubmitMsg decode_submit(const std::vector<std::uint8_t>& p) {
     return decode_full(p, [](BlobReader& r) {
         SubmitMsg m;
         m.name = r.str();
-        m.priority = static_cast<std::int32_t>(r.i64());
+        m.priority = get_int(r, "priority");
         m.nl = decode_netlist(r);
         m.hints = decode_hints(r);
         // Hint net ids are meaningless outside the netlist they arrived

@@ -2,8 +2,9 @@
 //  - PlaceCostEngine's incremental delta cost matches a from-scratch HPWL
 //    recomputation exactly after randomized move sequences, shared-net
 //    swaps and discarded proposals, and add_net rejects malformed nets;
-//  - PlaceGolden.* pin the polish anneal's move sequence on the paper
-//    designs;
+//  - PlaceGolden.* pin the placer's decisions on the paper designs: the
+//    polish anneal's move sequence plus the final descent, and (with
+//    polish_rounds = 0) the final descent alone;
 //  - PlaceModel's io slots index their entities, and the default placer's
 //    pads are distinct, on a mixed cluster/IO design;
 //  - incremental PathFinder rerouting produces legal (no overuse) routings
@@ -297,11 +298,14 @@ TEST(PlaceModel, IoSlotsIndexTheirEntitiesOnMixedDesign) {
 
 // ---------------------------------------------------------------------------
 // Placement goldens. Each design is techmapped, packed and placed by the
-// default placer, whose warm polish anneal drives the integer cost engine.
-// The move counters, the final cost and an FNV-1a hash over the cluster
-// locations, the name-sorted pad assignment and the bits of the cost
-// trajectory pin every accept/reject decision of the polish: any change to
-// the cost engine's arithmetic or the RNG draw order shows up here.
+// default placer, whose warm polish anneal and final descent both price
+// moves on the integer cost engine. The move counters, the final cost and
+// an FNV-1a hash over the cluster locations, the name-sorted pad
+// assignment and the bits of the cost trajectory pin every accept/reject
+// decision of the polish and every move of the descent: any change to the
+// cost engine's arithmetic or the RNG draw order shows up here. The
+// *DescentOnly cases set polish_rounds = 0, so they pin the descent alone
+// on the legalized placement.
 // ---------------------------------------------------------------------------
 
 namespace place_golden {
@@ -356,7 +360,7 @@ struct Golden {
 };
 
 void expect_golden(Design design, std::size_t bits, std::size_t depth, std::uint32_t fabric,
-                   const Golden& g) {
+                   const Golden& g, cad::PlaceOptions opts = {}) {
     netlist::Netlist nl;
     asynclib::MappingHints hints;
     switch (design) {
@@ -382,7 +386,6 @@ void expect_golden(Design design, std::size_t bits, std::size_t depth, std::uint
     arch.width = arch.height = fabric;
     const auto md = cad::techmap(nl, hints);
     const auto pd = cad::pack(md, arch);
-    cad::PlaceOptions opts;
     opts.seed = 7;
     const cad::Placement pl = cad::place(pd, md, arch, opts);
     EXPECT_EQ(pl.moves_tried, g.moves_tried);
@@ -435,6 +438,23 @@ TEST(PlaceGolden, MousetrapFifo4x8Multilevel) {
 TEST(PlaceGolden, WchbFifo8x24Multilevel) {
     expect_golden(Design::WchbFifo, 8, 24, 18,
                   {72984u, 10373u, 8, 1105.0, 0x5C00A5A17E57E78EULL});
+}
+
+cad::PlaceOptions descent_only() {
+    cad::PlaceOptions o;
+    o.polish_rounds = 0;
+    return o;
+}
+
+TEST(PlaceGolden, QdiAdder4DescentOnly) {
+    expect_golden(Design::QdiAdder, 4, 0, 12, {0u, 0u, 0, 175.0, 0x5433C71CF88595B5ULL},
+                  descent_only());
+}
+
+// The FIFO's wide control nets take the engine's large-net box path.
+TEST(PlaceGolden, WchbFifo8x24DescentOnly) {
+    expect_golden(Design::WchbFifo, 8, 24, 18, {0u, 0u, 0, 1250.0, 0x3A560192576A927DULL},
+                  descent_only());
 }
 
 cad::RouteRequest plb_to_plb(core::PlbCoord from, core::PlbCoord to) {

@@ -1,7 +1,8 @@
 // Multilevel placement: the coarsening hierarchy's invariants (weight
 // conservation, contracted-net pin sets, matching determinism) and the
 // V-cycle engine's contract (legality, determinism, engine tag, per-level
-// telemetry).
+// telemetry, and a legalized cost that equals the independent wirelength
+// oracle).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -10,10 +11,12 @@
 #include <vector>
 
 #include "asynclib/adders.hpp"
+#include "asynclib/fifos.hpp"
 #include "cad/pack.hpp"
 #include "cad/place.hpp"
 #include "cad/place_coarsen.hpp"
 #include "cad/place_model.hpp"
+#include "cad/place_multilevel.hpp"
 #include "cad/techmap.hpp"
 #include "core/archspec.hpp"
 
@@ -31,6 +34,15 @@ Design make_design() {
     Design d;
     auto adder = asynclib::make_qdi_adder(2);
     d.md = cad::techmap(adder.nl, adder.hints);
+    d.pd = cad::pack(d.md, d.arch);
+    return d;
+}
+
+Design make_fifo_design() {
+    Design d;
+    auto fifo = asynclib::make_wchb_fifo(8, 24);
+    d.arch.width = d.arch.height = 18;
+    d.md = cad::techmap(fifo.nl, fifo.hints);
     d.pd = cad::pack(d.md, d.arch);
     return d;
 }
@@ -260,6 +272,31 @@ TEST(PlaceMultilevel, NoCoarseningRunsTheFullScheduleOnOneLevel) {
     opts.min_coarse_nodes = static_cast<int>(d.pd.clusters.size());
     opts.solver_passes = 5;
     expect_single_level_full_schedule(d, opts);
+}
+
+// legalized_cost is the HPWL of the legalized placement the V-cycle hands
+// to the polish, checked against placement_wirelength, which shares no
+// code with the placer's cost evaluation.
+void expect_legalized_cost_is_wirelength(const Design& d) {
+    const cad::PlaceModel model(d.pd, d.md, d.arch);
+    cad::PlaceOptions opts;
+    opts.seed = 5;
+    const cad::AnalyticalResult res = cad::place_multilevel_global(model, opts, opts.seed);
+    cad::Placement pl;
+    pl.cluster_loc = res.cluster_loc;
+    const std::size_t n_pi = d.md.primary_inputs.size();
+    for (std::size_t i = 0; i < n_pi; ++i)
+        pl.pi_pad[d.md.primary_inputs[i].first] = res.pad_of_io[i];
+    for (std::size_t i = 0; i < d.md.primary_outputs.size(); ++i)
+        pl.po_pad[d.md.primary_outputs[i].first] = res.pad_of_io[n_pi + i];
+    expect_legal(pl, d.arch);
+    EXPECT_GT(res.stats.legalized_cost, 0.0);
+    EXPECT_EQ(res.stats.legalized_cost, cad::placement_wirelength(d.pd, d.md, d.arch, pl));
+}
+
+TEST(PlaceMultilevel, LegalizedCostIsTheWirelengthOfTheLegalPlacement) {
+    expect_legalized_cost_is_wirelength(make_wide_design());
+    expect_legalized_cost_is_wirelength(make_fifo_design());
 }
 
 }  // namespace

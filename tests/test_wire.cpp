@@ -310,6 +310,73 @@ TEST(WireCodec, FlowOptionsRejectRetiredPlaceAlgorithm) {
     }
 }
 
+/// Offset of the one little-endian i64 holding `v` in `bytes` (asserts it
+/// occurs exactly once), or bytes.size() when it is missing.
+std::size_t find_unique_i64(const std::vector<std::uint8_t>& bytes, std::uint64_t v) {
+    std::size_t at = bytes.size();
+    for (std::size_t i = 0; i + 8 <= bytes.size(); ++i) {
+        bool hit = true;
+        for (int b = 0; b < 8; ++b) hit &= bytes[i + b] == ((v >> (8 * b)) & 0xFFu);
+        if (hit) {
+            EXPECT_EQ(at, bytes.size()) << "value 0x" << std::hex << v << " is not unique";
+            at = i;
+        }
+    }
+    return at;
+}
+
+/// `bytes` with the high word of the i64 at `at` replaced: 1 makes a small
+/// positive value 2^32 + v, 0xFFFFFFFF makes it v - 2^32; neither fits int.
+std::vector<std::uint8_t> with_high_word(std::vector<std::uint8_t> bytes, std::size_t at,
+                                         std::uint32_t high) {
+    for (int b = 0; b < 4; ++b) bytes[at + 4 + b] = static_cast<std::uint8_t>(high >> (8 * b));
+    return bytes;
+}
+
+TEST(WireCodec, IntFieldsThatDoNotFitIntThrowInsteadOfWrapping) {
+    // Each int knob travels as an i64. Encode a distinct sentinel into each,
+    // then patch the high word of its encoded bytes: the decoder must throw,
+    // not wrap the value back to the sentinel.
+    const std::int32_t sentinel = 0x13572400;
+    cad::FlowOptions o;
+    int* const ints[] = {&o.place.solver_passes,    &o.place.solver_max_iters,
+                         &o.place.polish_rounds,    &o.place.min_coarse_nodes,
+                         &o.place.max_levels,       &o.route.max_iterations,
+                         &o.route.stall_full_reroute};
+    for (std::size_t k = 0; k < std::size(ints); ++k)
+        *ints[k] = sentinel + static_cast<std::int32_t>(k);
+    cad::BlobWriter w;
+    wire::encode_flow_options(o, w);
+    const std::vector<std::uint8_t> bytes = std::move(w).take();
+    {
+        cad::BlobReader r(bytes);
+        EXPECT_EQ(wire::decode_flow_options(r).route.stall_full_reroute, sentinel + 6);
+    }
+    for (std::size_t k = 0; k < std::size(ints); ++k) {
+        const std::size_t at = find_unique_i64(bytes, static_cast<std::uint64_t>(sentinel) + k);
+        ASSERT_LT(at, bytes.size()) << "field " << k;
+        for (const std::uint32_t high : {1u, 0xFFFFFFFFu}) {
+            const std::vector<std::uint8_t> bad = with_high_word(bytes, at, high);
+            cad::BlobReader r(bad);
+            EXPECT_THROW((void)wire::decode_flow_options(r), base::Error)
+                << "field " << k << " high word 0x" << std::hex << high;
+        }
+    }
+
+    // A Submit frame's priority is an int32 carried the same way.
+    wire::SubmitMsg m;
+    m.name = "priority";
+    m.priority = sentinel;
+    m.nl = asynclib::make_qdi_adder(1).nl;
+    const std::vector<std::uint8_t> submit = wire::encode_payload(m);
+    EXPECT_EQ(wire::decode_submit(submit).priority, sentinel);
+    const std::size_t at = find_unique_i64(submit, static_cast<std::uint64_t>(sentinel));
+    ASSERT_LT(at, submit.size());
+    for (const std::uint32_t high : {1u, 0xFFFFFFFFu})
+        EXPECT_THROW((void)wire::decode_submit(with_high_word(submit, at, high)), base::Error)
+            << "high word 0x" << std::hex << high;
+}
+
 template <typename Msg, typename Decode>
 void expect_msg_roundtrip(const Msg& m, Decode decode, const char* what) {
     const std::vector<std::uint8_t> bytes = wire::encode_payload(m);
