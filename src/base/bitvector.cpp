@@ -35,6 +35,12 @@ void BitVector::flip(std::size_t i) {
     words_[i / kWordBits] ^= 1ULL << (i % kWordBits);
 }
 
+void BitVector::set_word(std::size_t w, std::uint64_t value) {
+    check(w < words_.size(), "BitVector::set_word out of range");
+    words_[w] = value;
+    if (w + 1 == words_.size()) mask_tail();
+}
+
 void BitVector::push_back(bool v) {
     resize(nbits_ + 1);
     set(nbits_ - 1, v);

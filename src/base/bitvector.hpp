@@ -65,6 +65,9 @@ public:
 
     /// The packed 64-bit words (LSB-first; tail bits zero).
     [[nodiscard]] const std::vector<std::uint64_t>& words() const noexcept { return words_; }
+    /// Overwrite word `w` (bits 64w..64w+63; bounds-checked). Bits past
+    /// size() are cleared, so the tail stays zero.
+    void set_word(std::size_t w, std::uint64_t value);
 
     /// Bitwise equality (same size and same bits).
     friend bool operator==(const BitVector& a, const BitVector& b) noexcept = default;

@@ -1,7 +1,6 @@
 #include "cad/pack.hpp"
 
 #include <algorithm>
-#include <unordered_set>
 
 #include "base/check.hpp"
 #include "cad/fingerprint.hpp"
@@ -40,27 +39,6 @@ std::vector<NetId> Cluster::external_inputs(const MappedDesign& md) const {
     return in;
 }
 
-std::vector<NetId> Cluster::external_outputs(
-    const MappedDesign& md,
-    const std::unordered_map<NetId, std::vector<std::size_t>>& consumers_of,
-    const std::vector<std::size_t>& cluster_of_le, const std::vector<std::size_t>& cluster_of_pde,
-    std::size_t self_index) const {
-    (void)cluster_of_le;
-    (void)cluster_of_pde;
-    std::unordered_set<NetId> po_signals;
-    for (const auto& [name, s] : md.primary_outputs) po_signals.insert(s);
-    std::vector<NetId> out;
-    for (NetId s : produced(md)) {
-        const auto it = consumers_of.find(s);
-        bool external = po_signals.count(s) != 0;
-        if (it != consumers_of.end())
-            for (std::size_t c : it->second)
-                if (c != self_index) external = true;
-        if (external) add_unique(out, s);
-    }
-    return out;
-}
-
 std::unordered_map<NetId, std::vector<std::size_t>> PackedDesign::build_consumers(
     const MappedDesign& md) const {
     std::unordered_map<NetId, std::vector<std::size_t>> consumers;
@@ -77,107 +55,206 @@ std::unordered_map<NetId, std::vector<std::size_t>> PackedDesign::build_consumer
 
 PackedDesign pack(const MappedDesign& md, const core::ArchSpec& arch, const PackOptions& opts) {
     PackedDesign pd;
-    pd.cluster_of_le.assign(md.les.size(), SIZE_MAX);
+    const std::size_t num_les = md.les.size();
+    pd.cluster_of_le.assign(num_les, SIZE_MAX);
     pd.cluster_of_pde.assign(md.pdes.size(), SIZE_MAX);
 
-    // Consumers by signal over LE/PDE indices (for affinity and pin counting).
-    std::unordered_map<NetId, std::vector<std::size_t>> le_consumers;
-    for (std::size_t li = 0; li < md.les.size(); ++li)
-        for (NetId s : md.les[li].input_signals()) le_consumers[s].push_back(li);
-    std::unordered_set<NetId> po_signals;
-    for (const auto& [name, s] : md.primary_outputs) po_signals.insert(s);
+    // Every LE's signal lists, built once.
+    std::vector<std::vector<NetId>> ins(num_les);
+    std::vector<std::vector<NetId>> outs(num_les);
+    std::size_t num_signals = 0;
+    auto see = [&num_signals](NetId s) { num_signals = std::max(num_signals, s.index() + 1); };
+    for (std::size_t li = 0; li < num_les; ++li) {
+        ins[li] = md.les[li].input_signals();
+        outs[li] = md.les[li].output_signals();
+        for (NetId s : ins[li]) see(s);
+        for (NetId s : outs[li]) see(s);
+    }
+    for (const PdeInst& p : md.pdes) {
+        see(p.input);
+        see(p.output);
+    }
 
-    auto cluster_legal = [&](const Cluster& c) {
-        if (c.le_indices.size() > arch.les_per_plb) return false;
-        if (c.external_inputs(md).size() > arch.plb_inputs) return false;
-        // Conservative output bound: count every produced signal that has any
-        // consumer or PO (a superset of what finally leaves the cluster).
-        std::size_t outs = 0;
-        for (NetId s : c.produced(md)) {
-            bool needed = po_signals.count(s) != 0;
-            const auto it = le_consumers.find(s);
-            if (it != le_consumers.end()) {
-                for (std::size_t li : it->second)
-                    if (std::find(c.le_indices.begin(), c.le_indices.end(), li) ==
-                        c.le_indices.end())
-                        needed = true;
+    // Per-signal flags: fixed ones first, then the sets of the cluster being
+    // grown (its external inputs and what it produces), updated as LEs join.
+    enum : std::uint8_t { kConst = 1, kLeaves = 2, kIn = 4, kMade = 8 };
+    std::vector<std::uint8_t> flag(num_signals, 0);
+    std::vector<std::uint32_t> fanout(num_signals, 0);  // LEs consuming the signal
+    for (const auto& [s, value] : md.constant_signals)
+        if (s.index() < num_signals) flag[s.index()] |= kConst;  // IM constants, not pins
+    for (const auto& [name, s] : md.primary_outputs)
+        if (s.index() < num_signals) flag[s.index()] |= kLeaves;
+    for (const PdeInst& p : md.pdes) flag[p.input.index()] |= kLeaves;  // refined after PDE attach
+    for (const auto& in : ins)
+        for (NetId s : in) ++fanout[s.index()];
+    auto has = [&flag](NetId s, std::uint8_t f) { return (flag[s.index()] & f) != 0; };
+
+    // The LEs consuming and producing each signal (ascending), so a cluster
+    // visits only the candidates it shares a signal with.
+    auto index_by_signal = [&](const std::vector<std::vector<NetId>>& lists) {
+        std::vector<std::size_t> first(num_signals + 1, 0);
+        for (const auto& l : lists)
+            for (NetId s : l) ++first[s.index() + 1];
+        for (std::size_t i = 0; i < num_signals; ++i) first[i + 1] += first[i];
+        std::vector<std::size_t> les(first.back());
+        std::vector<std::size_t> fill(first.begin(), first.end() - 1);
+        for (std::size_t li = 0; li < lists.size(); ++li)
+            for (NetId s : lists[li]) les[fill[s.index()]++] = li;
+        return std::pair{std::move(first), std::move(les)};
+    };
+    const auto [consumer_first, consumers] = index_by_signal(ins);
+    const auto [producer_first, producers] = index_by_signal(outs);
+
+    std::vector<std::size_t> members;
+    std::vector<NetId> made;  // produced signals, deduplicated
+    std::vector<NetId> ext;   // external inputs: member inputs neither made nor constant
+
+    auto join = [&](std::size_t li) {
+        members.push_back(li);
+        for (NetId s : outs[li]) {
+            if (has(s, kMade)) continue;
+            flag[s.index()] |= kMade;
+            made.push_back(s);
+            if (has(s, kIn)) {
+                flag[s.index()] &= static_cast<std::uint8_t>(~kIn);
+                std::erase(ext, s);
             }
-            for (const PdeInst& p : md.pdes)
-                if (p.input == s) needed = true;  // refined after PDE attach
-            if (needed) ++outs;
         }
-        return outs <= arch.plb_outputs;
+        for (NetId s : ins[li]) {
+            if (has(s, kConst | kMade | kIn)) continue;
+            flag[s.index()] |= kIn;
+            ext.push_back(s);
+        }
     };
 
-    auto affinity = [&](const Cluster& c, std::size_t li) {
+    // Would the cluster plus `li` fit the PLB's LE count and pin budget?
+    auto legal_with = [&](std::size_t li) {
+        if (members.size() + 1 > arch.les_per_plb) return false;
+        const auto& li_out = outs[li];
+        auto first_out = [&li_out](std::size_t k) {
+            return std::find(li_out.begin(), li_out.begin() + static_cast<std::ptrdiff_t>(k),
+                             li_out[k]) == li_out.begin() + static_cast<std::ptrdiff_t>(k);
+        };
+        std::size_t n_in = ext.size();
+        for (std::size_t k = 0; k < li_out.size(); ++k)
+            if (has(li_out[k], kIn) && first_out(k)) --n_in;
+        for (NetId s : ins[li])
+            if (!has(s, kConst | kMade | kIn) &&
+                std::find(li_out.begin(), li_out.end(), s) == li_out.end())
+                ++n_in;
+        if (n_in > arch.plb_inputs) return false;
+        // Conservative output bound: count every produced signal that has any
+        // consumer outside or is a PO (a superset of what finally leaves).
+        auto needed = [&](NetId s) {
+            if (has(s, kLeaves)) return true;
+            std::uint32_t inside = 0;
+            for (std::size_t m : members)
+                inside += std::find(ins[m].begin(), ins[m].end(), s) != ins[m].end();
+            inside += std::find(ins[li].begin(), ins[li].end(), s) != ins[li].end();
+            return fanout[s.index()] > inside;
+        };
+        std::size_t n_out = 0;
+        for (NetId s : made) n_out += needed(s);
+        for (std::size_t k = 0; k < li_out.size(); ++k)
+            if (!has(li_out[k], kMade) && first_out(k)) n_out += needed(li_out[k]);
+        return n_out <= arch.plb_outputs;
+    };
+
+    auto affinity = [&](std::size_t li) {
         std::size_t shared = 0;
-        const auto c_in = c.external_inputs(md);
-        const auto c_made = c.produced(md);
-        for (NetId s : md.les[li].input_signals()) {
-            if (std::find(c_in.begin(), c_in.end(), s) != c_in.end()) ++shared;
-            if (std::find(c_made.begin(), c_made.end(), s) != c_made.end()) shared += 2;
+        for (NetId s : ins[li]) {
+            if (has(s, kIn)) ++shared;
+            if (has(s, kMade)) shared += 2;
         }
-        for (NetId s : md.les[li].output_signals()) {
-            if (std::find(c_in.begin(), c_in.end(), s) != c_in.end()) shared += 2;
-        }
+        for (NetId s : outs[li])
+            if (has(s, kIn)) shared += 2;
         return shared;
     };
 
-    std::vector<bool> assigned(md.les.size(), false);
-    for (std::size_t seed = 0; seed < md.les.size(); ++seed) {
+    // The LE clusters' final signal sets, for the PDE attach below.
+    std::vector<std::vector<NetId>> cluster_made;
+    std::vector<std::vector<NetId>> cluster_ext;
+    std::vector<bool> assigned(num_les, false);
+    std::vector<std::size_t> sharing;  // unassigned LEs with affinity > 0
+    auto add_sharing = [&](const std::vector<std::size_t>& first,
+                           const std::vector<std::size_t>& les, NetId s) {
+        for (std::size_t k = first[s.index()]; k < first[s.index() + 1]; ++k)
+            if (!assigned[les[k]]) sharing.push_back(les[k]);
+    };
+    for (std::size_t seed = 0; seed < num_les; ++seed) {
         if (assigned[seed]) continue;
-        Cluster c;
-        c.le_indices.push_back(seed);
+        check(legal_with(seed), "pack: single LE exceeds PLB pin budget");
+        join(seed);
         assigned[seed] = true;
-        check(cluster_legal(c), "pack: single LE exceeds PLB pin budget");
-        while (c.le_indices.size() < arch.les_per_plb) {
+        while (members.size() < arch.les_per_plb) {
+            // The join is the legal candidate of highest affinity, ties to the
+            // lowest index. Every LE sharing no signal scores the same, so
+            // when no sharing LE is legal the lowest legal index wins.
             std::size_t best = SIZE_MAX;
-            std::size_t best_aff = 0;
-            for (std::size_t li = 0; li < md.les.size(); ++li) {
-                if (assigned[li]) continue;
-                if (!opts.affinity_clustering) {
-                    best = li;  // first-fit
-                    break;
+            if (opts.affinity_clustering) {
+                sharing.clear();
+                for (NetId s : ext) {
+                    add_sharing(consumer_first, consumers, s);
+                    add_sharing(producer_first, producers, s);
                 }
-                const std::size_t aff = 1 + affinity(c, li);
-                if (aff > best_aff) {
-                    Cluster trial = c;
-                    trial.le_indices.push_back(li);
-                    if (!cluster_legal(trial)) continue;
-                    best_aff = aff;
-                    best = li;
+                for (NetId s : made) add_sharing(consumer_first, consumers, s);
+                std::sort(sharing.begin(), sharing.end());
+                sharing.erase(std::unique(sharing.begin(), sharing.end()), sharing.end());
+                std::size_t best_aff = 0;
+                for (std::size_t li : sharing) {
+                    const std::size_t aff = affinity(li);
+                    if (aff > best_aff && legal_with(li)) {
+                        best_aff = aff;
+                        best = li;
+                    }
                 }
             }
-            if (best == SIZE_MAX) break;
-            Cluster trial = c;
-            trial.le_indices.push_back(best);
-            if (!cluster_legal(trial)) break;
-            c = std::move(trial);
+            for (std::size_t li = seed + 1; li < num_les && best == SIZE_MAX; ++li)
+                if (!assigned[li] && (!opts.affinity_clustering || legal_with(li))) best = li;
+            if (best == SIZE_MAX || !legal_with(best)) break;
+            join(best);
             assigned[best] = true;
         }
-        for (std::size_t li : c.le_indices) pd.cluster_of_le[li] = pd.clusters.size();
+        for (std::size_t li : members) pd.cluster_of_le[li] = pd.clusters.size();
+        Cluster c;
+        c.le_indices = members;
         pd.clusters.push_back(std::move(c));
+        for (NetId s : made) flag[s.index()] &= static_cast<std::uint8_t>(~kMade);
+        for (NetId s : ext) flag[s.index()] &= static_cast<std::uint8_t>(~kIn);
+        cluster_made.push_back(std::move(made));
+        cluster_ext.push_back(std::move(ext));
+        members.clear();
+        made.clear();
+        ext.clear();
     }
 
     // Attach PDEs: prefer the cluster producing the PDE's input signal, then
     // any cluster consuming its output, then a fresh cluster.
     for (std::size_t pi = 0; pi < md.pdes.size(); ++pi) {
         const PdeInst& p = md.pdes[pi];
+        // External inputs of LE cluster `ci` once it also holds the PDE,
+        // whose output then counts as produced there.
+        auto inputs_with_pde = [&](std::size_t ci) {
+            const auto& in = cluster_ext[ci];
+            const auto& mine = cluster_made[ci];
+            std::size_t n = in.size();
+            if (std::find(in.begin(), in.end(), p.output) != in.end()) --n;
+            if (!has(p.input, kConst) && p.input != p.output &&
+                std::find(mine.begin(), mine.end(), p.input) == mine.end() &&
+                std::find(in.begin(), in.end(), p.input) == in.end())
+                ++n;
+            return n;
+        };
         std::size_t chosen = SIZE_MAX;
-        for (std::size_t ci = 0; ci < pd.clusters.size() && chosen == SIZE_MAX; ++ci) {
-            if (pd.clusters[ci].pde_index) continue;
-            const auto made = pd.clusters[ci].produced(md);
-            if (std::find(made.begin(), made.end(), p.input) != made.end()) {
-                Cluster trial = pd.clusters[ci];
-                trial.pde_index = pi;
-                if (trial.external_inputs(md).size() <= arch.plb_inputs) chosen = ci;
-            }
+        const std::size_t in = p.input.index();
+        for (std::size_t k = producer_first[in]; k < producer_first[in + 1]; ++k) {
+            const std::size_t ci = pd.cluster_of_le[producers[k]];
+            if (!pd.clusters[ci].pde_index && inputs_with_pde(ci) <= arch.plb_inputs)
+                chosen = std::min(chosen, ci);
         }
         for (std::size_t ci = 0; ci < pd.clusters.size() && chosen == SIZE_MAX; ++ci) {
             if (pd.clusters[ci].pde_index) continue;
-            Cluster trial = pd.clusters[ci];
-            trial.pde_index = pi;
-            if (trial.external_inputs(md).size() <= arch.plb_inputs) chosen = ci;
+            if (inputs_with_pde(ci) <= arch.plb_inputs) chosen = ci;
         }
         if (chosen == SIZE_MAX) {
             Cluster c;

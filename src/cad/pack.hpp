@@ -24,12 +24,6 @@ struct Cluster {
 
     /// Signals entering the cluster through PLB input pins.
     [[nodiscard]] std::vector<NetId> external_inputs(const MappedDesign& md) const;
-    /// Signals produced here that someone outside consumes (incl. POs).
-    [[nodiscard]] std::vector<NetId> external_outputs(
-        const MappedDesign& md,
-        const std::unordered_map<NetId, std::vector<std::size_t>>& consumers_of,
-        const std::vector<std::size_t>& cluster_of_le,
-        const std::vector<std::size_t>& cluster_of_pde, std::size_t self_index) const;
     /// All signals produced inside (whether exported or not).
     [[nodiscard]] std::vector<NetId> produced(const MappedDesign& md) const;
 };

@@ -316,6 +316,15 @@ Placement place(const PackedDesign& pd, const MappedDesign& md, const core::Arch
     check(non_negative(opts.solver_tolerance),
           "place: solver_tolerance must be finite and >= 0");
     check(std::isfinite(opts.coarsen_ratio), "place: coarsen_ratio must be finite");
+    // So can every int knob; each is capped far above any use so that one
+    // request cannot buy unbounded CPU (negative values clamp downstream).
+    auto at_most = [](int v, int cap, const char* field) {
+        check(v <= cap, std::string("place: ") + field + " must be <= " + std::to_string(cap));
+    };
+    at_most(opts.polish_rounds, 64, "polish_rounds");
+    at_most(opts.solver_passes, 256, "solver_passes");
+    at_most(opts.solver_max_iters, 10'000, "solver_max_iters");
+    at_most(opts.max_levels, 64, "max_levels");
 
     const PlaceModel model(pd, md, arch);
     // One cost engine, built at the legal placement, prices every move of

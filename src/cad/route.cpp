@@ -6,6 +6,7 @@
 #include <mutex>
 #include <string>
 
+#include "base/check.hpp"
 #include "base/threadpool.hpp"
 #include "base/timer.hpp"
 #include "cad/fingerprint.hpp"
@@ -98,6 +99,9 @@ RouteBBox terminal_bbox(const core::FabricGeometry& geom, const RouteRequest& rq
 
 RoutingResult route(const RRGraph& rr, const std::vector<RouteRequest>& reqs,
                     const RouterOptions& opts, base::ThreadPool* pool) {
+    // The budget can arrive from the wire: cap it far above any use so that
+    // one request cannot buy unbounded CPU.
+    base::check(opts.max_iterations <= 1000, "route: max_iterations must be <= 1000");
     const std::size_t N = rr.num_nodes();
     const core::FabricGeometry& geom = rr.geometry();
     const std::uint32_t W = rr.arch().width;

@@ -86,11 +86,15 @@ Normalized normalize(const TruthTable& tt, const std::vector<NetId>& raw_inputs,
     return out;
 }
 
-std::vector<NetId> support_union(const LeFunc& x, const LeFunc& y) {
-    std::vector<NetId> u = x.inputs;
-    for (NetId n : y.inputs)
-        if (std::find(u.begin(), u.end(), n) == u.end()) u.push_back(n);
-    return u;
+/// Size of x's inputs extended by y's not yet among them (the LE pin count
+/// of pairing x and y), without building the list.
+std::size_t support_union_size(const LeFunc& x, const LeFunc& y) {
+    std::size_t n = x.inputs.size();
+    for (auto it = y.inputs.begin(); it != y.inputs.end(); ++it)
+        if (std::find(x.inputs.begin(), x.inputs.end(), *it) == x.inputs.end() &&
+            std::find(y.inputs.begin(), it, *it) == it)
+            ++n;
+    return n;
 }
 
 std::size_t shared_support(const LeFunc& x, const LeFunc& y) {
@@ -208,8 +212,8 @@ MappedDesign techmap(const Netlist& nl, const asynclib::MappingHints& hints,
                 break;
             }
             case Normalized::Kind::Function:
-                check(n.func.inputs.size() <= 7,
-                      "techmap: function wider than 7 inputs: " + c.name);
+                if (n.func.inputs.size() > 7)
+                    base::fail("techmap: function wider than 7 inputs: " + c.name);
                 func_of_output[c.output] = funcs.size();
                 funcs.push_back(std::move(n.func));
                 break;
@@ -272,7 +276,7 @@ MappedDesign techmap(const Netlist& nl, const asynclib::MappingHints& hints,
             const std::size_t fx = xi->second;
             const std::size_t fy = yi->second;
             if (fx == fy || consumed[fx] || consumed[fy]) continue;
-            if (support_union(funcs[fx], funcs[fy]).size() > 6) continue;
+            if (support_union_size(funcs[fx], funcs[fy]) > 6) continue;
             LeInst le;
             le.a = funcs[fx];
             le.b = funcs[fy];
@@ -314,7 +318,7 @@ MappedDesign techmap(const Netlist& nl, const asynclib::MappingHints& hints,
             for (std::size_t j = i + 1; j < funcs.size() && scanned < opts.pairing_window; ++j) {
                 if (consumed[j]) continue;
                 ++scanned;
-                if (support_union(funcs[i], funcs[j]).size() > 6) continue;
+                if (support_union_size(funcs[i], funcs[j]) > 6) continue;
                 const std::size_t score = 1 + shared_support(funcs[i], funcs[j]);
                 if (score > best_score) {
                     best_score = score;
@@ -343,8 +347,8 @@ MappedDesign techmap(const Netlist& nl, const asynclib::MappingHints& hints,
         md.primary_inputs.emplace_back(nl.net(pi).name, pi);
     for (const auto& [name, net] : nl.primary_outputs()) {
         const NetId s = canon(net);
-        check(!md.constant_signals.count(s),
-              "techmap: constant primary output not supported: " + name);
+        if (md.constant_signals.count(s))
+            base::fail("techmap: constant primary output not supported: " + name);
         md.primary_outputs.emplace_back(name, s);
     }
     return md;
@@ -361,6 +365,8 @@ void verify_mapping(const Netlist& nl, const MappedDesign& md) {
             check(driver.valid(), "verify_mapping: LE output is not a cell output");
             const Cell& c = nl.cell(driver);
             const std::size_t arity = f->inputs.size();
+            std::vector<netlist::Logic> cin;
+            cin.reserve(c.inputs.size());
             for (std::uint32_t m = 0; m < (1u << arity); ++m) {
                 auto value_of = [&](NetId n) -> netlist::Logic {
                     const NetId s = md.canon(n);
@@ -371,15 +377,14 @@ void verify_mapping(const Netlist& nl, const MappedDesign& md) {
                         if (f->inputs[i] == s) return netlist::from_bool((m >> i) & 1u);
                     return netlist::Logic::X;
                 };
-                std::vector<netlist::Logic> cin;
-                cin.reserve(c.inputs.size());
+                cin.clear();
                 for (NetId n : c.inputs) cin.push_back(value_of(n));
                 const netlist::Logic cur = value_of(c.output);
                 const netlist::Logic expect =
                     netlist::eval_cell(c.func, cin, cur, c.table ? &*c.table : nullptr);
                 if (expect == netlist::Logic::X) continue;  // cone not fully local
-                check(f->tt.eval(m) == (expect == netlist::Logic::T),
-                      "verify_mapping: function mismatch on " + c.name);
+                if (f->tt.eval(m) != (expect == netlist::Logic::T))
+                    base::fail("verify_mapping: function mismatch on " + c.name);
             }
         }
     }

@@ -1,6 +1,5 @@
 #include "core/elaborate.hpp"
 
-#include <deque>
 #include <functional>
 
 #include "base/check.hpp"
@@ -81,13 +80,13 @@ ElaboratedDesign elaborate(const RRGraph& rr, const Bitstream& bits,
     std::unordered_map<std::uint32_t, RouteHit> pad_output_route; // pad -> hit
     std::vector<std::uint32_t> claimed(rr.num_nodes(), UINT32_MAX);
 
+    std::vector<std::pair<std::uint32_t, std::int64_t>> frontier;  // FIFO, reused per trace
     auto trace_from = [&](std::uint32_t opin, const RouteSource& src, std::uint32_t src_id) {
-        std::deque<std::pair<std::uint32_t, std::int64_t>> frontier;
+        frontier.clear();
         frontier.emplace_back(opin, rr.node(opin).delay_ps);
         claimed[opin] = src_id;
-        while (!frontier.empty()) {
-            const auto [n, d] = frontier.front();
-            frontier.pop_front();
+        for (std::size_t head = 0; head < frontier.size(); ++head) {
+            const auto [n, d] = frontier[head];
             for (std::uint32_t e : rr.out_edges(n)) {
                 if (!bits.edge(e)) continue;
                 const std::uint32_t to = rr.edge_target(e);
@@ -229,6 +228,11 @@ ElaboratedDesign elaborate(const RRGraph& rr, const Bitstream& bits,
         return {net, d + hit.delay_ps + arch.im_delay_ps};
     };
 
+    // Resolve every pending pin first, then move them all off the const0
+    // placeholder in one pass (rewire_input per pin would rescan const0's
+    // sink list each time).
+    std::vector<netlist::PinRewire> rewires;
+    rewires.reserve(pending.size());
     for (const PendingPin& p : pending) {
         const PlbCoord c = geom.plb_coord(p.plb);
         const PlbConfig& cfg = bits.plb(c);
@@ -236,9 +240,10 @@ ElaboratedDesign elaborate(const RRGraph& rr, const Bitstream& bits,
               "elaborate: LE/PDE input needs IM sink " + std::to_string(p.im_sink) +
                   " but it is unconfigured (tie unused inputs to const)");
         const auto [net, d] = source_net(p.plb, cfg.im.select[p.im_sink], 0);
-        nl.rewire_input(p.cell, p.pin, net);
+        rewires.push_back({p.cell, p.pin, net});
         if (d > 0) out.wire_delays.push_back({p.cell, p.pin, d});
     }
+    nl.rewire_inputs(rewires);
 
     // --- primary outputs -------------------------------------------------------
     for (std::uint32_t pad = 0; pad < geom.num_pads(); ++pad) {

@@ -33,26 +33,25 @@ std::array<Logic, 4> LeEval::evaluate(const LeConfig& cfg, const std::array<Logi
 
 TruthTable LeEval::output_function(const LeConfig& cfg, std::uint32_t out) {
     check(out < 4, "LeEval: bad output index");
-    const TruthTable ta = TruthTable::from_bits(6, cfg.tt_a).remap({0, 1, 2, 3, 4, 5}, 7);
-    const TruthTable tb = TruthTable::from_bits(6, cfg.tt_b).remap({0, 1, 2, 3, 4, 5}, 7);
-    const TruthTable i6 = TruthTable::identity(7, 6);
-    switch (out) {
-        case kLeOutA: return ta;
-        case kLeOutB: return tb;
-        case kLeOutMux7: return (~i6 & ta) | (i6 & tb);
-        default: {
-            const TruthTable o[3] = {ta, tb, (~i6 & ta) | (i6 & tb)};
-            const TruthTable& x = o[cfg.lut2_sel0];
-            const TruthTable& y = o[cfg.lut2_sel1];
-            TruthTable r(7);
-            for (std::uint32_t m = 0; m < 128; ++m) {
-                const std::uint32_t row =
-                    (x.eval(m) ? 1u : 0u) | (y.eval(m) ? 2u : 0u);
-                r.set_row(m, (cfg.lut2_tt >> row) & 1u);
-            }
-            return r;
-        }
-    }
+    // O0..O2 over i0..i6: the halves ignore i6, the mux picks B when it is 1.
+    auto exported = [&cfg](std::uint32_t o) {
+        auto half = [](std::uint64_t tt) {
+            return TruthTable::from_bits(6, tt).remap({0, 1, 2, 3, 4, 5}, 7);
+        };
+        if (o == kLeOutA) return half(cfg.tt_a);
+        if (o == kLeOutB) return half(cfg.tt_b);
+        const TruthTable i6 = TruthTable::identity(7, 6);
+        return (~i6 & half(cfg.tt_a)) | (i6 & half(cfg.tt_b));
+    };
+    if (out != kLeOutLut2) return exported(out);
+    check(cfg.lut2_sel0 < 3 && cfg.lut2_sel1 < 3, "LeEval: bad LUT2 select");
+    const TruthTable x = exported(cfg.lut2_sel0);
+    const TruthTable y = exported(cfg.lut2_sel1);
+    // The LUT2 as a sum of its true rows over (x, y).
+    TruthTable r(7);
+    for (std::uint32_t row = 0; row < 4; ++row)
+        if ((cfg.lut2_tt >> row) & 1u) r = r | (((row & 1u) ? x : ~x) & ((row & 2u) ? y : ~y));
+    return r;
 }
 
 void LeProgram::set_half(LeConfig& cfg, bool half_b, const TruthTable& table,
@@ -60,11 +59,7 @@ void LeProgram::set_half(LeConfig& cfg, bool half_b, const TruthTable& table,
     check(table.arity() <= 6, "set_half: function too wide for a LUT6 half");
     check(pin_map.size() == table.arity(), "set_half: pin map arity mismatch");
     for (std::size_t p : pin_map) check(p < 6, "set_half: pin must be one of i0..i5");
-    const TruthTable expanded = table.remap(pin_map, 6);
-    std::uint64_t bits = 0;
-    for (std::uint32_t m = 0; m < 64; ++m)
-        if (expanded.eval(m)) bits |= 1ULL << m;
-    (half_b ? cfg.tt_b : cfg.tt_a) = bits;
+    (half_b ? cfg.tt_b : cfg.tt_a) = table.remap(pin_map, 6).bits64();
 }
 
 void LeProgram::set_full7(LeConfig& cfg, const TruthTable& table,

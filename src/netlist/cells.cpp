@@ -202,16 +202,14 @@ TruthTable cell_function_with_feedback(CellFunc f, std::size_t n_inputs,
     const auto [amin, amax] = arity_range(f);
     check(n_inputs >= amin && n_inputs <= amax, "cell_function_with_feedback: bad arity");
     if (f == CellFunc::Lut) check(table && table->arity() == n_inputs, "LUT table arity mismatch");
-    TruthTable t(n_inputs + 1);
     std::vector<Logic> in(n_inputs);
-    for (std::uint32_t m = 0; m < (1u << (n_inputs + 1)); ++m) {
+    return TruthTable::from_function(n_inputs + 1, [&](std::uint32_t m) {
         for (std::size_t i = 0; i < n_inputs; ++i) in[i] = from_bool((m >> i) & 1u);
         const Logic cur = from_bool((m >> n_inputs) & 1u);
         const Logic out = eval_cell(f, in, cur, table);
         AFPGA_ASSERT(is_known(out), "feedback function produced X");
-        t.set_row(m, out == Logic::T);
-    }
-    return t;
+        return out == Logic::T;
+    });
 }
 
 std::int64_t default_delay_ps(CellFunc f) noexcept {

@@ -8,6 +8,16 @@ namespace afpga::netlist {
 
 using base::check;
 
+namespace {
+
+/// check() for a message ending in a cell or net name: the string is only
+/// built on failure (validate() runs these for every cell, net and pin).
+void check_named(bool condition, const char* message, const std::string& name) {
+    if (!condition) [[unlikely]] base::fail(message + name);
+}
+
+}  // namespace
+
 NetId Netlist::new_net(const std::string& name) {
     const NetId id{nets_.size()};
     Net n;
@@ -26,19 +36,20 @@ NetId Netlist::add_input(const std::string& name) {
 
 void Netlist::add_output(const std::string& name, NetId net) {
     check(net.valid() && net.index() < nets_.size(), "add_output: bad net");
-    for (const auto& [n, _] : pos_) check(n != name, "add_output: duplicate output name " + name);
+    for (const auto& [n, _] : pos_)
+        check_named(n != name, "add_output: duplicate output name ", name);
     pos_.emplace_back(name, net);
 }
 
 NetId Netlist::add_cell(CellFunc func, const std::string& name, std::vector<NetId> inputs) {
     check(func != CellFunc::Lut, "use add_lut for LUT cells");
     const auto [amin, amax] = arity_range(func);
-    check(inputs.size() >= amin && inputs.size() <= amax,
-          "add_cell: bad arity for " + to_string(func) + " cell " + name);
+    if (inputs.size() < amin || inputs.size() > amax)
+        base::fail("add_cell: bad arity for " + to_string(func) + " cell " + name);
     const CellId cid{cells_.size()};
     for (std::size_t i = 0; i < inputs.size(); ++i) {
-        check(inputs[i].valid() && inputs[i].index() < nets_.size(),
-              "add_cell: invalid input net on " + name);
+        check_named(inputs[i].valid() && inputs[i].index() < nets_.size(),
+                    "add_cell: invalid input net on ", name);
         nets_[inputs[i].index()].sinks.push_back({cid, static_cast<std::uint32_t>(i)});
     }
     const NetId out = new_net(name);
@@ -53,11 +64,11 @@ NetId Netlist::add_cell(CellFunc func, const std::string& name, std::vector<NetI
 }
 
 NetId Netlist::add_lut(const std::string& name, TruthTable table, std::vector<NetId> inputs) {
-    check(inputs.size() == table.arity(), "add_lut: input count != table arity on " + name);
+    check_named(inputs.size() == table.arity(), "add_lut: input count != table arity on ", name);
     const CellId cid{cells_.size()};
     for (std::size_t i = 0; i < inputs.size(); ++i) {
-        check(inputs[i].valid() && inputs[i].index() < nets_.size(),
-              "add_lut: invalid input net on " + name);
+        check_named(inputs[i].valid() && inputs[i].index() < nets_.size(),
+                    "add_lut: invalid input net on ", name);
         nets_[inputs[i].index()].sinks.push_back({cid, static_cast<std::uint32_t>(i)});
     }
     const NetId out = new_net(name);
@@ -88,6 +99,44 @@ void Netlist::rewire_input(CellId cell, std::uint32_t pin, NetId new_net) {
     std::erase(old_sinks, PinRef{cell, pin});
     c.inputs[pin] = new_net;
     nets_[new_net.index()].sinks.push_back({cell, pin});
+}
+
+void Netlist::rewire_inputs(std::span<const PinRewire> rewires) {
+    for (const PinRewire& r : rewires) {
+        check(r.cell.valid() && r.cell.index() < cells_.size(), "rewire_inputs: bad cell");
+        check(r.pin < cells_[r.cell.index()].inputs.size(), "rewire_inputs: bad pin");
+        check(r.net.valid() && r.net.index() < nets_.size(), "rewire_inputs: bad net");
+    }
+    // In sequence, a pin's sink entry leaves its current net and each entry
+    // appends one to its new net, which a later entry for the same pin
+    // removes again. So only each pin's last entry leaves a sink behind,
+    // after the untouched sinks of that net, in entry order.
+    std::vector<std::size_t> first_slot(cells_.size() + 1, 0);  // pin slots per cell
+    for (std::size_t c = 0; c < cells_.size(); ++c)
+        first_slot[c + 1] = first_slot[c] + cells_[c].inputs.size();
+    auto slot = [&first_slot](CellId cell, std::uint32_t pin) {
+        return first_slot[cell.index()] + pin;
+    };
+    std::vector<bool> moved(first_slot.back(), false);
+    std::vector<bool> is_last(rewires.size(), false);
+    for (std::size_t i = rewires.size(); i-- > 0;) {
+        const std::size_t k = slot(rewires[i].cell, rewires[i].pin);
+        is_last[i] = !moved[k];
+        moved[k] = true;
+    }
+    std::vector<NetId> left;
+    left.reserve(rewires.size());
+    for (const PinRewire& r : rewires) left.push_back(cells_[r.cell.index()].inputs[r.pin]);
+    std::sort(left.begin(), left.end());
+    left.erase(std::unique(left.begin(), left.end()), left.end());
+    for (NetId n : left)
+        std::erase_if(nets_[n.index()].sinks,
+                      [&](const PinRef& s) { return moved[slot(s.cell, s.pin)]; });
+    for (std::size_t i = 0; i < rewires.size(); ++i) {
+        const PinRewire& r = rewires[i];
+        cells_[r.cell.index()].inputs[r.pin] = r.net;
+        if (is_last[i]) nets_[r.net.index()].sinks.push_back({r.cell, r.pin});
+    }
 }
 
 void Netlist::set_net_name(NetId net, const std::string& name) {
@@ -197,30 +246,33 @@ void Netlist::validate() const {
     for (std::size_t i = 0; i < cells_.size(); ++i) {
         const Cell& c = cells_[i];
         if (c.func == CellFunc::Lut) {
-            check(c.table.has_value(), "validate: LUT without table: " + c.name);
-            check(c.table->arity() == c.inputs.size(), "validate: LUT arity mismatch: " + c.name);
+            check_named(c.table.has_value(), "validate: LUT without table: ", c.name);
+            check_named(c.table->arity() == c.inputs.size(), "validate: LUT arity mismatch: ",
+                        c.name);
         } else {
             const auto [amin, amax] = arity_range(c.func);
-            check(c.inputs.size() >= amin && c.inputs.size() <= amax,
-                  "validate: arity violation on " + c.name);
+            check_named(c.inputs.size() >= amin && c.inputs.size() <= amax,
+                        "validate: arity violation on ", c.name);
         }
-        for (NetId in : c.inputs) check(in.valid(), "validate: dangling input on " + c.name);
-        check(c.output.valid(), "validate: cell without output: " + c.name);
-        check(nets_[c.output.index()].driver == CellId{i}, "validate: driver mismatch: " + c.name);
+        for (NetId in : c.inputs) check_named(in.valid(), "validate: dangling input on ", c.name);
+        check_named(c.output.valid(), "validate: cell without output: ", c.name);
+        check_named(nets_[c.output.index()].driver == CellId{i}, "validate: driver mismatch: ",
+                    c.name);
     }
     for (std::size_t i = 0; i < nets_.size(); ++i) {
         const Net& n = nets_[i];
-        check(n.is_primary_input != n.driver.valid(),
-              "validate: net must have exactly one driver source: " + n.name);
+        check_named(n.is_primary_input != n.driver.valid(),
+                    "validate: net must have exactly one driver source: ", n.name);
         for (const PinRef& s : n.sinks) {
             check(s.cell.valid() && s.cell.index() < cells_.size(), "validate: bad sink");
             check(s.pin < cells_[s.cell.index()].inputs.size(), "validate: bad sink pin");
-            check(cells_[s.cell.index()].inputs[s.pin] == NetId{i},
-                  "validate: sink back-reference mismatch on " + n.name);
+            check_named(cells_[s.cell.index()].inputs[s.pin] == NetId{i},
+                        "validate: sink back-reference mismatch on ", n.name);
         }
     }
     for (const auto& [name, net] : pos_)
-        check(net.valid() && net.index() < nets_.size(), "validate: bad primary output " + name);
+        check_named(net.valid() && net.index() < nets_.size(), "validate: bad primary output ",
+                    name);
 }
 
 std::unordered_map<CellFunc, std::size_t> Netlist::histogram() const {

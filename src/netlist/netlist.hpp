@@ -8,6 +8,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -28,6 +29,13 @@ struct PinRef {
     CellId cell;
     std::uint32_t pin = 0;
     friend bool operator==(const PinRef&, const PinRef&) noexcept = default;
+};
+
+/// One entry of a batched rewire: input `pin` of `cell` moves to `net`.
+struct PinRewire {
+    CellId cell;
+    std::uint32_t pin = 0;
+    NetId net;
 };
 
 /// A logic gate instance. Every cell drives exactly one net.
@@ -70,6 +78,12 @@ public:
     /// close handshake cycles (acknowledges flow against construction order)
     /// and by the mapper to retarget sinks.
     void rewire_input(CellId cell, std::uint32_t pin, NetId new_net);
+    /// Apply `rewires` in one pass, leaving exactly the state (every cell's
+    /// inputs and every net's sink order) that rewire_input on each entry in
+    /// order would leave. Each net a pin leaves is filtered once, not once
+    /// per leaving pin, so moving many pins off one placeholder net is
+    /// linear. Every entry is checked before anything changes.
+    void rewire_inputs(std::span<const PinRewire> rewires);
     /// Rename a net (purely cosmetic; also used by generators to tag rails).
     void set_net_name(NetId net, const std::string& name);
 

@@ -3,10 +3,13 @@
 // Truth tables are the common currency between the asynchronous circuit
 // generators, the technology mapper and the LE configuration model: a LUT6
 // half of an LE is exactly a 6-variable TruthTable.
+//
+// Every operation works on the 64-bit words of the table (one word up to
+// arity 6, 2^(arity-6) words above), moving variables with mask-and-shift
+// steps in the style of ABC's Abc_Tt* helpers and the kitty library.
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -25,9 +28,20 @@ public:
     /// Constant-0 function of `arity` variables.
     explicit TruthTable(std::size_t arity = 0);
 
-    /// Build from an evaluator called on every input assignment.
-    static TruthTable from_function(std::size_t arity,
-                                    const std::function<bool(std::uint32_t)>& f);
+    /// Build from an evaluator called on every input assignment, in row
+    /// order (so a stateful `f` sees rows 0, 1, 2, ...).
+    template <class F>
+    static TruthTable from_function(std::size_t arity, F&& f) {
+        TruthTable t(arity);
+        const std::uint32_t rows = std::uint32_t{1} << arity;
+        for (std::uint32_t base = 0; base < rows; base += 64) {
+            std::uint64_t word = 0;
+            for (std::uint32_t m = base; m < rows && m < base + 64; ++m)
+                if (f(m)) word |= std::uint64_t{1} << (m - base);
+            t.bits_.set_word(base / 64, word);
+        }
+        return t;
+    }
 
     /// Build from the raw table word (row m = bit m). arity <= 6.
     static TruthTable from_bits(std::size_t arity, std::uint64_t bits);
@@ -58,8 +72,10 @@ public:
     /// receives the original indices of the surviving variables in order.
     [[nodiscard]] TruthTable prune_support(std::vector<std::size_t>* kept = nullptr) const;
 
-    /// Reorder/extend variables: new variable `i` is old variable `perm[i]`
-    /// (perm may repeat or omit old variables; result arity = perm.size()).
+    /// Reorder/extend variables: old variable `i` becomes new variable
+    /// `perm[i]` (perm.size() == arity(), each target < new_arity). Old
+    /// variables sharing a target are tied together; new variables no old
+    /// one maps to are don't-cares. Result arity = new_arity.
     [[nodiscard]] TruthTable remap(const std::vector<std::size_t>& perm,
                                    std::size_t new_arity) const;
 
@@ -74,8 +90,14 @@ public:
     [[nodiscard]] std::string to_string() const;
 
 private:
+    /// The table over `arity` variables whose words are `w`.
+    static TruthTable from_words(std::size_t arity, const std::vector<std::uint64_t>& w);
+    [[nodiscard]] const std::vector<std::uint64_t>& words() const noexcept {
+        return bits_.words();
+    }
+
     std::size_t arity_;
-    base::BitVector bits_;
+    base::BitVector bits_;  ///< row m = bit m; bits past rows() stay zero
 };
 
 }  // namespace afpga::netlist

@@ -3,8 +3,11 @@
 // equivalence that anchors the whole reproduction.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <functional>
 #include <limits>
+#include <optional>
+#include <unordered_map>
 
 #include "asynclib/adders.hpp"
 #include "asynclib/fifos.hpp"
@@ -171,6 +174,211 @@ TEST(Pack, PdeAttachedToProducerCluster) {
     EXPECT_NE(std::find(made.begin(), made.end(), md.pdes[0].input), made.end());
 }
 
+namespace pack_golden {
+
+/// FNV-1a over the cluster index of every LE, then of every PDE.
+std::uint64_t assignment_hash(const cad::PackedDesign& pd) {
+    std::uint64_t h = 0xCBF29CE484222325ULL;
+    auto mix = [&h](std::uint64_t x) {
+        for (int i = 0; i < 8; ++i) {
+            h ^= (x >> (8 * i)) & 0xFFu;
+            h *= 0x100000001B3ULL;
+        }
+    };
+    for (std::size_t c : pd.cluster_of_le) mix(c);
+    for (std::size_t c : pd.cluster_of_pde) mix(c);
+    return h;
+}
+
+void expect_golden(const Netlist& nl, const asynclib::MappingHints& hints, std::size_t clusters,
+                   std::uint64_t hash, cad::PackOptions opts = {}) {
+    const auto md = cad::techmap(nl, hints);
+    const auto pd = cad::pack(md, ArchSpec{}, opts);
+    EXPECT_EQ(pd.clusters.size(), clusters);
+    EXPECT_EQ(assignment_hash(pd), hash) << std::hex << "0x" << assignment_hash(pd);
+}
+
+/// The packer as first written: every candidate rebuilds the cluster's
+/// signal lists through Cluster::produced/external_inputs. pack() must
+/// make exactly its decisions.
+cad::PackedDesign reference_pack(const cad::MappedDesign& md, const ArchSpec& arch,
+                                 const cad::PackOptions& opts) {
+    auto contains = [](const std::vector<NetId>& v, NetId n) {
+        return std::find(v.begin(), v.end(), n) != v.end();
+    };
+    cad::PackedDesign pd;
+    pd.cluster_of_le.assign(md.les.size(), SIZE_MAX);
+    pd.cluster_of_pde.assign(md.pdes.size(), SIZE_MAX);
+    std::unordered_map<NetId, std::vector<std::size_t>> le_consumers;
+    for (std::size_t li = 0; li < md.les.size(); ++li)
+        for (NetId s : md.les[li].input_signals()) le_consumers[s].push_back(li);
+    std::vector<NetId> po_signals;
+    for (const auto& [name, s] : md.primary_outputs) po_signals.push_back(s);
+    auto legal = [&](const cad::Cluster& c) {
+        if (c.le_indices.size() > arch.les_per_plb) return false;
+        if (c.external_inputs(md).size() > arch.plb_inputs) return false;
+        std::size_t outs = 0;
+        for (NetId s : c.produced(md)) {
+            bool needed = contains(po_signals, s);
+            for (std::size_t li : le_consumers[s])
+                if (std::find(c.le_indices.begin(), c.le_indices.end(), li) == c.le_indices.end())
+                    needed = true;
+            for (const cad::PdeInst& p : md.pdes) needed = needed || p.input == s;
+            outs += needed ? 1 : 0;
+        }
+        return outs <= arch.plb_outputs;
+    };
+    auto affinity = [&](const cad::Cluster& c, std::size_t li) {
+        std::size_t shared = 0;
+        const auto c_in = c.external_inputs(md);
+        const auto c_made = c.produced(md);
+        for (NetId s : md.les[li].input_signals())
+            shared += (contains(c_in, s) ? 1 : 0) + (contains(c_made, s) ? 2 : 0);
+        for (NetId s : md.les[li].output_signals()) shared += contains(c_in, s) ? 2 : 0;
+        return shared;
+    };
+    std::vector<bool> assigned(md.les.size(), false);
+    for (std::size_t seed = 0; seed < md.les.size(); ++seed) {
+        if (assigned[seed]) continue;
+        cad::Cluster c;
+        c.le_indices.push_back(seed);
+        assigned[seed] = true;
+        base::check(legal(c), "pack: single LE exceeds PLB pin budget");
+        while (c.le_indices.size() < arch.les_per_plb) {
+            std::size_t best = SIZE_MAX;
+            std::size_t best_aff = 0;
+            for (std::size_t li = 0; li < md.les.size(); ++li) {
+                if (assigned[li]) continue;
+                if (!opts.affinity_clustering) {
+                    best = li;
+                    break;
+                }
+                const std::size_t aff = 1 + affinity(c, li);
+                if (aff > best_aff) {
+                    cad::Cluster trial = c;
+                    trial.le_indices.push_back(li);
+                    if (!legal(trial)) continue;
+                    best_aff = aff;
+                    best = li;
+                }
+            }
+            if (best == SIZE_MAX) break;
+            cad::Cluster trial = c;
+            trial.le_indices.push_back(best);
+            if (!legal(trial)) break;
+            c = std::move(trial);
+            assigned[best] = true;
+        }
+        for (std::size_t li : c.le_indices) pd.cluster_of_le[li] = pd.clusters.size();
+        pd.clusters.push_back(std::move(c));
+    }
+    for (std::size_t pi = 0; pi < md.pdes.size(); ++pi) {
+        std::size_t chosen = SIZE_MAX;
+        auto fits = [&](std::size_t ci) {
+            cad::Cluster trial = pd.clusters[ci];
+            trial.pde_index = pi;
+            return trial.external_inputs(md).size() <= arch.plb_inputs;
+        };
+        for (std::size_t ci = 0; ci < pd.clusters.size() && chosen == SIZE_MAX; ++ci)
+            if (!pd.clusters[ci].pde_index &&
+                contains(pd.clusters[ci].produced(md), md.pdes[pi].input) && fits(ci))
+                chosen = ci;
+        for (std::size_t ci = 0; ci < pd.clusters.size() && chosen == SIZE_MAX; ++ci)
+            if (!pd.clusters[ci].pde_index && fits(ci)) chosen = ci;
+        if (chosen == SIZE_MAX) {
+            cad::Cluster c;
+            c.pde_index = pi;
+            chosen = pd.clusters.size();
+            pd.clusters.push_back(std::move(c));
+        } else {
+            pd.clusters[chosen].pde_index = pi;
+        }
+        pd.cluster_of_pde[pi] = chosen;
+    }
+    return pd;
+}
+
+}  // namespace pack_golden
+
+// Recorded before pack() was made incremental: every clustering decision,
+// including PDE attachment, must stay bit for bit the same.
+TEST(PackGolden, WchbFifo8x24) {
+    const auto f = asynclib::make_wchb_fifo(8, 24);
+    pack_golden::expect_golden(f.nl, f.hints, 132u, 0xD3E04EBDDF171E85ULL);
+}
+
+TEST(PackGolden, MpFifo4x8PdeAttach) {
+    pack_golden::expect_golden(asynclib::make_micropipeline_fifo(4, 8).nl, {}, 14u,
+                               0xDE2EE03CAA2E7F25ULL);
+}
+
+TEST(PackGolden, MousetrapFifo4x8) {
+    pack_golden::expect_golden(asynclib::make_mousetrap_fifo(4, 8).nl, {}, 12u,
+                               0x99B7F41B1A3E1765ULL);
+}
+
+TEST(PackGolden, QdiAdder8) {
+    const auto a = asynclib::make_qdi_adder(8);
+    pack_golden::expect_golden(a.nl, a.hints, 31u, 0x0C04C991EB17BD45ULL);
+}
+
+TEST(PackGolden, WchbFifo4x8FirstFit) {
+    const auto f = asynclib::make_wchb_fifo(4, 8);
+    cad::PackOptions opts;
+    opts.affinity_clustering = false;
+    pack_golden::expect_golden(f.nl, f.hints, 21u, 0x80C6F5AD53934D91ULL, opts);
+}
+
+// pack() against the reference packer on every paper style, at the default
+// PLB and at tighter LE counts and pin budgets, where candidates are
+// rejected, clusters close early and PDEs fall back to later clusters.
+TEST(Pack, MatchesReferencePacker) {
+    std::vector<std::pair<Netlist, asynclib::MappingHints>> designs;
+    for (std::size_t bits : {1u, 3u, 8u}) {
+        auto q = asynclib::make_qdi_adder(bits);
+        designs.emplace_back(std::move(q.nl), std::move(q.hints));
+        designs.emplace_back(std::move(asynclib::make_micropipeline_adder(bits).nl),
+                             asynclib::MappingHints{});
+    }
+    for (std::size_t depth : {2u, 6u}) {
+        auto w = asynclib::make_wchb_fifo(3, depth);
+        designs.emplace_back(std::move(w.nl), std::move(w.hints));
+        designs.emplace_back(std::move(asynclib::make_micropipeline_fifo(3, depth).nl),
+                             asynclib::MappingHints{});
+        designs.emplace_back(std::move(asynclib::make_mousetrap_fifo(3, depth).nl),
+                             asynclib::MappingHints{});
+    }
+    std::size_t compared = 0;
+    for (const auto& [nl, hints] : designs) {
+        const auto md = cad::techmap(nl, hints);
+        for (std::uint32_t les : {2u, 3u, 4u})
+            for (std::uint32_t ins : {7u, 10u, 14u})
+                for (std::uint32_t outs : {3u, 5u, 8u})
+                    for (bool affinity : {true, false}) {
+                        ArchSpec arch;
+                        arch.les_per_plb = les;
+                        arch.plb_inputs = ins;
+                        arch.plb_outputs = outs;
+                        cad::PackOptions opts;
+                        opts.affinity_clustering = affinity;
+                        std::optional<cad::PackedDesign> want;
+                        try {
+                            want = pack_golden::reference_pack(md, arch, opts);
+                        } catch (const base::Error&) {
+                            EXPECT_THROW((void)cad::pack(md, arch, opts), base::Error);
+                            continue;
+                        }
+                        const auto got = cad::pack(md, arch, opts);
+                        ASSERT_EQ(got.cluster_of_le, want->cluster_of_le)
+                            << les << "/" << ins << "/" << outs << "/" << affinity;
+                        ASSERT_EQ(got.cluster_of_pde, want->cluster_of_pde)
+                            << les << "/" << ins << "/" << outs << "/" << affinity;
+                        ++compared;
+                    }
+    }
+    EXPECT_GT(compared, designs.size() * 27);  // most configurations pack
+}
+
 // --- place ------------------------------------------------------------------------
 
 TEST(Place, ProducesLegalPlacement) {
@@ -293,6 +501,41 @@ TEST(Place, RejectsOutOfRangeFloatKnobs) {
     zeros.solver_tolerance = 0.0;
     zeros.coarsen_ratio = -3.0;
     EXPECT_EQ(cad::place(pd, md, arch, zeros).cluster_loc.size(), pd.clusters.size());
+}
+
+// The int knobs can arrive from the wire too: each is capped far above any
+// use, so place() refuses one past its cap by name and takes the cap itself.
+void expect_place_int_cap(const std::string& field, int cad::PlaceOptions::*knob, int cap) {
+    auto adder = asynclib::make_qdi_adder(1);
+    const auto md = cad::techmap(adder.nl, adder.hints);
+    const ArchSpec arch;
+    const auto pd = cad::pack(md, arch);
+    for (int too_big : {cap + 1, std::numeric_limits<int>::max()}) {
+        cad::PlaceOptions opts;
+        opts.*knob = too_big;
+        const std::string msg = error_message([&] { (void)cad::place(pd, md, arch, opts); });
+        EXPECT_NE(msg.find(field), std::string::npos) << msg;
+        EXPECT_NE(msg.find(std::to_string(cap)), std::string::npos) << msg;
+    }
+    cad::PlaceOptions at_cap;
+    at_cap.*knob = cap;
+    EXPECT_EQ(cad::place(pd, md, arch, at_cap).cluster_loc.size(), pd.clusters.size());
+}
+
+TEST(Place, CapsPolishRounds) {
+    expect_place_int_cap("polish_rounds", &cad::PlaceOptions::polish_rounds, 64);
+}
+
+TEST(Place, CapsSolverPasses) {
+    expect_place_int_cap("solver_passes", &cad::PlaceOptions::solver_passes, 256);
+}
+
+TEST(Place, CapsSolverMaxIters) {
+    expect_place_int_cap("solver_max_iters", &cad::PlaceOptions::solver_max_iters, 10'000);
+}
+
+TEST(Place, CapsMaxLevels) {
+    expect_place_int_cap("max_levels", &cad::PlaceOptions::max_levels, 64);
 }
 
 // --- full flow ----------------------------------------------------------------------

@@ -3,8 +3,11 @@
 #include <gtest/gtest.h>
 
 #include "asynclib/adders.hpp"
+#include "asynclib/fifos.hpp"
 #include "base/check.hpp"
 #include "cad/flow.hpp"
+#include "cad/serialize.hpp"
+#include "cad/wire.hpp"
 #include "core/elaborate.hpp"
 #include "netlist/analyze.hpp"
 #include "sim/simulator.hpp"
@@ -214,6 +217,58 @@ TEST(Elaborate, CellCountMatchesUsedLeOutputs) {
     // Elaborated cells = LE-output LUTs + PDEs + const0 + const1.
     const std::size_t expected = le_outputs + fr.mapped.pdes.size() + 2;
     EXPECT_EQ(design.nl.num_cells(), expected);
+}
+
+namespace elaborate_golden {
+
+/// FNV-1a over the wire encoding of the elaborated netlist (which carries
+/// every net's sink order verbatim) followed by the wire-delay annotations.
+std::uint64_t design_hash(const core::ElaboratedDesign& d) {
+    std::uint64_t h = 0xCBF29CE484222325ULL;
+    auto byte = [&h](std::uint8_t b) {
+        h ^= b;
+        h *= 0x100000001B3ULL;
+    };
+    auto mix = [&byte](std::uint64_t x) {
+        for (int i = 0; i < 8; ++i) byte(static_cast<std::uint8_t>(x >> (8 * i)));
+    };
+    cad::BlobWriter w;
+    cad::wire::encode_netlist(d.nl, w);
+    for (std::uint8_t b : w.bytes()) byte(b);
+    for (const core::SinkDelayAnnotation& a : d.wire_delays) {
+        mix(a.cell.index());
+        mix(a.pin);
+        mix(static_cast<std::uint64_t>(a.delay_ps));
+    }
+    return h;
+}
+
+void expect_golden(const netlist::Netlist& nl, const asynclib::MappingHints& hints,
+                   std::size_t cells, std::size_t wire_delays, std::uint64_t hash) {
+    ArchSpec arch;
+    arch.width = arch.height = 12;
+    arch.channel_width = 16;
+    cad::FlowOptions opts;
+    opts.seed = 2026;
+    const auto fr = cad::run_flow(nl, hints, arch, opts);
+    const auto design = fr.elaborate();
+    EXPECT_EQ(design.nl.num_cells(), cells);
+    EXPECT_EQ(design.wire_delays.size(), wire_delays);
+    EXPECT_EQ(design_hash(design), hash) << std::hex << "0x" << design_hash(design);
+}
+
+}  // namespace elaborate_golden
+
+// Recorded before elaborate() rewired its pins in one batch: cells, every
+// net's sink order and the delay annotations must stay byte for byte the same.
+TEST(ElaborateGolden, WchbFifo4x8) {
+    const auto f = asynclib::make_wchb_fifo(4, 8);
+    elaborate_golden::expect_golden(f.nl, f.hints, 114u, 400u, 0xC7B384F7641A6792ULL);
+}
+
+TEST(ElaborateGolden, MpAdder4) {
+    elaborate_golden::expect_golden(asynclib::make_micropipeline_adder(4).nl, {}, 23u, 57u,
+                                    0x07BA7AE26DC9B45EULL);
 }
 
 }  // namespace

@@ -6,12 +6,16 @@
 #include <vector>
 
 #include "base/check.hpp"
+#include "base/rng.hpp"
 #include "netlist/analyze.hpp"
 #include "netlist/netlist.hpp"
 
 namespace {
 
 using afpga::base::Error;
+using afpga::base::Rng;
+using afpga::netlist::CellId;
+using afpga::netlist::PinRewire;
 using afpga::netlist::CellFunc;
 using afpga::netlist::eval_combinational;
 using afpga::netlist::extract_functions;
@@ -124,6 +128,75 @@ TEST(Netlist, RewireInputMovesSink) {
     nl.validate();
     EXPECT_TRUE(nl.net(a).sinks.empty());
     EXPECT_EQ(nl.net(b).sinks.size(), 1u);
+}
+
+/// A netlist whose gates all start on one placeholder net (as elaborate()
+/// builds them), with a few gates already wired elsewhere.
+Netlist make_placeholder_netlist(Rng& rng) {
+    Netlist nl("rw");
+    std::vector<NetId> nets{nl.add_cell(CellFunc::Const0, "const0", {})};
+    for (int i = 0; i < 4; ++i) nets.push_back(nl.add_input("pi" + std::to_string(i)));
+    for (int i = 0; i < 24; ++i) {
+        const std::size_t arity = 2 + rng.below(4);
+        std::vector<NetId> ins(arity, nets[0]);
+        if (rng.chance(0.3)) ins[rng.below(arity)] = nets[rng.below(nets.size())];
+        nets.push_back(nl.add_cell(CellFunc::And, "g" + std::to_string(i), ins));
+    }
+    return nl;
+}
+
+void expect_same_graph(const Netlist& a, const Netlist& b) {
+    ASSERT_EQ(a.num_cells(), b.num_cells());
+    ASSERT_EQ(a.num_nets(), b.num_nets());
+    for (CellId c : a.cell_ids()) EXPECT_EQ(a.cell(c).inputs, b.cell(c).inputs) << "cell " << c;
+    for (NetId n : a.net_ids()) EXPECT_EQ(a.net(n).sinks, b.net(n).sinks) << "net " << n;
+}
+
+TEST(Netlist, RewireInputsMatchesSequentialRewires) {
+    for (std::uint64_t seed = 1; seed <= 200; ++seed) {
+        Rng rng(seed);
+        const Netlist base = make_placeholder_netlist(rng);
+        std::vector<PinRewire> list;
+        const std::size_t n = rng.below(80);
+        for (std::size_t i = 0; i < n; ++i) {
+            PinRewire r;
+            if (!list.empty() && rng.chance(0.2)) {
+                r = list[rng.below(list.size())];  // the same pin again
+            } else {
+                r.cell = CellId{1 + rng.below(base.num_cells() - 1)};  // a gate, not const0
+                r.pin = static_cast<std::uint32_t>(rng.below(base.cell(r.cell).inputs.size()));
+            }
+            const double kind = rng.uniform();
+            if (kind < 0.15)
+                r.net = base.cell(r.cell).inputs[r.pin];  // onto the net it starts on
+            else if (kind < 0.3)
+                r.net = NetId{std::size_t{0}};  // back onto the placeholder
+            else
+                r.net = NetId{rng.below(base.num_nets())};
+            list.push_back(r);
+        }
+        Netlist seq = base;
+        for (const PinRewire& r : list) seq.rewire_input(r.cell, r.pin, r.net);
+        Netlist batch = base;
+        batch.rewire_inputs(list);
+        batch.validate();
+        expect_same_graph(seq, batch);
+        if (HasFailure()) {
+            ADD_FAILURE() << "seed " << seed;
+            return;
+        }
+    }
+}
+
+TEST(Netlist, RewireInputsChecksEveryEntryFirst) {
+    Rng rng(3);
+    const Netlist base = make_placeholder_netlist(rng);
+    Netlist nl = base;
+    const CellId gate = nl.driver_of(nl.find_net("g0"));
+    const std::vector<PinRewire> list{{gate, 0, nl.find_net("pi1")},
+                                      {gate, 9, nl.find_net("pi2")}};
+    EXPECT_THROW(nl.rewire_inputs(list), Error);
+    expect_same_graph(nl, base);
 }
 
 TEST(Netlist, HistogramCounts) {

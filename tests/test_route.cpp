@@ -5,6 +5,7 @@
 
 #include <set>
 
+#include "base/check.hpp"
 #include "cad/route.hpp"
 #include "core/rrgraph.hpp"
 
@@ -43,6 +44,21 @@ TEST(Router, SingleNetRoutes) {
     EXPECT_NE(tree.sinks[0].ipin, UINT32_MAX);
     EXPECT_GT(tree.edges.size(), 0u);
     EXPECT_GT(tree.sinks[0].delay_ps, 0);
+}
+
+// The iteration budget can arrive from the wire, so route() caps it.
+TEST(Router, CapsMaxIterations) {
+    const RRGraph rr(small_arch());
+    RouterOptions opts;
+    opts.max_iterations = 1001;
+    try {
+        (void)cad::route(rr, {plb_to_plb({0, 0}, {3, 3})}, opts);
+        ADD_FAILURE() << "max_iterations = 1001 accepted";
+    } catch (const base::Error& e) {
+        EXPECT_NE(std::string(e.what()).find("max_iterations"), std::string::npos) << e.what();
+    }
+    opts.max_iterations = 1000;
+    EXPECT_TRUE(cad::route(rr, {plb_to_plb({0, 0}, {3, 3})}, opts).success);
 }
 
 TEST(Router, PathIsConnectedRootToSink) {
