@@ -8,6 +8,8 @@
 // cost. The flow already performs topology-aware LE pin matching, so a
 // failure here is architectural, not a tool artefact.
 #include <cstdio>
+#include <string>
+#include <vector>
 
 #include "asynclib/adders.hpp"
 #include "asynclib/fifos.hpp"
@@ -107,6 +109,7 @@ int main() {
     const auto results = eval::run_grid(svc, std::move(jobs));
 
     std::size_t cell = 0;
+    std::vector<std::string> shape_failures;
     for (const Design& d : designs) {
         for (core::ImTopology topo : topologies) {
             std::string detail;
@@ -114,6 +117,12 @@ int main() {
             if (detail.size() > 60) detail = detail.substr(0, 57) + "...";
             t.add_row({d.name, to_string(topo), result, detail});
             ++cell;
+            // The expected shape printed below, checked per design: it
+            // maps on the full crossbar and does not map without feedback.
+            if (topo == core::ImTopology::FullCrossbar && result != "OK")
+                shape_failures.push_back(d.name + " is " + result + " on the full crossbar");
+            if (topo == core::ImTopology::NoFeedback && result == "OK")
+                shape_failures.push_back(d.name + " maps without LE feedback");
         }
     }
     std::printf("%s\n", t.render().c_str());
@@ -121,5 +130,8 @@ int main() {
     std::printf("LE feedback breaks ALL asynchronous designs (no memory elements —\n");
     std::printf("the paper's looped-logic mechanism is essential); sparse IMs trade\n");
     std::printf("configuration bits against mappability.\n");
-    return 0;
+
+    for (const std::string& f : shape_failures)
+        std::fprintf(stderr, "abl_im_topology: shape check failed: %s\n", f.c_str());
+    return shape_failures.empty() ? 0 : 1;
 }

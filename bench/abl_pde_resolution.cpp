@@ -8,6 +8,8 @@
 // corrupts long-carry sums exactly as the theory predicts.
 #include <cstdio>
 #include <iterator>
+#include <string>
+#include <vector>
 
 #include "asynclib/adders.hpp"
 #include "base/check.hpp"
@@ -129,9 +131,21 @@ int main() {
     }
     const auto results = eval::run_grid(svc, std::move(jobs));
 
+    // The shape claims below, checked: the program fails when one stops
+    // holding.
+    std::vector<std::string> shape_failures;
+    bool zero_margin_corrupts = false;
     for (std::size_t i = 0; i < std::size(cfgs); ++i) {
         const Cfg& c = cfgs[i];
         const Outcome o = evaluate(*results[i]);
+        const std::string row = results[i]->name;
+        if (c.margin == 1.0) {
+            // A 4-tap PDE of 250 ps steps cannot reach the doubled delay.
+            const std::string want = c.taps == 4 ? "PDE range exceeded" : "PASS";
+            if (o.status != want)
+                shape_failures.push_back(row + ": " + o.status + ", want " + want);
+        }
+        if (c.margin == 0.0 && o.status == "DATA CORRUPTED") zero_margin_corrupts = true;
         t.add_row({std::to_string(c.quantum) + " ps", std::to_string(c.taps),
                    base::format_percent(c.margin, 0),
                    o.pde_delay_ps ? std::to_string(o.pde_delay_ps) + " ps" : "-",
@@ -143,5 +157,9 @@ int main() {
     std::printf("range cannot cover the routed datapath is rejected by the flow; a\n");
     std::printf("zero-margin configuration rides the estimate and corrupts long-carry\n");
     std::printf("sums when routing adds delay the estimate missed.\n");
-    return 0;
+
+    if (!zero_margin_corrupts) shape_failures.push_back("no 0% margin row corrupted data");
+    for (const std::string& f : shape_failures)
+        std::fprintf(stderr, "abl_pde_resolution: shape check failed: %s\n", f.c_str());
+    return shape_failures.empty() ? 0 : 1;
 }

@@ -4,8 +4,8 @@
 // Tiers, in output order:
 //  - parallel_route: the partitioned PathFinder at threads 0/1/2/4/8, with
 //    the bitstream bit-identical at every point;
-//  - route_kernel (gated): the pooled search kernel against the retained
-//    reference kernel;
+//  - route_kernel (gated): the search kernel's bitstream against a recorded
+//    golden at every thread count, its counters and steady-state growth;
 //  - rr_build: parallel RR-graph construction against the serial build;
 //  - artifact_cache (gated): disk-warm restart and a tight-budget soak of
 //    the two-tier artifact store;
@@ -50,7 +50,6 @@
 #include "cad/pack.hpp"
 #include "cad/place_model.hpp"
 #include "cad/place_multilevel.hpp"
-#include "cad/route_search.hpp"
 #include "cad/techmap.hpp"
 #include "eval/sweep.hpp"
 
@@ -250,17 +249,16 @@ int main(int argc, char** argv) {
         w.end_array();
     }
 
-    // route_kernel: the pooled search kernel raced against the retained
-    // pre-rework reference kernel on the routed design. Its gates: the
-    // bitstream must be byte-identical to the reference kernel's at
-    // threads = 0 and at every thread count (the rework is sold as
-    // observation-equivalent); the pooled kernel must actually have run
-    // (the reference kernel fills no telemetry, so a silent fallback would
-    // zero the counters); and zero steady-state heap growth (after the first
-    // PathFinder iteration every scratch buffer has reached capacity — an
-    // exact count at threads = 0, where the router runs without a pool). The
-    // recorded speedup is reference route-stage wall over pooled route-stage
-    // wall, both best-of-reps at threads = 0.
+    // route_kernel: the search kernel on the routed design. Its gates: the
+    // bitstream's CRC-32 at threads = 0 and at every thread count must equal
+    // the golden, recorded while the library still carried the seed kernel
+    // and both kernels produced this bitstream (the kernel rework is sold as
+    // observation-equivalent; tests/test_route_kernel.cpp keeps the seed
+    // kernel as a net-by-net oracle); the kernel counters must show that it
+    // ran; and
+    // zero steady-state heap growth (after the first PathFinder iteration
+    // every scratch buffer has reached capacity — an exact count at
+    // threads = 0, where the router runs without a pool).
     Gates route_kernel_gates;
     {
         const SweepPoint& pt = routed;
@@ -269,57 +267,44 @@ int main(int argc, char** argv) {
         arch.width = pt.fabric;
         arch.height = pt.fabric;
         arch.channel_width = pt.channel_width;
+        const std::uint32_t golden_crc = smoke ? 0x8F4D65DDu : 0x70043F70u;
 
-        auto route_stage_ms = [](const cad::FlowResult& fr) {
-            const cad::StageReport* s = fr.telemetry.stage("route");
-            return s ? s->wall_ms : 0.0;
-        };
-        // Best-of-`n` route-stage wall at `threads`, with either kernel.
-        auto best_flow = [&](unsigned threads, bool reference, int n) {
+        // Best-of-`n` route-stage wall at `threads`.
+        auto best_flow = [&](unsigned threads, int n) {
             cad::FlowOptions opts;
             opts.seed = 7;
             opts.route.threads = threads;
-            cad::detail::set_use_reference_kernel(reference);
             RunResult best;
-            double best_route = 1e18;
             for (int r = 0; r < n; ++r) {
                 auto fr = cad::run_flow(adder.nl, adder.hints, arch, opts);
-                const double ms = route_stage_ms(fr);
-                if (ms < best_route) {
-                    best_route = ms;
+                const cad::StageReport* s = fr.telemetry.stage("route");
+                const double ms = s ? s->wall_ms : 0.0;
+                if (ms < best.total_ms) {
                     best.total_ms = ms;
                     best.fr = std::move(fr);
                 }
             }
-            cad::detail::set_use_reference_kernel(false);
             return best;
         };
 
         // threads = 0 is timed best-of-reps and supplies the published
-        // counters; the thread matrix only has to agree bit for bit.
-        RunResult ref;
+        // counters; the thread matrix only has to match the golden.
         RunResult pooled;
         bool bit_identical = true;
         for (unsigned t : route_thread_counts) {
-            const int n = t == 0 ? reps : 1;
-            RunResult rfr = best_flow(t, true, n);
-            RunResult nfr = best_flow(t, false, n);
-            if (!(rfr.fr.bits->serialize() == nfr.fr.bits->serialize())) {
+            RunResult fr = best_flow(t, t == 0 ? reps : 1);
+            const std::uint32_t crc = fr.fr.bits->serialize().crc32();
+            if (crc != golden_crc) {
                 std::fprintf(stderr,
-                             "route_kernel: pooled kernel bitstream DIVERGES from "
-                             "reference at %u threads\n",
-                             t);
+                             "route_kernel: bitstream CRC-32 0x%08X at %u threads, golden "
+                             "0x%08X\n",
+                             crc, t, golden_crc);
                 bit_identical = false;
             }
-            if (t == 0) {
-                ref = std::move(rfr);
-                pooled = std::move(nfr);
-            }
+            if (t == 0) pooled = std::move(fr);
         }
 
         const cad::RouteKernelStats& ks = pooled.fr.routing.kernel;
-        const double speedup =
-            pooled.total_ms > 0.0 ? ref.total_ms / pooled.total_ms : 0.0;
         Gates& g = route_kernel_gates;
         g.require("bit_identical", bit_identical);
         g.check("kernel ran (heap_pops > 0)", static_cast<double>(ks.heap_pops), 0,
@@ -332,14 +317,11 @@ int main(int argc, char** argv) {
                 ks.wavefront_peak > 0);
         g.check("zero steady-state allocations", static_cast<double>(ks.steady_allocations),
                 0, ks.steady_allocations == 0);
-        const double min_ms = std::min(ref.total_ms, pooled.total_ms);
-        g.check("both kernels timed", min_ms, 0, min_ms > 0);
 
-        std::printf("route_kernel qdi_adder_%zu on %ux%u cw=%u: reference %.1f ms, "
-                    "pooled %.1f ms (%.2fx), pops %llu, expanded %llu, wavefront "
-                    "peak %llu, steady allocs %llu, bit_identical=%d -> gate %s\n",
-                    pt.adder_bits, pt.fabric, pt.fabric, pt.channel_width,
-                    ref.total_ms, pooled.total_ms, speedup,
+        std::printf("route_kernel qdi_adder_%zu on %ux%u cw=%u: %.1f ms, pops %llu, "
+                    "expanded %llu, wavefront peak %llu, steady allocs %llu, "
+                    "bit_identical=%d -> gate %s\n",
+                    pt.adder_bits, pt.fabric, pt.fabric, pt.channel_width, pooled.total_ms,
                     static_cast<unsigned long long>(ks.heap_pops),
                     static_cast<unsigned long long>(ks.nodes_expanded),
                     static_cast<unsigned long long>(ks.wavefront_peak),
@@ -350,9 +332,7 @@ int main(int argc, char** argv) {
         w.key("design").value("qdi_adder_" + std::to_string(pt.adder_bits));
         w.key("fabric").value(std::to_string(pt.fabric) + "x" + std::to_string(pt.fabric));
         w.key("channel_width").value(std::uint64_t{pt.channel_width});
-        w.key("reference_route_ms").value(ref.total_ms);
         w.key("pooled_route_ms").value(pooled.total_ms);
-        w.key("speedup").value(speedup);
         w.key("bit_identical").value(bit_identical);
         w.key("heap_pushes").value(ks.heap_pushes);
         w.key("heap_pops").value(ks.heap_pops);

@@ -9,7 +9,7 @@
 #include "base/check.hpp"
 #include "base/strings.hpp"
 #include "cad/flow.hpp"
-#include "cad/route_search.hpp"
+#include "cad/route.hpp"
 #include "core/elaborate.hpp"
 #include "sim/channels.hpp"
 #include "sim/simulator.hpp"
@@ -94,10 +94,8 @@ void BM_FullFlow(benchmark::State& state) {
 }
 BENCHMARK(BM_FullFlow)->Arg(1)->Arg(4)->Unit(benchmark::kMillisecond);
 
-// The negotiated-congestion search kernel in isolation: a congested
-// cross-quadrant net mix on a 13x13 fabric, routed with the pooled-heap
-// kernel (arg 0) or the retained pre-rework reference kernel (arg 1).
-// Both produce bit-identical trees, so the delta is pure kernel overhead.
+// The negotiated-congestion router in isolation: a congested cross-quadrant
+// net mix on a 13x13 fabric, routed on the calling thread.
 void BM_RouteSearch(benchmark::State& state) {
     core::ArchSpec a = core::paper_arch();
     a.width = 13;
@@ -121,18 +119,12 @@ void BM_RouteSearch(benchmark::State& state) {
         add({11, 1 + i}, {1, 11 - i});
     }
 
-    cad::detail::set_use_reference_kernel(state.range(0) != 0);
     for (auto _ : state) {
         auto res = cad::route(rr, reqs);
         benchmark::DoNotOptimize(res.wirelength);
     }
-    cad::detail::set_use_reference_kernel(false);
 }
-BENCHMARK(BM_RouteSearch)
-    ->ArgNames({"reference"})
-    ->Arg(0)
-    ->Arg(1)
-    ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_RouteSearch)->Unit(benchmark::kMillisecond);
 
 void BM_RRGraphBuild(benchmark::State& state) {
     core::ArchSpec a = core::paper_arch();

@@ -574,13 +574,15 @@ public:
                 cfg.im.connect(arch, arch.im_sink_pde_in(), resolve_source(p.input));
                 const double required =
                     static_cast<double>(p.required_delay_ps) * (1.0 + ctx.opts.pde_extra_margin);
-                const auto tap = static_cast<std::int64_t>(
-                    std::ceil(required / static_cast<double>(arch.pde_quantum_ps)));
-                check(tap >= 0 && tap < static_cast<std::int64_t>(arch.pde_taps),
+                // Range-checked as a double, so an out-of-range tap count is
+                // rejected before it is ever cast.
+                const double tap =
+                    std::ceil(required / static_cast<double>(arch.pde_quantum_ps));
+                check(tap >= 0 && tap < static_cast<double>(arch.pde_taps),
                       "flow: PDE range exceeded (need " + std::to_string(required) +
                           " ps, max " +
                           std::to_string((arch.pde_taps - 1) * arch.pde_quantum_ps) + " ps)");
-                cfg.pde.tap = static_cast<std::uint8_t>(std::max<std::int64_t>(tap, 1));
+                cfg.pde.tap = static_cast<std::uint8_t>(std::max(tap, 1.0));
             }
 
             // PLB output pins for signals that leave this cluster.
@@ -636,7 +638,7 @@ std::uint64_t FlowOptions::fingerprint() const noexcept {
     // prebuilt_rr and artifact_store are deliberately NOT mixed: they are
     // plumbing, not semantics (the RR graph is a pure function of the arch,
     // and the store only changes where products come from).
-    static_assert(sizeof(FlowOptions) == 216,
+    static_assert(sizeof(FlowOptions) == 208,
                   "FlowOptions changed: update fingerprint() and this assert");
     Fingerprint f;
     f.mix(seed)
@@ -658,6 +660,10 @@ FlowResult run_flow(const netlist::Netlist& nl, const asynclib::MappingHints& hi
     check(arch.wire_capacity == 1,
           "flow: wire_capacity > 1 is supported by the standalone router only; "
           "the bitstream layer models one net per wire");
+    // The margin can arrive from the wire; a NaN would reach the PDE tap
+    // arithmetic of the bitstream stage.
+    check(std::isfinite(opts.pde_extra_margin) && opts.pde_extra_margin >= 0,
+          "flow: pde_extra_margin must be finite and >= 0");
     FlowResult fr;
     fr.arch = arch;
     FlowContext ctx{nl, hints, arch, opts, fr, {}, {}, {}};

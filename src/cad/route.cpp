@@ -1,10 +1,9 @@
 #include "cad/route.hpp"
 
 #include <algorithm>
-#include <cstdio>
+#include <cmath>
 #include <memory>
 #include <mutex>
-#include <string>
 
 #include "base/check.hpp"
 #include "base/threadpool.hpp"
@@ -102,6 +101,14 @@ RoutingResult route(const RRGraph& rr, const std::vector<RouteRequest>& reqs,
     // The budget can arrive from the wire: cap it far above any use so that
     // one request cannot buy unbounded CPU.
     base::check(opts.max_iterations <= 1000, "route: max_iterations must be <= 1000");
+    // So can the cost factors: a NaN cost breaks the wavefront heap's
+    // ordering, and a negative one rewards congestion.
+    auto non_negative = [](double v) { return std::isfinite(v) && v >= 0; };
+    base::check(non_negative(opts.pres_fac_first),
+                "route: pres_fac_first must be finite and >= 0");
+    base::check(non_negative(opts.pres_fac_mult), "route: pres_fac_mult must be finite and >= 0");
+    base::check(non_negative(opts.hist_fac), "route: hist_fac must be finite and >= 0");
+    base::check(non_negative(opts.astar_fac), "route: astar_fac must be finite and >= 0");
     const std::size_t N = rr.num_nodes();
     const core::FabricGeometry& geom = rr.geometry();
     const std::uint32_t W = rr.arch().width;
@@ -140,12 +147,6 @@ RoutingResult route(const RRGraph& rr, const std::vector<RouteRequest>& reqs,
     std::vector<std::vector<std::uint32_t>> net_nodes(reqs.size());
 
     auto escalate = [&](std::size_t ri) { extra[ri] = extra[ri] * 2 + 2; };
-
-    // Test/bench hook, read once at entry: the whole run uses either the
-    // pooled kernel or the pre-rework reference kernel, never a mix.
-    const bool use_ref = detail::use_reference_kernel();
-    const auto kernel =
-        use_ref ? detail::route_one_net_reference : detail::route_one_net;
 
     // The tree is processed bottom-up, one depth level per barrier: all
     // same-depth nodes live in disjoint subtrees, so they can route
@@ -193,14 +194,14 @@ RoutingResult route(const RRGraph& rr, const std::vector<RouteRequest>& reqs,
 
     for (int iter = 1; iter <= opts.max_iterations; ++iter) {
         // --- work selection: serial, fixed request order ----------------------
-        // The first iteration routes everything; afterwards, with incremental
-        // PathFinder, only nets touching an over-capacity node (every user of
-        // a congested node is implicated) or with unrouted sinks are ripped
-        // up — unless congestion has stalled, in which case one full rip-up
-        // round breaks the oscillation that pinned legal nets can otherwise
-        // sustain forever.
+        // The first iteration routes everything; afterwards only nets
+        // touching an over-capacity node (every user of a congested node is
+        // implicated) or with unrouted sinks are ripped up — unless
+        // congestion has stalled, in which case one full rip-up round breaks
+        // the oscillation that pinned legal nets can otherwise sustain
+        // forever.
         const bool stalled = opts.stall_full_reroute > 0 && stall >= opts.stall_full_reroute;
-        const bool full_rip_up = iter == 1 || !opts.incremental || stalled;
+        const bool full_rip_up = iter == 1 || stalled;
         if (stalled) {
             // The conflict set is stuck inside too-tight regions: widen every
             // net pinned on an overused node before shaking the whole
@@ -258,7 +259,8 @@ RoutingResult route(const RRGraph& rr, const std::vector<RouteRequest>& reqs,
             }
             node_work[static_cast<std::size_t>(at)].push_back(ri);
             if (tree[at].leaf_id < 0) ever_boundary[ri] = true;
-            const RouteBBox want = terminals[ri].expanded(opts.bin_margin + extra[ri], W, H);
+            const RouteBBox want =
+                terminals[ri].expanded(std::uint64_t{opts.bin_margin} + extra[ri], W, H);
             const RouteBBox& rect = tree[static_cast<std::size_t>(at)].rect;
             region[ri] = RouteBBox{std::max(want.x0, rect.x0), std::max(want.y0, rect.y0),
                                    std::min(want.x1, rect.x1), std::min(want.y1, rect.y1)};
@@ -281,8 +283,8 @@ RoutingResult route(const RRGraph& rr, const std::vector<RouteRequest>& reqs,
                 // and small conflict sets oscillate forever.
                 const std::size_t ri =
                     work[(k + static_cast<std::size_t>(iter - 1)) % work.size()];
-                detail::NetRouteState st =
-                    kernel(rr, reqs[ri], opts, pres_fac, hist, occ, *scratch, &region[ri]);
+                detail::NetRouteState st = detail::route_one_net(
+                    rr, reqs[ri], opts, pres_fac, hist, occ, *scratch, &region[ri]);
                 if (!st.all_sinks_found) escalate(ri);
                 net_nodes[ri] = std::move(st.nodes);
                 result.trees[ri] = std::move(st.tree);
@@ -338,27 +340,6 @@ RoutingResult route(const RRGraph& rr, const std::vector<RouteRequest>& reqs,
         } else {
             ++stall;
         }
-        if (opts.verbose) {
-            std::size_t boundary_rerouted = 0;
-            for (std::size_t i = 0; i < tree.size(); ++i)
-                if (tree[i].leaf_id < 0) boundary_rerouted += node_work[i].size();
-            std::fprintf(stderr,
-                         "[router] iter %d rerouted=%zu overused=%zu pres=%.3g "
-                         "boundary=%zu\n",
-                         iter, dirty.size(), overused, pres_fac, boundary_rerouted);
-            for (std::uint32_t n = 0; n < N; ++n) {
-                if (occ[n] <= rr.node_capacity(n)) continue;
-                const core::RRNode& nd = rr.node(n);
-                std::string users;
-                for (std::size_t ri = 0; ri < reqs.size(); ++ri)
-                    if (std::find(net_nodes[ri].begin(), net_nodes[ri].end(), n) !=
-                        net_nodes[ri].end())
-                        users += " net" + std::to_string(ri);
-                std::fprintf(stderr, "  %s(%u,%u)#%u occ=%u%s\n",
-                             core::to_string(nd.kind).c_str(), nd.x, nd.y, nd.track, occ[n],
-                             users.c_str());
-            }
-        }
         if (overused == 0 && all_routed) {
             result.success = true;
             break;
@@ -386,27 +367,23 @@ RoutingResult route(const RRGraph& rr, const std::vector<RouteRequest>& reqs,
     for (const auto& s : scratch_pool) result.kernel.merge(s->stats);
     result.kernel.steady_allocations = result.kernel.allocations - warmup_allocations;
 
-    if (!result.success) {
-        if (use_ref)
-            detail::report_overuse_reference(rr, reqs, net_nodes, occ, result);
-        else
-            detail::report_overuse(rr, reqs, net_nodes, occ, result);
-        return result;
-    }
-    if (use_ref)
-        detail::finalize_routing_reference(rr, reqs, net_nodes, result);
-    else
+    if (result.success)
         detail::finalize_routing(rr, reqs, net_nodes, result);
+    else
+        detail::report_overuse(rr, reqs, net_nodes, occ, result);
     return result;
 }
 
 std::unique_ptr<base::ThreadPool> make_route_pool(const RouterOptions& opts) {
+    // The worker count can arrive from the wire, and each worker is an OS
+    // thread: cap it far above any use before starting one.
+    base::check(opts.threads <= 256, "route: threads must be <= 256");
     if (opts.threads < 2) return nullptr;
     return std::make_unique<base::ThreadPool>(opts.threads);
 }
 
 std::uint64_t RouterOptions::fingerprint() const noexcept {
-    static_assert(sizeof(RouterOptions) == 64,
+    static_assert(sizeof(RouterOptions) == 56,
                   "RouterOptions changed: update fingerprint() and this assert");
     Fingerprint f;
     f.mix(max_iterations)
@@ -414,9 +391,7 @@ std::uint64_t RouterOptions::fingerprint() const noexcept {
         .mix(pres_fac_mult)
         .mix(hist_fac)
         .mix(astar_fac)
-        .mix(incremental)
         .mix(stall_full_reroute)
-        .mix(verbose)
         .mix(threads)
         .mix(bin_margin)
         .mix(min_bin_dim);

@@ -101,16 +101,13 @@ struct RouterOptions {
     double pres_fac_mult = 1.7;     ///< growth of pres_fac per iteration
     double hist_fac = 1.0;          ///< history-cost weight
     double astar_fac = 1.0;         ///< 0 = pure Dijkstra
-    /// After the first iteration only rip up and reroute nets that touch an
-    /// over-capacity node (or have unrouted sinks); legal nets keep their
-    /// trees. false = classic PathFinder full rip-up every iteration.
-    bool incremental = true;
-    /// Incremental mode can deadlock near saturation: a small conflict set
-    /// oscillates while every legal net stays pinned in place. After this
-    /// many iterations without overuse improvement, fall back to one full
-    /// rip-up round to shake the whole configuration loose.
+    /// After the first iteration the router only rips up and reroutes nets
+    /// that touch an over-capacity node (or have unrouted sinks); legal nets
+    /// keep their trees. That can deadlock near saturation: a small conflict
+    /// set oscillates while every legal net stays pinned in place. After
+    /// this many iterations without overuse improvement, fall back to one
+    /// full rip-up round to shake the whole configuration loose (0 = never).
     int stall_full_reroute = 4;
-    bool verbose = false;    ///< print per-iteration congestion to stderr
 
     // --- partitioning --------------------------------------------------------
     /// Flow-level worker count (see make_route_pool): 0 and 1 route on the
@@ -129,9 +126,9 @@ struct RouterOptions {
 
     /// Canonical content hash over EVERY field (artifact-key material); the
     /// implementation pins the struct size so new fields fail loudly.
-    /// `threads`/`verbose` never change the routing (bit-identical for any
-    /// worker count) but are included anyway — the canonical rule is "every
-    /// field", and a spurious miss is always safe.
+    /// `threads` never changes the routing (bit-identical for any worker
+    /// count) but is included anyway — the canonical rule is "every field",
+    /// and a spurious miss is always safe.
     [[nodiscard]] std::uint64_t fingerprint() const noexcept;
 };
 
@@ -202,15 +199,17 @@ struct RoutingResult {
 
 /// Route all requests, on `pool` when one is given and on the calling
 /// thread otherwise; the result is the same either way. Throws base::Error
-/// only on malformed requests; congestion failure is reported via
-/// RoutingResult::success.
+/// only on malformed requests or options (a cost factor that is negative or
+/// not finite, more than 1000 iterations), naming the field; congestion
+/// failure is reported via RoutingResult::success.
 [[nodiscard]] RoutingResult route(const core::RRGraph& rr, const std::vector<RouteRequest>& reqs,
                                   const RouterOptions& opts = {},
                                   base::ThreadPool* pool = nullptr);
 
 /// The flow's pool policy for the route stage (routing and the RR-graph
 /// build): a pool of RouterOptions::threads workers when that is at least
-/// 2, otherwise none.
+/// 2, otherwise none. Throws base::Error, starting no thread, when
+/// `threads` exceeds 256.
 [[nodiscard]] std::unique_ptr<base::ThreadPool> make_route_pool(const RouterOptions& opts);
 
 }  // namespace afpga::cad

@@ -1,10 +1,8 @@
 #include "cad/route_search.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
-#include <queue>
-#include <unordered_map>
+#include <string>
 
 #include "base/timer.hpp"
 
@@ -15,8 +13,6 @@ using core::RRKind;
 using core::RRNodeWord;
 
 namespace {
-
-std::atomic<bool> g_use_reference_kernel{false};
 
 /// Grid position of a node for the A* heuristic, read from the packed SoA
 /// word. Channel wires sit on their span's midpoint along the channel axis;
@@ -32,14 +28,6 @@ std::pair<double, double> word_pos(RRNodeWord nw) {
 }
 
 }  // namespace
-
-void set_use_reference_kernel(bool on) noexcept {
-    g_use_reference_kernel.store(on, std::memory_order_relaxed);
-}
-
-bool use_reference_kernel() noexcept {
-    return g_use_reference_kernel.load(std::memory_order_relaxed);
-}
 
 NetRouteState route_one_net(const RRGraph& rr, const RouteRequest& rq,
                             const RouterOptions& opts, double pres_fac,
@@ -315,220 +303,6 @@ void report_overuse(const RRGraph& rr, const std::vector<RouteRequest>& reqs,
         result.overuse_report.push_back(
             to_string(nd.kind) + "(" + std::to_string(nd.x) + "," + std::to_string(nd.y) +
             ")#" + std::to_string(nd.track) + " occ=" + std::to_string(occ[n]) + users[i]);
-    }
-    std::size_t unrouted = 0;
-    for (std::size_t ri = 0; ri < reqs.size(); ++ri)
-        for (const auto& s : result.trees[ri].sinks)
-            if (s.ipin == UINT32_MAX) ++unrouted;
-    if (unrouted)
-        result.overuse_report.push_back(std::to_string(unrouted) + " unrouted sinks");
-}
-
-// ---------------------------------------------------------------------------
-// Pre-rework reference kernel: the seed implementation, kept verbatim (per-
-// sink std::priority_queue, sorted-vector target test, std::find tree
-// membership, RRNode-struct reads) as the bit-identity oracle for the
-// route_kernel tests and bench tier. Do not "improve" this code — its value
-// is being exactly what the pooled kernel must reproduce.
-// ---------------------------------------------------------------------------
-
-namespace {
-
-struct QItem {
-    double cost;       // accumulated + heuristic
-    double backward;   // accumulated only
-    std::uint32_t node;
-    friend bool operator<(const QItem& a, const QItem& b) { return a.cost > b.cost; }
-};
-
-/// Grid position of a node for the A* heuristic.
-std::pair<double, double> node_pos(const RRGraph& rr, std::uint32_t n) {
-    const core::RRNode& nd = rr.node(n);
-    switch (nd.kind) {
-        case RRKind::ChanX: return {nd.x + 0.5, static_cast<double>(nd.y)};
-        case RRKind::ChanY: return {static_cast<double>(nd.x), nd.y + 0.5};
-        default: return {nd.x + 0.5, nd.y + 0.5};
-    }
-}
-
-}  // namespace
-
-NetRouteState route_one_net_reference(const RRGraph& rr, const RouteRequest& rq,
-                                      const RouterOptions& opts, double pres_fac,
-                                      const std::vector<double>& hist,
-                                      std::vector<std::uint16_t>& occ, SearchScratch& scratch,
-                                      const RouteBBox* bbox) {
-    auto pres_cost = [&](std::uint32_t n) {
-        const int over = static_cast<int>(occ[n]) + 1 - static_cast<int>(rr.node_capacity(n));
-        return over > 0 ? 1.0 + pres_fac * static_cast<double>(over) : 1.0;
-    };
-    auto base_cost = [&](std::uint32_t n) {
-        return static_cast<double>(std::max<std::int64_t>(rr.node(n).delay_ps, 1));
-    };
-    const double wire_unit =
-        static_cast<double>(std::max<std::int64_t>(rr.arch().wire_delay_ps, 1));
-
-    std::vector<double>& best = scratch.best;
-    std::vector<std::uint32_t>& prev_edge = scratch.prev_edge;
-    std::vector<std::uint32_t>& visit_mark = scratch.visit_mark;
-
-    NetRouteState st;
-    st.tree.sinks.assign(rq.sinks.size(), {});
-
-    // Tree nodes grow as sinks are reached.
-    std::vector<std::uint32_t>& tree_nodes = st.nodes;
-    std::vector<std::uint32_t> tree_edges;
-
-    // Candidate sources.
-    std::vector<std::uint32_t> sources;
-    if (rq.src_is_pad) {
-        sources.push_back(rr.pad_opin(rq.src_pad));
-    } else if (!rq.allowed_src_pins.empty()) {
-        for (std::uint32_t p : rq.allowed_src_pins)
-            sources.push_back(rr.plb_opin(rq.src_plb, p));
-    } else {
-        for (std::uint32_t p = 0; p < rr.arch().plb_outputs; ++p)
-            sources.push_back(rr.plb_opin(rq.src_plb, p));
-    }
-
-    // Sinks ordered as given (caller orders by distance if desired).
-    for (std::size_t si = 0; si < rq.sinks.size(); ++si) {
-        const RouteRequest::Sink& sk = rq.sinks[si];
-        std::vector<std::uint32_t> targets;
-        if (sk.is_pad) {
-            targets.push_back(rr.pad_ipin(sk.pad));
-        } else {
-            for (std::uint32_t p = 0; p < rr.arch().plb_inputs; ++p)
-                targets.push_back(rr.plb_ipin(sk.plb, p));
-        }
-        // Cheap membership: targets are few, use sorted vector.
-        std::sort(targets.begin(), targets.end());
-        auto target_hit = [&](std::uint32_t n) {
-            return std::binary_search(targets.begin(), targets.end(), n);
-        };
-        const std::pair<double, double> tpos =
-            sk.is_pad ? node_pos(rr, targets[0])
-                      : std::pair<double, double>{sk.plb.x + 0.5, sk.plb.y + 0.5};
-        auto heuristic = [&](std::uint32_t n) {
-            const auto [x, y] = node_pos(rr, n);
-            return opts.astar_fac * wire_unit *
-                   (std::abs(x - tpos.first) + std::abs(y - tpos.second));
-        };
-
-        ++scratch.mark;
-        const std::uint32_t mark = scratch.mark;
-        std::priority_queue<QItem> pq;
-        auto push = [&](std::uint32_t n, double backward, std::uint32_t via_edge) {
-            if (bbox != nullptr && !bbox->allows(rr.node(n))) return;
-            if (visit_mark[n] == mark && best[n] <= backward) return;
-            visit_mark[n] = mark;
-            best[n] = backward;
-            prev_edge[n] = via_edge;
-            pq.push({backward + heuristic(n), backward, n});
-        };
-        if (tree_nodes.empty()) {
-            for (std::uint32_t s : sources)
-                push(s, base_cost(s) * pres_cost(s), UINT32_MAX);
-        } else {
-            for (std::uint32_t n : tree_nodes) push(n, 0.0, UINT32_MAX);
-        }
-
-        std::uint32_t found = UINT32_MAX;
-        while (!pq.empty()) {
-            const QItem it = pq.top();
-            pq.pop();
-            if (visit_mark[it.node] == mark && it.backward > best[it.node]) continue;
-            if (target_hit(it.node)) {
-                found = it.node;
-                break;
-            }
-            const core::RRNode& nd = rr.node(it.node);
-            // Never expand through a sink pin of some other block.
-            if (nd.kind == RRKind::Ipin) continue;
-            for (const core::RRGraph::OutEdge oe : rr.out(it.node)) {
-                if (bbox != nullptr && !bbox->allows(rr.node(oe.to))) continue;
-                const double c =
-                    it.backward + base_cost(oe.to) * pres_cost(oe.to) + hist[oe.to];
-                push(oe.to, c, oe.edge);
-            }
-        }
-        if (found == UINT32_MAX) {
-            st.tree.sinks[si].ipin = UINT32_MAX;
-            st.all_sinks_found = false;
-            continue;
-        }
-        st.tree.sinks[si].ipin = found;
-        // Walk back, adding new nodes/edges to the tree.
-        std::uint32_t cur = found;
-        while (prev_edge[cur] != UINT32_MAX) {
-            const std::uint32_t e = prev_edge[cur];
-            tree_edges.push_back(e);
-            const std::uint32_t from = rr.edge_source(e);
-            if (std::find(tree_nodes.begin(), tree_nodes.end(), cur) == tree_nodes.end())
-                tree_nodes.push_back(cur);
-            cur = from;
-        }
-        if (std::find(tree_nodes.begin(), tree_nodes.end(), cur) == tree_nodes.end())
-            tree_nodes.push_back(cur);  // the root (source opin or tree node)
-        if (st.tree.root_opin == UINT32_MAX && rr.node(cur).kind == RRKind::Opin)
-            st.tree.root_opin = cur;
-    }
-
-    for (std::uint32_t n : tree_nodes) ++occ[n];
-    st.tree.edges = std::move(tree_edges);
-    return st;
-}
-
-void finalize_routing_reference(const RRGraph& rr, const std::vector<RouteRequest>& reqs,
-                                const std::vector<std::vector<std::uint32_t>>& net_nodes,
-                                RoutingResult& result) {
-    // --- wirelength: channel wires held across all nets ------------------------
-    for (const auto& nodes : net_nodes)
-        for (std::uint32_t n : nodes) {
-            const RRKind k = rr.node(n).kind;
-            if (k == RRKind::ChanX || k == RRKind::ChanY) ++result.wirelength;
-        }
-
-    // --- final delays: accumulate node delays from the root over the tree ----
-    for (std::size_t ri = 0; ri < reqs.size(); ++ri) {
-        RouteTree& tree = result.trees[ri];
-        if (tree.root_opin == UINT32_MAX && !tree.edges.empty())
-            tree.root_opin = rr.edge_source(tree.edges.back());
-        // adjacency of the tree
-        std::unordered_map<std::uint32_t, std::vector<std::uint32_t>> kids;
-        for (std::uint32_t e : tree.edges) kids[rr.edge_source(e)].push_back(rr.edge_target(e));
-        std::unordered_map<std::uint32_t, std::int64_t> arrive;
-        std::vector<std::uint32_t> stack{tree.root_opin};
-        if (tree.root_opin != UINT32_MAX)
-            arrive[tree.root_opin] = rr.node(tree.root_opin).delay_ps;
-        while (!stack.empty()) {
-            const std::uint32_t n = stack.back();
-            stack.pop_back();
-            for (std::uint32_t k : kids[n]) {
-                if (arrive.count(k)) continue;
-                arrive[k] = arrive[n] + rr.node(k).delay_ps;
-                stack.push_back(k);
-            }
-        }
-        for (auto& s : tree.sinks)
-            if (s.ipin != UINT32_MAX && arrive.count(s.ipin)) s.delay_ps = arrive[s.ipin];
-    }
-}
-
-void report_overuse_reference(const RRGraph& rr, const std::vector<RouteRequest>& reqs,
-                              const std::vector<std::vector<std::uint32_t>>& net_nodes,
-                              const std::vector<std::uint16_t>& occ, RoutingResult& result) {
-    for (std::uint32_t n = 0; n < rr.num_nodes(); ++n) {
-        if (occ[n] <= rr.node_capacity(n)) continue;
-        const core::RRNode& nd = rr.node(n);
-        std::string users;
-        for (std::size_t ri = 0; ri < reqs.size(); ++ri)
-            if (std::find(net_nodes[ri].begin(), net_nodes[ri].end(), n) !=
-                net_nodes[ri].end())
-                users += " net" + std::to_string(ri);
-        result.overuse_report.push_back(
-            to_string(nd.kind) + "(" + std::to_string(nd.x) + "," + std::to_string(nd.y) +
-            ")#" + std::to_string(nd.track) + " occ=" + std::to_string(occ[n]) + users);
     }
     std::size_t unrouted = 0;
     for (std::size_t ri = 0; ri < reqs.size(); ++ri)

@@ -82,22 +82,53 @@ void BlobReader::expect_end() const {
 // Shared element helpers
 // ---------------------------------------------------------------------------
 
-namespace {
+namespace detail {
 
-using netlist::NetId;
-using netlist::TruthTable;
+void put_netid(BlobWriter& w, netlist::NetId id) { w.u32(id.value()); }
+netlist::NetId get_netid(BlobReader& r) { return netlist::NetId(r.u32()); }
 
-void put_netid(BlobWriter& w, NetId n) { w.u32(n.value()); }
-NetId get_netid(BlobReader& r) { return NetId(r.u32()); }
+void put_tt(BlobWriter& w, const netlist::TruthTable& tt) {
+    w.u64(tt.arity());
+    const std::size_t rows = tt.rows();
+    for (std::size_t base = 0; base < rows; base += 64) {
+        std::uint64_t word = 0;
+        for (std::size_t i = 0; i < 64 && base + i < rows; ++i)
+            if (tt.eval(static_cast<std::uint32_t>(base + i))) word |= std::uint64_t{1} << i;
+        w.u64(word);
+    }
+}
 
-/// A decoded count must be realizable within the remaining payload (every
-/// element consumes at least `min_elem_bytes`), so corrupt counts fail
-/// before any large allocation.
+netlist::TruthTable get_tt(BlobReader& r) {
+    const std::uint64_t arity = r.u64();
+    base::check(arity <= netlist::TruthTable::kMaxArity, "blob: truth-table arity out of range");
+    netlist::TruthTable tt(static_cast<std::size_t>(arity));
+    const std::size_t rows = tt.rows();
+    for (std::size_t base = 0; base < rows; base += 64) {
+        const std::uint64_t word = r.u64();
+        for (std::size_t i = 0; i < 64 && base + i < rows; ++i)
+            tt.set_row(static_cast<std::uint32_t>(base + i), (word >> i) & 1);
+    }
+    return tt;
+}
+
 std::size_t get_count(BlobReader& r, std::size_t min_elem_bytes) {
     const std::uint64_t n = r.u64();
-    base::check(n * min_elem_bytes <= r.remaining(), "artifact blob: count overruns payload");
+    // Division, not n * min_elem_bytes: that product wraps for a hostile n.
+    base::check(n <= r.remaining() / min_elem_bytes, "blob: count overruns payload");
     return static_cast<std::size_t>(n);
 }
+
+}  // namespace detail
+
+namespace {
+
+using detail::get_count;
+using detail::get_netid;
+using detail::get_tt;
+using detail::put_netid;
+using detail::put_tt;
+using netlist::NetId;
+using netlist::TruthTable;
 
 void put_u32_vec(BlobWriter& w, const std::vector<std::uint32_t>& v) {
     w.u64(v.size());
@@ -148,30 +179,6 @@ core::PlbCoord get_coord(BlobReader& r) {
     c.x = r.u32();
     c.y = r.u32();
     return c;
-}
-
-void put_tt(BlobWriter& w, const TruthTable& tt) {
-    w.u64(tt.arity());
-    const std::size_t rows = tt.rows();
-    for (std::size_t base = 0; base < rows; base += 64) {
-        std::uint64_t word = 0;
-        for (std::size_t i = 0; i < 64 && base + i < rows; ++i)
-            if (tt.eval(static_cast<std::uint32_t>(base + i))) word |= std::uint64_t{1} << i;
-        w.u64(word);
-    }
-}
-
-TruthTable get_tt(BlobReader& r) {
-    const std::uint64_t arity = r.u64();
-    base::check(arity <= TruthTable::kMaxArity, "artifact blob: truth-table arity out of range");
-    TruthTable tt(static_cast<std::size_t>(arity));
-    const std::size_t rows = tt.rows();
-    for (std::size_t base = 0; base < rows; base += 64) {
-        const std::uint64_t word = r.u64();
-        for (std::size_t i = 0; i < 64 && base + i < rows; ++i)
-            tt.set_row(static_cast<std::uint32_t>(base + i), (word >> i) & 1);
-    }
-    return tt;
 }
 
 void put_le_func(BlobWriter& w, const LeFunc& f) {

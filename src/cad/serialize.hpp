@@ -25,6 +25,8 @@
 
 #include "cad/artifact.hpp"
 #include "core/archspec.hpp"
+#include "netlist/netlist.hpp"
+#include "netlist/truthtable.hpp"
 
 namespace afpga::cad {
 
@@ -86,6 +88,25 @@ void encode_arch(const core::ArchSpec& arch, BlobWriter& w);
 [[nodiscard]] core::ArchSpec decode_arch(BlobReader& r);
 
 namespace detail {
+// Element codecs shared by the artifact codecs here and the wire codecs
+// (cad/wire), so both speak one byte format for net ids, truth tables and
+// container counts.
+
+/// A net id as its u32 index.
+void put_netid(BlobWriter& w, netlist::NetId id);
+/// Inverse of put_netid (range checks are the consumer's business).
+[[nodiscard]] netlist::NetId get_netid(BlobReader& r);
+/// u64 arity, then the rows packed 64 per u64 word (row m = bit m % 64 of
+/// word m / 64).
+void put_tt(BlobWriter& w, const netlist::TruthTable& tt);
+/// Inverse of put_tt; throws base::Error on an arity above
+/// TruthTable::kMaxArity.
+[[nodiscard]] netlist::TruthTable get_tt(BlobReader& r);
+/// A u64 container count that must be realizable within the remaining
+/// payload, every element taking at least `min_elem_bytes` (>= 1): corrupt
+/// counts throw base::Error before any large allocation.
+[[nodiscard]] std::size_t get_count(BlobReader& r, std::size_t min_elem_bytes);
+
 /// Shared blob entry points layered over each codec's encode/decode:
 /// encode_blob yields the full payload, decode_blob additionally requires
 /// the payload to be fully consumed.

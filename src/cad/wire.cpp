@@ -133,14 +133,11 @@ std::optional<Frame> FrameDecoder::next() {
 
 namespace {
 
-/// A decoded count must be realizable within the remaining payload (every
-/// element consumes at least `min_elem_bytes`), so corrupt counts fail
-/// before any large allocation. Division avoids the n*min overflow.
-std::size_t get_count(BlobReader& r, std::size_t min_elem_bytes) {
-    const std::uint64_t n = r.u64();
-    check(n <= r.remaining() / min_elem_bytes, "wire: count overruns payload");
-    return static_cast<std::size_t>(n);
-}
+using detail::get_count;
+using detail::get_netid;
+using detail::get_tt;
+using detail::put_netid;
+using detail::put_tt;
 
 /// An int field travels as an i64; a value outside int is corruption, not
 /// something to wrap.
@@ -158,33 +155,6 @@ void put_bytes(BlobWriter& w, const std::uint8_t* data, std::size_t n) {
 std::vector<std::uint8_t> get_bytes(BlobReader& r) {
     const std::string s = r.str();
     return {s.begin(), s.end()};
-}
-
-void put_netid(BlobWriter& w, netlist::NetId id) { w.u32(id.value()); }
-netlist::NetId get_netid(BlobReader& r) { return netlist::NetId{r.u32()}; }
-
-void put_tt(BlobWriter& w, const netlist::TruthTable& tt) {
-    w.u64(tt.arity());
-    const std::size_t rows = tt.rows();
-    for (std::size_t base = 0; base < rows; base += 64) {
-        std::uint64_t word = 0;
-        for (std::size_t b = 0; b < 64 && base + b < rows; ++b)
-            if (tt.eval(static_cast<std::uint32_t>(base + b))) word |= 1ull << b;
-        w.u64(word);
-    }
-}
-
-netlist::TruthTable get_tt(BlobReader& r) {
-    const std::uint64_t arity = r.u64();
-    check(arity <= netlist::TruthTable::kMaxArity, "wire: truth-table arity out of range");
-    netlist::TruthTable tt(static_cast<std::size_t>(arity));
-    const std::size_t rows = tt.rows();
-    for (std::size_t base = 0; base < rows; base += 64) {
-        const std::uint64_t word = r.u64();
-        for (std::size_t b = 0; b < 64 && base + b < rows; ++b)
-            tt.set_row(static_cast<std::uint32_t>(base + b), (word >> b) & 1u);
-    }
-    return tt;
 }
 
 }  // namespace
@@ -315,11 +285,11 @@ void encode_flow_options(const FlowOptions& o, BlobWriter& w) {
     // fingerprint() implementations: adding a knob without teaching the wire
     // about it must fail the build, not silently desynchronize client and
     // server.
-    static_assert(sizeof(FlowOptions) == 216, "FlowOptions changed: update wire codec");
+    static_assert(sizeof(FlowOptions) == 208, "FlowOptions changed: update wire codec");
     static_assert(sizeof(TechmapOptions) == 16, "TechmapOptions changed: update wire codec");
     static_assert(sizeof(PackOptions) == 1, "PackOptions changed: update wire codec");
     static_assert(sizeof(PlaceOptions) == 72, "PlaceOptions changed: update wire codec");
-    static_assert(sizeof(RouterOptions) == 64, "RouterOptions changed: update wire codec");
+    static_assert(sizeof(RouterOptions) == 56, "RouterOptions changed: update wire codec");
 
     w.u64(o.seed);
     w.boolean(o.techmap.use_rail_pair_hints);
@@ -344,9 +314,7 @@ void encode_flow_options(const FlowOptions& o, BlobWriter& w) {
     w.f64(o.route.pres_fac_mult);
     w.f64(o.route.hist_fac);
     w.f64(o.route.astar_fac);
-    w.boolean(o.route.incremental);
     w.i64(o.route.stall_full_reroute);
-    w.boolean(o.route.verbose);
     w.u32(o.route.threads);
     w.u32(o.route.bin_margin);
     w.u32(o.route.min_bin_dim);
@@ -383,9 +351,7 @@ FlowOptions decode_flow_options(BlobReader& r) {
     o.route.pres_fac_mult = r.f64();
     o.route.hist_fac = r.f64();
     o.route.astar_fac = r.f64();
-    o.route.incremental = r.boolean();
     o.route.stall_full_reroute = get_int(r, "route.stall_full_reroute");
-    o.route.verbose = r.boolean();
     o.route.threads = r.u32();
     o.route.bin_margin = r.u32();
     o.route.min_bin_dim = r.u32();

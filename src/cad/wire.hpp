@@ -40,8 +40,9 @@ namespace afpga::cad::wire {
 /// Frame magic: "AFPW" read as a little-endian u32.
 inline constexpr std::uint32_t kMagic = 0x57504641u;
 /// Protocol version; see the file comment's version policy (v2: the
-/// FlowOptions codec lost the retired annealer's place knobs).
-inline constexpr std::uint32_t kProtocolVersion = 2;
+/// FlowOptions codec lost the retired annealer's place knobs; v3: it lost
+/// the router's `incremental` and `verbose`).
+inline constexpr std::uint32_t kProtocolVersion = 3;
 /// Fixed frame-header size in bytes.
 inline constexpr std::size_t kHeaderBytes = 24;
 /// Hard cap on a single frame's payload — anything larger is malformed by

@@ -184,8 +184,7 @@ TEST(OptionFingerprint, RouterEveryFieldCounts) {
     expect_every_field_counts<cad::RouterOptions>(
         [](auto& o) { o.max_iterations = 41; }, [](auto& o) { o.pres_fac_first = 0.7; },
         [](auto& o) { o.pres_fac_mult = 1.8; }, [](auto& o) { o.hist_fac = 1.5; },
-        [](auto& o) { o.astar_fac = 0.5; }, [](auto& o) { o.incremental = false; },
-        [](auto& o) { o.stall_full_reroute = 5; }, [](auto& o) { o.verbose = true; },
+        [](auto& o) { o.astar_fac = 0.5; }, [](auto& o) { o.stall_full_reroute = 5; },
         [](auto& o) { o.threads = 2; }, [](auto& o) { o.bin_margin = 2; },
         [](auto& o) { o.min_bin_dim = 5; });
 }

@@ -8,7 +8,7 @@
 //  - PlaceModel's io slots index their entities, and the default placer's
 //    pads are distinct, on a mixed cluster/IO design;
 //  - incremental PathFinder rerouting produces legal (no overuse) routings
-//    of the same quality class as classic full rip-up;
+//    without rerouting every net on every iteration;
 //  - multi-capacity channels (ArchSpec::wire_capacity) are honoured;
 //  - FlowTelemetry reports all five stages with wall times and serializes
 //    to JSON.
@@ -481,7 +481,7 @@ std::vector<std::uint16_t> occupancy(const core::RRGraph& rr, const cad::Routing
     return occ;
 }
 
-TEST(RouteIncremental, LegalAndSameQualityClassAsFullRipUp) {
+TEST(RouteIncremental, LegalWithoutReroutingEverything) {
     core::ArchSpec a;
     a.width = 6;
     a.height = 6;
@@ -493,24 +493,14 @@ TEST(RouteIncremental, LegalAndSameQualityClassAsFullRipUp) {
         for (std::uint32_t j = 0; j < 6; j += 2)
             if (i != j) reqs.push_back(plb_to_plb({i, 0}, {j, 5}));
 
-    cad::RouterOptions incremental;
-    cad::RouterOptions full;
-    full.incremental = false;
-    const auto ri = cad::route(rr, reqs, incremental);
-    const auto rf = cad::route(rr, reqs, full);
+    const auto ri = cad::route(rr, reqs);
     ASSERT_TRUE(ri.success);
-    ASSERT_TRUE(rf.success);
 
     // Legality: no node over capacity in the incremental result.
     const auto occ = occupancy(rr, ri);
     for (std::uint32_t n = 0; n < rr.num_nodes(); ++n)
         EXPECT_LE(occ[n], rr.node_capacity(n)) << "node " << n;
-
-    // Quality class: total wirelength within 1.5x of the full rip-up router.
     EXPECT_GT(ri.wirelength, 0u);
-    EXPECT_GT(rf.wirelength, 0u);
-    EXPECT_LE(ri.wirelength, rf.wirelength * 3 / 2);
-    EXPECT_LE(rf.wirelength, ri.wirelength * 3 / 2);
 
     // Incremental must not redo everything every iteration.
     if (ri.iterations > 1) {

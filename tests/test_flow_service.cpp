@@ -328,6 +328,45 @@ TEST(FlowService, NonFinitePlaceKnobsFailTheJobByName) {
     EXPECT_TRUE(svc.wait(id_ok).ok()) << svc.wait(id_ok).error;
 }
 
+// So do the router's cost factors and the PDE margin: a NaN margin reaches
+// the bitstream stage's tap arithmetic, a NaN cost factor the router's
+// wavefront heap.
+TEST(FlowService, NonFiniteRouteAndMarginKnobsFailTheJobByName) {
+    auto adder = asynclib::make_qdi_adder(2);
+    auto through_wire = [](const cad::FlowOptions& o) {
+        cad::BlobWriter w;
+        cad::wire::encode_flow_options(o, w);
+        const std::vector<std::uint8_t> bytes = std::move(w).take();
+        cad::BlobReader r(bytes);
+        return cad::wire::decode_flow_options(r);
+    };
+    cad::FlowOptions nan_margin;
+    nan_margin.pde_extra_margin = std::numeric_limits<double>::quiet_NaN();
+    cad::FlowOptions nan_astar;
+    nan_astar.route.astar_fac = std::numeric_limits<double>::quiet_NaN();
+
+    cad::FlowService svc;
+    auto submit = [&](const char* name, const cad::FlowOptions& opts) {
+        cad::FlowJob j;
+        j.name = name;
+        j.nl = &adder.nl;
+        j.hints = &adder.hints;
+        j.opts = through_wire(opts);
+        return svc.submit(std::move(j));
+    };
+    const auto id_margin = submit("nan_margin", nan_margin);
+    const auto id_astar = submit("nan_astar", nan_astar);
+    const auto id_ok = submit("fits", {});
+
+    const cad::FlowJobResult& r_margin = svc.wait(id_margin);
+    EXPECT_EQ(r_margin.status, cad::FlowJobStatus::Failed);
+    EXPECT_NE(r_margin.error.find("pde_extra_margin"), std::string::npos) << r_margin.error;
+    const cad::FlowJobResult& r_astar = svc.wait(id_astar);
+    EXPECT_EQ(r_astar.status, cad::FlowJobStatus::Failed);
+    EXPECT_NE(r_astar.error.find("astar_fac"), std::string::npos) << r_astar.error;
+    EXPECT_TRUE(svc.wait(id_ok).ok()) << svc.wait(id_ok).error;
+}
+
 TEST(FlowService, CancelDropsQueuedJobs) {
     auto adder = asynclib::make_qdi_adder(2);
     const core::ArchSpec arch;

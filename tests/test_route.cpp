@@ -3,9 +3,13 @@
 // accounting and failure reporting.
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <set>
+#include <string>
+#include <vector>
 
 #include "base/check.hpp"
+#include "base/threadpool.hpp"
 #include "cad/route.hpp"
 #include "core/rrgraph.hpp"
 
@@ -59,6 +63,52 @@ TEST(Router, CapsMaxIterations) {
     }
     opts.max_iterations = 1000;
     EXPECT_TRUE(cad::route(rr, {plb_to_plb({0, 0}, {3, 3})}, opts).success);
+}
+
+// So can the worker count, and every worker is an OS thread:
+// make_route_pool refuses a count past its cap before starting any.
+TEST(Router, CapsThreads) {
+    RouterOptions opts;
+    opts.threads = 257;
+    try {
+        (void)cad::make_route_pool(opts);
+        ADD_FAILURE() << "threads = 257 accepted";
+    } catch (const base::Error& e) {
+        EXPECT_NE(std::string(e.what()).find("threads"), std::string::npos) << e.what();
+    }
+    opts.threads = 2;
+    EXPECT_NE(cad::make_route_pool(opts), nullptr);
+}
+
+// So can the cost factors: a NaN breaks the wavefront heap's ordering, and
+// a negative factor rewards congestion. route() rejects each by name.
+TEST(Router, RejectsNonFiniteFloatKnobs) {
+    const RRGraph rr(small_arch());
+    const std::vector<RouteRequest> reqs{plb_to_plb({0, 0}, {3, 3})};
+    struct Knob {
+        const char* name;
+        double RouterOptions::*field;
+    };
+    const Knob knobs[] = {{"pres_fac_first", &RouterOptions::pres_fac_first},
+                          {"pres_fac_mult", &RouterOptions::pres_fac_mult},
+                          {"hist_fac", &RouterOptions::hist_fac},
+                          {"astar_fac", &RouterOptions::astar_fac}};
+    for (const Knob& k : knobs) {
+        for (double bad : {std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity(), -1.0}) {
+            RouterOptions opts;
+            opts.*k.field = bad;
+            try {
+                (void)cad::route(rr, reqs, opts);
+                ADD_FAILURE() << k.name << " = " << bad << " accepted";
+            } catch (const base::Error& e) {
+                EXPECT_NE(std::string(e.what()).find(k.name), std::string::npos) << e.what();
+            }
+        }
+        RouterOptions zero;
+        zero.*k.field = 0.0;
+        EXPECT_TRUE(cad::route(rr, reqs, zero).success) << k.name << " = 0";
+    }
 }
 
 TEST(Router, PathIsConnectedRootToSink) {

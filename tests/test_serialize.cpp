@@ -489,6 +489,16 @@ TEST(SerializeRobustness, CorruptCountFailsBeforeAllocating) {
                  base::Error);
 }
 
+TEST(SerializeRobustness, WrappingCountThrowsBaseError) {
+    // 2^62 LEs of at least four bytes each is 2^64 bytes, a product that
+    // wraps to 0: the count check must not be fooled into letting the
+    // reserve throw std::length_error instead of the documented base::Error.
+    cad::BlobWriter w;
+    w.u64(std::uint64_t{1} << 62);
+    EXPECT_THROW((void)cad::ArtifactCodec<cad::MappedDesign>::decode_blob(w.bytes()),
+                 base::Error);
+}
+
 TEST(SerializeRobustness, DecodeArchRejectsGarbage) {
     const core::ArchSpec arch;
     {

@@ -132,6 +132,7 @@ TEST(WireFrame, HeaderFieldValidation) {
     };
     expect_rejected(with_u32(0, 0xdeadbeef), "bad magic");
     expect_rejected(with_u32(4, wire::kProtocolVersion + 1), "bad version");
+    expect_rejected(with_u32(4, wire::kProtocolVersion - 1), "previous version");
     expect_rejected(with_u32(8, 0), "type zero");
     expect_rejected(with_u32(8, wire::kMaxMsgType + 1), "type past max");
     expect_rejected(with_u32(12, static_cast<std::uint32_t>(wire::kMaxPayloadBytes) + 1),
