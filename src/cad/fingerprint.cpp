@@ -2,6 +2,10 @@
 
 #include <bit>
 #include <cstdio>
+#include <vector>
+
+#include "cad/serialize.hpp"
+#include "cad/wire.hpp"
 
 namespace afpga::cad {
 
@@ -49,61 +53,21 @@ std::string key_hex(ArtifactKey key) {
     return buf;
 }
 
-namespace {
-
-void mix_table(Fingerprint& f, const netlist::TruthTable& tt) {
-    f.mix(tt.arity());
-    // Row bits packed 64 per word (arity is bounded by kMaxArity = 16).
-    std::uint64_t word = 0;
-    int n = 0;
-    for (std::uint32_t m = 0; m < tt.rows(); ++m) {
-        word = (word << 1) | (tt.eval(m) ? 1u : 0u);
-        if (++n == 64) {
-            f.mix(word);
-            word = 0;
-            n = 0;
-        }
-    }
-    if (n) f.mix(word);
+std::uint64_t fingerprint_encoding(const std::function<void(BlobWriter&)>& encode) {
+    BlobWriter w;
+    encode(w);
+    const std::vector<std::uint8_t>& bytes = w.bytes();
+    Fingerprint f;
+    f.mix(std::string_view(reinterpret_cast<const char*>(bytes.data()), bytes.size()));
+    return f.digest();
 }
 
-}  // namespace
-
 std::uint64_t fingerprint_netlist(const netlist::Netlist& nl) {
-    Fingerprint f;
-    f.mix(nl.name());
-    f.mix(nl.num_cells());
-    for (netlist::CellId id : nl.cell_ids()) {
-        const netlist::Cell& c = nl.cell(id);
-        f.mix(c.func).mix(c.name).mix(c.output.value());
-        f.mix(c.inputs.size());
-        for (netlist::NetId in : c.inputs) f.mix(in.value());
-        f.mix(c.table.has_value());
-        if (c.table) mix_table(f, *c.table);
-        f.mix(c.delay_ps.has_value());
-        if (c.delay_ps) f.mix(*c.delay_ps);
-    }
-    // Net names matter (pad assignment and testbench lookup are by name);
-    // driver/sink structure is implied by the cell list above.
-    f.mix(nl.num_nets());
-    for (netlist::NetId id : nl.net_ids()) {
-        const netlist::Net& net = nl.net(id);
-        f.mix(net.name).mix(net.is_primary_input);
-    }
-    f.mix(nl.primary_inputs().size());
-    for (netlist::NetId pi : nl.primary_inputs()) f.mix(pi.value());
-    f.mix(nl.primary_outputs().size());
-    for (const auto& [name, net] : nl.primary_outputs()) f.mix(name).mix(net.value());
-    return f.digest();
+    return fingerprint_encoding([&](BlobWriter& w) { wire::encode_netlist(nl, w); });
 }
 
 std::uint64_t fingerprint_hints(const asynclib::MappingHints& hints) {
-    Fingerprint f;
-    f.mix(hints.rail_pairs.size());
-    for (const auto& [t, fl] : hints.rail_pairs) f.mix(t.value()).mix(fl.value());
-    f.mix(hints.validity_nets.size());
-    for (netlist::NetId v : hints.validity_nets) f.mix(v.value());
-    return f.digest();
+    return fingerprint_encoding([&](BlobWriter& w) { wire::encode_hints(hints, w); });
 }
 
 }  // namespace afpga::cad

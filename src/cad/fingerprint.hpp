@@ -10,11 +10,16 @@
 /// treat as "skip the stage": every flow stage is a pure function of the
 /// fingerprinted inputs.
 ///
+/// Values are fingerprinted through their codecs (cad/wire): a key hashes
+/// the exact bytes the wire would carry, so the codec is the one list of
+/// what a key covers and cannot drift from a second, hand-written list.
+///
 /// Threading: Fingerprint is single-owner mutable state; the free
 /// fingerprint_* functions are pure and callable from any thread.
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <string_view>
 #include <type_traits>
@@ -24,12 +29,15 @@
 
 namespace afpga::cad {
 
+class BlobWriter;
+
 /// Content-address of one stage artifact (hex-printed in telemetry).
 using ArtifactKey = std::uint64_t;
 
-/// Order-sensitive 64-bit hash accumulator. The mixing function is fixed
-/// forever in spirit — keys are only compared within one process today, but
-/// tests pin digests so an accidental change fails loudly.
+/// Order-sensitive 64-bit hash accumulator. Keys also name the store's disk
+/// blobs, so they are compared across processes; a change to what a key
+/// hashes only orphans old blobs (never read again, removed by the disk
+/// tier's budget/age pruning) and costs one recompute per product.
 class Fingerprint {
 public:
     /// Mix one integral (or enum, or bool) value.
@@ -60,14 +68,20 @@ private:
 /// "0x%016x" rendering used by telemetry and reports.
 [[nodiscard]] std::string key_hex(ArtifactKey key);
 
-/// Content hash of a gate-level netlist: cells (function, name, table,
-/// delay, connectivity), net names and the primary I/O lists. Everything
-/// the flow reads is covered, so equal fingerprints mean the flow cannot
+/// Content hash of the bytes `encode` writes into a fresh BlobWriter. Every
+/// artifact-key input that has a codec is hashed this way, so a key covers
+/// exactly the fields its codec lists.
+[[nodiscard]] std::uint64_t fingerprint_encoding(
+    const std::function<void(BlobWriter&)>& encode);
+
+/// Content hash of a gate-level netlist: its wire encoding
+/// (wire::encode_netlist), every cell, net, sink order and primary I/O
+/// included. Equal fingerprints mean equal encodings, so the flow cannot
 /// distinguish the two netlists.
 [[nodiscard]] std::uint64_t fingerprint_netlist(const netlist::Netlist& nl);
 
-/// Content hash of the generator's mapping hints (rail pairs + validity
-/// nets, order-sensitive — techmap consumes them in order).
+/// Content hash of the generator's mapping hints: their wire encoding
+/// (wire::encode_hints), order-sensitive — techmap consumes them in order.
 [[nodiscard]] std::uint64_t fingerprint_hints(const asynclib::MappingHints& hints);
 
 }  // namespace afpga::cad

@@ -10,6 +10,7 @@
 #include "cad/artifact.hpp"
 #include "cad/fingerprint.hpp"
 #include "cad/serialize.hpp"
+#include "cad/wire.hpp"
 
 namespace afpga::cad {
 
@@ -47,9 +48,10 @@ public:
     // just {netlist, hints} (the base chain) + its own options: an arch or
     // seed sweep reuses one mapping across the whole grid.
     [[nodiscard]] std::uint64_t options_fingerprint(const FlowContext& ctx) const override {
-        Fingerprint f;
-        f.mix(ctx.opts.techmap.fingerprint()).mix(ctx.opts.verify_mapping);
-        return f.digest();
+        return fingerprint_encoding([&](BlobWriter& w) {
+            wire::encode_techmap_options(ctx.opts.techmap, w);
+            w.boolean(ctx.opts.verify_mapping);
+        });
     }
     [[nodiscard]] bool try_restore(FlowContext& ctx, const ArtifactStore& store,
                                    std::uint64_t key, StageReport& report) override {
@@ -87,9 +89,10 @@ public:
     // First stage that reads the architecture: mix it in here so downstream
     // keys inherit it through the chain.
     [[nodiscard]] std::uint64_t options_fingerprint(const FlowContext& ctx) const override {
-        Fingerprint f;
-        f.mix(ctx.arch.fingerprint()).mix(ctx.opts.pack.fingerprint());
-        return f.digest();
+        return fingerprint_encoding([&](BlobWriter& w) {
+            w.u64(ctx.arch.fingerprint());
+            wire::encode_pack_options(ctx.opts.pack, w);
+        });
     }
     [[nodiscard]] bool try_restore(FlowContext& ctx, const ArtifactStore& store,
                                    std::uint64_t key, StageReport& report) override {
@@ -123,7 +126,8 @@ public:
     // The fingerprint covers the EFFECTIVE options (PlaceOptions::seed is
     // overridden by the flow's master seed, exactly as run does it).
     [[nodiscard]] std::uint64_t options_fingerprint(const FlowContext& ctx) const override {
-        return effective_options(ctx).fingerprint();
+        return fingerprint_encoding(
+            [&](BlobWriter& w) { wire::encode_place_options(effective_options(ctx), w); });
     }
     [[nodiscard]] bool try_restore(FlowContext& ctx, const ArtifactStore& store,
                                    std::uint64_t key, StageReport& report) override {
@@ -221,7 +225,8 @@ public:
     }
 
     [[nodiscard]] std::uint64_t options_fingerprint(const FlowContext& ctx) const override {
-        return ctx.opts.route.fingerprint();
+        return fingerprint_encoding(
+            [&](BlobWriter& w) { wire::encode_router_options(ctx.opts.route, w); });
     }
     [[nodiscard]] bool try_restore(FlowContext& ctx, const ArtifactStore& store,
                                    std::uint64_t key, StageReport& report) override {
@@ -609,9 +614,7 @@ public:
     }
 
     [[nodiscard]] std::uint64_t options_fingerprint(const FlowContext& ctx) const override {
-        Fingerprint f;
-        f.mix(ctx.opts.pde_extra_margin);
-        return f.digest();
+        return fingerprint_encoding([&](BlobWriter& w) { w.f64(ctx.opts.pde_extra_margin); });
     }
     [[nodiscard]] bool try_restore(FlowContext& ctx, const ArtifactStore& store,
                                    std::uint64_t key, StageReport& report) override {
@@ -633,23 +636,6 @@ public:
 };
 
 }  // namespace
-
-std::uint64_t FlowOptions::fingerprint() const noexcept {
-    // prebuilt_rr and artifact_store are deliberately NOT mixed: they are
-    // plumbing, not semantics (the RR graph is a pure function of the arch,
-    // and the store only changes where products come from).
-    static_assert(sizeof(FlowOptions) == 208,
-                  "FlowOptions changed: update fingerprint() and this assert");
-    Fingerprint f;
-    f.mix(seed)
-        .mix(techmap.fingerprint())
-        .mix(pack.fingerprint())
-        .mix(place.fingerprint())
-        .mix(route.fingerprint())
-        .mix(pde_extra_margin)
-        .mix(verify_mapping);
-    return f.digest();
-}
 
 FlowResult run_flow(const netlist::Netlist& nl, const asynclib::MappingHints& hints,
                     const core::ArchSpec& arch, const FlowOptions& opts) {

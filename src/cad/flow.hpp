@@ -57,13 +57,6 @@ struct FlowOptions {
     /// nullptr (the default) disables caching — behaviour and results are
     /// identical either way, caching only skips redundant recomputation.
     std::shared_ptr<ArtifactStore> artifact_store;
-
-    /// Canonical content hash over every SEMANTIC field: the master seed and
-    /// all stage option structs. `prebuilt_rr` and `artifact_store` are
-    /// excluded — they change where products come from, never what they
-    /// are. The implementation pins the struct size so new fields fail
-    /// loudly.
-    [[nodiscard]] std::uint64_t fingerprint() const noexcept;
 };
 
 /// Everything the flow produced; enough to elaborate, simulate and report.

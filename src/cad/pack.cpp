@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "base/check.hpp"
-#include "cad/fingerprint.hpp"
 
 namespace afpga::cad {
 
@@ -267,14 +266,6 @@ PackedDesign pack(const MappedDesign& md, const core::ArchSpec& arch, const Pack
         pd.cluster_of_pde[pi] = chosen;
     }
     return pd;
-}
-
-std::uint64_t PackOptions::fingerprint() const noexcept {
-    static_assert(sizeof(PackOptions) == 1,
-                  "PackOptions changed: update fingerprint() and this assert");
-    Fingerprint f;
-    f.mix(affinity_clustering);
-    return f.digest();
 }
 
 }  // namespace afpga::cad

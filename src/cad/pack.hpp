@@ -42,10 +42,6 @@ struct PackedDesign {
 /// Packing knobs.
 struct PackOptions {
     bool affinity_clustering = true;  ///< ablation: false = first-fit order
-
-    /// Canonical content hash over EVERY field (artifact-key material); the
-    /// implementation pins the struct size so new fields fail loudly.
-    [[nodiscard]] std::uint64_t fingerprint() const noexcept;
 };
 
 /// Throws base::Error if a single LE exceeds the PLB pin budget (cannot

@@ -5,7 +5,6 @@
 
 #include "base/check.hpp"
 #include "base/rng.hpp"
-#include "cad/fingerprint.hpp"
 #include "cad/place_cost.hpp"
 #include "cad/place_model.hpp"
 #include "cad/place_multilevel.hpp"
@@ -403,25 +402,6 @@ double placement_wirelength(const PackedDesign& pd, const MappedDesign& md,
         total += (xmax - xmin) + (ymax - ymin);
     }
     return total;
-}
-
-std::uint64_t PlaceOptions::fingerprint() const noexcept {
-    static_assert(sizeof(PlaceOptions) == 72,
-                  "PlaceOptions changed: update fingerprint() and this assert");
-    Fingerprint f;
-    f.mix(seed)
-        .mix(moves_scale)
-        .mix(algorithm)
-        .mix(threads)
-        .mix(solver_passes)
-        .mix(solver_max_iters)
-        .mix(polish_rounds)
-        .mix(solver_tolerance)
-        .mix(anchor_weight)
-        .mix(coarsen_ratio)
-        .mix(min_coarse_nodes)
-        .mix(max_levels);
-    return f.digest();
 }
 
 }  // namespace afpga::cad

@@ -107,12 +107,6 @@ struct PlaceOptions {
     /// Hard cap on coarsening levels above the finest (0 = no coarsening:
     /// the flat, single-level schedule).
     int max_levels = 10;
-
-    /// Canonical content hash over EVERY field (artifact-key material); the
-    /// implementation pins the struct size so new fields fail loudly.
-    /// `threads` changes nothing but is included anyway — the canonical
-    /// rule is "every field", and a spurious miss is always safe.
-    [[nodiscard]] std::uint64_t fingerprint() const noexcept;
 };
 
 /// Throws base::Error if the design does not fit (clusters > W*H or I/Os >

@@ -8,7 +8,6 @@
 #include "base/check.hpp"
 #include "base/threadpool.hpp"
 #include "base/timer.hpp"
-#include "cad/fingerprint.hpp"
 #include "cad/route_search.hpp"
 #include "core/fabric.hpp"
 
@@ -380,22 +379,6 @@ std::unique_ptr<base::ThreadPool> make_route_pool(const RouterOptions& opts) {
     base::check(opts.threads <= 256, "route: threads must be <= 256");
     if (opts.threads < 2) return nullptr;
     return std::make_unique<base::ThreadPool>(opts.threads);
-}
-
-std::uint64_t RouterOptions::fingerprint() const noexcept {
-    static_assert(sizeof(RouterOptions) == 56,
-                  "RouterOptions changed: update fingerprint() and this assert");
-    Fingerprint f;
-    f.mix(max_iterations)
-        .mix(pres_fac_first)
-        .mix(pres_fac_mult)
-        .mix(hist_fac)
-        .mix(astar_fac)
-        .mix(stall_full_reroute)
-        .mix(threads)
-        .mix(bin_margin)
-        .mix(min_bin_dim);
-    return f.digest();
 }
 
 }  // namespace afpga::cad

@@ -123,13 +123,6 @@ struct RouterOptions {
     /// Stop splitting a partition region when neither side of a cut would
     /// keep at least this many PLB columns/rows.
     std::uint32_t min_bin_dim = 4;
-
-    /// Canonical content hash over EVERY field (artifact-key material); the
-    /// implementation pins the struct size so new fields fail loudly.
-    /// `threads` never changes the routing (bit-identical for any worker
-    /// count) but is included anyway — the canonical rule is "every field",
-    /// and a spurious miss is always safe.
-    [[nodiscard]] std::uint64_t fingerprint() const noexcept;
 };
 
 /// Counters of the inner search kernel (route_one_net), aggregated over every

@@ -89,25 +89,14 @@ netlist::NetId get_netid(BlobReader& r) { return netlist::NetId(r.u32()); }
 
 void put_tt(BlobWriter& w, const netlist::TruthTable& tt) {
     w.u64(tt.arity());
-    const std::size_t rows = tt.rows();
-    for (std::size_t base = 0; base < rows; base += 64) {
-        std::uint64_t word = 0;
-        for (std::size_t i = 0; i < 64 && base + i < rows; ++i)
-            if (tt.eval(static_cast<std::uint32_t>(base + i))) word |= std::uint64_t{1} << i;
-        w.u64(word);
-    }
+    for (const std::uint64_t word : tt.row_words()) w.u64(word);
 }
 
 netlist::TruthTable get_tt(BlobReader& r) {
     const std::uint64_t arity = r.u64();
     base::check(arity <= netlist::TruthTable::kMaxArity, "blob: truth-table arity out of range");
     netlist::TruthTable tt(static_cast<std::size_t>(arity));
-    const std::size_t rows = tt.rows();
-    for (std::size_t base = 0; base < rows; base += 64) {
-        const std::uint64_t word = r.u64();
-        for (std::size_t i = 0; i < 64 && base + i < rows; ++i)
-            tt.set_row(static_cast<std::uint32_t>(base + i), (word >> i) & 1);
-    }
+    for (std::size_t i = 0; i < tt.row_words().size(); ++i) tt.set_row_word(i, r.u64());
     return tt;
 }
 

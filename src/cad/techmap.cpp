@@ -4,7 +4,6 @@
 #include <unordered_set>
 
 #include "base/check.hpp"
-#include "cad/fingerprint.hpp"
 
 namespace afpga::cad {
 
@@ -388,19 +387,6 @@ void verify_mapping(const Netlist& nl, const MappedDesign& md) {
             }
         }
     }
-}
-
-std::uint64_t TechmapOptions::fingerprint() const noexcept {
-    // Exhaustiveness guard: growing this struct without mixing the new field
-    // here would silently alias artifact keys; fail the build instead.
-    static_assert(sizeof(TechmapOptions) == 16,
-                  "TechmapOptions changed: update fingerprint() and this assert");
-    Fingerprint f;
-    f.mix(use_rail_pair_hints)
-        .mix(absorb_validity)
-        .mix(greedy_pairing)
-        .mix(pairing_window);
-    return f.digest();
 }
 
 }  // namespace afpga::cad

@@ -30,11 +30,6 @@ struct TechmapOptions {
     bool absorb_validity = true;      ///< ablation: keep validity in plain halves
     bool greedy_pairing = true;       ///< ablation: one function per LE
     std::size_t pairing_window = 64;  ///< greedy matcher search bound
-
-    /// Canonical content hash over EVERY field, used as artifact-key
-    /// material (cad/fingerprint.hpp). Adding a field without extending the
-    /// implementation trips its struct-size static_assert.
-    [[nodiscard]] std::uint64_t fingerprint() const noexcept;
 };
 
 /// Map `nl` to LEs/PDEs. Throws base::Error on unmappable cells

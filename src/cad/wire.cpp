@@ -183,8 +183,9 @@ void encode_netlist(const netlist::Netlist& nl, BlobWriter& w) {
         w.u32(n.driver.value());
         w.boolean(n.is_primary_input);
         // Sinks travel verbatim: their order encodes the construction
-        // history (rewire_input reorders them), which fingerprint_netlist
-        // ignores but the mapper's traversals observe.
+        // history (rewire_input reorders them), and the mapper's traversals
+        // observe it, so fingerprint_netlist (a hash of these bytes) keys
+        // on it too.
         w.u64(n.sinks.size());
         for (const netlist::PinRef& s : n.sinks) {
             w.u32(s.cell.value());
@@ -280,44 +281,111 @@ asynclib::MappingHints decode_hints(BlobReader& r) {
     return h;
 }
 
-void encode_flow_options(const FlowOptions& o, BlobWriter& w) {
-    // Pin every struct whose fields are enumerated here, exactly like the
-    // fingerprint() implementations: adding a knob without teaching the wire
-    // about it must fail the build, not silently desynchronize client and
-    // server.
-    static_assert(sizeof(FlowOptions) == 208, "FlowOptions changed: update wire codec");
-    static_assert(sizeof(TechmapOptions) == 16, "TechmapOptions changed: update wire codec");
-    static_assert(sizeof(PackOptions) == 1, "PackOptions changed: update wire codec");
-    static_assert(sizeof(PlaceOptions) == 72, "PlaceOptions changed: update wire codec");
-    static_assert(sizeof(RouterOptions) == 56, "RouterOptions changed: update wire codec");
+// Each option codec below is the one place its struct's fields are listed:
+// the wire sends these bytes and the artifact keys hash them
+// (cad/fingerprint.hpp). The sizeof pins make a new knob fail the build
+// until its codec carries it, so client, server and cache cannot drift.
 
+void encode_techmap_options(const TechmapOptions& o, BlobWriter& w) {
+    static_assert(sizeof(TechmapOptions) == 16, "TechmapOptions changed: update its codec");
+    w.boolean(o.use_rail_pair_hints);
+    w.boolean(o.absorb_validity);
+    w.boolean(o.greedy_pairing);
+    w.u64(o.pairing_window);
+}
+
+TechmapOptions decode_techmap_options(BlobReader& r) {
+    TechmapOptions o;
+    o.use_rail_pair_hints = r.boolean();
+    o.absorb_validity = r.boolean();
+    o.greedy_pairing = r.boolean();
+    o.pairing_window = static_cast<std::size_t>(r.u64());
+    return o;
+}
+
+void encode_pack_options(const PackOptions& o, BlobWriter& w) {
+    static_assert(sizeof(PackOptions) == 1, "PackOptions changed: update its codec");
+    w.boolean(o.affinity_clustering);
+}
+
+PackOptions decode_pack_options(BlobReader& r) {
+    PackOptions o;
+    o.affinity_clustering = r.boolean();
+    return o;
+}
+
+void encode_place_options(const PlaceOptions& o, BlobWriter& w) {
+    static_assert(sizeof(PlaceOptions) == 72, "PlaceOptions changed: update its codec");
     w.u64(o.seed);
-    w.boolean(o.techmap.use_rail_pair_hints);
-    w.boolean(o.techmap.absorb_validity);
-    w.boolean(o.techmap.greedy_pairing);
-    w.u64(o.techmap.pairing_window);
-    w.boolean(o.pack.affinity_clustering);
-    w.u64(o.place.seed);
-    w.f64(o.place.moves_scale);
-    w.u8(static_cast<std::uint8_t>(o.place.algorithm));
-    w.u32(o.place.threads);
-    w.i64(o.place.solver_passes);
-    w.i64(o.place.solver_max_iters);
-    w.i64(o.place.polish_rounds);
-    w.f64(o.place.solver_tolerance);
-    w.f64(o.place.anchor_weight);
-    w.f64(o.place.coarsen_ratio);
-    w.i64(o.place.min_coarse_nodes);
-    w.i64(o.place.max_levels);
-    w.i64(o.route.max_iterations);
-    w.f64(o.route.pres_fac_first);
-    w.f64(o.route.pres_fac_mult);
-    w.f64(o.route.hist_fac);
-    w.f64(o.route.astar_fac);
-    w.i64(o.route.stall_full_reroute);
-    w.u32(o.route.threads);
-    w.u32(o.route.bin_margin);
-    w.u32(o.route.min_bin_dim);
+    w.f64(o.moves_scale);
+    w.u8(static_cast<std::uint8_t>(o.algorithm));
+    w.u32(o.threads);
+    w.i64(o.solver_passes);
+    w.i64(o.solver_max_iters);
+    w.i64(o.polish_rounds);
+    w.f64(o.solver_tolerance);
+    w.f64(o.anchor_weight);
+    w.f64(o.coarsen_ratio);
+    w.i64(o.min_coarse_nodes);
+    w.i64(o.max_levels);
+}
+
+PlaceOptions decode_place_options(BlobReader& r) {
+    PlaceOptions o;
+    o.seed = r.u64();
+    o.moves_scale = r.f64();
+    // The retired engine tags (0 cold annealer, 1 flat analytical, 2 race)
+    // must not decode.
+    const auto alg = static_cast<PlaceAlgorithm>(r.u8());
+    check(alg == PlaceAlgorithm::Multilevel, "wire: place algorithm out of range");
+    o.algorithm = alg;
+    o.threads = r.u32();
+    o.solver_passes = get_int(r, "place.solver_passes");
+    o.solver_max_iters = get_int(r, "place.solver_max_iters");
+    o.polish_rounds = get_int(r, "place.polish_rounds");
+    o.solver_tolerance = r.f64();
+    o.anchor_weight = r.f64();
+    o.coarsen_ratio = r.f64();
+    o.min_coarse_nodes = get_int(r, "place.min_coarse_nodes");
+    o.max_levels = get_int(r, "place.max_levels");
+    return o;
+}
+
+void encode_router_options(const RouterOptions& o, BlobWriter& w) {
+    static_assert(sizeof(RouterOptions) == 56, "RouterOptions changed: update its codec");
+    w.i64(o.max_iterations);
+    w.f64(o.pres_fac_first);
+    w.f64(o.pres_fac_mult);
+    w.f64(o.hist_fac);
+    w.f64(o.astar_fac);
+    w.i64(o.stall_full_reroute);
+    w.u32(o.threads);
+    w.u32(o.bin_margin);
+    w.u32(o.min_bin_dim);
+}
+
+RouterOptions decode_router_options(BlobReader& r) {
+    RouterOptions o;
+    o.max_iterations = get_int(r, "route.max_iterations");
+    o.pres_fac_first = r.f64();
+    o.pres_fac_mult = r.f64();
+    o.hist_fac = r.f64();
+    o.astar_fac = r.f64();
+    o.stall_full_reroute = get_int(r, "route.stall_full_reroute");
+    o.threads = r.u32();
+    o.bin_margin = r.u32();
+    o.min_bin_dim = r.u32();
+    return o;
+}
+
+void encode_flow_options(const FlowOptions& o, BlobWriter& w) {
+    // prebuilt_rr and artifact_store are plumbing and stay off the wire.
+    static_assert(sizeof(FlowOptions) == 208, "FlowOptions changed: update its codec");
+    w.u64(o.seed);
+    encode_techmap_options(o.techmap, w);
+    encode_pack_options(o.pack, w);
+    encode_place_options(o.place, w);
+    encode_router_options(o.route, w);
     w.f64(o.pde_extra_margin);
     w.boolean(o.verify_mapping);
 }
@@ -325,36 +393,10 @@ void encode_flow_options(const FlowOptions& o, BlobWriter& w) {
 FlowOptions decode_flow_options(BlobReader& r) {
     FlowOptions o;
     o.seed = r.u64();
-    o.techmap.use_rail_pair_hints = r.boolean();
-    o.techmap.absorb_validity = r.boolean();
-    o.techmap.greedy_pairing = r.boolean();
-    o.techmap.pairing_window = static_cast<std::size_t>(r.u64());
-    o.pack.affinity_clustering = r.boolean();
-    o.place.seed = r.u64();
-    o.place.moves_scale = r.f64();
-    // The retired engine tags (0 cold annealer, 1 flat analytical, 2 race)
-    // must not decode.
-    const auto alg = static_cast<PlaceAlgorithm>(r.u8());
-    check(alg == PlaceAlgorithm::Multilevel, "wire: place algorithm out of range");
-    o.place.algorithm = alg;
-    o.place.threads = r.u32();
-    o.place.solver_passes = get_int(r, "place.solver_passes");
-    o.place.solver_max_iters = get_int(r, "place.solver_max_iters");
-    o.place.polish_rounds = get_int(r, "place.polish_rounds");
-    o.place.solver_tolerance = r.f64();
-    o.place.anchor_weight = r.f64();
-    o.place.coarsen_ratio = r.f64();
-    o.place.min_coarse_nodes = get_int(r, "place.min_coarse_nodes");
-    o.place.max_levels = get_int(r, "place.max_levels");
-    o.route.max_iterations = get_int(r, "route.max_iterations");
-    o.route.pres_fac_first = r.f64();
-    o.route.pres_fac_mult = r.f64();
-    o.route.hist_fac = r.f64();
-    o.route.astar_fac = r.f64();
-    o.route.stall_full_reroute = get_int(r, "route.stall_full_reroute");
-    o.route.threads = r.u32();
-    o.route.bin_margin = r.u32();
-    o.route.min_bin_dim = r.u32();
+    o.techmap = decode_techmap_options(r);
+    o.pack = decode_pack_options(r);
+    o.place = decode_place_options(r);
+    o.route = decode_router_options(r);
     o.pde_extra_margin = r.f64();
     o.verify_mapping = r.boolean();
     return o;

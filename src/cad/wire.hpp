@@ -132,8 +132,9 @@ private:
 
 /// Netlist wire codec: cells/nets/PI/PO tables verbatim — including each
 /// net's sink order, which the construction API cannot replay for handshake
-/// feedback cycles. decode_netlist rebuilds through Netlist::from_parts, so
-/// hostile bytes throw base::Error instead of producing a malformed graph.
+/// feedback cycles (fingerprint_netlist hashes these bytes). decode_netlist
+/// rebuilds through Netlist::from_parts, so hostile bytes throw base::Error
+/// instead of producing a malformed graph.
 void encode_netlist(const netlist::Netlist& nl, BlobWriter& w);
 /// Inverse of encode_netlist; throws base::Error on corruption.
 [[nodiscard]] netlist::Netlist decode_netlist(BlobReader& r);
@@ -144,8 +145,22 @@ void encode_hints(const asynclib::MappingHints& h, BlobWriter& w);
 /// Inverse of encode_hints; throws base::Error on corruption.
 [[nodiscard]] asynclib::MappingHints decode_hints(BlobReader& r);
 
-/// FlowOptions wire codec over every SEMANTIC field (the same set
-/// FlowOptions::fingerprint() hashes); the process-local prebuilt_rr /
+/// Option-struct codecs, one encoder and one decoder per struct. Each pair
+/// is the only enumeration of its struct's fields in the tree and pins its
+/// sizeof: the artifact keys hash these same bytes (cad/fingerprint.hpp),
+/// so a field the wire carries is a field the cache keys on. Decoders throw
+/// base::Error on corruption.
+void encode_techmap_options(const TechmapOptions& o, BlobWriter& w);
+[[nodiscard]] TechmapOptions decode_techmap_options(BlobReader& r);  ///< inverse
+void encode_pack_options(const PackOptions& o, BlobWriter& w);         ///< see above
+[[nodiscard]] PackOptions decode_pack_options(BlobReader& r);          ///< inverse
+void encode_place_options(const PlaceOptions& o, BlobWriter& w);       ///< see above
+[[nodiscard]] PlaceOptions decode_place_options(BlobReader& r);        ///< inverse
+void encode_router_options(const RouterOptions& o, BlobWriter& w);     ///< see above
+[[nodiscard]] RouterOptions decode_router_options(BlobReader& r);      ///< inverse
+
+/// FlowOptions codec: the master seed, the four stage structs' codecs, then
+/// pde_extra_margin and verify_mapping. The process-local prebuilt_rr /
 /// artifact_store pointers never cross the wire — the server wires in its
 /// own shared store and RR memo.
 void encode_flow_options(const FlowOptions& o, BlobWriter& w);

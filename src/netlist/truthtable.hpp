@@ -10,6 +10,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -58,6 +59,13 @@ public:
 
     /// Low 2^arity bits as a word; arity must be <= 6.
     [[nodiscard]] std::uint64_t bits64() const;
+
+    /// The table's words: row m is bit m % 64 of word m / 64, and bits past
+    /// rows() are zero. One word up to arity 6, 2^(arity-6) above.
+    [[nodiscard]] std::span<const std::uint64_t> row_words() const noexcept { return words(); }
+    /// Overwrite word `i` of row_words() (bounds-checked); bits past rows()
+    /// are dropped.
+    void set_row_word(std::size_t i, std::uint64_t word) { bits_.set_word(i, word); }
 
     [[nodiscard]] bool is_constant() const;
     [[nodiscard]] bool depends_on(std::size_t var) const;

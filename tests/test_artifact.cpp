@@ -1,6 +1,6 @@
 // The content-addressing layer: Fingerprint/key hygiene, netlist and
-// option-struct fingerprints (the exhaustive-field regression the artifact
-// cache's soundness rests on), and ArtifactStore semantics: the two cache
+// option-struct fingerprints over their codec bytes (the exhaustive-field
+// and sink-order regressions the artifact cache's soundness rests on), and ArtifactStore semantics: the two cache
 // tiers (LRU byte budget, disk blobs), the per-architecture RR memo and
 // their concurrency contracts (this file runs under the TSan CI leg).
 #include <gtest/gtest.h>
@@ -22,6 +22,7 @@
 #include "cad/fingerprint.hpp"
 #include "cad/flow.hpp"
 #include "cad/serialize.hpp"
+#include "cad/wire.hpp"
 #include "core/archspec.hpp"
 
 namespace {
@@ -133,22 +134,76 @@ TEST(NetlistFingerprint, SensitiveToNamesAndStructure) {
     EXPECT_NE(fa, cad::fingerprint_netlist(c));
 }
 
+/// `nl` with every net's sink list reversed, round-tripped through the wire
+/// codec as a served job would arrive. Each sink keeps its (cell, pin), so
+/// only the order the construction history left behind changes.
+netlist::Netlist reverse_sinks(const netlist::Netlist& nl) {
+    std::vector<netlist::Cell> cells;
+    for (netlist::CellId id : nl.cell_ids()) cells.push_back(nl.cell(id));
+    std::vector<netlist::Net> nets;
+    for (netlist::NetId id : nl.net_ids()) {
+        netlist::Net n = nl.net(id);
+        std::reverse(n.sinks.begin(), n.sinks.end());
+        nets.push_back(std::move(n));
+    }
+    const auto reversed = netlist::Netlist::from_parts(
+        nl.name(), std::move(cells), std::move(nets), nl.primary_inputs(), nl.primary_outputs());
+    cad::BlobWriter w;
+    cad::wire::encode_netlist(reversed, w);
+    cad::BlobReader r(w.bytes());
+    return cad::wire::decode_netlist(r);
+}
+
+/// The per-stage artifact keys `run_flow` reports, in pipeline order.
+std::vector<std::string> stage_keys(const cad::FlowResult& fr) {
+    std::vector<std::string> keys;
+    for (const cad::StageReport& s : fr.telemetry.stages) keys.push_back(s.cache_key);
+    return keys;
+}
+
+TEST(NetlistFingerprint, SinkOrderIsPartOfTheKey) {
+    // Techmap's traversals observe sink order, so a netlist that differs
+    // only there maps differently and must not restore the original's
+    // artifacts.
+    const auto adder = asynclib::make_micropipeline_adder(2);
+    const netlist::Netlist reversed = reverse_sinks(adder.nl);
+    EXPECT_NE(cad::fingerprint_netlist(adder.nl), cad::fingerprint_netlist(reversed));
+
+    const core::ArchSpec arch;
+    auto store = std::make_shared<cad::ArtifactStore>();
+    cad::FlowOptions cached;
+    cached.artifact_store = store;
+    (void)cad::run_flow(adder.nl, {}, arch, cached);
+    const auto shared = cad::run_flow(reversed, {}, arch, cached);
+    const cad::StageReport* tm = shared.telemetry.stage("techmap");
+    ASSERT_NE(tm, nullptr);
+    EXPECT_EQ(tm->cache_hit, 0) << "the reversed netlist restored the original's mapping";
+
+    const auto cold = cad::run_flow(reversed, {}, arch, {});
+    EXPECT_EQ(*shared.bits, *cold.bits)
+        << "a shared store changed the reversed netlist's bitstream";
+}
+
 // ---------------------------------------------------------------------------
-// Option-struct fingerprints: every field must feed the digest. Each case
-// lists one mutation per field; all resulting fingerprints (plus the
-// default's) must be pairwise distinct. The struct-size static_asserts in
-// the implementations catch NEW fields at compile time; these tests catch
-// a field that exists but was never mixed.
+// Option-struct fingerprints: a stage key hashes its option struct's wire
+// encoding, so every field the codec carries must feed the digest. Each
+// case lists one mutation per field; all resulting fingerprints (plus the
+// default's) must be pairwise distinct. The codec's sizeof pins catch NEW
+// fields at compile time; these tests catch a field the codec skips.
 // ---------------------------------------------------------------------------
 
 template <typename Opts, typename... Mutators>
-void expect_every_field_counts(Mutators... mutators) {
+void expect_every_field_counts(void (*encode)(const Opts&, cad::BlobWriter&),
+                               Mutators... mutators) {
+    auto fingerprint = [&](const Opts& o) {
+        return cad::fingerprint_encoding([&](cad::BlobWriter& w) { encode(o, w); });
+    };
     std::set<std::uint64_t> seen;
-    seen.insert(Opts{}.fingerprint());
+    seen.insert(fingerprint(Opts{}));
     auto apply = [&](auto&& m) {
         Opts o;
         m(o);
-        EXPECT_TRUE(seen.insert(o.fingerprint()).second)
+        EXPECT_TRUE(seen.insert(fingerprint(o)).second)
             << "a field mutation did not change the fingerprint";
     };
     (apply(mutators), ...);
@@ -156,6 +211,7 @@ void expect_every_field_counts(Mutators... mutators) {
 
 TEST(OptionFingerprint, TechmapEveryFieldCounts) {
     expect_every_field_counts<cad::TechmapOptions>(
+        cad::wire::encode_techmap_options,
         [](auto& o) { o.use_rail_pair_hints = false; },
         [](auto& o) { o.absorb_validity = false; },
         [](auto& o) { o.greedy_pairing = false; },
@@ -164,11 +220,12 @@ TEST(OptionFingerprint, TechmapEveryFieldCounts) {
 
 TEST(OptionFingerprint, PackEveryFieldCounts) {
     expect_every_field_counts<cad::PackOptions>(
-        [](auto& o) { o.affinity_clustering = false; });
+        cad::wire::encode_pack_options, [](auto& o) { o.affinity_clustering = false; });
 }
 
 TEST(OptionFingerprint, PlaceEveryFieldCounts) {
     expect_every_field_counts<cad::PlaceOptions>(
+        cad::wire::encode_place_options,
         [](auto& o) { o.seed = 2; }, [](auto& o) { o.moves_scale = 11.0; },
         // Single-valued, but still hashed: a retired tag must not alias.
         [](auto& o) { o.algorithm = static_cast<cad::PlaceAlgorithm>(0); },
@@ -182,6 +239,7 @@ TEST(OptionFingerprint, PlaceEveryFieldCounts) {
 
 TEST(OptionFingerprint, RouterEveryFieldCounts) {
     expect_every_field_counts<cad::RouterOptions>(
+        cad::wire::encode_router_options,
         [](auto& o) { o.max_iterations = 41; }, [](auto& o) { o.pres_fac_first = 0.7; },
         [](auto& o) { o.pres_fac_mult = 1.8; }, [](auto& o) { o.hist_fac = 1.5; },
         [](auto& o) { o.astar_fac = 0.5; }, [](auto& o) { o.stall_full_reroute = 5; },
@@ -190,23 +248,41 @@ TEST(OptionFingerprint, RouterEveryFieldCounts) {
 }
 
 TEST(OptionFingerprint, FlowEverySemanticFieldCounts) {
-    expect_every_field_counts<cad::FlowOptions>(
-        [](auto& o) { o.seed = 2; },
-        [](auto& o) { o.techmap.pairing_window = 65; },
-        [](auto& o) { o.pack.affinity_clustering = false; },
-        [](auto& o) { o.place.moves_scale = 11.0; },
-        [](auto& o) { o.route.max_iterations = 41; },
-        [](auto& o) { o.pde_extra_margin = 0.5; },
-        [](auto& o) { o.verify_mapping = false; });
+    // Through run_flow itself: every semantic field must reach some stage's
+    // key, and no two mutations may produce the same key sequence.
+    const auto adder = asynclib::make_qdi_adder(1);
+    const core::ArchSpec arch;
+    auto store = std::make_shared<cad::ArtifactStore>();
+    auto keys_with = [&](auto&& mutate) {
+        cad::FlowOptions o;
+        o.artifact_store = store;
+        mutate(o);
+        return stage_keys(cad::run_flow(adder.nl, adder.hints, arch, o));
+    };
+    std::set<std::vector<std::string>> seen;
+    seen.insert(keys_with([](auto&) {}));
+    auto apply = [&](auto&& m) {
+        EXPECT_TRUE(seen.insert(keys_with(m)).second)
+            << "a field mutation changed no stage key";
+    };
+    apply([](auto& o) { o.seed = 2; });
+    apply([](auto& o) { o.techmap.pairing_window = 65; });
+    apply([](auto& o) { o.pack.affinity_clustering = false; });
+    apply([](auto& o) { o.place.moves_scale = 11.0; });
+    apply([](auto& o) { o.route.max_iterations = 41; });
+    apply([](auto& o) { o.pde_extra_margin = 0.5; });
+    apply([](auto& o) { o.verify_mapping = false; });
 }
 
 TEST(OptionFingerprint, FlowIgnoresPlumbingFields) {
+    const auto adder = asynclib::make_qdi_adder(1);
     const core::ArchSpec arch;
     cad::FlowOptions o;
-    const std::uint64_t base = o.fingerprint();
+    o.artifact_store = std::make_shared<cad::ArtifactStore>();
+    const auto base = stage_keys(cad::run_flow(adder.nl, adder.hints, arch, o));
     o.prebuilt_rr = std::make_shared<core::RRGraph>(arch);
     o.artifact_store = std::make_shared<cad::ArtifactStore>();
-    EXPECT_EQ(base, o.fingerprint())
+    EXPECT_EQ(base, stage_keys(cad::run_flow(adder.nl, adder.hints, arch, o)))
         << "prebuilt_rr/artifact_store change where products come from, not what "
            "they are — they must not invalidate artifacts";
 }

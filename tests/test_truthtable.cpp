@@ -1,6 +1,8 @@
 // Unit + property tests for TruthTable and the cell evaluation semantics.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "base/check.hpp"
 #include "base/rng.hpp"
 #include "netlist/cells.hpp"
@@ -272,6 +274,27 @@ TEST(TruthTableWords, FactoriesMatchDefinition) {
             expect_same(t, want, "from_bits");
             EXPECT_EQ(t.bits64() >> (t.rows() - 1) >> 1, 0u);  // high rows stay zero
         }
+}
+
+TEST(TruthTableWords, RowWordsMatchDefinition) {
+    // The codec's word view: row m is bit m % 64 of word m / 64, and bits
+    // past rows() written through set_row_word are dropped.
+    Rng rng(11);
+    for (std::size_t a : {0u, 3u, 6u, 7u, 10u}) {
+        TruthTable t(a);
+        ASSERT_EQ(t.row_words().size(), (t.rows() + 63) / 64);
+        std::vector<std::uint64_t> words(t.row_words().size());
+        for (std::size_t i = 0; i < words.size(); ++i) t.set_row_word(i, words[i] = rng.next());
+        Ref want(a);
+        for (std::uint32_t m = 0; m < want.size(); ++m)
+            want.rows[m] = (words[m / 64] >> (m % 64)) & 1u;
+        expect_same(t, want, "set_row_word");
+        for (std::size_t i = 0; i < words.size(); ++i) {
+            const std::size_t live = std::min<std::size_t>(64, t.rows() - 64 * i);
+            const std::uint64_t mask = live == 64 ? ~0ULL : (1ULL << live) - 1;
+            EXPECT_EQ(t.row_words()[i], words[i] & mask) << "arity " << a << " word " << i;
+        }
+    }
 }
 
 TEST(TruthTableWords, FromFunctionVisitsRowsInOrder) {
