@@ -1,5 +1,6 @@
 #include "base/strings.hpp"
 
+#include <charconv>
 #include <cstdio>
 
 namespace afpga::base {
@@ -41,6 +42,15 @@ bool starts_with(std::string_view s, std::string_view prefix) {
 
 std::string bus_bit(std::string_view name, std::size_t i) {
     return std::string(name) + "[" + std::to_string(i) + "]";
+}
+
+std::optional<std::uint64_t> parse_uint(std::string_view s, std::uint64_t max) {
+    std::uint64_t v = 0;
+    const char* end = s.data() + s.size();
+    // from_chars takes no sign, space or base prefix; an overflow is an error.
+    const auto [ptr, ec] = std::from_chars(s.data(), end, v);
+    if (s.empty() || ec != std::errc() || ptr != end || v > max) return std::nullopt;
+    return v;
 }
 
 }  // namespace afpga::base

@@ -4,6 +4,8 @@
 /// Threading: pure functions over their arguments; safe from any thread.
 #pragma once
 
+#include <cstdint>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -24,6 +26,11 @@ namespace afpga::base {
 
 /// True if `s` starts with `prefix`.
 [[nodiscard]] bool starts_with(std::string_view s, std::string_view prefix);
+
+/// `s` as a decimal unsigned integer no greater than `max`: the whole string
+/// must be digits (no sign, space or suffix), else nullopt. For command-line
+/// numbers, where atoi would turn "-1" or "70000" into some other value.
+[[nodiscard]] std::optional<std::uint64_t> parse_uint(std::string_view s, std::uint64_t max);
 
 /// name + "[" + i + "]" — the canonical bus-bit naming used by generators.
 [[nodiscard]] std::string bus_bit(std::string_view name, std::size_t i);

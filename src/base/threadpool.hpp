@@ -31,6 +31,11 @@ namespace afpga::base {
 
 class ThreadPool {
 public:
+    /// Cap on a worker count that arrives from outside the program (a wire
+    /// option, a daemon flag, AFPGA_THREADS); callers check it by name
+    /// before constructing a pool.
+    static constexpr std::size_t kMaxWorkers = 256;
+
     /// `workers == 0` means default_workers().
     explicit ThreadPool(std::size_t workers = 0);
     /// Drains remaining tasks, then joins every worker.

@@ -257,7 +257,7 @@ void ArtifactStore::count_disk_write_failure() const {
 
 std::shared_ptr<const core::RRGraph> ArtifactStore::rr_for(const core::ArchSpec& arch,
                                                            base::ThreadPool* pool) const {
-    return rr_for_keyed(arch.fingerprint(), [&]() -> std::shared_ptr<const core::RRGraph> {
+    return rr_for_keyed(fingerprint_arch(arch), [&]() -> std::shared_ptr<const core::RRGraph> {
         return pool ? std::make_shared<core::RRGraph>(arch, *pool)
                     : std::make_shared<core::RRGraph>(arch);
     });
@@ -354,8 +354,9 @@ void ArtifactStore::clear() {
 }
 
 bool ArtifactStore::has_rr(const core::ArchSpec& arch) const {
+    const std::uint64_t fp = fingerprint_arch(arch);
     std::lock_guard<std::mutex> lock(rr_mu_);
-    return rr_.count(arch.fingerprint()) != 0;
+    return rr_.count(fp) != 0;
 }
 
 ArtifactStoreStats ArtifactStore::stats() const {

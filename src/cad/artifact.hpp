@@ -268,7 +268,7 @@ public:
     void prune_disk();
 
     /// The routing-resource graph for `arch`, built on first request and
-    /// shared by every subsequent caller (keyed by ArchSpec::fingerprint).
+    /// shared by every subsequent caller (keyed by fingerprint_arch).
     /// Racing callers for one architecture block on a single build; `pool`
     /// (when non-null) parallelizes that build. A failed build never
     /// poisons the memo: the failing builder's own caller sees the

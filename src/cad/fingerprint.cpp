@@ -66,6 +66,10 @@ std::uint64_t fingerprint_netlist(const netlist::Netlist& nl) {
     return fingerprint_encoding([&](BlobWriter& w) { wire::encode_netlist(nl, w); });
 }
 
+std::uint64_t fingerprint_arch(const core::ArchSpec& arch) {
+    return fingerprint_encoding([&](BlobWriter& w) { encode_arch(arch, w); });
+}
+
 std::uint64_t fingerprint_hints(const asynclib::MappingHints& hints) {
     return fingerprint_encoding([&](BlobWriter& w) { wire::encode_hints(hints, w); });
 }

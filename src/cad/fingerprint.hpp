@@ -25,6 +25,7 @@
 #include <type_traits>
 
 #include "asynclib/styles.hpp"
+#include "core/archspec.hpp"
 #include "netlist/netlist.hpp"
 
 namespace afpga::cad {
@@ -79,6 +80,12 @@ private:
 /// included. Equal fingerprints mean equal encodings, so the flow cannot
 /// distinguish the two netlists.
 [[nodiscard]] std::uint64_t fingerprint_netlist(const netlist::Netlist& nl);
+
+/// Content hash of an architecture: its exact encoding (encode_arch), so
+/// two specs that build different RR graphs never share a key. The flow's
+/// stage keys and the store's RR memo use this, not ArchSpec::fingerprint,
+/// which is coarser (see core/archspec.hpp).
+[[nodiscard]] std::uint64_t fingerprint_arch(const core::ArchSpec& arch);
 
 /// Content hash of the generator's mapping hints: their wire encoding
 /// (wire::encode_hints), order-sensitive — techmap consumes them in order.

@@ -24,135 +24,104 @@ core::ElaboratedDesign FlowResult::elaborate() const {
 
 namespace {
 
-/// Mark a restore that came off the disk tier (docs/TELEMETRY.md): the
-/// product is bit-identical either way, but benches and the CI disk-warm
-/// gate distinguish a resident hit from a deserialized one.
-void note_restore_tier(ArtifactTier tier, StageReport& report) {
-    if (tier == ArtifactTier::Disk) report.add_metric("restored_from_disk", 1.0);
-}
+/// Everything one flow threads through its stages: the inputs, the
+/// accumulating result, and the route stage's request list, which the
+/// bitstream stage programs from. (The routing itself lives in
+/// `result.routing`; `route.routing` is left empty.)
+struct FlowContext {
+    const netlist::Netlist& nl;           ///< the design being compiled
+    const asynclib::MappingHints& hints;  ///< generator hints for techmap
+    const core::ArchSpec& arch;           ///< target architecture
+    const FlowOptions& opts;              ///< all stage knobs
+    FlowResult& result;                   ///< accumulating products
+    RouteArtifact route;                  ///< requests, sink clusters, signals
+};
+
+// Each stage is a Product type and three functions: `key` writes the bytes
+// of every input the upstream key chain does not already cover, `compute`
+// produces the product (reporting only what a restore cannot know, such as
+// wall times), and `install` moves a product into the flow and reports it.
+// run_stage feeds `install` from `compute` or from the artifact store alike,
+// so a restored stage reports exactly what the run that published it did.
 
 // ---------------------------------------------------------------------------
 // Stage 1: technology mapping
 // ---------------------------------------------------------------------------
-class TechmapStage final : public FlowStage {
-public:
-    [[nodiscard]] std::string name() const override { return "techmap"; }
-    void run(FlowContext& ctx, StageReport& report) override {
-        FlowResult& fr = ctx.result;
-        fr.mapped = techmap(ctx.nl, ctx.hints, ctx.opts.techmap);
-        if (ctx.opts.verify_mapping) verify_mapping(ctx.nl, fr.mapped);
-        report_metrics(fr.mapped, report);
-    }
+struct TechmapStage {
+    using Product = MappedDesign;
+    static constexpr const char* kName = "techmap";
 
     // Techmap reads nothing architecture- or seed-dependent, so its key is
     // just {netlist, hints} (the base chain) + its own options: an arch or
     // seed sweep reuses one mapping across the whole grid.
-    [[nodiscard]] std::uint64_t options_fingerprint(const FlowContext& ctx) const override {
-        return fingerprint_encoding([&](BlobWriter& w) {
-            wire::encode_techmap_options(ctx.opts.techmap, w);
-            w.boolean(ctx.opts.verify_mapping);
-        });
+    static void key(const FlowContext& ctx, BlobWriter& w) {
+        wire::encode_techmap_options(ctx.opts.techmap, w);
+        w.boolean(ctx.opts.verify_mapping);
     }
-    [[nodiscard]] bool try_restore(FlowContext& ctx, const ArtifactStore& store,
-                                   std::uint64_t key, StageReport& report) override {
-        ArtifactTier tier = ArtifactTier::Memory;
-        const auto cached = store.get<MappedDesign>(key, &tier);
-        if (!cached) return false;
-        ctx.result.mapped = *cached;  // verification already passed when published
-        report_metrics(ctx.result.mapped, report);
-        note_restore_tier(tier, report);
-        return true;
+    static MappedDesign compute(FlowContext& ctx, StageReport&) {
+        MappedDesign md = techmap(ctx.nl, ctx.hints, ctx.opts.techmap);
+        if (ctx.opts.verify_mapping) verify_mapping(ctx.nl, md);
+        return md;
     }
-    void publish(const FlowContext& ctx, ArtifactStore& store, std::uint64_t key) const override {
-        store.put(key, std::make_shared<const MappedDesign>(ctx.result.mapped));
-    }
-
-private:
-    static void report_metrics(const MappedDesign& md, StageReport& report) {
+    static void install(FlowContext& ctx, MappedDesign md, StageReport& report) {
         report.add_metric("les", static_cast<double>(md.les.size()));
         report.add_metric("pdes", static_cast<double>(md.pdes.size()));
+        ctx.result.mapped = std::move(md);
     }
 };
 
 // ---------------------------------------------------------------------------
 // Stage 2: packing
 // ---------------------------------------------------------------------------
-class PackStage final : public FlowStage {
-public:
-    [[nodiscard]] std::string name() const override { return "pack"; }
-    void run(FlowContext& ctx, StageReport& report) override {
-        FlowResult& fr = ctx.result;
-        fr.packed = pack(fr.mapped, ctx.arch, ctx.opts.pack);
-        report.add_metric("clusters", static_cast<double>(fr.packed.clusters.size()));
-    }
+struct PackStage {
+    using Product = PackedDesign;
+    static constexpr const char* kName = "pack";
 
     // First stage that reads the architecture: mix it in here so downstream
     // keys inherit it through the chain.
-    [[nodiscard]] std::uint64_t options_fingerprint(const FlowContext& ctx) const override {
-        return fingerprint_encoding([&](BlobWriter& w) {
-            w.u64(ctx.arch.fingerprint());
-            wire::encode_pack_options(ctx.opts.pack, w);
-        });
+    static void key(const FlowContext& ctx, BlobWriter& w) {
+        w.u64(fingerprint_arch(ctx.arch));
+        wire::encode_pack_options(ctx.opts.pack, w);
     }
-    [[nodiscard]] bool try_restore(FlowContext& ctx, const ArtifactStore& store,
-                                   std::uint64_t key, StageReport& report) override {
-        ArtifactTier tier = ArtifactTier::Memory;
-        const auto cached = store.get<PackedDesign>(key, &tier);
-        if (!cached) return false;
-        ctx.result.packed = *cached;
-        report.add_metric("clusters", static_cast<double>(cached->clusters.size()));
-        note_restore_tier(tier, report);
-        return true;
+    static PackedDesign compute(FlowContext& ctx, StageReport&) {
+        return pack(ctx.result.mapped, ctx.arch, ctx.opts.pack);
     }
-    void publish(const FlowContext& ctx, ArtifactStore& store, std::uint64_t key) const override {
-        store.put(key, std::make_shared<const PackedDesign>(ctx.result.packed));
+    static void install(FlowContext& ctx, PackedDesign pd, StageReport& report) {
+        report.add_metric("clusters", static_cast<double>(pd.clusters.size()));
+        ctx.result.packed = std::move(pd);
     }
 };
 
 // ---------------------------------------------------------------------------
 // Stage 3: placement
 // ---------------------------------------------------------------------------
-class PlaceStage final : public FlowStage {
-public:
-    [[nodiscard]] std::string name() const override { return "place"; }
-    void run(FlowContext& ctx, StageReport& report) override {
-        FlowResult& fr = ctx.result;
-        fr.placement = place(fr.packed, fr.mapped, ctx.arch, effective_options(ctx));
-        report_metrics(fr.placement, report, /*restored=*/false);
-    }
+/// PlaceOptions as the placer runs them: the flow's master seed overrides
+/// PlaceOptions::seed, so the key covers the effective options.
+PlaceOptions effective_place_options(const FlowContext& ctx) {
+    PlaceOptions popts = ctx.opts.place;
+    popts.seed = ctx.opts.seed;
+    return popts;
+}
+
+struct PlaceStage {
+    using Product = Placement;
+    static constexpr const char* kName = "place";
 
     // First stage that consumes the master seed: key it here so a seed
     // sweep re-places but reuses the grid's shared techmap/pack products.
-    // The fingerprint covers the EFFECTIVE options (PlaceOptions::seed is
-    // overridden by the flow's master seed, exactly as run does it).
-    [[nodiscard]] std::uint64_t options_fingerprint(const FlowContext& ctx) const override {
-        return fingerprint_encoding(
-            [&](BlobWriter& w) { wire::encode_place_options(effective_options(ctx), w); });
+    static void key(const FlowContext& ctx, BlobWriter& w) {
+        wire::encode_place_options(effective_place_options(ctx), w);
     }
-    [[nodiscard]] bool try_restore(FlowContext& ctx, const ArtifactStore& store,
-                                   std::uint64_t key, StageReport& report) override {
-        ArtifactTier tier = ArtifactTier::Memory;
-        const auto cached = store.get<Placement>(key, &tier);
-        if (!cached) return false;
-        ctx.result.placement = *cached;
-        report_metrics(ctx.result.placement, report, /*restored=*/true);
-        note_restore_tier(tier, report);
-        return true;
+    static Placement compute(FlowContext& ctx, StageReport& report) {
+        Placement pl = place(ctx.result.packed, ctx.result.mapped, ctx.arch,
+                             effective_place_options(ctx));
+        // Level walls are timings: a restore cannot re-emit them.
+        for (std::size_t l = 0; l < pl.analytical.levels.size(); ++l)
+            report.add_metric("level" + std::to_string(l) + "_wall_ms",
+                              pl.analytical.levels[l].wall_ms);
+        return pl;
     }
-    void publish(const FlowContext& ctx, ArtifactStore& store, std::uint64_t key) const override {
-        store.put(key, std::make_shared<const Placement>(ctx.result.placement));
-    }
-
-private:
-    static PlaceOptions effective_options(const FlowContext& ctx) {
-        PlaceOptions popts = ctx.opts.place;
-        popts.seed = ctx.opts.seed;
-        return popts;
-    }
-    /// `restored` suppresses the per-level wall times: a cache hit re-emits
-    /// only deterministic product metrics, never the original run's timings
-    /// (docs/TELEMETRY.md).
-    static void report_metrics(const Placement& pl, StageReport& report, bool restored) {
+    static void install(FlowContext& ctx, Placement pl, StageReport& report) {
         report.iterations = pl.anneal_rounds;
         report.cost_trajectory = pl.cost_trajectory;
         report.add_metric("final_cost", pl.final_cost);
@@ -171,8 +140,7 @@ private:
             report.add_metric("legalize_disp_bucket" + std::to_string(b),
                               static_cast<double>(an.legalize.displacement_histogram[b]));
         // One metric group per V-cycle level, coarsest first
-        // (docs/TELEMETRY.md). Level walls are timings and are suppressed
-        // on cache hits.
+        // (docs/TELEMETRY.md).
         report.add_metric("levels", static_cast<double>(an.levels.size()));
         for (std::size_t l = 0; l < an.levels.size(); ++l) {
             const LevelStats& ls = an.levels[l];
@@ -183,122 +151,206 @@ private:
             report.add_metric(p + "spread_passes", static_cast<double>(ls.spread_passes));
             report.add_metric(p + "solver_iterations",
                               static_cast<double>(ls.solver_iterations));
-            if (!restored) report.add_metric(p + "wall_ms", ls.wall_ms);
         }
+        ctx.result.placement = std::move(pl);
     }
 };
 
 // ---------------------------------------------------------------------------
 // Stage 4: routing (RR graph build + net list construction + PathFinder)
 // ---------------------------------------------------------------------------
-class RouteStage final : public FlowStage {
-public:
-    [[nodiscard]] std::string name() const override { return "route"; }
+/// Attach the routing-resource graph: an explicitly prebuilt one wins, then
+/// the artifact store's per-architecture memo, then a local build. A build
+/// runs on `pool`, created here when the caller has none and the store does
+/// not already hold the graph.
+void attach_rr(FlowContext& ctx, std::unique_ptr<base::ThreadPool>& pool, StageReport& report) {
+    FlowResult& fr = ctx.result;
+    const FlowOptions& o = ctx.opts;
+    if (o.prebuilt_rr) {
+        // Shared immutable graph. The graph keeps its own ArchSpec copy; its
+        // exact encoding proves it describes the fabric this flow targets.
+        check(fingerprint_arch(o.prebuilt_rr->arch()) == fingerprint_arch(ctx.arch),
+              "flow: prebuilt_rr was built for a different architecture");
+        fr.rr = o.prebuilt_rr;
+        report.add_metric("rr_shared", 1.0);
+        return;
+    }
+    if (!pool && !(o.artifact_store && o.artifact_store->has_rr(ctx.arch)))
+        pool = make_route_pool(o.route);
+    base::WallTimer rr_timer;
+    if (o.artifact_store) {
+        fr.rr = o.artifact_store->rr_for(ctx.arch, pool.get());
+        report.add_metric("rr_store_ms", rr_timer.elapsed_ms());
+        return;
+    }
+    fr.rr = pool ? std::make_shared<core::RRGraph>(ctx.arch, *pool)
+                 : std::make_shared<core::RRGraph>(ctx.arch);
+    report.add_metric("rr_build_ms", rr_timer.elapsed_ms());
+    if (pool) report.add_metric("rr_build_threads", static_cast<double>(pool->num_workers()));
+}
 
-    void run(FlowContext& ctx, StageReport& report) override {
-        FlowResult& fr = ctx.result;
+/// Flatten the packed design into per-signal route requests, remembering
+/// which cluster each sink feeds so the bitstream stage can program the
+/// receiving IM.
+RouteArtifact build_requests(const FlowContext& ctx) {
+    const FlowResult& fr = ctx.result;
+    const core::ArchSpec& arch = ctx.arch;
+    const MappedDesign& md = fr.mapped;
+    const PackedDesign& pd = fr.packed;
+    RouteArtifact art;
+
+    const auto consumers = pd.build_consumers(md);
+    std::unordered_map<NetId, std::string> pi_name_of;
+    for (const auto& [name, s] : md.primary_inputs) pi_name_of[s] = name;
+    std::unordered_map<NetId, std::vector<std::string>> po_names_of;
+    for (const auto& [name, s] : md.primary_outputs) po_names_of[s].push_back(name);
+    std::unordered_map<NetId, std::size_t> producer_cluster;
+    for (std::size_t ci = 0; ci < pd.clusters.size(); ++ci)
+        for (NetId s : pd.clusters[ci].produced(md)) producer_cluster[s] = ci;
+
+    // IM source index of every cluster-produced signal (the LE output slot /
+    // PDE output feeding it) — needed up front so routing can avoid output
+    // pins the IM topology cannot drive from that source.
+    std::unordered_map<NetId, std::uint32_t> im_source_of;
+    for (const Cluster& cl : pd.clusters) {
+        for (std::size_t slot = 0; slot < cl.le_indices.size(); ++slot) {
+            const LeInst& inst = md.les[cl.le_indices[slot]];
+            for (NetId s : inst.output_signals())
+                im_source_of[s] = arch.im_src_le_output(static_cast<std::uint32_t>(slot),
+                                                        inst.output_slot(s));
+        }
+        if (cl.pde_index) im_source_of[md.pdes[*cl.pde_index].output] = arch.im_src_pde_out();
+    }
+
+    std::vector<NetId> all_signals;
+    for (const auto& [s, v] : consumers) all_signals.push_back(s);
+    for (const auto& [s, v] : po_names_of)
+        if (!consumers.count(s)) all_signals.push_back(s);
+    std::sort(all_signals.begin(), all_signals.end());  // deterministic order
+
+    for (NetId s : all_signals) {
+        if (md.constant_signals.count(s)) continue;
+        RouteRequest rq;
+        rq.signal = s;
+        std::size_t driver_cluster = SIZE_MAX;
+        const auto pit = pi_name_of.find(s);
+        if (pit != pi_name_of.end()) {
+            rq.src_is_pad = true;
+            rq.src_pad = fr.placement.pi_pad.at(pit->second);
+        } else {
+            const auto dit = producer_cluster.find(s);
+            check(dit != producer_cluster.end(), "flow: undriven signal");
+            driver_cluster = dit->second;
+            rq.src_plb = fr.placement.cluster_loc[driver_cluster];
+            if (arch.im_topology != core::ImTopology::FullCrossbar) {
+                const std::uint32_t src = im_source_of.at(s);
+                for (std::uint32_t p = 0; p < arch.plb_outputs; ++p)
+                    if (arch.im_connects(src, arch.im_sink_plb_output(p)))
+                        rq.allowed_src_pins.push_back(p);
+                check(!rq.allowed_src_pins.empty(),
+                      "flow: IM topology " + to_string(arch.im_topology) +
+                          " offers no output pin for a signal's source");
+            }
+        }
+        std::vector<std::size_t> scl;
+        const auto cit = consumers.find(s);
+        if (cit != consumers.end()) {
+            for (std::size_t c : cit->second) {
+                if (c == driver_cluster) continue;  // IM-internal
+                RouteRequest::Sink sk;
+                sk.plb = fr.placement.cluster_loc[c];
+                rq.sinks.push_back(sk);
+                scl.push_back(c);
+            }
+        }
+        const auto poit = po_names_of.find(s);
+        if (poit != po_names_of.end()) {
+            check(pit == pi_name_of.end(), "flow: PI-to-PO pass-through not supported");
+            for (const std::string& name : poit->second) {
+                RouteRequest::Sink sk;
+                sk.is_pad = true;
+                sk.pad = fr.placement.po_pad.at(name);
+                rq.sinks.push_back(sk);
+                scl.push_back(SIZE_MAX);
+            }
+        }
+        if (rq.sinks.empty()) continue;
+        // Route nearer sinks first (keeps trees short).
+        std::vector<std::size_t> order(rq.sinks.size());
+        for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
+        const auto src_pos = rq.src_is_pad
+                                 ? std::pair<double, double>{0, 0}
+                                 : std::pair<double, double>{rq.src_plb.x + 0.5,
+                                                             rq.src_plb.y + 0.5};
+        auto sink_dist = [&](const RouteRequest::Sink& sk) {
+            if (sk.is_pad) return 1e6;  // pads last
+            return std::abs(sk.plb.x + 0.5 - src_pos.first) +
+                   std::abs(sk.plb.y + 0.5 - src_pos.second);
+        };
+        std::stable_sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
+            return sink_dist(rq.sinks[a]) < sink_dist(rq.sinks[b]);
+        });
+        RouteRequest sorted = rq;
+        std::vector<std::size_t> sorted_cl(scl.size());
+        for (std::size_t i = 0; i < order.size(); ++i) {
+            sorted.sinks[i] = rq.sinks[order[i]];
+            sorted_cl[i] = scl[order[i]];
+        }
+        art.reqs.push_back(std::move(sorted));
+        art.sink_cluster.push_back(std::move(sorted_cl));
+        art.req_signal.push_back(s);
+    }
+    return art;
+}
+
+struct RouteStage {
+    using Product = RouteArtifact;
+    static constexpr const char* kName = "route";
+
+    static void key(const FlowContext& ctx, BlobWriter& w) {
+        wire::encode_router_options(ctx.opts.route, w);
+    }
+    static RouteArtifact compute(FlowContext& ctx, StageReport& report) {
         // With a pool the RR graph is built per-row on it and the router's
         // bins run on it. Both are bit-reproducible for any worker count and
         // without a pool, so `threads` is a pure wall-clock knob.
         std::unique_ptr<base::ThreadPool> pool = make_route_pool(ctx.opts.route);
+        attach_rr(ctx, pool, report);
 
-        acquire_rr(ctx, pool.get(), report);
+        RouteArtifact art = build_requests(ctx);
+        art.routing = route(*ctx.result.rr, art.reqs, ctx.opts.route, pool.get());
+        const RoutingResult& routing = art.routing;
+        check(routing.success, "flow: routing failed after " +
+                                   std::to_string(routing.iterations) + " iterations (" +
+                                   std::to_string(routing.overused_nodes) +
+                                   " overused nodes) — widen the channels");
 
-        build_requests(ctx);
-        report.add_metric("nets", static_cast<double>(ctx.reqs.size()));
-
-        fr.routing = route(*fr.rr, ctx.reqs, ctx.opts.route, pool.get());
-        check(fr.routing.success,
-              "flow: routing failed after " + std::to_string(fr.routing.iterations) +
-                  " iterations (" + std::to_string(fr.routing.overused_nodes) +
-                  " overused nodes) — widen the channels");
-
-        report_metrics(fr.routing, report);
-        report.add_metric("kernel_search_ms", fr.routing.kernel.search_ms);
-        report.add_metric("route_threads",
-                          static_cast<double>(pool ? pool->num_workers() : 1));
-        report.add_metric("route_bins", static_cast<double>(fr.routing.num_bins));
-        report.add_metric("route_boundary_nets", static_cast<double>(fr.routing.boundary_nets));
-        report.add_metric("route_boundary_ms", fr.routing.boundary_wall_ms);
-        for (std::size_t b = 0; b < fr.routing.bin_wall_ms.size(); ++b)
-            report.add_metric("route_bin" + std::to_string(b) + "_ms", fr.routing.bin_wall_ms[b]);
+        report.add_metric("kernel_search_ms", routing.kernel.search_ms);
+        report.add_metric("route_threads", static_cast<double>(pool ? pool->num_workers() : 1));
+        report.add_metric("route_bins", static_cast<double>(routing.num_bins));
+        report.add_metric("route_boundary_nets", static_cast<double>(routing.boundary_nets));
+        report.add_metric("route_boundary_ms", routing.boundary_wall_ms);
+        for (std::size_t b = 0; b < routing.bin_wall_ms.size(); ++b)
+            report.add_metric("route_bin" + std::to_string(b) + "_ms", routing.bin_wall_ms[b]);
+        return art;
     }
-
-    [[nodiscard]] std::uint64_t options_fingerprint(const FlowContext& ctx) const override {
-        return fingerprint_encoding(
-            [&](BlobWriter& w) { wire::encode_router_options(ctx.opts.route, w); });
-    }
-    [[nodiscard]] bool try_restore(FlowContext& ctx, const ArtifactStore& store,
-                                   std::uint64_t key, StageReport& report) override {
-        ArtifactTier tier = ArtifactTier::Memory;
-        const auto cached = store.get<RouteArtifact>(key, &tier);
-        if (!cached) return false;
-        // The graph itself is not part of the artifact (it is a pure
-        // function of the architecture); reattach it from wherever this
-        // flow sources graphs so elaborate()/bitstream keep working. The
-        // reattachment may be the first build of this architecture (e.g.
-        // the artifact was published by a prebuilt_rr flow), so give that
-        // build the same pool width run() would — but skip the pool when
-        // the store already holds the graph.
-        std::unique_ptr<base::ThreadPool> pool;
-        if (!ctx.opts.prebuilt_rr && !store.has_rr(ctx.arch))
-            pool = make_route_pool(ctx.opts.route);
-        acquire_rr(ctx, pool.get(), report);
-        ctx.reqs = cached->reqs;
-        ctx.sink_cluster = cached->sink_cluster;
-        ctx.req_signal = cached->req_signal;
-        ctx.result.routing = cached->routing;
-        report.add_metric("nets", static_cast<double>(ctx.reqs.size()));
-        report_metrics(ctx.result.routing, report);
-        note_restore_tier(tier, report);
-        return true;
-    }
-    void publish(const FlowContext& ctx, ArtifactStore& store, std::uint64_t key) const override {
-        auto art = std::make_shared<RouteArtifact>();
-        art->routing = ctx.result.routing;
-        art->reqs = ctx.reqs;
-        art->sink_cluster = ctx.sink_cluster;
-        art->req_signal = ctx.req_signal;
-        store.put(key, std::shared_ptr<const RouteArtifact>(std::move(art)));
-    }
-
-private:
-    /// Attach the routing-resource graph: an explicitly prebuilt one wins,
-    /// then the artifact store's per-architecture memo, then a local build.
-    static void acquire_rr(FlowContext& ctx, base::ThreadPool* pool, StageReport& report) {
-        FlowResult& fr = ctx.result;
-        if (ctx.opts.prebuilt_rr) {
-            // Shared immutable graph (FlowService jobs). The graph keeps its own
-            // ArchSpec copy; the parameter fingerprint proves it describes
-            // exactly the fabric this flow targets.
-            check(ctx.opts.prebuilt_rr->arch().fingerprint() == ctx.arch.fingerprint(),
-                  "flow: prebuilt_rr was built for a different architecture");
-            fr.rr = ctx.opts.prebuilt_rr;
-            report.add_metric("rr_shared", 1.0);
-        } else if (ctx.opts.artifact_store) {
-            base::WallTimer rr_timer;
-            fr.rr = ctx.opts.artifact_store->rr_for(ctx.arch, pool);
-            report.add_metric("rr_store_ms", rr_timer.elapsed_ms());
-        } else {
-            base::WallTimer rr_timer;
-            fr.rr = pool ? std::make_shared<core::RRGraph>(ctx.arch, *pool)
-                         : std::make_shared<core::RRGraph>(ctx.arch);
-            report.add_metric("rr_build_ms", rr_timer.elapsed_ms());
-            if (pool)
-                report.add_metric("rr_build_threads",
-                                  static_cast<double>(pool->num_workers()));
+    static void install(FlowContext& ctx, RouteArtifact art, StageReport& report) {
+        // The graph is not part of the artifact (it is a pure function of
+        // the architecture): a restore reattaches it from wherever this flow
+        // sources graphs, so elaborate()/bitstream keep working.
+        if (!ctx.result.rr) {
+            std::unique_ptr<base::ThreadPool> pool;
+            attach_rr(ctx, pool, report);
         }
-    }
-
-    static void report_metrics(const RoutingResult& routing, StageReport& report) {
+        const RoutingResult& routing = art.routing;
+        report.add_metric("nets", static_cast<double>(art.reqs.size()));
         report.iterations = routing.iterations;
         for (std::size_t o : routing.overuse_trajectory)
             report.cost_trajectory.push_back(static_cast<double>(o));
         report.add_metric("nets_rerouted", static_cast<double>(routing.nets_rerouted));
         report.add_metric("wirelength", static_cast<double>(routing.wirelength));
         // Search-kernel counters: decision-deterministic (identical across
-        // thread counts), so warm restores report the same values a fresh
-        // route would. Wall time is the exception and reported in run() only.
+        // thread counts), so they are product metrics; the search wall is not.
         const RouteKernelStats& ks = routing.kernel;
         report.add_metric("kernel_heap_pushes", static_cast<double>(ks.heap_pushes));
         report.add_metric("kernel_heap_pops", static_cast<double>(ks.heap_pops));
@@ -309,137 +361,29 @@ private:
         report.add_metric("kernel_steady_allocations",
                           static_cast<double>(ks.steady_allocations));
         report.add_metric("kernel_nets_routed", static_cast<double>(ks.nets_routed));
-    }
-
-    /// Flatten the packed design into per-signal route requests, remembering
-    /// which cluster each sink feeds so the bitstream stage can program the
-    /// receiving IM.
-    static void build_requests(FlowContext& ctx) {
-        FlowResult& fr = ctx.result;
-        const core::ArchSpec& arch = ctx.arch;
-        const MappedDesign& md = fr.mapped;
-        const PackedDesign& pd = fr.packed;
-
-        const auto consumers = pd.build_consumers(md);
-        std::unordered_map<NetId, std::string> pi_name_of;
-        for (const auto& [name, s] : md.primary_inputs) pi_name_of[s] = name;
-        std::unordered_map<NetId, std::vector<std::string>> po_names_of;
-        for (const auto& [name, s] : md.primary_outputs) po_names_of[s].push_back(name);
-        std::unordered_map<NetId, std::size_t> producer_cluster;
-        for (std::size_t ci = 0; ci < pd.clusters.size(); ++ci)
-            for (NetId s : pd.clusters[ci].produced(md)) producer_cluster[s] = ci;
-
-        // IM source index of every cluster-produced signal (the LE output slot /
-        // PDE output feeding it) — needed up front so routing can avoid output
-        // pins the IM topology cannot drive from that source.
-        std::unordered_map<NetId, std::uint32_t> im_source_of;
-        for (const Cluster& cl : pd.clusters) {
-            for (std::size_t slot = 0; slot < cl.le_indices.size(); ++slot) {
-                const LeInst& inst = md.les[cl.le_indices[slot]];
-                for (NetId s : inst.output_signals())
-                    im_source_of[s] = arch.im_src_le_output(static_cast<std::uint32_t>(slot),
-                                                            inst.output_slot(s));
-            }
-            if (cl.pde_index) im_source_of[md.pdes[*cl.pde_index].output] = arch.im_src_pde_out();
-        }
-
-        std::vector<NetId> all_signals;
-        for (const auto& [s, v] : consumers) all_signals.push_back(s);
-        for (const auto& [s, v] : po_names_of)
-            if (!consumers.count(s)) all_signals.push_back(s);
-        std::sort(all_signals.begin(), all_signals.end());  // deterministic order
-
-        for (NetId s : all_signals) {
-            if (md.constant_signals.count(s)) continue;
-            RouteRequest rq;
-            rq.signal = s;
-            std::size_t driver_cluster = SIZE_MAX;
-            const auto pit = pi_name_of.find(s);
-            if (pit != pi_name_of.end()) {
-                rq.src_is_pad = true;
-                rq.src_pad = fr.placement.pi_pad.at(pit->second);
-            } else {
-                const auto dit = producer_cluster.find(s);
-                check(dit != producer_cluster.end(), "flow: undriven signal");
-                driver_cluster = dit->second;
-                rq.src_plb = fr.placement.cluster_loc[driver_cluster];
-                if (arch.im_topology != core::ImTopology::FullCrossbar) {
-                    const std::uint32_t src = im_source_of.at(s);
-                    for (std::uint32_t p = 0; p < arch.plb_outputs; ++p)
-                        if (arch.im_connects(src, arch.im_sink_plb_output(p)))
-                            rq.allowed_src_pins.push_back(p);
-                    check(!rq.allowed_src_pins.empty(),
-                          "flow: IM topology " + to_string(arch.im_topology) +
-                              " offers no output pin for a signal's source");
-                }
-            }
-            std::vector<std::size_t> scl;
-            const auto cit = consumers.find(s);
-            if (cit != consumers.end()) {
-                for (std::size_t c : cit->second) {
-                    if (c == driver_cluster) continue;  // IM-internal
-                    RouteRequest::Sink sk;
-                    sk.plb = fr.placement.cluster_loc[c];
-                    rq.sinks.push_back(sk);
-                    scl.push_back(c);
-                }
-            }
-            const auto poit = po_names_of.find(s);
-            if (poit != po_names_of.end()) {
-                check(pit == pi_name_of.end(), "flow: PI-to-PO pass-through not supported");
-                for (const std::string& name : poit->second) {
-                    RouteRequest::Sink sk;
-                    sk.is_pad = true;
-                    sk.pad = fr.placement.po_pad.at(name);
-                    rq.sinks.push_back(sk);
-                    scl.push_back(SIZE_MAX);
-                }
-            }
-            if (rq.sinks.empty()) continue;
-            // Route nearer sinks first (keeps trees short).
-            std::vector<std::size_t> order(rq.sinks.size());
-            for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
-            const auto src_pos = rq.src_is_pad
-                                     ? std::pair<double, double>{0, 0}
-                                     : std::pair<double, double>{rq.src_plb.x + 0.5,
-                                                                 rq.src_plb.y + 0.5};
-            auto sink_dist = [&](const RouteRequest::Sink& sk) {
-                if (sk.is_pad) return 1e6;  // pads last
-                return std::abs(sk.plb.x + 0.5 - src_pos.first) +
-                       std::abs(sk.plb.y + 0.5 - src_pos.second);
-            };
-            std::stable_sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-                return sink_dist(rq.sinks[a]) < sink_dist(rq.sinks[b]);
-            });
-            RouteRequest sorted = rq;
-            std::vector<std::size_t> sorted_cl(scl.size());
-            for (std::size_t i = 0; i < order.size(); ++i) {
-                sorted.sinks[i] = rq.sinks[order[i]];
-                sorted_cl[i] = scl[order[i]];
-            }
-            ctx.reqs.push_back(std::move(sorted));
-            ctx.sink_cluster.push_back(std::move(sorted_cl));
-            ctx.req_signal.push_back(s);
-        }
+        ctx.result.routing = std::move(art.routing);
+        ctx.route = std::move(art);
     }
 };
 
 // ---------------------------------------------------------------------------
 // Stage 5: bitstream programming (routing switches, IM config, pads)
 // ---------------------------------------------------------------------------
-class BitstreamStage final : public FlowStage {
-public:
-    [[nodiscard]] std::string name() const override { return "bitstream"; }
+struct BitstreamStage {
+    using Product = BitstreamArtifact;
+    static constexpr const char* kName = "bitstream";
 
-    void run(FlowContext& ctx, StageReport& report) override {
-        FlowResult& fr = ctx.result;
+    static void key(const FlowContext& ctx, BlobWriter& w) { w.f64(ctx.opts.pde_extra_margin); }
+    static BitstreamArtifact compute(FlowContext& ctx, StageReport&) {
+        const FlowResult& fr = ctx.result;
+        const RouteArtifact& routed = ctx.route;
         const core::ArchSpec& arch = ctx.arch;
         const core::RRGraph& rr = *fr.rr;
         const MappedDesign& md = fr.mapped;
         const PackedDesign& pd = fr.packed;
 
-        fr.bits = std::make_shared<core::Bitstream>(arch, rr.num_edges());
-        core::Bitstream& bits = *fr.bits;
+        BitstreamArtifact out{core::Bitstream(arch, rr.num_edges()), {}};
+        core::Bitstream& bits = out.bits;
 
         // (signal, cluster) -> PLB input pin delivering it.
         std::unordered_map<std::uint64_t, std::uint32_t> entry_pin;
@@ -450,15 +394,15 @@ public:
         // signal -> chosen output pin on its driver PLB.
         std::unordered_map<NetId, std::uint32_t> exit_pin;
 
-        for (std::size_t ri = 0; ri < ctx.reqs.size(); ++ri) {
+        for (std::size_t ri = 0; ri < routed.reqs.size(); ++ri) {
             const RouteTree& tree = fr.routing.trees[ri];
-            if (!ctx.reqs[ri].src_is_pad) {
+            if (!routed.reqs[ri].src_is_pad) {
                 check(tree.root_opin != UINT32_MAX, "flow: routed net without a root");
-                exit_pin[ctx.req_signal[ri]] = rr.pin_index(tree.root_opin);
+                exit_pin[routed.req_signal[ri]] = rr.pin_index(tree.root_opin);
             }
             for (std::size_t si = 0; si < tree.sinks.size(); ++si) {
-                if (ctx.sink_cluster[ri][si] == SIZE_MAX) continue;  // pad sink
-                entry_pin[sig_cluster_key(ctx.req_signal[ri], ctx.sink_cluster[ri][si])] =
+                if (routed.sink_cluster[ri][si] == SIZE_MAX) continue;  // pad sink
+                entry_pin[sig_cluster_key(routed.req_signal[ri], routed.sink_cluster[ri][si])] =
                     rr.pin_index(tree.sinks[si].ipin);
             }
             for (std::uint32_t e : tree.edges) bits.set_edge(e, true);
@@ -603,37 +547,68 @@ public:
             // Only program pads whose signal actually reached the fabric; an
             // unconnected PI stays unprogrammed.
             bits.set_pad_mode(pad, core::PadMode::Input);
-            fr.pad_names[pad] = name;
+            out.pad_names[pad] = name;
         }
         for (const auto& [name, pad] : fr.placement.po_pad) {
             bits.set_pad_mode(pad, core::PadMode::Output);
-            fr.pad_names[pad] = name;
+            out.pad_names[pad] = name;
         }
-
-        report.add_metric("switches_on", static_cast<double>(bits.num_enabled_edges()));
+        return out;
     }
 
-    [[nodiscard]] std::uint64_t options_fingerprint(const FlowContext& ctx) const override {
-        return fingerprint_encoding([&](BlobWriter& w) { w.f64(ctx.opts.pde_extra_margin); });
-    }
-    [[nodiscard]] bool try_restore(FlowContext& ctx, const ArtifactStore& store,
-                                   std::uint64_t key, StageReport& report) override {
-        ArtifactTier tier = ArtifactTier::Memory;
-        const auto cached = store.get<BitstreamArtifact>(key, &tier);
-        if (!cached) return false;
-        // Copy: FlowResult::bits is mutable and callers may edit their own.
-        ctx.result.bits = std::make_shared<core::Bitstream>(cached->bits);
-        ctx.result.pad_names = cached->pad_names;
-        report.add_metric("switches_on",
-                          static_cast<double>(cached->bits.num_enabled_edges()));
-        note_restore_tier(tier, report);
-        return true;
-    }
-    void publish(const FlowContext& ctx, ArtifactStore& store, std::uint64_t key) const override {
-        store.put(key, std::make_shared<const BitstreamArtifact>(
-                           BitstreamArtifact{*ctx.result.bits, ctx.result.pad_names}));
+    static void install(FlowContext& ctx, BitstreamArtifact art, StageReport& report) {
+        report.add_metric("switches_on", static_cast<double>(art.bits.num_enabled_edges()));
+        ctx.result.bits = std::make_shared<core::Bitstream>(std::move(art.bits));
+        ctx.result.pad_names = std::move(art.pad_names);
     }
 };
+
+/// Run one stage under the artifact cache protocol and append its report.
+/// With a store, the stage's key chains onto `chain` (so a key match
+/// certifies every input, direct or inherited, equals the publishing run's),
+/// and a miss computes under begin_compute so concurrent flows on the same
+/// chain wait instead of duplicating the stage.
+template <typename S>
+void run_stage(FlowContext& ctx, ArtifactKey& chain) {
+    using Product = typename S::Product;
+    StageReport report;
+    report.stage = S::kName;
+    base::WallTimer t;
+    ArtifactStore* const store = ctx.opts.artifact_store.get();
+    if (!store) {
+        S::install(ctx, S::compute(ctx, report), report);
+    } else {
+        chain = chain_key(chain, S::kName,
+                          fingerprint_encoding([&](BlobWriter& w) { S::key(ctx, w); }));
+        report.cache_key = key_hex(chain);
+        ArtifactTier tier = ArtifactTier::Memory;
+        std::shared_ptr<const Product> product = store->get<Product>(chain, &tier);
+        const bool owner = !product && store->begin_compute(chain);
+        // Not owning a missed key means it was published while we waited.
+        if (!product && !owner) product = store->get<Product>(chain, &tier);
+        report.cache_hit = product ? 1 : 0;
+        if (!product) {
+            // Also reached without ownership when a tight byte budget evicted
+            // the fresh product before the re-get (and no disk tier holds
+            // it): recompute locally rather than re-enter the queue.
+            try {
+                product = std::make_shared<const Product>(S::compute(ctx, report));
+                store->put(chain, product);
+            } catch (...) {
+                if (owner) store->finish_compute(chain);  // a waiter inherits the key
+                throw;
+            }
+            if (owner) store->finish_compute(chain);
+        }
+        S::install(ctx, Product(*product), report);
+        // Bit-identical either way; benches and the CI disk-warm gate tell a
+        // resident hit from a deserialized one (docs/TELEMETRY.md).
+        if (report.cache_hit == 1 && tier == ArtifactTier::Disk)
+            report.add_metric("restored_from_disk", 1.0);
+    }
+    report.wall_ms = t.elapsed_ms();
+    ctx.result.telemetry.stages.push_back(std::move(report));
+}
 
 }  // namespace
 
@@ -652,67 +627,19 @@ FlowResult run_flow(const netlist::Netlist& nl, const asynclib::MappingHints& hi
           "flow: pde_extra_margin must be finite and >= 0");
     FlowResult fr;
     fr.arch = arch;
-    FlowContext ctx{nl, hints, arch, opts, fr, {}, {}, {}};
+    FlowContext ctx{nl, hints, arch, opts, fr, {}};
 
-    TechmapStage techmap_stage;
-    PackStage pack_stage;
-    PlaceStage place_stage;
-    RouteStage route_stage;
-    BitstreamStage bitstream_stage;
-    FlowStage* const pipeline[] = {&techmap_stage, &pack_stage, &place_stage, &route_stage,
-                                   &bitstream_stage};
-
-    // Artifact caching: the base chain keys the design itself; each stage
-    // then chains {stage name, its option fingerprint} on top, so a key
-    // match certifies that every fingerprinted input — direct or inherited
-    // through the chain — is identical to the run that published.
-    ArtifactStore* const store = opts.artifact_store.get();
+    // The base of the key chain is the design itself.
     ArtifactKey chain = 0;
-    if (store) {
-        Fingerprint base_fp;
-        base_fp.mix(fingerprint_netlist(nl)).mix(fingerprint_hints(hints));
-        chain = base_fp.digest();
-    }
+    if (opts.artifact_store)
+        chain = Fingerprint{}.mix(fingerprint_netlist(nl)).mix(fingerprint_hints(hints)).digest();
 
     base::WallTimer total;
-    for (FlowStage* stage : pipeline) {
-        StageReport report;
-        report.stage = stage->name();
-        base::WallTimer t;
-        if (store) {
-            chain = chain_key(chain, report.stage, stage->options_fingerprint(ctx));
-            report.cache_key = key_hex(chain);
-            bool hit = stage->try_restore(ctx, *store, chain, report);
-            if (!hit && store->begin_compute(chain)) {
-                // We own this key: concurrent flows on the same chain block
-                // in begin_compute instead of duplicating the stage.
-                try {
-                    stage->run(ctx, report);
-                    stage->publish(ctx, *store, chain);
-                } catch (...) {
-                    store->finish_compute(chain);  // a waiter inherits the key
-                    throw;
-                }
-                store->finish_compute(chain);
-            } else if (!hit) {
-                // Published while we waited for the concurrent computer.
-                hit = stage->try_restore(ctx, *store, chain, report);
-                if (!hit) {
-                    // Reachable when a tight byte budget evicted the fresh
-                    // product before we re-got it (and no disk tier holds
-                    // it): recompute locally rather than re-enter the
-                    // begin_compute queue.
-                    stage->run(ctx, report);
-                    stage->publish(ctx, *store, chain);
-                }
-            }
-            report.cache_hit = hit ? 1 : 0;
-        } else {
-            stage->run(ctx, report);
-        }
-        report.wall_ms = t.elapsed_ms();
-        fr.telemetry.stages.push_back(std::move(report));
-    }
+    run_stage<TechmapStage>(ctx, chain);
+    run_stage<PackStage>(ctx, chain);
+    run_stage<PlaceStage>(ctx, chain);
+    run_stage<RouteStage>(ctx, chain);
+    run_stage<BitstreamStage>(ctx, chain);
     fr.telemetry.total_ms = total.elapsed_ms();
     return fr;
 }

@@ -6,8 +6,8 @@
 /// Threading: run_flow itself is called from one thread, but may fan out
 /// internally (partitioned parallel routing + RR build via
 /// RouterOptions::threads); concurrent run_flow calls over one shared
-/// immutable prebuilt RR graph are the FlowService pattern
-/// (cad/flow_service.hpp). Every parallel path is bit-reproducible for any
+/// ArtifactStore, whose per-architecture RR graph they all share, are the
+/// FlowService pattern (cad/flow_service.hpp). Every parallel path is bit-reproducible for any
 /// worker count.
 #pragma once
 
@@ -46,9 +46,11 @@ struct FlowOptions {
     bool verify_mapping = true;
     /// Routing-resource graph to reuse instead of building one per flow. The
     /// graph is immutable through the whole flow (routing and elaboration
-    /// only read it), so FlowService builds it once per architecture and
-    /// shares it across all concurrent jobs. Its ArchSpec fingerprint must
-    /// match the arch passed to run_flow.
+    /// only read it), so a caller holding one can share it across
+    /// concurrent flows; without it, a flow with an artifact_store takes
+    /// the store's per-architecture graph. Its architecture must encode
+    /// exactly as the arch passed to run_flow (fingerprint_arch), else the
+    /// route stage throws.
     std::shared_ptr<const core::RRGraph> prebuilt_rr;
     /// Content-addressed stage cache (cad/artifact.hpp). When set, every
     /// stage consults the store before running and publishes after, so a

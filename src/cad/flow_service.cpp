@@ -1,6 +1,7 @@
 #include "cad/flow_service.hpp"
 
 #include <cstdio>
+#include <string>
 #include <thread>
 #include <utility>
 
@@ -22,10 +23,24 @@ std::string to_string(FlowJobStatus s) {
     return "unknown";
 }
 
+namespace {
+
+/// The pool size a service starts. The count can come from a caller, a
+/// daemon flag or AFPGA_THREADS, and each worker is an OS thread: refuse a
+/// count past the cap before any thread starts.
+unsigned resolve_workers(unsigned requested) {
+    const std::size_t n = requested != 0 ? requested : base::ThreadPool::default_workers();
+    check(n <= base::ThreadPool::kMaxWorkers,
+          "flow_service: threads must be <= " + std::to_string(base::ThreadPool::kMaxWorkers) +
+              " (got " + std::to_string(n) + ")");
+    return static_cast<unsigned>(n);
+}
+
+}  // namespace
+
 FlowService::FlowService(FlowServiceOptions opts)
     : opts_(opts),
-      threads_(opts.threads != 0 ? opts.threads
-                                 : static_cast<unsigned>(base::ThreadPool::default_workers())),
+      threads_(resolve_workers(opts.threads)),
       store_(std::make_shared<ArtifactStore>(
           ArtifactStoreConfig{opts.artifact_memory_budget_bytes, opts.artifact_cache_dir,
                               opts.artifact_disk_budget_bytes,
@@ -124,21 +139,14 @@ void FlowService::execute(Job& job) {
     FlowResult fr;
     base::WallTimer t;
     try {
-        // Wire the service's shared state into the job's options. Jobs that
-        // brought their own store/graph keep them. This sits inside the try
-        // because rr_for propagates RR-build failures — they must land in
-        // the Failed path, never escape into the pool (a swallowed escape
-        // would leave the job Running and wait() blocked forever).
+        // Wire the service's store into the job's options (a job that
+        // brought its own keeps it); the route stage then takes the shared
+        // per-architecture graph from it. Every failure, RR builds included,
+        // must land in the Failed path, never escape into the pool (a
+        // swallowed escape would leave the job Running and wait() blocked
+        // forever).
         FlowOptions o = job.spec.opts;
         if (!o.artifact_store) o.artifact_store = store_;
-        if (!o.prebuilt_rr) {
-            // First flow of a new architecture builds the shared graph; give
-            // that build the pool width the job's route stage would use.
-            // Jobs whose graph is already memoized skip the pool entirely.
-            std::unique_ptr<base::ThreadPool> rr_pool;
-            if (!store_->has_rr(job.spec.arch)) rr_pool = make_route_pool(o.route);
-            o.prebuilt_rr = store_->rr_for(job.spec.arch, rr_pool.get());
-        }
         fr = run_flow(*job.spec.nl, hints, job.spec.arch, o);
     } catch (const std::exception& e) {
         status = FlowJobStatus::Failed;

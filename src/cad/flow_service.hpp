@@ -1,12 +1,12 @@
 /// \file
 /// FlowService: the persistent flow server.
 ///
-/// The FlowService is long-lived: it owns a ThreadPool, a shared
-/// content-addressed ArtifactStore (cad/artifact.hpp) and a memo of
-/// prebuilt RR graphs per architecture, and accepts FlowJobs through a
-/// thread-safe queue for as long as it exists. Every job gets the shared
-/// store and its architecture's shared RR graph unless its options bring
-/// their own. Experiment grids — many designs x architectures x seeds x
+/// The FlowService is long-lived: it owns a ThreadPool and a shared
+/// content-addressed ArtifactStore (cad/artifact.hpp), and accepts FlowJobs
+/// through a thread-safe queue for as long as it exists. Every job gets the
+/// shared store unless its options bring their own; its route stage takes
+/// its architecture's RR graph from that store, which builds one graph per
+/// architecture and shares it across jobs. Experiment grids — many designs x architectures x seeds x
 /// stage knobs — are expressed as job sets on one service; jobs that share
 /// upstream inputs share the cached techmap/pack/place products, so a warm
 /// sweep that varies only downstream knobs runs at a fraction of the cold

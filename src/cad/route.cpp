@@ -376,7 +376,8 @@ RoutingResult route(const RRGraph& rr, const std::vector<RouteRequest>& reqs,
 std::unique_ptr<base::ThreadPool> make_route_pool(const RouterOptions& opts) {
     // The worker count can arrive from the wire, and each worker is an OS
     // thread: cap it far above any use before starting one.
-    base::check(opts.threads <= 256, "route: threads must be <= 256");
+    base::check(opts.threads <= base::ThreadPool::kMaxWorkers,
+                "route: threads must be <= " + std::to_string(base::ThreadPool::kMaxWorkers));
     if (opts.threads < 2) return nullptr;
     return std::make_unique<base::ThreadPool>(opts.threads);
 }

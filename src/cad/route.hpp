@@ -202,7 +202,7 @@ struct RoutingResult {
 /// The flow's pool policy for the route stage (routing and the RR-graph
 /// build): a pool of RouterOptions::threads workers when that is at least
 /// 2, otherwise none. Throws base::Error, starting no thread, when
-/// `threads` exceeds 256.
+/// `threads` exceeds base::ThreadPool::kMaxWorkers (256).
 [[nodiscard]] std::unique_ptr<base::ThreadPool> make_route_pool(const RouterOptions& opts);
 
 }  // namespace afpga::cad

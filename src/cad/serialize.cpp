@@ -689,8 +689,9 @@ void ArtifactCodec<BitstreamArtifact>::encode(const BitstreamArtifact& v, BlobWr
 BitstreamArtifact ArtifactCodec<BitstreamArtifact>::decode(BlobReader& r) {
     const core::ArchSpec arch = decode_arch(r);
     const std::uint64_t nbits = r.u64();
-    const std::size_t num_words = static_cast<std::size_t>((nbits + 63) / 64);
-    base::check(num_words * 8 <= r.remaining(), "artifact blob: bitstream overruns payload");
+    // Rounded up without nbits + 63, which wraps for the largest counts.
+    const std::uint64_t num_words = nbits / 64 + (nbits % 64 != 0 ? 1 : 0);
+    base::check(num_words <= r.remaining() / 8, "artifact blob: bitstream overruns payload");
     base::BitVector bv;
     bv.resize(static_cast<std::size_t>(nbits));
     for (std::size_t i = 0; i < num_words; ++i) {

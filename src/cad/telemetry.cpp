@@ -4,14 +4,6 @@
 
 namespace afpga::cad {
 
-// Cache-transparent defaults: a stage that does not override the hooks has
-// no extra key material, is never restored, and publishes nothing.
-std::uint64_t FlowStage::options_fingerprint(const FlowContext&) const { return 0; }
-bool FlowStage::try_restore(FlowContext&, const ArtifactStore&, std::uint64_t, StageReport&) {
-    return false;
-}
-void FlowStage::publish(const FlowContext&, ArtifactStore&, std::uint64_t) const {}
-
 const double* StageReport::metric(std::string_view name) const {
     for (const auto& [k, v] : metrics)
         if (k == name) return &v;

@@ -100,7 +100,12 @@ struct ArchSpec {
     /// Validate parameter sanity (throws base::Error).
     void validate() const;
 
-    /// Stable hash over all parameters (bitstream compatibility check).
+    /// Stable hash over all parameters (bitstream compatibility check),
+    /// written into every bitstream header. It is coarse: `fc_in`/`fc_out`
+    /// enter as `uint64(fc * 1000)`, so two specs whose Fc differs below
+    /// 0.001 hash equal even when their RR graphs tap different track
+    /// counts. Caches must key on the exact encoding instead
+    /// (cad::fingerprint_arch).
     [[nodiscard]] std::uint64_t fingerprint() const noexcept;
 };
 

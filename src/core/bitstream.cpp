@@ -88,8 +88,9 @@ Bitstream Bitstream::deserialize(const ArchSpec& arch, const base::BitVector& bi
     const auto n_edges = bits.get_bits(cur, 32);
     cur += 32;
 
-    Bitstream bs(arch, n_edges);
-    check(n_pads == bs.pads_.size(), "Bitstream: pad count mismatch");
+    // Every edge takes one bit of the stream: a corrupt count must fail
+    // here, not size a half-gigabyte edge vector first.
+    check(n_edges <= bits.size() - cur, "Bitstream: edge count overruns the stream");
     // Verify CRC before decoding the body.
     {
         base::BitVector body;
@@ -98,6 +99,8 @@ Bitstream Bitstream::deserialize(const ArchSpec& arch, const base::BitVector& bi
             static_cast<std::uint32_t>(bits.get_bits(bits.size() - 32, 32));
         check(body.crc32() == stored, "Bitstream: CRC mismatch");
     }
+    Bitstream bs(arch, n_edges);
+    check(n_pads == bs.pads_.size(), "Bitstream: pad count mismatch");
     for (PlbConfig& p : bs.plbs_) p = PlbConfig::deserialize(arch, bits, cur);
     for (PadMode& m : bs.pads_) {
         const auto v = bits.get_bits(cur, 2);

@@ -1,8 +1,11 @@
-// The content-addressing layer: Fingerprint/key hygiene, netlist and
-// option-struct fingerprints over their codec bytes (the exhaustive-field
-// and sink-order regressions the artifact cache's soundness rests on), and ArtifactStore semantics: the two cache
-// tiers (LRU byte budget, disk blobs), the per-architecture RR memo and
-// their concurrency contracts (this file runs under the TSan CI leg).
+// The content-addressing layer: Fingerprint/key hygiene, netlist, option
+// and architecture fingerprints over their codec bytes (the
+// exhaustive-field, sink-order and sub-0.001-Fc regressions the artifact
+// cache's soundness rests on), ArtifactStore semantics: the two cache tiers
+// (LRU byte budget, disk blobs), the per-architecture RR memo and their
+// concurrency contracts (this file runs under the TSan CI leg), restores
+// that report what their run reported, and the blob decoders under
+// byte-level mutation (and under the ASan leg).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -801,7 +804,7 @@ TEST(ArtifactStore, RrForFailedBuildIsRetriableAndInvisible) {
 TEST(ArtifactStore, RrForFailureWindowWaiterRetries) {
     cad::ArtifactStore store;
     const core::ArchSpec arch;
-    const std::uint64_t fp = arch.fingerprint();
+    const std::uint64_t fp = cad::fingerprint_arch(arch);  // the key rr_for uses
 
     std::atomic<int> calls{0};
     std::promise<void> t1_building_p;
@@ -847,6 +850,177 @@ TEST(ArtifactStore, RrMemoSharesPerArchitecture) {
     EXPECT_NE(rra1.get(), rrb.get());
     EXPECT_EQ(rra1->arch().fingerprint(), a.fingerprint());
     EXPECT_EQ(store.num_rr_graphs(), 2u);
+}
+
+// Regression: the store's RR memo, the pack-stage key and the prebuilt_rr
+// check all used ArchSpec::fingerprint, which hashes Fc as uint64(fc*1000).
+// fc_in 0.5312 and 0.5313 hash equal there, yet on 16 tracks an input pin
+// taps lround(8.4992) = 8 tracks in one and lround(8.5008) = 9 in the other,
+// so one store handed the second architecture the first one's graph (and
+// every product built on it).
+TEST(ArchKey, SubMilliFcStepIsADifferentArchitecture) {
+    core::ArchSpec a;
+    a.channel_width = 16;
+    a.fc_in = 0.5312;
+    core::ArchSpec b = a;
+    b.fc_in = 0.5313;
+    EXPECT_NE(cad::fingerprint_arch(a), cad::fingerprint_arch(b));
+
+    cad::ArtifactStore store;
+    const auto rra = store.rr_for(a);
+    const auto rrb = store.rr_for(b);
+    ASSERT_NE(rra.get(), rrb.get()) << "one store served both archs one graph";
+    EXPECT_NE(rra->num_edges(), rrb->num_edges());
+    EXPECT_EQ(rrb->arch().fc_in, b.fc_in);
+    EXPECT_EQ(store.num_rr_graphs(), 2u);
+
+    const auto adder = asynclib::make_qdi_adder(2);
+    cad::FlowOptions prebuilt;
+    prebuilt.prebuilt_rr = rrb;
+    try {
+        (void)cad::run_flow(adder.nl, adder.hints, a, prebuilt);
+        ADD_FAILURE() << "prebuilt_rr for the other architecture was accepted";
+    } catch (const base::Error& e) {
+        EXPECT_NE(std::string(e.what()).find("prebuilt_rr"), std::string::npos) << e.what();
+    }
+
+    cad::FlowOptions o;
+    o.artifact_store = std::make_shared<cad::ArtifactStore>();
+    const auto fa = cad::run_flow(adder.nl, adder.hints, a, o);
+    const auto fb = cad::run_flow(adder.nl, adder.hints, b, o);
+    EXPECT_NE(fa.telemetry.stage("pack")->cache_key, fb.telemetry.stage("pack")->cache_key);
+    EXPECT_EQ(fb.telemetry.stage("pack")->cache_hit, 0);
+    EXPECT_EQ(fb.rr->arch().fc_in, b.fc_in);
+}
+
+// ---------------------------------------------------------------------------
+// Restores and blob decoders
+// ---------------------------------------------------------------------------
+
+// A restored stage reports what the run that published it reported: the
+// same iterations and cost trajectory, and every metric it emits at the
+// cold run's value. Wall times (`*_ms`) and the disk-tier marker are the
+// only exceptions. Checked from the memory tier and, through a fresh store
+// on the same directory, from the disk tier.
+TEST(FlowRestore, ReportsWhatTheRunReported) {
+    ScratchDir dir;
+    const auto qdi = asynclib::make_qdi_adder(2);
+    const auto mp = asynclib::make_micropipeline_adder(2);
+    const asynclib::MappingHints no_hints;
+    struct Design {
+        std::string name;
+        const netlist::Netlist& nl;
+        const asynclib::MappingHints& hints;
+    };
+    for (const Design& d : {Design{"qdi_adder2", qdi.nl, qdi.hints},
+                            Design{"mp_adder2", mp.nl, no_hints}}) {
+        const cad::ArtifactStoreConfig cfg{0, (dir.path() / d.name).string(), 0, 0};
+        cad::FlowOptions o;
+        o.artifact_store = std::make_shared<cad::ArtifactStore>(cfg);
+        const auto cold = cad::run_flow(d.nl, d.hints, core::ArchSpec{}, o);
+        const auto memory = cad::run_flow(d.nl, d.hints, core::ArchSpec{}, o);
+        o.artifact_store = std::make_shared<cad::ArtifactStore>(cfg);
+        const auto disk = cad::run_flow(d.nl, d.hints, core::ArchSpec{}, o);
+        EXPECT_EQ(*memory.bits, *cold.bits) << d.name;
+        EXPECT_EQ(*disk.bits, *cold.bits) << d.name;
+
+        for (const auto* warm : {&memory, &disk}) {
+            const bool from_disk = warm == &disk;
+            ASSERT_EQ(warm->telemetry.stages.size(), cold.telemetry.stages.size());
+            for (std::size_t i = 0; i < cold.telemetry.stages.size(); ++i) {
+                const cad::StageReport& c = cold.telemetry.stages[i];
+                const cad::StageReport& w = warm->telemetry.stages[i];
+                const std::string where =
+                    d.name + "/" + c.stage + (from_disk ? " (disk)" : " (memory)");
+                EXPECT_EQ(c.cache_hit, 0) << where;
+                EXPECT_EQ(w.cache_hit, 1) << where;
+                EXPECT_EQ(w.metric("restored_from_disk") != nullptr, from_disk) << where;
+                EXPECT_EQ(w.iterations, c.iterations) << where;
+                EXPECT_EQ(w.cost_trajectory, c.cost_trajectory) << where;
+                for (const auto& [name, v] : w.metrics) {
+                    if (name == "restored_from_disk" || name.ends_with("_ms")) continue;
+                    const double* cv = c.metric(name);
+                    ASSERT_NE(cv, nullptr) << where << ": '" << name << "' only on restore";
+                    EXPECT_EQ(v, *cv) << where << ": " << name;
+                }
+            }
+        }
+    }
+}
+
+/// Feed one product's decoder every single-byte mutation of a real blob
+/// (set to 0x00, set to 0xFF, XOR 0x01), every 8-byte window set to 0xFF
+/// (a u64 count or size at its maximum) and every truncation. Each case
+/// must decode or throw base::Error: anything else (another exception, a
+/// crash, a sanitizer report) is a decoder bug.
+template <typename T>
+void expect_decoder_survives_mutation(const std::vector<std::uint8_t>& blob,
+                                      const std::string& what) {
+    using Codec = cad::ArtifactCodec<T>;
+    ASSERT_NO_THROW((void)Codec::decode_blob(blob)) << what;
+    auto attempt = [&](const std::vector<std::uint8_t>& bytes, const char* how,
+                       std::size_t off) {
+        try {
+            (void)Codec::decode_blob(bytes);
+        } catch (const base::Error&) {
+            // rejected cleanly
+        } catch (const std::exception& e) {
+            ADD_FAILURE() << what << ": " << how << " at byte " << off << " of "
+                          << blob.size() << " threw a non-base::Error: " << e.what();
+        }
+    };
+    std::vector<std::uint8_t> mut = blob;
+    for (std::size_t off = 0; off < blob.size(); ++off) {
+        const std::uint8_t orig = blob[off];
+        mut[off] = 0x00;
+        attempt(mut, "set 0x00", off);
+        mut[off] = 0xFF;
+        attempt(mut, "set 0xFF", off);
+        mut[off] = orig ^ 0x01;
+        attempt(mut, "xor 0x01", off);
+        mut[off] = orig;
+        if (off + 8 <= blob.size()) {
+            std::vector<std::uint8_t> wide = blob;
+            std::fill_n(wide.begin() + static_cast<std::ptrdiff_t>(off), 8, std::uint8_t{0xFF});
+            attempt(wide, "u64 window 0xFF", off);
+        }
+        attempt(std::vector<std::uint8_t>(blob.begin(), blob.begin() + static_cast<std::ptrdiff_t>(off)),
+                "truncation", off);
+    }
+}
+
+/// The blob the flow published for `stage` into `store`.
+template <typename T>
+std::vector<std::uint8_t> published_blob(const cad::ArtifactStore& store,
+                                         const cad::FlowResult& fr, const char* stage) {
+    const cad::StageReport* s = fr.telemetry.stage(stage);
+    EXPECT_NE(s, nullptr) << stage;
+    const auto product = store.get<T>(std::stoull(s->cache_key, nullptr, 16));
+    EXPECT_NE(product, nullptr) << stage;
+    return product ? cad::ArtifactCodec<T>::encode_blob(*product) : std::vector<std::uint8_t>{};
+}
+
+TEST(ArtifactCodecMutation, EveryProductDecoderRejectsCleanly) {
+    // The smallest real products: a 1-bit QDI adder on a 3x3 fabric.
+    const auto adder = asynclib::make_qdi_adder(1);
+    core::ArchSpec arch;
+    arch.width = 3;
+    arch.height = 3;
+    arch.channel_width = 8;
+    auto store = std::make_shared<cad::ArtifactStore>();
+    cad::FlowOptions o;
+    o.artifact_store = store;
+    const auto fr = cad::run_flow(adder.nl, adder.hints, arch, o);
+    expect_decoder_survives_mutation<cad::MappedDesign>(
+        published_blob<cad::MappedDesign>(*store, fr, "techmap"), "techmap");
+    expect_decoder_survives_mutation<cad::PackedDesign>(
+        published_blob<cad::PackedDesign>(*store, fr, "pack"), "pack");
+    expect_decoder_survives_mutation<cad::Placement>(
+        published_blob<cad::Placement>(*store, fr, "place"), "place");
+    expect_decoder_survives_mutation<cad::RouteArtifact>(
+        published_blob<cad::RouteArtifact>(*store, fr, "route"), "route");
+    expect_decoder_survives_mutation<cad::BitstreamArtifact>(
+        published_blob<cad::BitstreamArtifact>(*store, fr, "bitstream"), "bitstream");
 }
 
 }  // namespace

@@ -1,6 +1,8 @@
 // Unit tests for the base utilities: strong ids, bit vectors, RNG, tables.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <optional>
 #include <set>
 #include <unordered_set>
 
@@ -269,6 +271,19 @@ TEST(Strings, JoinSplit) {
 }
 
 TEST(Strings, BusBit) { EXPECT_EQ(afpga::base::bus_bit("sum", 3), "sum[3]"); }
+
+TEST(Strings, ParseUintTakesOnlyWholeInRangeDecimals) {
+    using afpga::base::parse_uint;
+    EXPECT_EQ(parse_uint("0", 10), 0u);
+    EXPECT_EQ(parse_uint("65535", 65535), 65535u);
+    EXPECT_EQ(parse_uint("18446744073709551615", UINT64_MAX), UINT64_MAX);
+    // The values atoi would have bent into something else.
+    for (const char* bad : {"", "-1", "+1", " 1", "1 ", "1x", "0x10", "1.5", "abc"})
+        EXPECT_EQ(parse_uint(bad, UINT64_MAX), std::nullopt) << "'" << bad << "'";
+    EXPECT_EQ(parse_uint("65536", 65535), std::nullopt);
+    EXPECT_EQ(parse_uint("70000", 65535), std::nullopt);
+    EXPECT_EQ(parse_uint("18446744073709551616", UINT64_MAX), std::nullopt);  // overflow
+}
 
 TEST(TextTable, RendersAligned) {
     afpga::base::TextTable t({"name", "value"});

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdlib>
 #include <filesystem>
 #include <limits>
 #include <string>
@@ -541,6 +542,33 @@ TEST(FlowServiceDiskCache, ReportJsonCarriesTierFields) {
         EXPECT_NE(json.find(field), std::string::npos) << field << " missing in " << json;
 }
 
+// A worker count from outside (a daemon flag, AFPGA_THREADS) used to reach
+// ThreadPool unchecked; past the cap the service must refuse, by name,
+// before any thread starts.
+TEST(FlowService, RejectsWorkerCountAboveCap) {
+    auto expect_rejected = [](const cad::FlowServiceOptions& so, const char* what) {
+        try {
+            cad::FlowService svc(so);
+            ADD_FAILURE() << what << ": a " << svc.threads() << "-worker service started";
+        } catch (const base::Error& e) {
+            EXPECT_NE(std::string(e.what()).find("threads"), std::string::npos) << e.what();
+        }
+    };
+    cad::FlowServiceOptions so;
+    so.threads = 257;
+    expect_rejected(so, "threads = 257");
+
+    // threads = 0 resolves through AFPGA_THREADS.
+    const char* prev = std::getenv("AFPGA_THREADS");
+    const std::string saved = prev ? prev : "";
+    ::setenv("AFPGA_THREADS", "257", 1);
+    expect_rejected(cad::FlowServiceOptions{}, "AFPGA_THREADS=257");
+    if (prev)
+        ::setenv("AFPGA_THREADS", saved.c_str(), 1);
+    else
+        ::unsetenv("AFPGA_THREADS");
+}
+
 TEST(FlowService, PrewarmedRrIsSharedIntoResults) {
     auto adder = asynclib::make_qdi_adder(2);
     const core::ArchSpec arch;
@@ -556,7 +584,8 @@ TEST(FlowService, PrewarmedRrIsSharedIntoResults) {
         EXPECT_EQ(r.result.rr.get(), rr.get()) << r.name;  // one graph end to end
         const cad::StageReport* route = r.result.telemetry.stage("route");
         ASSERT_NE(route, nullptr) << r.name;
-        EXPECT_NE(route->metric("rr_shared"), nullptr) << r.name;
+        // The route stage took the graph from the service's store.
+        EXPECT_NE(route->metric("rr_store_ms"), nullptr) << r.name;
     }
 }
 

@@ -12,6 +12,7 @@
 //
 // Design specs: qdi_adder:N, mp_adder:N, wchb_fifo:BxD, mp_fifo:BxD,
 // mousetrap_fifo:BxD.
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -20,6 +21,7 @@
 
 #include "asynclib/adders.hpp"
 #include "asynclib/fifos.hpp"
+#include "base/strings.hpp"
 #include "cad/flow.hpp"
 #include "cad/flow_client.hpp"
 #include "cad/serialize.hpp"
@@ -40,6 +42,13 @@ namespace {
     std::exit(2);
 }
 
+/// A whole-string decimal in [0, max]; anything else is a usage error.
+std::uint64_t number(const std::string& text, std::uint64_t max) {
+    const auto v = base::parse_uint(text, max);
+    if (!v) usage();
+    return *v;
+}
+
 struct Design {
     netlist::Netlist nl;
     asynclib::MappingHints hints;
@@ -51,9 +60,8 @@ Design make_design(const std::string& spec) {
     const std::string kind = spec.substr(0, colon);
     const std::string dims = spec.substr(colon + 1);
     const std::size_t x = dims.find('x');
-    const std::size_t n = static_cast<std::size_t>(std::atoi(dims.c_str()));
-    const std::size_t d =
-        x == std::string::npos ? 0 : static_cast<std::size_t>(std::atoi(dims.c_str() + x + 1));
+    const std::size_t n = number(dims.substr(0, x), UINT32_MAX);
+    const std::size_t d = x == std::string::npos ? 0 : number(dims.substr(x + 1), UINT32_MAX);
     Design out;
     if (kind == "qdi_adder" && x == std::string::npos && n > 0) {
         auto a = asynclib::make_qdi_adder(n);
@@ -99,6 +107,7 @@ int main(int argc, char** argv) {
             if (i + 1 >= argc) usage();
             return argv[++i];
         };
+        auto next_number = [&](std::uint64_t max) { return number(next(), max); };
         if (arg == "--unix") {
             unix_path = next();
         } else if (arg == "--tcp") {
@@ -106,17 +115,17 @@ int main(int argc, char** argv) {
             const std::size_t colon = spec.rfind(':');
             if (colon == std::string::npos) usage();
             tcp_host = spec.substr(0, colon);
-            tcp_port = static_cast<std::uint16_t>(std::atoi(spec.c_str() + colon + 1));
+            tcp_port = static_cast<std::uint16_t>(number(spec.substr(colon + 1), UINT16_MAX));
         } else if (arg == "--design") {
             design_spec = next();
         } else if (arg == "--fabric") {
-            fabric = static_cast<std::uint32_t>(std::atoi(next().c_str()));
+            fabric = static_cast<std::uint32_t>(next_number(UINT32_MAX));
         } else if (arg == "--cw") {
-            cw = static_cast<std::uint32_t>(std::atoi(next().c_str()));
+            cw = static_cast<std::uint32_t>(next_number(UINT32_MAX));
         } else if (arg == "--seed") {
-            seed = static_cast<std::uint64_t>(std::atoll(next().c_str()));
+            seed = next_number(UINT64_MAX);
         } else if (arg == "--priority") {
-            priority = std::atoi(next().c_str());
+            priority = static_cast<int>(next_number(INT32_MAX));
         } else if (arg == "--check") {
             do_check = true;
         } else if (arg == "--out") {
@@ -126,8 +135,13 @@ int main(int argc, char** argv) {
         }
     }
     if (unix_path.empty() && tcp_host.empty()) usage();
+    if (verb != "compile" && verb != "report" && verb != "drain") usage();
+    if (verb == "compile" && design_spec.empty()) usage();
 
     try {
+        // Before connecting, so a malformed spec is a usage error.
+        Design design;
+        if (verb == "compile") design = make_design(design_spec);
         cad::FlowClient client = unix_path.empty()
                                      ? cad::FlowClient::connect_tcp(tcp_host, tcp_port,
                                                                     "afpga_client")
@@ -143,10 +157,6 @@ int main(int argc, char** argv) {
                         static_cast<unsigned long long>(total));
             return 0;
         }
-        if (verb != "compile") usage();
-        if (design_spec.empty()) usage();
-
-        Design design = make_design(design_spec);
         core::ArchSpec arch;
         arch.width = arch.height = fabric;
         arch.channel_width = cw;

@@ -10,13 +10,15 @@
 //   afpga_flowd --unix PATH [--tcp [HOST:]PORT] [--threads N]
 //               [--max-pending N] [--retry-ms N] [--cache-dir DIR]
 #include <csignal>
+#include <chrono>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <chrono>
 #include <string>
 #include <thread>
 
+#include "base/strings.hpp"
 #include "cad/flow_server.hpp"
 
 namespace {
@@ -32,6 +34,13 @@ void on_signal(int) { g_signals = g_signals + 1; }
     std::exit(2);
 }
 
+/// A whole-string decimal in [0, max]; anything else is a usage error.
+std::uint64_t number(const std::string& text, std::uint64_t max) {
+    const auto v = afpga::base::parse_uint(text, max);
+    if (!v) usage();
+    return *v;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -42,24 +51,23 @@ int main(int argc, char** argv) {
             if (i + 1 >= argc) usage();
             return argv[++i];
         };
+        auto next_number = [&](std::uint64_t max) { return number(next(), max); };
         if (arg == "--unix") {
             opts.unix_path = next();
         } else if (arg == "--tcp") {
             opts.tcp = true;
             const std::string spec = next();
             const std::size_t colon = spec.rfind(':');
-            if (colon == std::string::npos) {
-                opts.tcp_port = static_cast<std::uint16_t>(std::atoi(spec.c_str()));
-            } else {
-                opts.tcp_host = spec.substr(0, colon);
-                opts.tcp_port = static_cast<std::uint16_t>(std::atoi(spec.c_str() + colon + 1));
-            }
+            if (colon != std::string::npos) opts.tcp_host = spec.substr(0, colon);
+            opts.tcp_port = static_cast<std::uint16_t>(
+                number(colon == std::string::npos ? spec : spec.substr(colon + 1), UINT16_MAX));
         } else if (arg == "--threads") {
-            opts.service.threads = static_cast<unsigned>(std::atoi(next().c_str()));
+            // The service refuses a count past its cap, by name.
+            opts.service.threads = static_cast<unsigned>(next_number(UINT32_MAX));
         } else if (arg == "--max-pending") {
-            opts.max_pending = static_cast<std::uint32_t>(std::atoi(next().c_str()));
+            opts.max_pending = static_cast<std::uint32_t>(next_number(UINT32_MAX));
         } else if (arg == "--retry-ms") {
-            opts.retry_after_ms = static_cast<std::uint32_t>(std::atoi(next().c_str()));
+            opts.retry_after_ms = static_cast<std::uint32_t>(next_number(UINT32_MAX));
         } else if (arg == "--cache-dir") {
             opts.service.artifact_cache_dir = next();
         } else {
