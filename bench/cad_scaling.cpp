@@ -12,8 +12,9 @@
 //  - placer_scale (gated): the multilevel V-cycle against its own flat,
 //    single-level schedule (`max_levels = 0`);
 //  - flow_server (gated): concurrent clients through the socket front-end:
-//    p50/p95/p99 submit->result latency, throughput, Busy backpressure and
-//    bit identity against in-process run_flow.
+//    p50/p95/p99 submit->result latency, throughput, Busy backpressure, bit
+//    identity against in-process run_flow and the result codec's share of
+//    the flow's wall.
 //
 // Every gated tier publishes `gates: {name: {value, threshold, ok}}` and a
 // `gate_ok` conjunction; the bench exits non-zero when any gate fails.
@@ -732,11 +733,15 @@ int main(int argc, char** argv) {
     // bound, and C client threads each pushing J compiles through the wire.
     // Gates: every remote result byte-identical to an in-process run_flow of
     // the same job, backpressure observed (a probe bounced at the bound,
-    // Busy responses > 0, queue depth never above the bound), and the
-    // protocol clean (no errors). Reports p50/p95/p99 submit->result latency
-    // and end-to-end throughput.
+    // Busy responses > 0, queue depth never above the bound), the protocol
+    // clean (no errors), and the result codec cheap: the median
+    // encode_blob + decode_blob of a job's bitstream at most kMaxCodecShare
+    // of the median in-process run_flow of the same jobs (the encode runs on
+    // the server's single I/O thread). Reports p50/p95/p99 submit->result
+    // latency and end-to-end throughput.
     Gates server_gates;
     {
+        constexpr double kMaxCodecShare = 0.10;
         const std::size_t n_clients = smoke ? 2 : 3;
         const std::size_t jobs_per_client = smoke ? 2 : 4;
         const std::uint32_t max_pending = 2;
@@ -818,19 +823,36 @@ int main(int argc, char** argv) {
         server.stop();
 
         // Bit-identity gate: replay every job in-process and compare blobs.
+        // The replay also times the flow and the result codec (the server's
+        // encode plus the client's decode) for the codec-share gate.
+        using BlobCodec = cad::ArtifactCodec<cad::BitstreamArtifact>;
         bool bit_identical = true;
         std::vector<double> latencies;
+        std::vector<double> flow_ms;
+        std::vector<double> codec_ms;
         for (const auto& client_jobs : per_client) {
             for (const JobRecord& rec : client_jobs) {
                 latencies.push_back(rec.latency_ms);
                 cad::FlowOptions opts;
                 opts.seed = rec.seed;
+                base::WallTimer flow_timer;
                 const cad::FlowResult local = cad::run_flow(adder.nl, adder.hints, arch, opts);
-                const auto local_blob = cad::ArtifactCodec<cad::BitstreamArtifact>::encode_blob(
-                    cad::BitstreamArtifact{*local.bits, local.pad_names});
+                flow_ms.push_back(flow_timer.elapsed_ms());
+                const cad::BitstreamArtifact product{*local.bits, local.pad_names};
+                base::WallTimer codec_timer;
+                const auto local_blob = BlobCodec::encode_blob(product);
+                (void)BlobCodec::decode_blob(rec.blob);
+                codec_ms.push_back(codec_timer.elapsed_ms());
                 if (rec.blob != local_blob) bit_identical = false;
             }
         }
+        auto median = [](std::vector<double> v) {
+            std::sort(v.begin(), v.end());
+            return v.empty() ? 0.0 : v[v.size() / 2];
+        };
+        const double flow_median_ms = median(flow_ms);
+        const double codec_median_ms = median(codec_ms);
+        const double codec_share = flow_median_ms > 0 ? codec_median_ms / flow_median_ms : 1.0;
         std::sort(latencies.begin(), latencies.end());
         auto pct = [&](double q) {
             const std::size_t i =
@@ -855,12 +877,16 @@ int main(int argc, char** argv) {
         g.require("latency percentiles ordered",
                   0 < pct(0.50) && pct(0.50) <= pct(0.95) && pct(0.95) <= pct(0.99));
         g.check("throughput computed", throughput, 0, throughput > 0);
+        g.check("result codec share of flow", codec_share, kMaxCodecShare,
+                codec_share <= kMaxCodecShare);
 
         std::printf("flow_server: %zu clients x %zu jobs: p50 %.1f ms, p95 %.1f ms, p99 %.1f ms, "
-                    "%.1f jobs/s, %llu busy bounces, peak queue %llu -> gate %s\n",
+                    "%.1f jobs/s, %llu busy bounces, peak queue %llu, result codec %.3f ms "
+                    "(%.1f%% of a %.2f ms flow) -> gate %s\n",
                     n_clients, jobs_per_client, pct(0.50), pct(0.95), pct(0.99), throughput,
                     static_cast<unsigned long long>(st.submits_rejected_busy),
                     static_cast<unsigned long long>(st.max_queue_depth_observed),
+                    codec_median_ms, 100.0 * codec_share, flow_median_ms,
                     g.ok() ? "ok" : "VIOLATED");
 
         w.key("flow_server").begin_object();
@@ -879,6 +905,9 @@ int main(int argc, char** argv) {
         w.key("max_outbound_bytes_observed").value(st.max_outbound_bytes_observed);
         w.key("protocol_errors").value(st.protocol_errors);
         w.key("bit_identical").value(bit_identical);
+        w.key("flow_median_ms").value(flow_median_ms);
+        w.key("codec_median_ms").value(codec_median_ms);
+        w.key("codec_share").value(codec_share);
         g.write(w);
         w.end_object();
     }

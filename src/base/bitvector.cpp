@@ -1,5 +1,6 @@
 #include "base/bitvector.hpp"
 
+#include <array>
 #include <bit>
 
 #include "base/check.hpp"
@@ -9,6 +10,22 @@ namespace afpga::base {
 namespace {
 constexpr std::size_t kWordBits = 64;
 std::size_t word_count(std::size_t nbits) { return (nbits + kWordBits - 1) / kWordBits; }
+/// The low `n` bits set, for n in [0, 64].
+constexpr std::uint64_t low_mask(std::size_t n) {
+    return n >= kWordBits ? ~0ULL : (1ULL << n) - 1ULL;
+}
+
+/// Reflected CRC-32 (IEEE 802.3, polynomial 0xEDB88320): entry `b` is the
+/// register after shifting byte `b` through the bitwise update eight times.
+constexpr std::array<std::uint32_t, 256> kCrcTable = [] {
+    std::array<std::uint32_t, 256> table{};
+    for (std::uint32_t b = 0; b < 256; ++b) {
+        std::uint32_t crc = b;
+        for (int k = 0; k < 8; ++k) crc = (crc >> 1) ^ (0xEDB88320u & (~(crc & 1u) + 1u));
+        table[b] = crc;
+    }
+    return table;
+}();
 }  // namespace
 
 BitVector::BitVector(std::size_t nbits, bool fill)
@@ -42,28 +59,50 @@ void BitVector::set_word(std::size_t w, std::uint64_t value) {
 }
 
 void BitVector::push_back(bool v) {
-    resize(nbits_ + 1);
-    set(nbits_ - 1, v);
+    const std::size_t off = nbits_ % kWordBits;
+    if (off == 0) words_.push_back(0);
+    if (v) words_.back() |= 1ULL << off;
+    ++nbits_;
 }
 
 void BitVector::append_bits(std::uint64_t word, std::size_t n) {
     check(n <= kWordBits, "append_bits: n > 64");
-    for (std::size_t i = 0; i < n; ++i) push_back((word >> i) & 1ULL);
+    if (n == 0) return;
+    word &= low_mask(n);
+    const std::size_t off = nbits_ % kWordBits;
+    if (off == 0) {
+        words_.push_back(word);
+    } else {
+        words_.back() |= word << off;
+        if (off + n > kWordBits) words_.push_back(word >> (kWordBits - off));
+    }
+    nbits_ += n;
 }
 
 std::uint64_t BitVector::get_bits(std::size_t pos, std::size_t n) const {
     check(n <= kWordBits, "get_bits: n > 64");
-    check(pos + n <= nbits_, "get_bits out of range");
-    std::uint64_t out = 0;
-    for (std::size_t i = 0; i < n; ++i)
-        if (get(pos + i)) out |= 1ULL << i;
-    return out;
+    check(pos <= nbits_ && n <= nbits_ - pos, "get_bits out of range");
+    if (n == 0) return 0;
+    const std::size_t w = pos / kWordBits;
+    const std::size_t off = pos % kWordBits;
+    std::uint64_t out = words_[w] >> off;
+    if (off + n > kWordBits) out |= words_[w + 1] << (kWordBits - off);
+    return out & low_mask(n);
 }
 
 void BitVector::set_bits(std::size_t pos, std::uint64_t word, std::size_t n) {
     check(n <= kWordBits, "set_bits: n > 64");
-    check(pos + n <= nbits_, "set_bits out of range");
-    for (std::size_t i = 0; i < n; ++i) set(pos + i, (word >> i) & 1ULL);
+    check(pos <= nbits_ && n <= nbits_ - pos, "set_bits out of range");
+    if (n == 0) return;
+    const std::uint64_t mask = low_mask(n);
+    word &= mask;
+    const std::size_t w = pos / kWordBits;
+    const std::size_t off = pos % kWordBits;
+    words_[w] = (words_[w] & ~(mask << off)) | (word << off);
+    if (off + n > kWordBits) {
+        const std::size_t shift = kWordBits - off;
+        words_[w + 1] = (words_[w + 1] & ~(mask >> shift)) | (word >> shift);
+    }
 }
 
 void BitVector::resize(std::size_t nbits, bool fill) {
@@ -96,15 +135,15 @@ bool BitVector::none() const noexcept {
 
 std::uint32_t BitVector::crc32() const noexcept {
     std::uint32_t crc = 0xFFFFFFFFu;
-    auto feed = [&crc](std::uint8_t byte) {
-        crc ^= byte;
-        for (int k = 0; k < 8; ++k)
-            crc = (crc >> 1) ^ (0xEDB88320u & (~(crc & 1u) + 1u));
+    auto feed = [&crc](std::uint64_t word) {
+        for (int b = 0; b < 8; ++b) {
+            const auto byte = static_cast<std::uint8_t>(word >> (8 * b));
+            crc = (crc >> 8) ^ kCrcTable[(crc ^ byte) & 0xFFu];
+        }
     };
-    for (std::uint64_t w : words_)
-        for (int b = 0; b < 8; ++b) feed(static_cast<std::uint8_t>(w >> (8 * b)));
+    for (std::uint64_t w : words_) feed(w);
     // Length participates so that trailing zeros change the digest.
-    for (int b = 0; b < 8; ++b) feed(static_cast<std::uint8_t>(nbits_ >> (8 * b)));
+    feed(nbits_);
     return ~crc;
 }
 

@@ -18,7 +18,9 @@ namespace afpga::base {
 ///
 /// Bit `i` lives in word `i / 64`, bit position `i % 64`. Unused high bits of
 /// the last word are kept zero (maintained by all mutators) so that word-wise
-/// comparison and hashing are well defined.
+/// comparison and hashing are well defined. `append_bits`, `get_bits` and
+/// `set_bits` touch at most the two words a field straddles, and
+/// range-check once per call.
 class BitVector {
 public:
     /// Empty vector.
@@ -57,7 +59,8 @@ public:
     /// True if every bit is zero.
     [[nodiscard]] bool none() const noexcept;
 
-    /// CRC-32 (IEEE 802.3 polynomial) over the packed byte representation.
+    /// CRC-32 (IEEE 802.3 polynomial, reflected, table-driven) over the
+    /// packed little-endian bytes of words(), then the 8 bytes of size().
     [[nodiscard]] std::uint32_t crc32() const noexcept;
 
     /// "0101..." LSB-first rendering, for diagnostics.

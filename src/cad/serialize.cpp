@@ -3,9 +3,11 @@
 #include <algorithm>
 #include <bit>
 #include <cstring>
+#include <string>
 #include <utility>
 
 #include "base/check.hpp"
+#include "core/fabric.hpp"
 
 namespace afpga::cad {
 
@@ -692,20 +694,25 @@ BitstreamArtifact ArtifactCodec<BitstreamArtifact>::decode(BlobReader& r) {
     // Rounded up without nbits + 63, which wraps for the largest counts.
     const std::uint64_t num_words = nbits / 64 + (nbits % 64 != 0 ? 1 : 0);
     base::check(num_words <= r.remaining() / 8, "artifact blob: bitstream overruns payload");
-    base::BitVector bv;
-    bv.resize(static_cast<std::size_t>(nbits));
-    for (std::size_t i = 0; i < num_words; ++i) {
-        const std::uint64_t word = r.u64();
-        const std::size_t n = std::min<std::size_t>(64, static_cast<std::size_t>(nbits) - i * 64);
-        bv.set_bits(i * 64, word, n);
-    }
+    base::BitVector bv(static_cast<std::size_t>(nbits));
+    for (std::size_t i = 0; i < num_words; ++i) bv.set_word(i, r.u64());
     // Re-checks the fabric fingerprint and CRC embedded in the bitstream.
     core::Bitstream bits = core::Bitstream::deserialize(arch, bv);
     BitstreamArtifact v{std::move(bits), {}};
+    // The encoder writes each named pad of the fabric once, in ascending order.
+    const std::uint32_t num_pads = core::FabricGeometry(arch).num_pads();
+    std::uint32_t prev_pad = 0;
     const std::size_t n = get_count(r, 12);
     for (std::size_t i = 0; i < n; ++i) {
         const std::uint32_t pad = r.u32();
-        v.pad_names[pad] = r.str();
+        if (pad >= num_pads)
+            base::fail("artifact blob: pad name for pad " + std::to_string(pad) +
+                       " past the fabric's " + std::to_string(num_pads) + " pads");
+        if (i > 0 && pad <= prev_pad)
+            base::fail("artifact blob: pad names not strictly ascending (pad " +
+                       std::to_string(pad) + " after pad " + std::to_string(prev_pad) + ")");
+        prev_pad = pad;
+        v.pad_names.emplace(pad, r.str());
     }
     return v;
 }

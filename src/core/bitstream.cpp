@@ -1,10 +1,18 @@
 #include "core/bitstream.hpp"
 
+#include <algorithm>
+#include <string>
+
 #include "base/check.hpp"
 
 namespace afpga::core {
 
 using base::check;
+
+namespace {
+/// Routing switches move between bit vectors this many at a time.
+constexpr std::size_t kEdgeChunk = 64;
+}  // namespace
 
 Bitstream::Bitstream(const ArchSpec& arch, std::size_t num_rr_edges)
     : geom_(arch), pads_(geom_.num_pads(), PadMode::Unused), edges_(num_rr_edges) {
@@ -64,7 +72,10 @@ base::BitVector Bitstream::serialize() const {
     out.append_bits(edges_.size(), 32);
     for (const PlbConfig& p : plbs_) p.serialize(arch(), out);
     for (PadMode m : pads_) out.append_bits(static_cast<std::uint64_t>(m), 2);
-    for (std::size_t i = 0; i < edges_.size(); ++i) out.push_back(edges_.get(i));
+    for (std::size_t i = 0; i < edges_.size(); i += kEdgeChunk) {
+        const std::size_t n = std::min(kEdgeChunk, edges_.size() - i);
+        out.append_bits(edges_.get_bits(i, n), n);
+    }
     out.append_bits(out.crc32(), 32);
     return out;
 }
@@ -92,11 +103,11 @@ Bitstream Bitstream::deserialize(const ArchSpec& arch, const base::BitVector& bi
     // here, not size a half-gigabyte edge vector first.
     check(n_edges <= bits.size() - cur, "Bitstream: edge count overruns the stream");
     // Verify CRC before decoding the body.
+    const std::size_t crc_pos = bits.size() - 32;
     {
-        base::BitVector body;
-        for (std::size_t i = 0; i < bits.size() - 32; ++i) body.push_back(bits.get(i));
-        const std::uint32_t stored =
-            static_cast<std::uint32_t>(bits.get_bits(bits.size() - 32, 32));
+        base::BitVector body = bits;
+        body.resize(crc_pos);
+        const auto stored = static_cast<std::uint32_t>(bits.get_bits(crc_pos, 32));
         check(body.crc32() == stored, "Bitstream: CRC mismatch");
     }
     Bitstream bs(arch, n_edges);
@@ -108,10 +119,14 @@ Bitstream Bitstream::deserialize(const ArchSpec& arch, const base::BitVector& bi
         check(v <= 2, "Bitstream: bad pad mode");
         m = static_cast<PadMode>(v);
     }
-    for (std::size_t i = 0; i < n_edges; ++i) {
-        bs.edges_.set(i, bits.get(cur));
-        ++cur;
+    for (std::size_t i = 0; i < n_edges; i += kEdgeChunk) {
+        const std::size_t n = std::min<std::size_t>(kEdgeChunk, n_edges - i);
+        bs.edges_.set_bits(i, bits.get_bits(cur + i, n), n);
     }
+    cur += n_edges;
+    if (cur != crc_pos)
+        base::fail("Bitstream: length mismatch: the body ends at bit " + std::to_string(cur) +
+                   " but the CRC starts at bit " + std::to_string(crc_pos));
     return bs;
 }
 

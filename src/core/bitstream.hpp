@@ -44,7 +44,8 @@ public:
     [[nodiscard]] std::size_t size_bits() const;
 
     [[nodiscard]] base::BitVector serialize() const;
-    /// Throws base::Error on fingerprint or CRC mismatch.
+    /// Throws base::Error on a fingerprint, geometry or CRC mismatch, and
+    /// when the decoded body does not end exactly where the CRC begins.
     static Bitstream deserialize(const ArchSpec& arch, const base::BitVector& bits);
 
     /// Configuration equality (assumes both sides target the same ArchSpec).

@@ -5,6 +5,7 @@
 #include <optional>
 #include <set>
 #include <unordered_set>
+#include <vector>
 
 #include "base/bitvector.hpp"
 #include "base/check.hpp"
@@ -127,6 +128,145 @@ TEST(BitVector, OutOfRangeThrows) {
     BitVector bv(8);
     EXPECT_THROW((void)bv.get(8), afpga::base::Error);
     EXPECT_THROW(bv.set(9, true), afpga::base::Error);
+}
+
+// ---- Word-level operations against a bit-by-bit model ----------------------
+
+/// A fixed pseudo-random bit sequence (64-bit LCG, top bit per step).
+std::vector<bool> bit_pattern(std::size_t n) {
+    std::vector<bool> bits(n);
+    std::uint64_t x = 0x243F6A8885A308D3ULL;
+    for (std::size_t i = 0; i < n; ++i) {
+        x = x * 6364136223846793005ULL + 1442695040888963407ULL;
+        bits[i] = (x >> 63) != 0;
+    }
+    return bits;
+}
+
+BitVector from_model(const std::vector<bool>& model) {
+    BitVector bv(model.size());
+    for (std::size_t i = 0; i < model.size(); ++i) bv.set(i, model[i]);
+    return bv;
+}
+
+/// Same size and bits as `model`, exactly enough words, and a zero tail.
+::testing::AssertionResult matches_model(const BitVector& bv, const std::vector<bool>& model) {
+    if (bv.size() != model.size())
+        return ::testing::AssertionFailure() << "size " << bv.size() << " != " << model.size();
+    if (bv.words().size() != (model.size() + 63) / 64)
+        return ::testing::AssertionFailure() << bv.words().size() << " words for "
+                                             << model.size() << " bits";
+    for (std::size_t i = 0; i < model.size(); ++i)
+        if (bv.get(i) != model[i]) return ::testing::AssertionFailure() << "bit " << i;
+    if (model.size() % 64 != 0 && (bv.words().back() >> (model.size() % 64)) != 0)
+        return ::testing::AssertionFailure() << "tail bits past " << model.size() << " are set";
+    return ::testing::AssertionSuccess();
+}
+
+// Every start 0..130 (three words' worth of offsets) and width 0..64, so each
+// straddle of a word boundary is hit from both sides.
+constexpr std::size_t kMaxPos = 130;
+constexpr std::uint64_t kJunk = 0xA5C3'96E1'F00D'5EEDULL;  // high bits must be ignored
+
+TEST(BitVectorWords, GetBitsMatchesBitReads) {
+    const std::vector<bool> model = bit_pattern(kMaxPos + 64);
+    const BitVector bv = from_model(model);
+    for (std::size_t pos = 0; pos <= kMaxPos; ++pos) {
+        for (std::size_t n = 0; n <= 64; ++n) {
+            std::uint64_t expect = 0;
+            for (std::size_t i = 0; i < n; ++i)
+                if (model[pos + i]) expect |= 1ULL << i;
+            ASSERT_EQ(bv.get_bits(pos, n), expect) << "pos " << pos << " n " << n;
+        }
+    }
+}
+
+TEST(BitVectorWords, SetBitsMatchesBitWrites) {
+    const std::vector<bool> base = bit_pattern(kMaxPos + 64);
+    for (std::size_t pos = 0; pos <= kMaxPos; ++pos) {
+        for (std::size_t n = 0; n <= 64; ++n) {
+            const std::uint64_t word = kJunk * (pos + 1) ^ n;
+            std::vector<bool> model = base;
+            for (std::size_t i = 0; i < n; ++i) model[pos + i] = ((word >> i) & 1ULL) != 0;
+            BitVector bv = from_model(base);
+            bv.set_bits(pos, word, n);
+            ASSERT_TRUE(matches_model(bv, model)) << "pos " << pos << " n " << n;
+        }
+    }
+}
+
+TEST(BitVectorWords, AppendBitsMatchesPushBack) {
+    for (std::size_t len = 0; len <= kMaxPos; ++len) {
+        const std::vector<bool> prefix = bit_pattern(len);
+        const BitVector start = from_model(prefix);
+        for (std::size_t n = 0; n <= 64; ++n) {
+            const std::uint64_t word = kJunk * (len + 1) ^ n;
+            std::vector<bool> model = prefix;
+            for (std::size_t i = 0; i < n; ++i) model.push_back(((word >> i) & 1ULL) != 0);
+            BitVector bv = start;
+            bv.append_bits(word, n);
+            ASSERT_TRUE(matches_model(bv, model)) << "len " << len << " n " << n;
+        }
+    }
+}
+
+TEST(BitVectorWords, PushBackAcrossWordBoundaries) {
+    const std::vector<bool> bits = bit_pattern(3 * 64 + 5);
+    BitVector bv;
+    std::vector<bool> model;
+    for (const bool b : bits) {
+        bv.push_back(b);
+        model.push_back(b);
+        ASSERT_TRUE(matches_model(bv, model)) << "after " << model.size() << " bits";
+    }
+}
+
+TEST(BitVectorWords, ResizeMatchesModel) {
+    for (std::size_t from = 0; from <= kMaxPos; from += 7) {
+        const std::vector<bool> start = bit_pattern(from);
+        for (std::size_t to = 0; to <= kMaxPos + 64; to += 5) {
+            for (const bool fill : {false, true}) {
+                std::vector<bool> model = start;
+                model.resize(to, fill);
+                BitVector bv = from_model(start);
+                bv.resize(to, fill);
+                ASSERT_TRUE(matches_model(bv, model))
+                    << from << " -> " << to << " fill " << fill;
+            }
+        }
+    }
+}
+
+TEST(BitVectorWords, RangeChecksOncePerCall) {
+    BitVector bv(100);
+    EXPECT_NO_THROW((void)bv.get_bits(100, 0));
+    EXPECT_NO_THROW(bv.set_bits(36, ~0ULL, 64));
+    EXPECT_THROW((void)bv.get_bits(37, 64), afpga::base::Error);
+    EXPECT_THROW(bv.set_bits(99, 0, 2), afpga::base::Error);
+    EXPECT_THROW((void)bv.get_bits(0, 65), afpga::base::Error);
+    EXPECT_THROW(bv.append_bits(0, 65), afpga::base::Error);
+    // pos + n would wrap: still out of range, not a wild read.
+    EXPECT_THROW((void)bv.get_bits(~std::size_t{0}, 2), afpga::base::Error);
+    EXPECT_EQ(bv.size(), 100u);
+}
+
+// Known answers recorded from the bit-serial CRC-32 (8 shifts per byte) that
+// the table-driven one replaced: every stored bitstream CRC depends on them.
+TEST(BitVectorWords, Crc32KnownAnswers) {
+    struct Kat {
+        std::size_t bits;
+        std::uint32_t pattern;
+        std::uint32_t ones;
+    };
+    const Kat kats[] = {
+        {0, 0x6522DF69U, 0x6522DF69U},    {1, 0x8E79DA5AU, 0x8E79DA5AU},
+        {63, 0xACD8AD5DU, 0x416D87F1U},   {64, 0xBFFD2E2EU, 0x52480482U},
+        {65, 0x48E6DDD6U, 0x448AC86FU},   {1000, 0xB3F0B1F1U, 0xF5844706U},
+    };
+    for (const Kat& k : kats) {
+        EXPECT_EQ(from_model(bit_pattern(k.bits)).crc32(), k.pattern) << k.bits << " bits";
+        EXPECT_EQ(BitVector(k.bits, true).crc32(), k.ones) << k.bits << " ones";
+    }
 }
 
 TEST(Check, LiteralAndStringMessagesThrowExactText) {

@@ -317,6 +317,32 @@ TEST(Bitstream, FingerprintMismatchRejected) {
     EXPECT_THROW(core::Bitstream::deserialize(other, bits), base::Error);
 }
 
+TEST(Bitstream, BitsBetweenBodyAndCrcRejected) {
+    ArchSpec a;
+    a.width = 2;
+    a.height = 2;
+    const core::RRGraph rr(a);
+    core::Bitstream bs(a, rr.num_edges());
+    bs.set_edge(0, true);
+    const base::BitVector bits = bs.serialize();
+    ASSERT_TRUE(core::Bitstream::deserialize(a, bits) == bs);
+    // A real stream with junk spliced in before a recomputed CRC: the CRC
+    // holds, so only the length check can catch it.
+    for (const std::size_t junk : {1, 64}) {
+        base::BitVector padded = bits;
+        padded.resize(bits.size() - 32);
+        for (std::size_t i = 0; i < junk; ++i) padded.push_back(i % 3 == 0);
+        padded.append_bits(padded.crc32(), 32);
+        try {
+            (void)core::Bitstream::deserialize(a, padded);
+            ADD_FAILURE() << junk << " trailing bits decoded";
+        } catch (const base::Error& e) {
+            EXPECT_NE(std::string(e.what()).find("length mismatch"), std::string::npos)
+                << e.what();
+        }
+    }
+}
+
 TEST(Bitstream, OccupancyCountsProgrammedPlbs) {
     ArchSpec a;
     a.width = 2;

@@ -8,6 +8,7 @@
 #include <limits>
 #include <optional>
 #include <string>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -16,6 +17,7 @@
 #include "base/check.hpp"
 #include "cad/serialize.hpp"
 #include "core/bitstream.hpp"
+#include "core/fabric.hpp"
 #include "core/rrgraph.hpp"
 
 namespace cad = afpga::cad;
@@ -516,6 +518,43 @@ TEST(SerializeRobustness, DecodeArchRejectsGarbage) {
         cad::encode_arch(bad, w);
         cad::BlobReader r(w.bytes());
         EXPECT_THROW((void)cad::decode_arch(r), base::Error);
+    }
+}
+
+TEST(SerializeRobustness, BitstreamBlobRejectsPadNamesOffFabricOrOutOfOrder) {
+    using Codec = cad::ArtifactCodec<cad::BitstreamArtifact>;
+    const core::ArchSpec arch;
+    const core::RRGraph rr(arch);
+    const std::uint32_t num_pads = core::FabricGeometry(arch).num_pads();
+    auto blob_naming = [&](std::unordered_map<std::uint32_t, std::string> names) {
+        return Codec::encode_blob(
+            cad::BitstreamArtifact{core::Bitstream(arch, rr.num_edges()), std::move(names)});
+    };
+    auto error_of = [](const std::vector<std::uint8_t>& blob) -> std::string {
+        try {
+            (void)Codec::decode_blob(blob);
+        } catch (const base::Error& e) {
+            return e.what();
+        }
+        return "decoded";
+    };
+    EXPECT_EQ(error_of(blob_naming({{0, "first"}, {num_pads - 1, "last"}})), "decoded");
+    EXPECT_NE(error_of(blob_naming({{num_pads, "off"}})).find("past the fabric"),
+              std::string::npos);
+    EXPECT_NE(error_of(blob_naming({{999999, "far"}})).find("past the fabric"),
+              std::string::npos);
+
+    // The blob ends with (u32 pad, str name) pairs; rewrite the last pad so
+    // it repeats, then precedes, the one before it.
+    std::vector<std::uint8_t> blob = blob_naming({{3, "a"}, {4, "b"}});
+    cad::BlobWriter name;
+    name.str("b");
+    const std::size_t last_pad = blob.size() - name.bytes().size() - 4;
+    ASSERT_EQ(blob[last_pad], 4);
+    for (const std::uint8_t pad : {3, 2}) {
+        blob[last_pad] = pad;
+        EXPECT_NE(error_of(blob).find("not strictly ascending"), std::string::npos)
+            << "pad " << int{pad};
     }
 }
 
