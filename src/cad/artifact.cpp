@@ -21,12 +21,6 @@ namespace {
 constexpr std::uint32_t kDiskMagic = 0x43414641;  // "AFAC" little-endian
 constexpr std::size_t kHeaderBytes = 40;
 
-std::uint64_t fnv1a64(const std::uint8_t* data, std::size_t n) {
-    std::uint64_t h = 1469598103934665603ull;
-    for (std::size_t i = 0; i < n; ++i) h = (h ^ data[i]) * 1099511628211ull;
-    return h;
-}
-
 void put_le32(std::uint8_t* p, std::uint32_t v) {
     for (int i = 0; i < 4; ++i) p[i] = static_cast<std::uint8_t>(v >> (8 * i));
 }

@@ -47,6 +47,15 @@ ArtifactKey chain_key(ArtifactKey upstream, std::string_view stage,
     return f.digest();
 }
 
+std::uint64_t fnv1a64(const std::uint8_t* data, std::size_t n, std::uint64_t seed) {
+    std::uint64_t h = seed;
+    for (std::size_t i = 0; i < n; ++i) {
+        h ^= data[i];
+        h *= 0x100000001b3ull;
+    }
+    return h;
+}
+
 std::string key_hex(ArtifactKey key) {
     char buf[2 + 16 + 1];
     std::snprintf(buf, sizeof buf, "0x%016llx", static_cast<unsigned long long>(key));

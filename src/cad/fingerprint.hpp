@@ -11,13 +11,15 @@
 /// fingerprinted inputs.
 ///
 /// Values are fingerprinted through their codecs (cad/wire): a key hashes
-/// the exact bytes the wire would carry, so the codec is the one list of
-/// what a key covers and cannot drift from a second, hand-written list.
+/// the exact bytes the wire would carry, so a type's field list is the one
+/// list of what a key covers and cannot drift from a second, hand-written
+/// list.
 ///
 /// Threading: Fingerprint is single-owner mutable state; the free
 /// fingerprint_* functions are pure and callable from any thread.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <string>
@@ -65,6 +67,13 @@ private:
 /// change anywhere upstream invalidate everything below it.
 [[nodiscard]] ArtifactKey chain_key(ArtifactKey upstream, std::string_view stage,
                                     std::uint64_t stage_fp) noexcept;
+
+/// FNV-1a over `n` bytes: the checksum of wire frames, result streams and
+/// disk blobs. Chainable: pass a previous digest as `seed` to extend it.
+/// Single-byte changes provably change the digest (each step is a bijection
+/// in the accumulator), which is what the frame fuzzer pins.
+[[nodiscard]] std::uint64_t fnv1a64(const std::uint8_t* data, std::size_t n,
+                                    std::uint64_t seed = 0xcbf29ce484222325ull);
 
 /// "0x%016x" rendering used by telemetry and reports.
 [[nodiscard]] std::string key_hex(ArtifactKey key);

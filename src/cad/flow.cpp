@@ -55,7 +55,7 @@ struct TechmapStage {
     // just {netlist, hints} (the base chain) + its own options: an arch or
     // seed sweep reuses one mapping across the whole grid.
     static void key(const FlowContext& ctx, BlobWriter& w) {
-        wire::encode_techmap_options(ctx.opts.techmap, w);
+        wire::encode_fields(ctx.opts.techmap, w);
         w.boolean(ctx.opts.verify_mapping);
     }
     static MappedDesign compute(FlowContext& ctx, StageReport&) {
@@ -81,7 +81,7 @@ struct PackStage {
     // keys inherit it through the chain.
     static void key(const FlowContext& ctx, BlobWriter& w) {
         w.u64(fingerprint_arch(ctx.arch));
-        wire::encode_pack_options(ctx.opts.pack, w);
+        wire::encode_fields(ctx.opts.pack, w);
     }
     static PackedDesign compute(FlowContext& ctx, StageReport&) {
         return pack(ctx.result.mapped, ctx.arch, ctx.opts.pack);
@@ -109,8 +109,11 @@ struct PlaceStage {
 
     // First stage that consumes the master seed: key it here so a seed
     // sweep re-places but reuses the grid's shared techmap/pack products.
+    // `threads` has no effect on the placement, so it is keyed as 0.
     static void key(const FlowContext& ctx, BlobWriter& w) {
-        wire::encode_place_options(effective_place_options(ctx), w);
+        PlaceOptions keyed = effective_place_options(ctx);
+        keyed.threads = 0;
+        wire::encode_fields(keyed, w);
     }
     static Placement compute(FlowContext& ctx, StageReport& report) {
         Placement pl = place(ctx.result.packed, ctx.result.mapped, ctx.arch,
@@ -307,8 +310,12 @@ struct RouteStage {
     using Product = RouteArtifact;
     static constexpr const char* kName = "route";
 
+    // The routing is the same at every `threads` value, so a job at any
+    // count restores what another count published: it is keyed as 0.
     static void key(const FlowContext& ctx, BlobWriter& w) {
-        wire::encode_router_options(ctx.opts.route, w);
+        RouterOptions keyed = ctx.opts.route;
+        keyed.threads = 0;
+        wire::encode_fields(keyed, w);
     }
     static RouteArtifact compute(FlowContext& ctx, StageReport& report) {
         // With a pool the RR graph is built per-row on it and the router's

@@ -8,6 +8,7 @@
 
 #include <arpa/inet.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstring>
 #include <thread>
@@ -19,6 +20,12 @@
 namespace afpga::cad {
 
 using base::check;
+
+template <typename Reply, typename Request>
+Reply FlowClient::call(const Request& req) {
+    write_all(wire::encode(req));
+    return wire::decode<Reply>(read_frame());
+}
 
 BitstreamArtifact RemoteFlowResult::decode_bitstream() const {
     check(ok(), "remote result '" + name + "' is not ok: " + error);
@@ -59,11 +66,7 @@ FlowClient FlowClient::connect_tcp(const std::string& host, std::uint16_t port,
 FlowClient::FlowClient(int fd, const std::string& client_name) : fd_(fd) {
     wire::HelloMsg hello;
     hello.client_name = client_name;
-    write_all(wire::encode_frame(wire::MsgType::Hello, wire::encode_payload(hello)));
-    const wire::Frame f = read_frame();
-    check(f.type == wire::MsgType::HelloOk,
-          "flow_client: expected hello_ok, got " + wire::to_string(f.type));
-    hello_ = wire::decode_hello_ok(f.payload);
+    hello_ = call<wire::HelloOkMsg>(hello);
     if (hello_.max_pending != 0) last_busy_retry_ms_ = 50;
 }
 
@@ -109,7 +112,14 @@ void FlowClient::write_all(const std::vector<std::uint8_t>& bytes) {
 wire::Frame FlowClient::read_frame() {
     check(fd_ >= 0, "flow_client: connection is closed");
     for (;;) {
-        if (auto f = dec_.next()) return *std::move(f);
+        if (auto f = dec_.next()) {
+            if (f->type == wire::MsgType::Error) {
+                const wire::ErrorMsg e = wire::decode<wire::ErrorMsg>(*f);
+                base::fail("flow_client: server error " + std::to_string(e.code) + ": " +
+                           e.message);
+            }
+            return *std::move(f);
+        }
         std::uint8_t buf[64 * 1024];
         const ssize_t n = ::recv(fd_, buf, sizeof(buf), 0);
         if (n < 0) {
@@ -120,17 +130,6 @@ wire::Frame FlowClient::read_frame() {
         dec_.feed(buf, static_cast<std::size_t>(n));
     }
 }
-
-namespace {
-
-/// Request-level Error frames become thrown base::Error with the server's
-/// message; every verb reply path funnels through here.
-[[noreturn]] void throw_server_error(const wire::Frame& f) {
-    const wire::ErrorMsg e = wire::decode_error(f.payload);
-    base::fail("flow_client: server error " + std::to_string(e.code) + ": " + e.message);
-}
-
-}  // namespace
 
 std::optional<std::uint64_t> FlowClient::try_submit(const RemoteJobSpec& job) {
     check(job.nl != nullptr, "flow_client: job '" + job.name + "' has no netlist");
@@ -144,17 +143,14 @@ std::optional<std::uint64_t> FlowClient::try_submit(const RemoteJobSpec& job) {
     // The shared-state pointers are process-local and never travel.
     m.opts.prebuilt_rr = nullptr;
     m.opts.artifact_store = nullptr;
-    write_all(wire::encode_frame(wire::MsgType::Submit, wire::encode_payload(m)));
+    write_all(wire::encode(m));
     const wire::Frame f = read_frame();
     if (f.type == wire::MsgType::Busy) {
-        const wire::BusyMsg busy = wire::decode_busy(f.payload);
+        const wire::BusyMsg busy = wire::decode<wire::BusyMsg>(f);
         if (busy.retry_after_ms > 0) last_busy_retry_ms_ = busy.retry_after_ms;
         return std::nullopt;
     }
-    if (f.type == wire::MsgType::Error) throw_server_error(f);
-    check(f.type == wire::MsgType::SubmitOk,
-          "flow_client: expected submit_ok, got " + wire::to_string(f.type));
-    return wire::decode_submit_ok(f.payload).job_id;
+    return wire::decode<wire::SubmitOkMsg>(f).job_id;
 }
 
 std::uint64_t FlowClient::submit(const RemoteJobSpec& job) {
@@ -165,37 +161,15 @@ std::uint64_t FlowClient::submit(const RemoteJobSpec& job) {
 }
 
 wire::StatusReplyMsg FlowClient::status(std::uint64_t job_id) {
-    wire::StatusMsg m;
-    m.job_id = job_id;
-    write_all(wire::encode_frame(wire::MsgType::Status, wire::encode_payload(m)));
-    const wire::Frame f = read_frame();
-    if (f.type == wire::MsgType::Error) throw_server_error(f);
-    check(f.type == wire::MsgType::StatusReply,
-          "flow_client: expected status_reply, got " + wire::to_string(f.type));
-    return wire::decode_status_reply(f.payload);
+    return call<wire::StatusReplyMsg>(wire::StatusMsg{job_id});
 }
 
 bool FlowClient::cancel(std::uint64_t job_id) {
-    wire::CancelMsg m;
-    m.job_id = job_id;
-    write_all(wire::encode_frame(wire::MsgType::Cancel, wire::encode_payload(m)));
-    const wire::Frame f = read_frame();
-    if (f.type == wire::MsgType::Error) throw_server_error(f);
-    check(f.type == wire::MsgType::CancelReply,
-          "flow_client: expected cancel_reply, got " + wire::to_string(f.type));
-    return wire::decode_cancel_reply(f.payload).cancelled;
+    return call<wire::CancelReplyMsg>(wire::CancelMsg{job_id}).cancelled;
 }
 
 RemoteFlowResult FlowClient::wait(std::uint64_t job_id, std::string name) {
-    wire::WaitMsg m;
-    m.job_id = job_id;
-    write_all(wire::encode_frame(wire::MsgType::Wait, wire::encode_payload(m)));
-
-    wire::Frame f = read_frame();
-    if (f.type == wire::MsgType::Error) throw_server_error(f);
-    check(f.type == wire::MsgType::ResultBegin,
-          "flow_client: expected result_begin, got " + wire::to_string(f.type));
-    const wire::ResultBeginMsg begin = wire::decode_result_begin(f.payload);
+    const auto begin = call<wire::ResultBeginMsg>(wire::WaitMsg{job_id});
     check(begin.job_id == job_id, "flow_client: result stream for the wrong job");
 
     RemoteFlowResult res;
@@ -206,50 +180,35 @@ RemoteFlowResult FlowClient::wait(std::uint64_t job_id, std::string name) {
     res.queue_ms = begin.queue_ms;
     res.start_seq = begin.start_seq;
     res.telemetry_json = begin.telemetry_json;
-    res.result_blob.reserve(static_cast<std::size_t>(begin.result_bytes));
+    // The announced size is the peer's word, not bytes on hand: reserve at
+    // most one chunk up front and let the blob grow as chunks arrive.
+    res.result_blob.reserve(static_cast<std::size_t>(
+        std::min<std::uint64_t>(begin.result_bytes, wire::kResultChunkBytes)));
 
     for (;;) {
-        f = read_frame();
-        if (f.type == wire::MsgType::ResultChunk) {
-            const wire::ResultChunkMsg chunk = wire::decode_result_chunk(f.payload);
-            check(chunk.job_id == job_id, "flow_client: chunk for the wrong job");
-            check(chunk.offset == res.result_blob.size(),
-                  "flow_client: result chunk out of order");
-            res.result_blob.insert(res.result_blob.end(), chunk.bytes.begin(),
-                                   chunk.bytes.end());
-            check(res.result_blob.size() <= begin.result_bytes,
-                  "flow_client: result stream longer than announced");
-            continue;
+        const wire::Frame f = read_frame();
+        if (f.type != wire::MsgType::ResultChunk) {
+            const auto end = wire::decode<wire::ResultEndMsg>(f);
+            check(end.job_id == job_id, "flow_client: result end for the wrong job");
+            check(res.result_blob.size() == begin.result_bytes,
+                  "flow_client: result stream truncated");
+            check(end.checksum == wire::fnv1a64(res.result_blob.data(), res.result_blob.size()),
+                  "flow_client: result stream checksum mismatch");
+            return res;
         }
-        if (f.type == wire::MsgType::Error) throw_server_error(f);
-        check(f.type == wire::MsgType::ResultEnd,
-              "flow_client: expected result_end, got " + wire::to_string(f.type));
-        const wire::ResultEndMsg end = wire::decode_result_end(f.payload);
-        check(end.job_id == job_id, "flow_client: result end for the wrong job");
-        check(res.result_blob.size() == begin.result_bytes,
-              "flow_client: result stream truncated");
-        check(end.checksum == wire::fnv1a64(res.result_blob.data(), res.result_blob.size()),
-              "flow_client: result stream checksum mismatch");
-        return res;
+        const auto chunk = wire::decode<wire::ResultChunkMsg>(f);
+        check(chunk.job_id == job_id, "flow_client: chunk for the wrong job");
+        check(chunk.offset == res.result_blob.size(), "flow_client: result chunk out of order");
+        res.result_blob.insert(res.result_blob.end(), chunk.bytes.begin(), chunk.bytes.end());
+        check(res.result_blob.size() <= begin.result_bytes,
+              "flow_client: result stream longer than announced");
     }
 }
 
-std::string FlowClient::report_json() {
-    write_all(wire::encode_frame(wire::MsgType::Report, wire::encode_payload(wire::ReportMsg{})));
-    const wire::Frame f = read_frame();
-    if (f.type == wire::MsgType::Error) throw_server_error(f);
-    check(f.type == wire::MsgType::ReportReply,
-          "flow_client: expected report_reply, got " + wire::to_string(f.type));
-    return wire::decode_report_reply(f.payload).json;
-}
+std::string FlowClient::report_json() { return call<wire::ReportReplyMsg>(wire::ReportMsg{}).json; }
 
 std::uint64_t FlowClient::drain_server() {
-    write_all(wire::encode_frame(wire::MsgType::Drain, wire::encode_payload(wire::DrainMsg{})));
-    const wire::Frame f = read_frame();
-    if (f.type == wire::MsgType::Error) throw_server_error(f);
-    check(f.type == wire::MsgType::DrainOk,
-          "flow_client: expected drain_ok, got " + wire::to_string(f.type));
-    return wire::decode_drain_ok(f.payload).jobs_total;
+    return call<wire::DrainOkMsg>(wire::DrainMsg{}).jobs_total;
 }
 
 }  // namespace afpga::cad

@@ -99,7 +99,11 @@ private:
     FlowClient(int fd, const std::string& client_name);
 
     void write_all(const std::vector<std::uint8_t>& bytes);
+    /// The next frame from the server; an Error frame throws its message.
     [[nodiscard]] wire::Frame read_frame();
+    /// Send `req` and decode the reply as a `Reply` (any other reply throws).
+    template <typename Reply, typename Request>
+    [[nodiscard]] Reply call(const Request& req);
 
     int fd_ = -1;
     wire::FrameDecoder dec_;

@@ -268,6 +268,19 @@ void FlowServer::io_loop() {
     }
 }
 
+template <typename M>
+void FlowServer::send_frame(Conn& c, const M& m) {
+    if (c.dead) return;
+    const std::vector<std::uint8_t> frame = wire::encode(m);
+    c.out.insert(c.out.end(), frame.begin(), frame.end());
+    {
+        std::lock_guard<std::mutex> lock(stats_mu_);
+        if (c.backlog() > stats_.max_outbound_bytes_observed)
+            stats_.max_outbound_bytes_observed = c.backlog();
+    }
+    flush_conn(c);
+}
+
 void FlowServer::handle_readable(Conn& c) {
     std::uint8_t buf[64 * 1024];
     for (;;) {
@@ -298,7 +311,7 @@ void FlowServer::handle_frame(Conn& c, const wire::Frame& f) {
             poison(c, "first frame must be hello");
             return;
         }
-        const wire::HelloMsg m = wire::decode_hello(f.payload);
+        const auto m = wire::decode<wire::HelloMsg>(f);
         if (m.protocol != wire::kProtocolVersion) {
             poison(c, "protocol version mismatch");
             return;
@@ -306,34 +319,30 @@ void FlowServer::handle_frame(Conn& c, const wire::Frame& f) {
         c.client_name = m.client_name;
         c.lane = next_lane_++;
         c.hello_done = true;
-        wire::HelloOkMsg ok;
-        ok.lane = c.lane;
-        ok.max_pending = opts_.max_pending;
-        ok.threads = svc_->threads();
-        send_frame(c, MsgType::HelloOk, wire::encode_payload(ok));
+        send_frame(c, wire::HelloOkMsg{.lane = c.lane,
+                                       .max_pending = opts_.max_pending,
+                                       .threads = svc_->threads()});
         return;
     }
     switch (f.type) {
-        case MsgType::Submit: handle_submit(c, f.payload); return;
+        case MsgType::Submit: handle_submit(c, f); return;
         case MsgType::Status: {
-            const wire::StatusMsg m = wire::decode_status(f.payload);
+            const auto m = wire::decode<wire::StatusMsg>(f);
             if (m.job_id >= svc_->num_jobs()) {
                 send_error(c, wire::ErrCode::UnknownJob, "no such job");
                 return;
             }
             const FlowService::JobBrief b = svc_->peek(m.job_id);
-            wire::StatusReplyMsg rep;
-            rep.job_id = m.job_id;
-            rep.status = static_cast<std::uint8_t>(b.status);
-            rep.start_seq = b.start_seq;
-            rep.wall_ms = b.wall_ms;
-            rep.queue_ms = b.queue_ms;
-            rep.error = b.error;
-            send_frame(c, MsgType::StatusReply, wire::encode_payload(rep));
+            send_frame(c, wire::StatusReplyMsg{.job_id = m.job_id,
+                                               .status = static_cast<std::uint8_t>(b.status),
+                                               .start_seq = b.start_seq,
+                                               .wall_ms = b.wall_ms,
+                                               .queue_ms = b.queue_ms,
+                                               .error = b.error});
             return;
         }
         case MsgType::Wait: {
-            const wire::WaitMsg m = wire::decode_wait(f.payload);
+            const auto m = wire::decode<wire::WaitMsg>(f);
             const auto it = jobs_.find(m.job_id);
             if (it == jobs_.end()) {
                 send_error(c, wire::ErrCode::UnknownJob,
@@ -353,7 +362,7 @@ void FlowServer::handle_frame(Conn& c, const wire::Frame& f) {
             return;
         }
         case MsgType::Cancel: {
-            const wire::CancelMsg m = wire::decode_cancel(f.payload);
+            const auto m = wire::decode<wire::CancelMsg>(f);
             if (m.job_id >= svc_->num_jobs()) {
                 send_error(c, wire::ErrCode::UnknownJob, "no such job");
                 return;
@@ -363,25 +372,18 @@ void FlowServer::handle_frame(Conn& c, const wire::Frame& f) {
                 std::lock_guard<std::mutex> lock(stats_mu_);
                 ++stats_.cancels;
             }
-            wire::CancelReplyMsg rep;
-            rep.job_id = m.job_id;
-            rep.cancelled = cancelled;
-            send_frame(c, MsgType::CancelReply, wire::encode_payload(rep));
+            send_frame(c, wire::CancelReplyMsg{.job_id = m.job_id, .cancelled = cancelled});
             return;
         }
         case MsgType::Report: {
-            (void)wire::decode_report(f.payload);
-            wire::ReportReplyMsg rep;
-            rep.json = svc_->report_json();
-            send_frame(c, MsgType::ReportReply, wire::encode_payload(rep));
+            (void)wire::decode<wire::ReportMsg>(f);
+            send_frame(c, wire::ReportReplyMsg{.json = svc_->report_json()});
             return;
         }
         case MsgType::Drain: {
-            (void)wire::decode_drain(f.payload);
+            (void)wire::decode<wire::DrainMsg>(f);
             draining_ = true;
-            wire::DrainOkMsg rep;
-            rep.jobs_total = svc_->num_jobs();
-            send_frame(c, MsgType::DrainOk, wire::encode_payload(rep));
+            send_frame(c, wire::DrainOkMsg{.jobs_total = svc_->num_jobs()});
             return;
         }
         default:
@@ -392,7 +394,7 @@ void FlowServer::handle_frame(Conn& c, const wire::Frame& f) {
     }
 }
 
-void FlowServer::handle_submit(Conn& c, const std::vector<std::uint8_t>& payload) {
+void FlowServer::handle_submit(Conn& c, const wire::Frame& f) {
     // Stats are bumped BEFORE the reply frame goes out so a client that has
     // observed the reply is guaranteed to see the counter (tests rely on it).
     if (draining_.load()) {
@@ -413,12 +415,12 @@ void FlowServer::handle_submit(Conn& c, const std::vector<std::uint8_t>& payload
             std::lock_guard<std::mutex> lock(stats_mu_);
             ++stats_.submits_rejected_busy;
         }
-        send_frame(c, wire::MsgType::Busy, wire::encode_payload(busy));
+        send_frame(c, busy);
         return;
     }
-    // decode_submit throws on malformed payloads — the caller's catch
-    // poisons the connection.
-    wire::SubmitMsg m = wire::decode_submit(payload);
+    // decode throws on malformed payloads — the caller's catch poisons the
+    // connection.
+    auto m = wire::decode<wire::SubmitMsg>(f);
     auto jc = std::make_unique<JobCtx>();
     jc->nl = std::make_unique<netlist::Netlist>(std::move(m.nl));
     jc->hints = std::make_unique<asynclib::MappingHints>(std::move(m.hints));
@@ -444,26 +446,11 @@ void FlowServer::handle_submit(Conn& c, const std::vector<std::uint8_t>& payload
         if (now_pending > stats_.max_queue_depth_observed)
             stats_.max_queue_depth_observed = now_pending;
     }
-    send_frame(c, wire::MsgType::SubmitOk, wire::encode_payload(ok));
-}
-
-void FlowServer::send_frame(Conn& c, wire::MsgType t, const std::vector<std::uint8_t>& payload) {
-    if (c.dead) return;
-    const std::vector<std::uint8_t> frame = wire::encode_frame(t, payload);
-    c.out.insert(c.out.end(), frame.begin(), frame.end());
-    {
-        std::lock_guard<std::mutex> lock(stats_mu_);
-        if (c.backlog() > stats_.max_outbound_bytes_observed)
-            stats_.max_outbound_bytes_observed = c.backlog();
-    }
-    flush_conn(c);
+    send_frame(c, ok);
 }
 
 void FlowServer::send_error(Conn& c, wire::ErrCode code, const std::string& msg) {
-    wire::ErrorMsg e;
-    e.code = static_cast<std::uint32_t>(code);
-    e.message = msg;
-    send_frame(c, wire::MsgType::Error, wire::encode_payload(e));
+    send_frame(c, wire::ErrorMsg{.code = static_cast<std::uint32_t>(code), .message = msg});
 }
 
 void FlowServer::poison(Conn& c, const std::string& why) {
@@ -563,7 +550,7 @@ void FlowServer::begin_stream(JobCtx& jc) {
     begin.result_bytes = jc.blob.size();
     jc.checksum = wire::fnv1a64(jc.blob.data(), jc.blob.size());
     jc.streaming = true;
-    send_frame(c, wire::MsgType::ResultBegin, wire::encode_payload(begin));
+    send_frame(c, begin);
     pump_stream(jc);
 }
 
@@ -578,13 +565,10 @@ void FlowServer::pump_stream(JobCtx& jc) {
         chunk.offset = jc.blob_off;
         chunk.bytes.assign(jc.blob.begin() + static_cast<std::ptrdiff_t>(jc.blob_off),
                            jc.blob.begin() + static_cast<std::ptrdiff_t>(jc.blob_off + n));
-        send_frame(c, wire::MsgType::ResultChunk, wire::encode_payload(chunk));
+        send_frame(c, chunk);
         jc.blob_off += n;
     }
-    wire::ResultEndMsg end;
-    end.job_id = jc.id;
-    end.checksum = jc.checksum;
-    send_frame(c, wire::MsgType::ResultEnd, wire::encode_payload(end));
+    send_frame(c, wire::ResultEndMsg{.job_id = jc.id, .checksum = jc.checksum});
     {
         std::lock_guard<std::mutex> lock(stats_mu_);
         ++stats_.results_streamed;

@@ -131,9 +131,10 @@ private:
     void io_loop();
     void handle_readable(Conn& c);
     void handle_frame(Conn& c, const wire::Frame& f);
-    void handle_submit(Conn& c, const std::vector<std::uint8_t>& payload);
+    void handle_submit(Conn& c, const wire::Frame& f);
     void flush_conn(Conn& c);
-    void send_frame(Conn& c, wire::MsgType t, const std::vector<std::uint8_t>& payload);
+    template <typename M>
+    void send_frame(Conn& c, const M& m);
     void send_error(Conn& c, wire::ErrCode code, const std::string& msg);
     void poison(Conn& c, const std::string& why);
     void drop_conn(std::size_t idx);

@@ -84,7 +84,7 @@ struct PlaceOptions {
     /// Single-valued; see PlaceAlgorithm.
     PlaceAlgorithm algorithm = PlaceAlgorithm::Multilevel;
     /// No effect: place() always runs on the calling thread. Kept so that
-    /// existing callers still compile.
+    /// existing callers still compile; the place stage key ignores it.
     unsigned threads = 0;
     /// B2B model rebuild+solve passes of the coarsest level's full schedule
     /// (finer levels run a fraction of it).

@@ -114,7 +114,7 @@ struct RouterOptions {
     /// calling thread and spawn no thread; any value >= 2 routes (and builds
     /// the RR graph) on a pool of that many workers. The result is
     /// bit-identical for every value, so `threads` only changes wall-clock
-    /// time, never the bitstream.
+    /// time, never the bitstream, and the route stage key ignores it.
     unsigned threads = 0;
     /// Margin (in PLBs) added around a net's terminal bounding box to form
     /// its search region. Grows automatically per net when a sink turns out

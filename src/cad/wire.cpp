@@ -2,10 +2,10 @@
 
 #include <limits>
 #include <string>
+#include <string_view>
 #include <utility>
 
 #include "base/check.hpp"
-#include "cad/flow_service.hpp"
 #include "netlist/truthtable.hpp"
 
 namespace afpga::cad::wire {
@@ -34,15 +34,6 @@ std::string to_string(MsgType t) {
         case MsgType::Error: return "error";
     }
     return "unknown";
-}
-
-std::uint64_t fnv1a64(const std::uint8_t* data, std::size_t n, std::uint64_t seed) {
-    std::uint64_t h = seed;
-    for (std::size_t i = 0; i < n; ++i) {
-        h ^= data[i];
-        h *= 0x100000001b3ull;
-    }
-    return h;
 }
 
 // --- framing ----------------------------------------------------------------
@@ -129,7 +120,7 @@ std::optional<Frame> FrameDecoder::next() {
     return f;
 }
 
-// --- shared payload helpers -------------------------------------------------
+// --- netlist / hints codecs ------------------------------------------------
 
 namespace {
 
@@ -139,27 +130,7 @@ using detail::get_tt;
 using detail::put_netid;
 using detail::put_tt;
 
-/// An int field travels as an i64; a value outside int is corruption, not
-/// something to wrap.
-int get_int(BlobReader& r, const char* field) {
-    const std::int64_t v = r.i64();
-    check(v >= std::numeric_limits<int>::min() && v <= std::numeric_limits<int>::max(),
-          std::string("wire: ") + field + " out of range");
-    return static_cast<int>(v);
-}
-
-void put_bytes(BlobWriter& w, const std::uint8_t* data, std::size_t n) {
-    w.str(std::string_view(reinterpret_cast<const char*>(data), n));
-}
-
-std::vector<std::uint8_t> get_bytes(BlobReader& r) {
-    const std::string s = r.str();
-    return {s.begin(), s.end()};
-}
-
 }  // namespace
-
-// --- netlist / hints / options codecs ---------------------------------------
 
 void encode_netlist(const netlist::Netlist& nl, BlobWriter& w) {
     w.str(nl.name());
@@ -281,449 +252,40 @@ asynclib::MappingHints decode_hints(BlobReader& r) {
     return h;
 }
 
-// Each option codec below is the one place its struct's fields are listed:
-// the wire sends these bytes and the artifact keys hash them
-// (cad/fingerprint.hpp). The sizeof pins make a new knob fail the build
-// until its codec carries it, so client, server and cache cannot drift.
+// --- field-list drivers -----------------------------------------------------
 
-void encode_techmap_options(const TechmapOptions& o, BlobWriter& w) {
-    static_assert(sizeof(TechmapOptions) == 16, "TechmapOptions changed: update its codec");
-    w.boolean(o.use_rail_pair_hints);
-    w.boolean(o.absorb_validity);
-    w.boolean(o.greedy_pairing);
-    w.u64(o.pairing_window);
+void FieldWriter::bytes(const std::vector<std::uint8_t>& v, std::size_t cap, const char* what) {
+    if (v.size() > cap) base::fail(std::string("wire: oversized ") + what);
+    w_.str(std::string_view(reinterpret_cast<const char*>(v.data()), v.size()));
 }
 
-TechmapOptions decode_techmap_options(BlobReader& r) {
-    TechmapOptions o;
-    o.use_rail_pair_hints = r.boolean();
-    o.absorb_validity = r.boolean();
-    o.greedy_pairing = r.boolean();
-    o.pairing_window = static_cast<std::size_t>(r.u64());
-    return o;
+void FieldReader::integer(int& v, const char* name) {
+    // A value outside int is corruption, not something to wrap.
+    const std::int64_t raw = r_.i64();
+    if (raw < std::numeric_limits<int>::min() || raw > std::numeric_limits<int>::max())
+        base::fail(std::string("wire: ") + name + " out of range");
+    v = static_cast<int>(raw);
 }
 
-void encode_pack_options(const PackOptions& o, BlobWriter& w) {
-    static_assert(sizeof(PackOptions) == 1, "PackOptions changed: update its codec");
-    w.boolean(o.affinity_clustering);
+void FieldReader::bytes(std::vector<std::uint8_t>& v, std::size_t cap, const char* what) {
+    const std::string s = r_.str();
+    if (s.size() > cap) base::fail(std::string("wire: oversized ") + what);
+    v.assign(s.begin(), s.end());
 }
 
-PackOptions decode_pack_options(BlobReader& r) {
-    PackOptions o;
-    o.affinity_clustering = r.boolean();
-    return o;
+void check_hint_ids(const SubmitMsg& m) {
+    const std::size_t nn = m.nl.num_nets();
+    for (const auto& [a, b] : m.hints.rail_pairs) {
+        check(a.valid() && a.index() < nn && b.valid() && b.index() < nn,
+              "wire: hint rail pair out of range");
+    }
+    for (netlist::NetId v : m.hints.validity_nets)
+        check(v.valid() && v.index() < nn, "wire: hint validity net out of range");
 }
 
-void encode_place_options(const PlaceOptions& o, BlobWriter& w) {
-    static_assert(sizeof(PlaceOptions) == 72, "PlaceOptions changed: update its codec");
-    w.u64(o.seed);
-    w.f64(o.moves_scale);
-    w.u8(static_cast<std::uint8_t>(o.algorithm));
-    w.u32(o.threads);
-    w.i64(o.solver_passes);
-    w.i64(o.solver_max_iters);
-    w.i64(o.polish_rounds);
-    w.f64(o.solver_tolerance);
-    w.f64(o.anchor_weight);
-    w.f64(o.coarsen_ratio);
-    w.i64(o.min_coarse_nodes);
-    w.i64(o.max_levels);
-}
-
-PlaceOptions decode_place_options(BlobReader& r) {
-    PlaceOptions o;
-    o.seed = r.u64();
-    o.moves_scale = r.f64();
-    // The retired engine tags (0 cold annealer, 1 flat analytical, 2 race)
-    // must not decode.
-    const auto alg = static_cast<PlaceAlgorithm>(r.u8());
-    check(alg == PlaceAlgorithm::Multilevel, "wire: place algorithm out of range");
-    o.algorithm = alg;
-    o.threads = r.u32();
-    o.solver_passes = get_int(r, "place.solver_passes");
-    o.solver_max_iters = get_int(r, "place.solver_max_iters");
-    o.polish_rounds = get_int(r, "place.polish_rounds");
-    o.solver_tolerance = r.f64();
-    o.anchor_weight = r.f64();
-    o.coarsen_ratio = r.f64();
-    o.min_coarse_nodes = get_int(r, "place.min_coarse_nodes");
-    o.max_levels = get_int(r, "place.max_levels");
-    return o;
-}
-
-void encode_router_options(const RouterOptions& o, BlobWriter& w) {
-    static_assert(sizeof(RouterOptions) == 56, "RouterOptions changed: update its codec");
-    w.i64(o.max_iterations);
-    w.f64(o.pres_fac_first);
-    w.f64(o.pres_fac_mult);
-    w.f64(o.hist_fac);
-    w.f64(o.astar_fac);
-    w.i64(o.stall_full_reroute);
-    w.u32(o.threads);
-    w.u32(o.bin_margin);
-    w.u32(o.min_bin_dim);
-}
-
-RouterOptions decode_router_options(BlobReader& r) {
-    RouterOptions o;
-    o.max_iterations = get_int(r, "route.max_iterations");
-    o.pres_fac_first = r.f64();
-    o.pres_fac_mult = r.f64();
-    o.hist_fac = r.f64();
-    o.astar_fac = r.f64();
-    o.stall_full_reroute = get_int(r, "route.stall_full_reroute");
-    o.threads = r.u32();
-    o.bin_margin = r.u32();
-    o.min_bin_dim = r.u32();
-    return o;
-}
-
-void encode_flow_options(const FlowOptions& o, BlobWriter& w) {
-    // prebuilt_rr and artifact_store are plumbing and stay off the wire.
-    static_assert(sizeof(FlowOptions) == 208, "FlowOptions changed: update its codec");
-    w.u64(o.seed);
-    encode_techmap_options(o.techmap, w);
-    encode_pack_options(o.pack, w);
-    encode_place_options(o.place, w);
-    encode_router_options(o.route, w);
-    w.f64(o.pde_extra_margin);
-    w.boolean(o.verify_mapping);
-}
-
-FlowOptions decode_flow_options(BlobReader& r) {
-    FlowOptions o;
-    o.seed = r.u64();
-    o.techmap = decode_techmap_options(r);
-    o.pack = decode_pack_options(r);
-    o.place = decode_place_options(r);
-    o.route = decode_router_options(r);
-    o.pde_extra_margin = r.f64();
-    o.verify_mapping = r.boolean();
-    return o;
-}
-
-// --- message payloads -------------------------------------------------------
-
-namespace {
-
-/// Run `f` over a reader of `p` and require full consumption — every
-/// message decoder shares the cad/serialize "trailing garbage = corrupt"
-/// contract.
-template <typename F>
-auto decode_full(const std::vector<std::uint8_t>& p, F&& f) {
-    BlobReader r(p);
-    auto v = f(r);
-    r.expect_end();
-    return v;
-}
-
-}  // namespace
-
-std::vector<std::uint8_t> encode_payload(const HelloMsg& m) {
-    BlobWriter w;
-    w.str(m.client_name);
-    w.u32(m.protocol);
-    return std::move(w).take();
-}
-
-HelloMsg decode_hello(const std::vector<std::uint8_t>& p) {
-    return decode_full(p, [](BlobReader& r) {
-        HelloMsg m;
-        m.client_name = r.str();
-        m.protocol = r.u32();
-        return m;
-    });
-}
-
-std::vector<std::uint8_t> encode_payload(const HelloOkMsg& m) {
-    BlobWriter w;
-    w.u32(m.lane);
-    w.u32(m.max_pending);
-    w.u32(m.threads);
-    return std::move(w).take();
-}
-
-HelloOkMsg decode_hello_ok(const std::vector<std::uint8_t>& p) {
-    return decode_full(p, [](BlobReader& r) {
-        HelloOkMsg m;
-        m.lane = r.u32();
-        m.max_pending = r.u32();
-        m.threads = r.u32();
-        return m;
-    });
-}
-
-std::vector<std::uint8_t> encode_payload(const SubmitMsg& m) {
-    BlobWriter w;
-    w.str(m.name);
-    w.i64(m.priority);
-    encode_netlist(m.nl, w);
-    encode_hints(m.hints, w);
-    encode_arch(m.arch, w);
-    encode_flow_options(m.opts, w);
-    return std::move(w).take();
-}
-
-SubmitMsg decode_submit(const std::vector<std::uint8_t>& p) {
-    return decode_full(p, [](BlobReader& r) {
-        SubmitMsg m;
-        m.name = r.str();
-        m.priority = get_int(r, "priority");
-        m.nl = decode_netlist(r);
-        m.hints = decode_hints(r);
-        // Hint net ids are meaningless outside the netlist they arrived
-        // with; bound them here so the mapper never indexes out of range.
-        const std::size_t nn = m.nl.num_nets();
-        for (const auto& [a, b] : m.hints.rail_pairs) {
-            check(a.valid() && a.index() < nn && b.valid() && b.index() < nn,
-                  "wire: hint rail pair out of range");
-        }
-        for (netlist::NetId v : m.hints.validity_nets)
-            check(v.valid() && v.index() < nn, "wire: hint validity net out of range");
-        m.arch = decode_arch(r);
-        m.opts = decode_flow_options(r);
-        return m;
-    });
-}
-
-std::vector<std::uint8_t> encode_payload(const SubmitOkMsg& m) {
-    BlobWriter w;
-    w.u64(m.job_id);
-    w.u32(m.queue_depth);
-    return std::move(w).take();
-}
-
-SubmitOkMsg decode_submit_ok(const std::vector<std::uint8_t>& p) {
-    return decode_full(p, [](BlobReader& r) {
-        SubmitOkMsg m;
-        m.job_id = r.u64();
-        m.queue_depth = r.u32();
-        return m;
-    });
-}
-
-std::vector<std::uint8_t> encode_payload(const BusyMsg& m) {
-    BlobWriter w;
-    w.u32(m.queue_depth);
-    w.u32(m.limit);
-    w.u32(m.retry_after_ms);
-    return std::move(w).take();
-}
-
-BusyMsg decode_busy(const std::vector<std::uint8_t>& p) {
-    return decode_full(p, [](BlobReader& r) {
-        BusyMsg m;
-        m.queue_depth = r.u32();
-        m.limit = r.u32();
-        m.retry_after_ms = r.u32();
-        return m;
-    });
-}
-
-std::vector<std::uint8_t> encode_payload(const StatusMsg& m) {
-    BlobWriter w;
-    w.u64(m.job_id);
-    return std::move(w).take();
-}
-
-StatusMsg decode_status(const std::vector<std::uint8_t>& p) {
-    return decode_full(p, [](BlobReader& r) {
-        StatusMsg m;
-        m.job_id = r.u64();
-        return m;
-    });
-}
-
-std::vector<std::uint8_t> encode_payload(const StatusReplyMsg& m) {
-    BlobWriter w;
-    w.u64(m.job_id);
-    w.u8(m.status);
-    w.u64(m.start_seq);
-    w.f64(m.wall_ms);
-    w.f64(m.queue_ms);
-    w.str(m.error);
-    return std::move(w).take();
-}
-
-StatusReplyMsg decode_status_reply(const std::vector<std::uint8_t>& p) {
-    return decode_full(p, [](BlobReader& r) {
-        StatusReplyMsg m;
-        m.job_id = r.u64();
-        m.status = r.u8();
-        check(m.status <= static_cast<std::uint8_t>(FlowJobStatus::Cancelled),
-              "wire: job status out of range");
-        m.start_seq = r.u64();
-        m.wall_ms = r.f64();
-        m.queue_ms = r.f64();
-        m.error = r.str();
-        return m;
-    });
-}
-
-std::vector<std::uint8_t> encode_payload(const WaitMsg& m) {
-    BlobWriter w;
-    w.u64(m.job_id);
-    return std::move(w).take();
-}
-
-WaitMsg decode_wait(const std::vector<std::uint8_t>& p) {
-    return decode_full(p, [](BlobReader& r) {
-        WaitMsg m;
-        m.job_id = r.u64();
-        return m;
-    });
-}
-
-std::vector<std::uint8_t> encode_payload(const ResultBeginMsg& m) {
-    BlobWriter w;
-    w.u64(m.job_id);
-    w.u8(m.status);
-    w.str(m.error);
-    w.f64(m.wall_ms);
-    w.f64(m.queue_ms);
-    w.u64(m.start_seq);
-    w.str(m.telemetry_json);
-    w.u64(m.result_bytes);
-    return std::move(w).take();
-}
-
-ResultBeginMsg decode_result_begin(const std::vector<std::uint8_t>& p) {
-    return decode_full(p, [](BlobReader& r) {
-        ResultBeginMsg m;
-        m.job_id = r.u64();
-        m.status = r.u8();
-        check(m.status <= static_cast<std::uint8_t>(FlowJobStatus::Cancelled),
-              "wire: job status out of range");
-        m.error = r.str();
-        m.wall_ms = r.f64();
-        m.queue_ms = r.f64();
-        m.start_seq = r.u64();
-        m.telemetry_json = r.str();
-        m.result_bytes = r.u64();
-        return m;
-    });
-}
-
-std::vector<std::uint8_t> encode_payload(const ResultChunkMsg& m) {
-    check(m.bytes.size() <= kResultChunkBytes, "wire: oversized result chunk");
-    BlobWriter w;
-    w.u64(m.job_id);
-    w.u64(m.offset);
-    put_bytes(w, m.bytes.data(), m.bytes.size());
-    return std::move(w).take();
-}
-
-ResultChunkMsg decode_result_chunk(const std::vector<std::uint8_t>& p) {
-    return decode_full(p, [](BlobReader& r) {
-        ResultChunkMsg m;
-        m.job_id = r.u64();
-        m.offset = r.u64();
-        m.bytes = get_bytes(r);
-        check(m.bytes.size() <= kResultChunkBytes, "wire: oversized result chunk");
-        return m;
-    });
-}
-
-std::vector<std::uint8_t> encode_payload(const ResultEndMsg& m) {
-    BlobWriter w;
-    w.u64(m.job_id);
-    w.u64(m.checksum);
-    return std::move(w).take();
-}
-
-ResultEndMsg decode_result_end(const std::vector<std::uint8_t>& p) {
-    return decode_full(p, [](BlobReader& r) {
-        ResultEndMsg m;
-        m.job_id = r.u64();
-        m.checksum = r.u64();
-        return m;
-    });
-}
-
-std::vector<std::uint8_t> encode_payload(const CancelMsg& m) {
-    BlobWriter w;
-    w.u64(m.job_id);
-    return std::move(w).take();
-}
-
-CancelMsg decode_cancel(const std::vector<std::uint8_t>& p) {
-    return decode_full(p, [](BlobReader& r) {
-        CancelMsg m;
-        m.job_id = r.u64();
-        return m;
-    });
-}
-
-std::vector<std::uint8_t> encode_payload(const CancelReplyMsg& m) {
-    BlobWriter w;
-    w.u64(m.job_id);
-    w.boolean(m.cancelled);
-    return std::move(w).take();
-}
-
-CancelReplyMsg decode_cancel_reply(const std::vector<std::uint8_t>& p) {
-    return decode_full(p, [](BlobReader& r) {
-        CancelReplyMsg m;
-        m.job_id = r.u64();
-        m.cancelled = r.boolean();
-        return m;
-    });
-}
-
-std::vector<std::uint8_t> encode_payload(const ReportMsg&) { return {}; }
-
-ReportMsg decode_report(const std::vector<std::uint8_t>& p) {
-    return decode_full(p, [](BlobReader&) { return ReportMsg{}; });
-}
-
-std::vector<std::uint8_t> encode_payload(const ReportReplyMsg& m) {
-    BlobWriter w;
-    w.str(m.json);
-    return std::move(w).take();
-}
-
-ReportReplyMsg decode_report_reply(const std::vector<std::uint8_t>& p) {
-    return decode_full(p, [](BlobReader& r) {
-        ReportReplyMsg m;
-        m.json = r.str();
-        return m;
-    });
-}
-
-std::vector<std::uint8_t> encode_payload(const DrainMsg&) { return {}; }
-
-DrainMsg decode_drain(const std::vector<std::uint8_t>& p) {
-    return decode_full(p, [](BlobReader&) { return DrainMsg{}; });
-}
-
-std::vector<std::uint8_t> encode_payload(const DrainOkMsg& m) {
-    BlobWriter w;
-    w.u64(m.jobs_total);
-    return std::move(w).take();
-}
-
-DrainOkMsg decode_drain_ok(const std::vector<std::uint8_t>& p) {
-    return decode_full(p, [](BlobReader& r) {
-        DrainOkMsg m;
-        m.jobs_total = r.u64();
-        return m;
-    });
-}
-
-std::vector<std::uint8_t> encode_payload(const ErrorMsg& m) {
-    BlobWriter w;
-    w.u32(m.code);
-    w.str(m.message);
-    return std::move(w).take();
-}
-
-ErrorMsg decode_error(const std::vector<std::uint8_t>& p) {
-    return decode_full(p, [](BlobReader& r) {
-        ErrorMsg m;
-        m.code = r.u32();
-        m.message = r.str();
-        return m;
-    });
+void expect_type(const Frame& f, MsgType want) {
+    if (f.type != want)
+        base::fail("wire: expected " + to_string(want) + ", got " + to_string(f.type));
 }
 
 }  // namespace afpga::cad::wire

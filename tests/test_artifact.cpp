@@ -189,17 +189,18 @@ TEST(NetlistFingerprint, SinkOrderIsPartOfTheKey) {
 
 // ---------------------------------------------------------------------------
 // Option-struct fingerprints: a stage key hashes its option struct's wire
-// encoding, so every field the codec carries must feed the digest. Each
-// case lists one mutation per field; all resulting fingerprints (plus the
-// default's) must be pairwise distinct. The codec's sizeof pins catch NEW
-// fields at compile time; these tests catch a field the codec skips.
+// field list, so every field the list carries must feed the digest (the
+// place and route keys then zero `threads`, see FlowIgnoresPlumbingFields).
+// Each case lists one mutation per field; all resulting fingerprints (plus
+// the default's) must be pairwise distinct. The field lists' sizeof pins
+// catch NEW fields at compile time; these tests catch a field a list skips.
 // ---------------------------------------------------------------------------
 
 template <typename Opts, typename... Mutators>
-void expect_every_field_counts(void (*encode)(const Opts&, cad::BlobWriter&),
-                               Mutators... mutators) {
+void expect_every_field_counts(Mutators... mutators) {
     auto fingerprint = [&](const Opts& o) {
-        return cad::fingerprint_encoding([&](cad::BlobWriter& w) { encode(o, w); });
+        return cad::fingerprint_encoding(
+            [&](cad::BlobWriter& w) { cad::wire::encode_fields(o, w); });
     };
     std::set<std::uint64_t> seen;
     seen.insert(fingerprint(Opts{}));
@@ -214,7 +215,6 @@ void expect_every_field_counts(void (*encode)(const Opts&, cad::BlobWriter&),
 
 TEST(OptionFingerprint, TechmapEveryFieldCounts) {
     expect_every_field_counts<cad::TechmapOptions>(
-        cad::wire::encode_techmap_options,
         [](auto& o) { o.use_rail_pair_hints = false; },
         [](auto& o) { o.absorb_validity = false; },
         [](auto& o) { o.greedy_pairing = false; },
@@ -223,12 +223,11 @@ TEST(OptionFingerprint, TechmapEveryFieldCounts) {
 
 TEST(OptionFingerprint, PackEveryFieldCounts) {
     expect_every_field_counts<cad::PackOptions>(
-        cad::wire::encode_pack_options, [](auto& o) { o.affinity_clustering = false; });
+        [](auto& o) { o.affinity_clustering = false; });
 }
 
 TEST(OptionFingerprint, PlaceEveryFieldCounts) {
     expect_every_field_counts<cad::PlaceOptions>(
-        cad::wire::encode_place_options,
         [](auto& o) { o.seed = 2; }, [](auto& o) { o.moves_scale = 11.0; },
         // Single-valued, but still hashed: a retired tag must not alias.
         [](auto& o) { o.algorithm = static_cast<cad::PlaceAlgorithm>(0); },
@@ -242,7 +241,6 @@ TEST(OptionFingerprint, PlaceEveryFieldCounts) {
 
 TEST(OptionFingerprint, RouterEveryFieldCounts) {
     expect_every_field_counts<cad::RouterOptions>(
-        cad::wire::encode_router_options,
         [](auto& o) { o.max_iterations = 41; }, [](auto& o) { o.pres_fac_first = 0.7; },
         [](auto& o) { o.pres_fac_mult = 1.8; }, [](auto& o) { o.hist_fac = 1.5; },
         [](auto& o) { o.astar_fac = 0.5; }, [](auto& o) { o.stall_full_reroute = 5; },
@@ -285,9 +283,11 @@ TEST(OptionFingerprint, FlowIgnoresPlumbingFields) {
     const auto base = stage_keys(cad::run_flow(adder.nl, adder.hints, arch, o));
     o.prebuilt_rr = std::make_shared<core::RRGraph>(arch);
     o.artifact_store = std::make_shared<cad::ArtifactStore>();
+    o.place.threads = 3;
+    o.route.threads = 2;
     EXPECT_EQ(base, stage_keys(cad::run_flow(adder.nl, adder.hints, arch, o)))
-        << "prebuilt_rr/artifact_store change where products come from, not what "
-           "they are — they must not invalidate artifacts";
+        << "prebuilt_rr/artifact_store and the thread counts change where or how fast "
+           "products are made, not what they are — they must not invalidate artifacts";
 }
 
 // ---------------------------------------------------------------------------

@@ -96,8 +96,9 @@ void send_all_raw(int fd, const std::vector<std::uint8_t>& bytes) {
     }
 }
 
-void send_frame_raw(int fd, wire::MsgType t, const std::vector<std::uint8_t>& payload) {
-    send_all_raw(fd, wire::encode_frame(t, payload));
+template <typename M>
+void send_frame_raw(int fd, const M& m) {
+    send_all_raw(fd, wire::encode(m));
 }
 
 /// Read until the server closes the connection (it poisons by sending a
@@ -246,7 +247,7 @@ TEST(FlowServer, GarbageBytesPoisonOnlyThatConnection) {
         const int fd = connect_unix_raw(server.unix_path());
         wire::StatusMsg m;
         m.job_id = 0;
-        send_frame_raw(fd, wire::MsgType::Status, wire::encode_payload(m));
+        send_frame_raw(fd, m);
         wire::FrameDecoder dec;
         std::vector<std::uint8_t> reply = drain_until_eof_raw(fd);
         dec.feed(reply);
@@ -355,7 +356,7 @@ TEST(FlowServer, SlowReaderBackpressureBoundsTheOutboundBacklog) {
     wire::FrameDecoder dec;
     wire::HelloMsg hello;
     hello.client_name = "slow_reader";
-    send_frame_raw(fd, wire::MsgType::Hello, wire::encode_payload(hello));
+    send_frame_raw(fd, hello);
     ASSERT_EQ(read_frame_raw(fd, dec).type, wire::MsgType::HelloOk);
 
     wire::SubmitMsg submit;
@@ -364,14 +365,14 @@ TEST(FlowServer, SlowReaderBackpressureBoundsTheOutboundBacklog) {
     submit.hints = adder.hints;
     submit.arch = arch;
     submit.opts.seed = 1;
-    send_frame_raw(fd, wire::MsgType::Submit, wire::encode_payload(submit));
+    send_frame_raw(fd, submit);
     const wire::Frame ok = read_frame_raw(fd, dec);
     ASSERT_EQ(ok.type, wire::MsgType::SubmitOk);
-    const std::uint64_t id = wire::decode_submit_ok(ok.payload).job_id;
+    const std::uint64_t id = wire::decode<wire::SubmitOkMsg>(ok).job_id;
 
     wire::WaitMsg wait;
     wait.job_id = id;
-    send_frame_raw(fd, wire::MsgType::Wait, wire::encode_payload(wait));
+    send_frame_raw(fd, wait);
 
     // Sip the stream: tiny reads with a pause between them, so the kernel
     // buffers fill and the server's own backlog cap has to do the limiting.
@@ -381,21 +382,21 @@ TEST(FlowServer, SlowReaderBackpressureBoundsTheOutboundBacklog) {
         const wire::Frame f = read_frame_raw(fd, dec, /*max_read=*/2048);
         switch (f.type) {
             case wire::MsgType::ResultBegin: {
-                const wire::ResultBeginMsg begin = wire::decode_result_begin(f.payload);
+                const auto begin = wire::decode<wire::ResultBeginMsg>(f);
                 ASSERT_EQ(begin.status, static_cast<std::uint8_t>(cad::FlowJobStatus::Ok))
                     << begin.error;
                 announced = begin.result_bytes;
                 break;
             }
             case wire::MsgType::ResultChunk: {
-                const wire::ResultChunkMsg chunk = wire::decode_result_chunk(f.payload);
+                const auto chunk = wire::decode<wire::ResultChunkMsg>(f);
                 ASSERT_EQ(chunk.offset, blob.size());
                 blob.insert(blob.end(), chunk.bytes.begin(), chunk.bytes.end());
                 std::this_thread::sleep_for(std::chrono::milliseconds(1));
                 break;
             }
             case wire::MsgType::ResultEnd: {
-                const wire::ResultEndMsg end = wire::decode_result_end(f.payload);
+                const auto end = wire::decode<wire::ResultEndMsg>(f);
                 EXPECT_EQ(end.checksum, wire::fnv1a64(blob.data(), blob.size()));
                 done = true;
                 break;
@@ -419,6 +420,46 @@ TEST(FlowServer, SlowReaderBackpressureBoundsTheOutboundBacklog) {
     EXPECT_LE(st.max_outbound_bytes_observed, bound);
     EXPECT_EQ(st.results_streamed, 1u);
     server.stop();
+}
+
+TEST(FlowServer, ClientDoesNotTrustAnAnnouncedResultSize) {
+    // A scripted peer answers Hello, then answers Wait with a ResultBegin
+    // announcing 2^62 bytes and hangs up. The client must fail with
+    // base::Error, not try to reserve the announced size up front.
+    const std::string path = sock_path("announce");
+    ::unlink(path.c_str());
+    sockaddr_un addr{};
+    addr.sun_family = AF_UNIX;
+    std::memcpy(addr.sun_path, path.c_str(), path.size() + 1);
+    const int lfd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+    ASSERT_GE(lfd, 0);
+    ASSERT_EQ(::bind(lfd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)), 0);
+    ASSERT_EQ(::listen(lfd, 1), 0);
+    std::thread peer([lfd] {
+        const int fd = ::accept(lfd, nullptr, nullptr);
+        if (fd < 0) return;
+        try {
+            wire::FrameDecoder dec;
+            (void)wire::decode<wire::HelloMsg>(read_frame_raw(fd, dec));
+            send_frame_raw(fd, wire::HelloOkMsg{});
+            const auto wait = wire::decode<wire::WaitMsg>(read_frame_raw(fd, dec));
+            wire::ResultBeginMsg begin;
+            begin.job_id = wait.job_id;
+            begin.status = static_cast<std::uint8_t>(cad::FlowJobStatus::Ok);
+            begin.result_bytes = std::uint64_t{1} << 62;
+            send_frame_raw(fd, begin);
+        } catch (const base::Error&) {
+            // The client's assertion below reports what went wrong.
+        }
+        ::close(fd);
+    });
+    {
+        cad::FlowClient client = cad::FlowClient::connect_unix(path, "scripted");
+        EXPECT_THROW((void)client.wait(7), base::Error);
+    }
+    peer.join();
+    ::close(lfd);
+    ::unlink(path.c_str());
 }
 
 TEST(FlowServer, BusyBackpressureHonoursTheQueueBound) {

@@ -5,13 +5,17 @@
 // frame as valid (mirroring test_serialize's truncation-at-every-prefix
 // idiom one layer down). The payload codecs — netlist (with handshake
 // feedback cycles and verbatim sink order), hints, flow options and all 18
-// messages — are pinned by re-encode byte identity, and Netlist::from_parts
-// rejects every class of structurally hostile table.
+// messages — are pinned by re-encode byte identity and by recorded payload
+// digests; every message's decoder rejects every truncation and decodes any
+// single-byte mutation either not at all or faithfully; and
+// Netlist::from_parts rejects every class of structurally hostile table.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <map>
 #include <optional>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "asynclib/adders.hpp"
@@ -23,6 +27,20 @@ namespace {
 
 using namespace afpga;
 namespace wire = cad::wire;
+
+/// The payload bytes of `v`'s field list.
+template <typename T>
+std::vector<std::uint8_t> payload_of(const T& v) {
+    cad::BlobWriter w;
+    wire::encode_fields(v, w);
+    return std::move(w).take();
+}
+
+/// Decode `payload` as a message of type `M`.
+template <typename M>
+M decode_payload(const std::vector<std::uint8_t>& payload) {
+    return wire::decode<M>(wire::Frame{M::kType, payload});
+}
 
 // ---------------------------------------------------------------------------
 // Framing
@@ -36,7 +54,7 @@ std::vector<std::uint8_t> demo_payload() {
     m.wall_ms = 12.5;
     m.queue_ms = 0.25;
     m.error = "none";
-    return wire::encode_payload(m);
+    return payload_of(m);
 }
 
 TEST(WireFrame, RoundTripsWholeAndByteAtATime) {
@@ -75,21 +93,20 @@ TEST(WireFrame, BackToBackFramesComeOutInOrder) {
     for (std::uint64_t id = 0; id < 5; ++id) {
         wire::StatusMsg m;
         m.job_id = id;
-        const auto frame = wire::encode_frame(wire::MsgType::Status, wire::encode_payload(m));
+        const auto frame = wire::encode(m);
         stream.insert(stream.end(), frame.begin(), frame.end());
     }
     dec.feed(stream);
     for (std::uint64_t id = 0; id < 5; ++id) {
         const auto f = dec.next();
         ASSERT_TRUE(f.has_value()) << id;
-        EXPECT_EQ(wire::decode_status(f->payload).job_id, id);
+        EXPECT_EQ(wire::decode<wire::StatusMsg>(*f).job_id, id);
     }
     EXPECT_TRUE(dec.idle());
 }
 
 TEST(WireFrame, EmptyPayloadFrames) {
-    const auto frame = wire::encode_frame(wire::MsgType::Drain,
-                                          wire::encode_payload(wire::DrainMsg{}));
+    const auto frame = wire::encode(wire::DrainMsg{});
     wire::FrameDecoder dec;
     dec.feed(frame);
     const auto f = dec.next();
@@ -214,7 +231,7 @@ TEST(WireFrame, Fnv1a64IsSensitiveToEveryByte) {
 TEST(WireFrame, OversizedEncodeThrows) {
     wire::ResultChunkMsg chunk;
     chunk.bytes.assign(wire::kResultChunkBytes + 1, 0);
-    EXPECT_THROW((void)wire::encode_payload(chunk), base::Error);
+    EXPECT_THROW((void)wire::encode(chunk), base::Error);
 }
 
 // ---------------------------------------------------------------------------
@@ -279,17 +296,17 @@ TEST(WireCodec, FlowOptionsRoundTripNonDefaults) {
     o.route.max_iterations = 17;
 
     cad::BlobWriter w;
-    wire::encode_flow_options(o, w);
+    wire::encode_fields(o, w);
     const std::vector<std::uint8_t> bytes = std::move(w).take();
     cad::BlobReader r(bytes);
-    const cad::FlowOptions back = wire::decode_flow_options(r);
+    const auto back = wire::decode_fields<cad::FlowOptions>(r);
     r.expect_end();
     EXPECT_EQ(back.seed, o.seed);
     EXPECT_EQ(back.place.algorithm, o.place.algorithm);
     EXPECT_EQ(back.place.moves_scale, o.place.moves_scale);
     EXPECT_EQ(back.route.max_iterations, o.route.max_iterations);
     cad::BlobWriter w2;
-    wire::encode_flow_options(back, w2);
+    wire::encode_fields(back, w2);
     EXPECT_EQ(std::move(w2).take(), bytes);
 }
 
@@ -300,14 +317,15 @@ TEST(WireCodec, FlowOptionsRejectRetiredPlaceAlgorithm) {
         cad::FlowOptions o;
         o.place.algorithm = static_cast<cad::PlaceAlgorithm>(tag);
         cad::BlobWriter w;
-        wire::encode_flow_options(o, w);
+        wire::encode_fields(o, w);
         const std::vector<std::uint8_t> bytes = std::move(w).take();
         cad::BlobReader r(bytes);
         if (tag == 3)
-            EXPECT_EQ(wire::decode_flow_options(r).place.algorithm,
+            EXPECT_EQ(wire::decode_fields<cad::FlowOptions>(r).place.algorithm,
                       cad::PlaceAlgorithm::Multilevel);
         else
-            EXPECT_THROW((void)wire::decode_flow_options(r), base::Error) << int{tag};
+            EXPECT_THROW((void)wire::decode_fields<cad::FlowOptions>(r), base::Error)
+                << int{tag};
     }
 }
 
@@ -347,11 +365,12 @@ TEST(WireCodec, IntFieldsThatDoNotFitIntThrowInsteadOfWrapping) {
     for (std::size_t k = 0; k < std::size(ints); ++k)
         *ints[k] = sentinel + static_cast<std::int32_t>(k);
     cad::BlobWriter w;
-    wire::encode_flow_options(o, w);
+    wire::encode_fields(o, w);
     const std::vector<std::uint8_t> bytes = std::move(w).take();
     {
         cad::BlobReader r(bytes);
-        EXPECT_EQ(wire::decode_flow_options(r).route.stall_full_reroute, sentinel + 6);
+        EXPECT_EQ(wire::decode_fields<cad::FlowOptions>(r).route.stall_full_reroute,
+                  sentinel + 6);
     }
     for (std::size_t k = 0; k < std::size(ints); ++k) {
         const std::size_t at = find_unique_i64(bytes, static_cast<std::uint64_t>(sentinel) + k);
@@ -359,7 +378,7 @@ TEST(WireCodec, IntFieldsThatDoNotFitIntThrowInsteadOfWrapping) {
         for (const std::uint32_t high : {1u, 0xFFFFFFFFu}) {
             const std::vector<std::uint8_t> bad = with_high_word(bytes, at, high);
             cad::BlobReader r(bad);
-            EXPECT_THROW((void)wire::decode_flow_options(r), base::Error)
+            EXPECT_THROW((void)wire::decode_fields<cad::FlowOptions>(r), base::Error)
                 << "field " << k << " high word 0x" << std::hex << high;
         }
     }
@@ -369,32 +388,29 @@ TEST(WireCodec, IntFieldsThatDoNotFitIntThrowInsteadOfWrapping) {
     m.name = "priority";
     m.priority = sentinel;
     m.nl = asynclib::make_qdi_adder(1).nl;
-    const std::vector<std::uint8_t> submit = wire::encode_payload(m);
-    EXPECT_EQ(wire::decode_submit(submit).priority, sentinel);
+    const std::vector<std::uint8_t> submit = payload_of(m);
+    EXPECT_EQ(decode_payload<wire::SubmitMsg>(submit).priority, sentinel);
     const std::size_t at = find_unique_i64(submit, static_cast<std::uint64_t>(sentinel));
     ASSERT_LT(at, submit.size());
     for (const std::uint32_t high : {1u, 0xFFFFFFFFu})
-        EXPECT_THROW((void)wire::decode_submit(with_high_word(submit, at, high)), base::Error)
+        EXPECT_THROW((void)decode_payload<wire::SubmitMsg>(with_high_word(submit, at, high)),
+                     base::Error)
             << "high word 0x" << std::hex << high;
 }
 
-template <typename Msg, typename Decode>
-void expect_msg_roundtrip(const Msg& m, Decode decode, const char* what) {
-    const std::vector<std::uint8_t> bytes = wire::encode_payload(m);
-    const Msg back = decode(bytes);
-    EXPECT_EQ(wire::encode_payload(back), bytes) << what;
-}
-
-TEST(WireCodec, EveryMessageRoundTrips) {
+/// Calls `f(message, name)` once for each of the 18 messages, each with
+/// non-default field values.
+template <typename F>
+void for_each_sample_message(F&& f) {
     wire::HelloMsg hello;
     hello.client_name = "soak_client";
-    expect_msg_roundtrip(hello, wire::decode_hello, "hello");
+    f(hello, "hello");
 
     wire::HelloOkMsg hello_ok;
     hello_ok.lane = 3;
     hello_ok.max_pending = 64;
     hello_ok.threads = 4;
-    expect_msg_roundtrip(hello_ok, wire::decode_hello_ok, "hello_ok");
+    f(hello_ok, "hello_ok");
 
     auto adder = asynclib::make_qdi_adder(2);
     wire::SubmitMsg submit;
@@ -405,22 +421,22 @@ TEST(WireCodec, EveryMessageRoundTrips) {
     submit.arch.width = submit.arch.height = 10;
     submit.arch.channel_width = 12;
     submit.opts.seed = 5;
-    expect_msg_roundtrip(submit, wire::decode_submit, "submit");
+    f(submit, "submit");
 
     wire::SubmitOkMsg submit_ok;
     submit_ok.job_id = 9;
     submit_ok.queue_depth = 2;
-    expect_msg_roundtrip(submit_ok, wire::decode_submit_ok, "submit_ok");
+    f(submit_ok, "submit_ok");
 
     wire::BusyMsg busy;
     busy.queue_depth = 64;
     busy.limit = 64;
     busy.retry_after_ms = 25;
-    expect_msg_roundtrip(busy, wire::decode_busy, "busy");
+    f(busy, "busy");
 
     wire::StatusMsg status;
     status.job_id = 11;
-    expect_msg_roundtrip(status, wire::decode_status, "status");
+    f(status, "status");
 
     wire::StatusReplyMsg reply;
     reply.job_id = 11;
@@ -429,11 +445,11 @@ TEST(WireCodec, EveryMessageRoundTrips) {
     reply.wall_ms = 1.5;
     reply.queue_ms = 2.5;
     reply.error = "boom";
-    expect_msg_roundtrip(reply, wire::decode_status_reply, "status_reply");
+    f(reply, "status_reply");
 
     wire::WaitMsg wait;
     wait.job_id = 12;
-    expect_msg_roundtrip(wait, wire::decode_wait, "wait");
+    f(wait, "wait");
 
     wire::ResultBeginMsg begin;
     begin.job_id = 12;
@@ -443,44 +459,114 @@ TEST(WireCodec, EveryMessageRoundTrips) {
     begin.start_seq = 6;
     begin.telemetry_json = "{\"stages\":[]}";
     begin.result_bytes = 123;
-    expect_msg_roundtrip(begin, wire::decode_result_begin, "result_begin");
+    f(begin, "result_begin");
 
     wire::ResultChunkMsg chunk;
     chunk.job_id = 12;
     chunk.offset = 64;
     chunk.bytes = {1, 2, 3, 4, 5};
-    expect_msg_roundtrip(chunk, wire::decode_result_chunk, "result_chunk");
+    f(chunk, "result_chunk");
 
     wire::ResultEndMsg end;
     end.job_id = 12;
     end.checksum = 0xfeedfacefeedfaceull;
-    expect_msg_roundtrip(end, wire::decode_result_end, "result_end");
+    f(end, "result_end");
 
     wire::CancelMsg cancel;
     cancel.job_id = 13;
-    expect_msg_roundtrip(cancel, wire::decode_cancel, "cancel");
+    f(cancel, "cancel");
 
     wire::CancelReplyMsg cancel_reply;
     cancel_reply.job_id = 13;
     cancel_reply.cancelled = true;
-    expect_msg_roundtrip(cancel_reply, wire::decode_cancel_reply, "cancel_reply");
+    f(cancel_reply, "cancel_reply");
 
-    expect_msg_roundtrip(wire::ReportMsg{}, wire::decode_report, "report");
+    f(wire::ReportMsg{}, "report");
 
     wire::ReportReplyMsg report_reply;
     report_reply.json = "{\"jobs_total\":1}";
-    expect_msg_roundtrip(report_reply, wire::decode_report_reply, "report_reply");
+    f(report_reply, "report_reply");
 
-    expect_msg_roundtrip(wire::DrainMsg{}, wire::decode_drain, "drain");
+    f(wire::DrainMsg{}, "drain");
 
     wire::DrainOkMsg drain_ok;
     drain_ok.jobs_total = 17;
-    expect_msg_roundtrip(drain_ok, wire::decode_drain_ok, "drain_ok");
+    f(drain_ok, "drain_ok");
 
     wire::ErrorMsg err;
     err.code = static_cast<std::uint32_t>(wire::ErrCode::Draining);
     err.message = "server is draining";
-    expect_msg_roundtrip(err, wire::decode_error, "error");
+    f(err, "error");
+}
+
+TEST(WireCodec, EveryMessageRoundTrips) {
+    std::size_t n = 0;
+    for_each_sample_message([&](const auto& m, const char* what) {
+        const std::vector<std::uint8_t> bytes = payload_of(m);
+        const auto back = decode_payload<std::decay_t<decltype(m)>>(bytes);
+        EXPECT_EQ(payload_of(back), bytes) << what;
+        ++n;
+    });
+    EXPECT_EQ(n, 18u);
+}
+
+/// The non-default FlowOptions of FlowOptionsRoundTripNonDefaults.
+cad::FlowOptions sample_flow_options() {
+    cad::FlowOptions o;
+    o.seed = 99;
+    o.pde_extra_margin = 0.75;
+    o.techmap.pairing_window = 5;
+    o.pack.affinity_clustering = false;
+    o.place.algorithm = cad::PlaceAlgorithm::Multilevel;
+    o.place.threads = 3;
+    o.place.moves_scale = 0.123;
+    o.route.astar_fac = 0.0;
+    o.route.threads = 2;
+    o.route.max_iterations = 17;
+    return o;
+}
+
+TEST(WireCodec, PayloadBytesArePinned) {
+    // The payload bytes are the wire format and, for the option structs,
+    // the artifact-key inputs: a codec change that keeps encoder and
+    // decoder in step still fails here. Each pin is (length, fnv1a64).
+    struct Pin {
+        std::size_t size;
+        std::uint64_t digest;
+    };
+    const std::map<std::string, Pin> pins = {
+        {"hello", {23, 0x015e159c96ffbd35ull}},
+        {"hello_ok", {12, 0x8872469bdada3342ull}},
+        {"submit", {4628, 0xad52f645035bc1d9ull}},
+        {"submit_ok", {12, 0x4935a24d451f6a8eull}},
+        {"busy", {12, 0xc37fcff34b450a1cull}},
+        {"status", {8, 0xbf98f7838a83d4eeull}},
+        {"status_reply", {45, 0xeda1df49499cd9f1ull}},
+        {"wait", {8, 0x24b3145653d76249ull}},
+        {"result_begin", {70, 0x0d0062491bdf2d05ull}},
+        {"result_chunk", {29, 0xcae399f683dc799full}},
+        {"result_end", {16, 0xd581d411c9a42e49ull}},
+        {"cancel", {8, 0x05b84d4d48e81828ull}},
+        {"cancel_reply", {9, 0xa0438352e2610dabull}},
+        {"report", {0, 0xcbf29ce484222325ull}},
+        {"report_reply", {24, 0x78a68de35b293323ull}},
+        {"drain", {0, 0xcbf29ce484222325ull}},
+        {"drain_ok", {8, 0x7979a1b9cc1f91b4ull}},
+        {"error", {30, 0xe91f875fa7dd4a61ull}},
+        {"flow_options", {174, 0x0fcaa1e9a167edb3ull}},
+        {"flow_options_default", {174, 0x158c15658ddd7170ull}},
+    };
+    auto expect_pinned = [&](const std::vector<std::uint8_t>& bytes, const std::string& what) {
+        const auto it = pins.find(what);
+        ASSERT_NE(it, pins.end()) << what;
+        EXPECT_EQ(bytes.size(), it->second.size) << what;
+        EXPECT_EQ(wire::fnv1a64(bytes.data(), bytes.size()), it->second.digest)
+            << what << ": 0x" << std::hex << wire::fnv1a64(bytes.data(), bytes.size());
+    };
+    for_each_sample_message(
+        [&](const auto& m, const char* what) { expect_pinned(payload_of(m), what); });
+    expect_pinned(payload_of(sample_flow_options()), "flow_options");
+    expect_pinned(payload_of(cad::FlowOptions{}), "flow_options_default");
 }
 
 TEST(WireCodec, SubmitDecoderValidatesHintNetIds) {
@@ -490,28 +576,71 @@ TEST(WireCodec, SubmitDecoderValidatesHintNetIds) {
     m.nl = adder.nl;
     m.hints.validity_nets.push_back(
         netlist::NetId{static_cast<std::uint32_t>(adder.nl.num_nets())});  // out of range
-    EXPECT_THROW((void)wire::decode_submit(wire::encode_payload(m)), base::Error);
+    EXPECT_THROW((void)decode_payload<wire::SubmitMsg>(payload_of(m)), base::Error);
 }
 
 TEST(WireCodec, TruncatedPayloadsThrowAtEveryPrefix) {
-    // The serialize-suite idiom one layer up: every strict prefix of a
-    // Submit payload must throw (or, for prefixes that happen to parse,
-    // fail expect_end inside the decoder) — never crash or accept.
-    auto adder = asynclib::make_qdi_adder(2);
-    wire::SubmitMsg m;
-    m.name = "trunc";
-    m.nl = adder.nl;
-    m.hints = adder.hints;
-    const std::vector<std::uint8_t> bytes = wire::encode_payload(m);
-    // Step through prefixes; byte-exact stepping is quadratic in the blob
-    // size, so stride the long middle and always hit the last 64 edges.
-    const std::size_t stride = bytes.size() > 2048 ? 7 : 1;
-    for (std::size_t cut = 0; cut < bytes.size();
-         cut += (cut + 64 >= bytes.size() ? 1 : stride)) {
-        const std::vector<std::uint8_t> prefix(
-            bytes.begin(), bytes.begin() + static_cast<std::ptrdiff_t>(cut));
-        EXPECT_THROW((void)wire::decode_submit(prefix), base::Error) << "cut " << cut;
-    }
+    // The serialize-suite idiom one layer up, for every message: each
+    // strict prefix must throw (a prefix that happens to parse fails the
+    // decoder's expect_end) — never crash or accept.
+    for_each_sample_message([](const auto& m, const char* what) {
+        using M = std::decay_t<decltype(m)>;
+        const std::vector<std::uint8_t> bytes = payload_of(m);
+        // Byte-exact stepping is quadratic in the payload size, so stride
+        // the long middle of the Submit payload and always hit the last 64.
+        const std::size_t stride = bytes.size() > 2048 ? 7 : 1;
+        for (std::size_t cut = 0; cut < bytes.size();
+             cut += (cut + 64 >= bytes.size() ? 1 : stride)) {
+            const std::vector<std::uint8_t> prefix(
+                bytes.begin(), bytes.begin() + static_cast<std::ptrdiff_t>(cut));
+            EXPECT_THROW((void)decode_payload<M>(prefix), base::Error) << what << " cut " << cut;
+        }
+    });
+}
+
+TEST(WireCodec, SingleByteMutationsThrowOrDecodeFaithfully) {
+    // Every byte of every message payload, set to 0xFF or with its low bit
+    // flipped: the decoder either rejects the bytes or decodes exactly what
+    // they say. Payload corruption the frame checksum missed can then never
+    // turn into a crash or a silently different request.
+    std::size_t threw = 0;
+    std::size_t decoded = 0;
+    for_each_sample_message([&](const auto& m, const char* what) {
+        using M = std::decay_t<decltype(m)>;
+        const std::vector<std::uint8_t> bytes = payload_of(m);
+        for (std::size_t at = 0; at < bytes.size(); ++at) {
+            for (const bool set_ff : {true, false}) {
+                std::vector<std::uint8_t> mut = bytes;
+                mut[at] = set_ff ? std::uint8_t{0xFF} : static_cast<std::uint8_t>(mut[at] ^ 0x01);
+                if (mut == bytes) continue;  // the byte was already 0xFF
+                try {
+                    // A decoded value re-encodes to exactly the mutated
+                    // bytes, so never to the sample's own.
+                    EXPECT_EQ(payload_of(decode_payload<M>(mut)), mut)
+                        << what << ": " << (set_ff ? "0xFF" : "xor 1") << " at " << at;
+                    ++decoded;
+                } catch (const base::Error&) {
+                    ++threw;
+                }
+            }
+        }
+    });
+    // Both outcomes occur: length prefixes and checked tags reject, plain
+    // numbers decode as the numbers they now spell.
+    EXPECT_GT(threw, 0u);
+    EXPECT_GT(decoded, 0u);
+}
+
+TEST(WireCodec, DecodeChecksTheFrameType) {
+    wire::StatusMsg status;
+    status.job_id = 4;
+    // Wait and Status share a field list, but a Status frame is not a Wait.
+    wire::Frame f{wire::MsgType::Status, payload_of(status)};
+    EXPECT_EQ(wire::decode<wire::StatusMsg>(f).job_id, 4u);
+    EXPECT_THROW((void)wire::decode<wire::WaitMsg>(f), base::Error);
+    // Trailing bytes are corruption, not padding.
+    f.payload.push_back(0);
+    EXPECT_THROW((void)wire::decode<wire::StatusMsg>(f), base::Error);
 }
 
 // ---------------------------------------------------------------------------
