@@ -1,5 +1,7 @@
 #include "cad/artifact.hpp"
 
+#include <unistd.h>
+
 #include <algorithm>
 #include <atomic>
 #include <chrono>
@@ -197,14 +199,13 @@ std::optional<std::vector<std::uint8_t>> ArtifactStore::disk_read(ArtifactKey ke
 
 void ArtifactStore::disk_write(ArtifactKey key, std::uint32_t type_id,
                                const std::vector<std::uint8_t>& payload) const {
-    // Unique-enough temp name per process and call: concurrent writers of
-    // one key (in this process or another) each rename a complete file
-    // into place, so readers never observe a torn blob.
+    // A temp name unique per process (the pid) and per call (the counter):
+    // concurrent writers of one key, in this process or another, each
+    // rename a complete file into place, so readers never see a torn blob.
     static std::atomic<std::uint64_t> temp_counter{0};
     const std::string path = blob_path(key);
-    const std::string temp = path + ".tmp." +
-                             std::to_string(reinterpret_cast<std::uintptr_t>(&temp_counter)) +
-                             "." + std::to_string(temp_counter.fetch_add(1));
+    const std::string temp = path + ".tmp." + std::to_string(::getpid()) + "." +
+                             std::to_string(temp_counter.fetch_add(1));
 
     std::uint8_t header[kHeaderBytes] = {};
     put_le32(header, kDiskMagic);

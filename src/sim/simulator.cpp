@@ -1,5 +1,6 @@
 #include "sim/simulator.hpp"
 
+#include <algorithm>
 #include <bit>
 #include <span>
 
@@ -123,6 +124,10 @@ Simulator::Simulator(const Netlist& nl, InitState init) : nl_(nl) {
             sinks_.push_back(Sink{0, cells_[s.cell.index()].first_pin + s.pin});
         sink_begin_.push_back(static_cast<std::uint32_t>(sinks_.size()));
     }
+    // Groups are built by the first commit, after the caller's delays.
+    net_groups_.resize(n_nets);
+    groups_.push_back(SinkGroup{0, 0});
+    for (std::size_t n = 0; n < n_nets; ++n) stale_nets_.push_back(static_cast<std::uint32_t>(n));
 
     // Settle the initial state: every cell whose output disagrees with the
     // init value fires at t=0 (e.g. inverters rise out of the all-zero state).
@@ -157,6 +162,7 @@ void Simulator::set_sink_delay(NetId net, std::size_t sink_idx, std::int64_t del
     check(sink_idx < sink_begin_[net.index() + 1] - first, "set_sink_delay: bad sink");
     check(delay_ps >= 0, "set_sink_delay: negative delay");
     sinks_[first + sink_idx].delay_ps = delay_ps;
+    stale_nets_.push_back(static_cast<std::uint32_t>(net.index()));
 }
 
 void Simulator::set_net_delay(NetId net, std::int64_t delay_ps) {
@@ -164,6 +170,42 @@ void Simulator::set_net_delay(NetId net, std::int64_t delay_ps) {
     check(delay_ps >= 0, "set_net_delay: negative delay");
     for (std::size_t s = sink_begin_[net.index()]; s < sink_begin_[net.index() + 1]; ++s)
         sinks_[s].delay_ps = delay_ps;
+    stale_nets_.push_back(static_cast<std::uint32_t>(net.index()));
+}
+
+void Simulator::regroup() {
+    groups_.pop_back();  // the sentinel
+    if (queue_.empty()) {
+        // No event names a group: rebuild every net, dropping the groups
+        // that earlier regroups left behind.
+        groups_.clear();
+        group_pins_.clear();
+        for (std::uint32_t n = 0; n < net_groups_.size(); ++n) append_groups(n);
+    } else {
+        std::ranges::sort(stale_nets_);
+        const auto dup = std::ranges::unique(stale_nets_);
+        stale_nets_.erase(dup.begin(), dup.end());
+        for (const std::uint32_t n : stale_nets_) append_groups(n);
+    }
+    stale_nets_.clear();
+    groups_.push_back(SinkGroup{0, static_cast<std::uint32_t>(group_pins_.size())});
+}
+
+void Simulator::append_groups(std::uint32_t net) {
+    // Sorting (delay, sink index) pairs is a stable sort by delay: each
+    // group keeps its pins in sink order.
+    sorted_sinks_.clear();
+    for (std::uint32_t s = sink_begin_[net]; s < sink_begin_[net + 1]; ++s)
+        sorted_sinks_.emplace_back(sinks_[s].delay_ps, s);
+    std::ranges::sort(sorted_sinks_);
+    GroupRange& range = net_groups_[net];
+    range.begin = static_cast<std::uint32_t>(groups_.size());
+    for (const auto& [delay_ps, s] : sorted_sinks_) {
+        if (groups_.size() == range.begin || groups_.back().delay_ps != delay_ps)
+            groups_.push_back(SinkGroup{delay_ps, static_cast<std::uint32_t>(group_pins_.size())});
+        group_pins_.push_back(sinks_[s].pin);
+    }
+    range.end = static_cast<std::uint32_t>(groups_.size());
 }
 
 void Simulator::schedule_commit(std::uint32_t net, Logic v, std::int64_t at) {
@@ -197,12 +239,30 @@ void Simulator::evaluate_cell(std::uint32_t cell) {
 
 void Simulator::commit_net(std::uint32_t net, Logic v) {
     if (net_value_[net] == v) return;
+    if (!stale_nets_.empty()) regroup();
     net_value_[net] = v;
     ++transitions_[net];
-    for (std::uint32_t s = sink_begin_[net]; s < sink_begin_[net + 1]; ++s)
-        push(now_ + sinks_[s].delay_ps, sinks_[s].pin, v, Kind::PinUpdate);
+    // One event per group. The pushes take consecutive seqs, so sinks with
+    // one delay are adjacent in (time, seq) order wherever they sit in sink
+    // order: one event walking them replays the per-pin order exactly.
+    const GroupRange range = net_groups_[net];
+    for (std::uint32_t g = range.begin; g < range.end; ++g)
+        push(now_ + groups_[g].delay_ps, g, v, Kind::PinUpdate);
     if (has_callback_[net] != 0)
         for (const auto& cb : callbacks_[net]) cb(v, now_);
+}
+
+void Simulator::update_pin(std::uint32_t pin, Logic v) {
+    const Logic old = pin_value_[pin];
+    if (old == v) return;
+    pin_value_[pin] = v;
+    const std::uint32_t cell = pin_cell_[pin];
+    CompiledCell& c = cells_[cell];
+    const std::uint32_t bit = std::uint32_t{1} << (pin - c.first_pin);
+    if (old == Logic::X) --c.x_inputs;
+    if (v == Logic::X) ++c.x_inputs;
+    c.known_row = v == Logic::T ? c.known_row | bit : c.known_row & ~bit;
+    evaluate_cell(cell);
 }
 
 RunResult Simulator::run(std::int64_t max_time_ps) {
@@ -220,26 +280,19 @@ RunResult Simulator::run_until(NetId net, Logic v, std::int64_t max_time_ps) {
     while (!queue_.empty()) {
         const Event ev = queue_.front(now_);
         if (ev.time > max_time_ps) break;
-        queue_.pop_front();
         if (processed >= event_budget_) {
             res.budget_exceeded = true;
             break;
         }
+        queue_.pop_front();
         now_ = ev.time;
         ++processed;
         ++total_events_;
         if (ev.kind == Kind::PinUpdate) {
-            const std::uint32_t pin = ev.target;
-            const Logic old = pin_value_[pin];
-            if (old == ev.value) continue;
-            pin_value_[pin] = ev.value;
-            const std::uint32_t cell = pin_cell_[pin];
-            CompiledCell& c = cells_[cell];
-            const std::uint32_t bit = std::uint32_t{1} << (pin - c.first_pin);
-            if (old == Logic::X) --c.x_inputs;
-            if (ev.value == Logic::X) ++c.x_inputs;
-            c.known_row = ev.value == Logic::T ? c.known_row | bit : c.known_row & ~bit;
-            evaluate_cell(cell);
+            // Groups change only in commit_net, never while one is walked.
+            const std::uint32_t end = groups_[ev.target + 1].first;
+            for (std::uint32_t p = groups_[ev.target].first; p < end; ++p)
+                update_pin(group_pins_[p], ev.value);
             continue;
         }
         if (ev.kind == Kind::InertialCommit) {

@@ -11,7 +11,9 @@
 //    programmable delay line does);
 //  - per-sink extra wire delays model routing: a net commit is seen by each
 //    sink pin after its own annotated delay (this is how post-route timing
-//    and deliberately broken isochronic forks are injected);
+//    and deliberately broken isochronic forks are injected). The sinks of a
+//    net that share a delay form one sink group, and a commit queues one
+//    event per group, which updates the group's pins in sink order;
 //  - primary inputs change only via schedule_pi();
 //  - observers can register commit callbacks per net (channel sources/sinks,
 //    protocol monitors, VCD tracing are all built on this hook).
@@ -27,6 +29,7 @@
 #include <limits>
 #include <queue>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "netlist/netlist.hpp"
@@ -47,7 +50,10 @@ enum class InitState : std::uint8_t {
 /// Simulation outcome of a run_* call.
 struct RunResult {
     std::int64_t end_time_ps = 0;   ///< time of the last processed event
-    std::uint64_t events = 0;       ///< events processed during this call
+    /// Queue events processed during this call: a net commit, or the arrival
+    /// of one commit at one sink group (all sinks of the net with one wire
+    /// delay), which counts once however many pins it updates.
+    std::uint64_t events = 0;
     bool quiescent = false;         ///< event queue drained
     bool budget_exceeded = false;   ///< stopped by the event budget (oscillation guard)
 };
@@ -67,7 +73,8 @@ public:
 
     /// Extra wire delay from `net`'s driver to sink pin index `sink_idx`
     /// (index into Netlist net sinks). Cumulative with the cell delay of the
-    /// sink's evaluation.
+    /// sink's evaluation. Applies to the net's later commits; updates already
+    /// queued keep the delay they were sent with.
     void set_sink_delay(NetId net, std::size_t sink_idx, std::int64_t delay_ps);
     /// Same extra delay for every sink of `net`.
     void set_net_delay(NetId net, std::int64_t delay_ps);
@@ -87,14 +94,17 @@ public:
 
     /// Total committed transitions per net since construction.
     [[nodiscard]] std::uint64_t transitions(NetId net) const;
+    /// Queue events processed since construction, counted as RunResult::events.
     [[nodiscard]] std::uint64_t total_events() const noexcept { return total_events_; }
 
-    /// Oscillation guard: maximum events per run() call (default 20M).
+    /// Oscillation guard: maximum queue events per run() call (default 20M),
+    /// counted as RunResult::events, so a sink group's arrival counts once.
+    /// A run that hits it stops with the next event still queued.
     void set_event_budget(std::uint64_t budget) noexcept { event_budget_ = budget; }
 
 private:
     enum class Kind : std::uint8_t {
-        PinUpdate,       ///< target is a global pin index
+        PinUpdate,       ///< target is a sink group; updates its pins in sink order
         Commit,          ///< target is a net; transport, always applies
         InertialCommit,  ///< target is a net; live iff pending_stamp_ == seq + 1
     };
@@ -170,8 +180,22 @@ private:
         std::int64_t delay_ps;
         std::uint32_t pin;
     };
+    /// The sinks of one net that share a wire delay. Group g's pins, in sink
+    /// order, are group_pins_[groups_[g].first, groups_[g + 1].first).
+    struct SinkGroup {
+        std::int64_t delay_ps;
+        std::uint32_t first;
+    };
+    /// A net's groups: groups_[begin, end).
+    struct GroupRange {
+        std::uint32_t begin = 0;
+        std::uint32_t end = 0;
+    };
 
+    void regroup();
+    void append_groups(std::uint32_t net);
     void commit_net(std::uint32_t net, Logic v);
+    void update_pin(std::uint32_t pin, Logic v);
     void evaluate_cell(std::uint32_t cell);
     void schedule_commit(std::uint32_t net, Logic v, std::int64_t at);
     void push(std::int64_t at, std::uint32_t target, Logic v, Kind kind);
@@ -186,7 +210,18 @@ private:
     std::vector<std::uint32_t> pin_cell_;    ///< global pin -> owning cell
     std::vector<Logic> pin_value_;           ///< flattened cell input pins
     std::vector<std::uint32_t> sink_begin_;  ///< net -> first entry in sinks_ (CSR)
-    std::vector<Sink> sinks_;
+    std::vector<Sink> sinks_;                ///< the delays as set; groups derive from them
+    // Sink groups, rebuilt by the next commit for the nets in stale_nets_
+    // (which may repeat). A queued PinUpdate names a group, so groups are
+    // only appended while events are pending (a regrouped net gets new ids,
+    // the old ones keep their members and delay); a regroup with the queue
+    // empty compacts. groups_ ends with a sentinel whose `first` closes the
+    // last group.
+    std::vector<SinkGroup> groups_;
+    std::vector<std::uint32_t> group_pins_;
+    std::vector<GroupRange> net_groups_;
+    std::vector<std::uint32_t> stale_nets_;
+    std::vector<std::pair<std::int64_t, std::uint32_t>> sorted_sinks_;  ///< (delay, sink)
     std::vector<Logic> net_value_;
     // Pending inertial commit per net: seq + 1 of the live scheduled event.
     std::vector<std::uint64_t> pending_stamp_;
