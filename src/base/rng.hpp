@@ -60,13 +60,16 @@ public:
 
     /// Uniform integer in [0, bound). bound must be > 0.
     std::uint64_t below(std::uint64_t bound) noexcept {
-        // Lemire's rejection method for unbiased bounded draws.
+        // Unbiased modulo draw: reject r below the threshold 2^64 mod bound.
+        // The threshold is below bound, so a draw r >= bound is accepted
+        // without computing it; the values drawn do not change.
         if (bound == 0) return 0;
-        const std::uint64_t threshold = (~bound + 1) % bound;
-        for (;;) {
-            const std::uint64_t r = next();
-            if (r >= threshold) return r % bound;
+        std::uint64_t r = next();
+        if (r < bound) {
+            const std::uint64_t threshold = (~bound + 1) % bound;
+            while (r < threshold) r = next();
         }
+        return r % bound;
     }
 
     /// Uniform integer in [lo, hi] inclusive.

@@ -118,10 +118,14 @@ struct PlaceStage {
     static Placement compute(FlowContext& ctx, StageReport& report) {
         Placement pl = place(ctx.result.packed, ctx.result.mapped, ctx.arch,
                              effective_place_options(ctx));
-        // Level walls are timings: a restore cannot re-emit them.
+        // Level and sub-phase walls are timings: a restore cannot re-emit
+        // them.
         for (std::size_t l = 0; l < pl.analytical.levels.size(); ++l)
             report.add_metric("level" + std::to_string(l) + "_wall_ms",
                               pl.analytical.levels[l].wall_ms);
+        report.add_metric("global_ms", pl.global_ms);
+        report.add_metric("polish_ms", pl.polish_ms);
+        report.add_metric("descent_ms", pl.descent_ms);
         return pl;
     }
     static void install(FlowContext& ctx, Placement pl, StageReport& report) {

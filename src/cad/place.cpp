@@ -1,10 +1,12 @@
 #include "cad/place.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 
 #include "base/check.hpp"
 #include "base/rng.hpp"
+#include "base/timer.hpp"
 #include "cad/place_cost.hpp"
 #include "cad/place_model.hpp"
 #include "cad/place_multilevel.hpp"
@@ -22,6 +24,10 @@ namespace {
 /// temperature quickly.
 constexpr double kPolishT0 = 0.8;
 constexpr double kPolishAlpha = 0.85;
+
+/// Uphill deltas below this size take their acceptance probability from
+/// the polish's per-round table.
+constexpr std::size_t kBoltzmannTable = 64;
 
 /// Warm-start simulated-annealing polish of the legal placement in `ar`,
 /// in place: at most `opts.polish_rounds` temperature rounds of cluster
@@ -54,6 +60,10 @@ void polish_anneal(const PlaceModel& model, const PlaceOptions& opts, std::uint6
     // Proposals stay inside a window of `move_rlim` PLBs around the moved
     // cluster (for pads, a ring-local index window of comparable reach).
     std::uint32_t move_rlim = 0;
+    // Every delta is an integer, so the Metropolis test of a small uphill
+    // delta d reads exp(-d / T) from a table refilled each round with the
+    // very expression it replaces.
+    std::array<double, kBoltzmannTable> boltzmann{};
     auto try_move = [&](double temperature) -> double {
         // Returns the applied delta (0 if rejected).
         const bool move_cluster =
@@ -62,8 +72,10 @@ void polish_anneal(const PlaceModel& model, const PlaceOptions& opts, std::uint6
         if (move_cluster && model.num_clusters == 0) return 0;
         ++stats.moves_tried;
         auto accept = [&](double delta) {
-            return delta <= 0 ||
-                   rng.uniform() < std::exp(-delta / std::max(temperature, 1e-9));
+            if (delta <= 0) return true;
+            const double u = rng.uniform();
+            return u < (delta < static_cast<double>(kBoltzmannTable) ? boltzmann[static_cast<std::size_t>(delta)]
+                                                : std::exp(-delta / std::max(temperature, 1e-9)));
         };
 
         if (move_cluster) {
@@ -140,6 +152,8 @@ void polish_anneal(const PlaceModel& model, const PlaceOptions& opts, std::uint6
     double rlim_f = rlim0;
     for (int round = 0; round < rounds; ++round) {
         move_rlim = static_cast<std::uint32_t>(std::max(1.0, std::llround(rlim_f) * 1.0));
+        for (std::size_t d = 1; d < kBoltzmannTable; ++d)
+            boltzmann[d] = std::exp(-static_cast<double>(d) / std::max(temperature, 1e-9));
         for (std::size_t m = 0; m < moves_per_temp; ++m) cost += try_move(temperature);
         temperature *= kPolishAlpha;
         rlim_f *= rlim_shrink;
@@ -311,6 +325,9 @@ Placement place(const PackedDesign& pd, const MappedDesign& md, const core::Arch
     // reach a size or coordinate cast downstream.
     auto non_negative = [](double v) { return std::isfinite(v) && v >= 0; };
     check(non_negative(opts.moves_scale), "place: moves_scale must be finite and >= 0");
+    // The polish budget grows linearly with moves_scale: cap it like the
+    // int knobs below, at 100x the default.
+    check(opts.moves_scale <= 1000.0, "place: moves_scale must be <= 1000");
     check(non_negative(opts.anchor_weight), "place: anchor_weight must be finite and >= 0");
     check(non_negative(opts.solver_tolerance),
           "place: solver_tolerance must be finite and >= 0");
@@ -325,16 +342,21 @@ Placement place(const PackedDesign& pd, const MappedDesign& md, const core::Arch
     at_most(opts.solver_max_iters, 10'000, "solver_max_iters");
     at_most(opts.max_levels, 64, "max_levels");
 
+    base::WallTimer timer;
     const PlaceModel model(pd, md, arch);
     // One cost engine, built at the legal placement, prices every move of
     // the polish and of the final descent.
     AnalyticalResult ar = place_multilevel_global(model, opts, opts.seed);
     Placement result;
+    result.global_ms = timer.elapsed_ms();
     if (opts.polish_rounds > 0 && !model.nets.empty())
         polish_anneal(model, opts, opts.seed, ar, result);
+    const double polished_ms = timer.elapsed_ms();
+    result.polish_ms = polished_ms - result.global_ms;
     // Final detailed-placement descent (the anneal leaves low-temperature
     // residual the exhaustive window cleans up deterministically).
     refine_detailed(model, ar);
+    result.descent_ms = timer.elapsed_ms() - polished_ms;
     result.final_cost = ar.engine.total_cost();
     result.cluster_loc = std::move(ar.cluster_loc);
     for (std::size_t i = 0; i < md.primary_inputs.size(); ++i)

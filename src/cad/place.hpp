@@ -74,12 +74,19 @@ struct Placement {
     int anneal_rounds = 0;                 ///< polish temperature steps executed
     std::vector<double> cost_trajectory;   ///< HPWL after each polish step
     AnalyticalStats analytical;            ///< V-cycle, solver and legalizer telemetry
+    // Sub-phase walls of the place() call that produced this placement.
+    // Timings, so the artifact codec does not carry them: a restored
+    // Placement has all three at 0.
+    double global_ms = 0.0;   ///< V-cycle, legalization and cost-engine build
+    double polish_ms = 0.0;   ///< polish anneal
+    double descent_ms = 0.0;  ///< final detailed descent
 };
 
 /// Placement knobs (see each field).
 struct PlaceOptions {
     std::uint64_t seed = 1;        ///< RNG seed (the flow injects its own)
-    /// Polish moves per temperature ~ scale * n^(4/3) (finite, >= 0).
+    /// Polish moves per temperature ~ scale * n^(4/3) (finite, in
+    /// [0, 1000]).
     double moves_scale = 10.0;
     /// Single-valued; see PlaceAlgorithm.
     PlaceAlgorithm algorithm = PlaceAlgorithm::Multilevel;
@@ -111,8 +118,9 @@ struct PlaceOptions {
 
 /// Throws base::Error if the design does not fit (clusters > W*H or I/Os >
 /// pads), if a float knob is non-finite (or, except `coarsen_ratio`,
-/// negative), or if `moves_scale` puts more than 2^53 polish moves in one
-/// round; the message names the field.
+/// negative), if an int knob or `moves_scale` exceeds its cap, or if
+/// `moves_scale` puts more than 2^53 polish moves in one round; the message
+/// names the field.
 [[nodiscard]] Placement place(const PackedDesign& pd, const MappedDesign& md,
                               const core::ArchSpec& arch, const PlaceOptions& opts = {});
 

@@ -59,24 +59,65 @@ void PlaceCostEngine::add_net(std::vector<std::size_t> entities) {
 }
 
 void PlaceCostEngine::finalize() {
-    const std::size_t n_nets = nets_.size();
     const std::size_t n_ents = xs_.size();
+    // Merge parallel nets: nets over one entity set become one net whose
+    // weight counts them. A sort by the sorted id list groups them; each
+    // group keeps its first net's pin order and sits at its first net's
+    // place in the net order. Nets below two pins never contribute cost
+    // and are dropped.
+    std::vector<std::uint32_t> key_first(nets_.size() + 1, 0);
+    std::vector<std::uint32_t> key_ents;
+    std::vector<std::uint32_t> order;
+    for (std::size_t ni = 0; ni < nets_.size(); ++ni) {
+        key_first[ni + 1] = key_first[ni];
+        if (nets_[ni].size() < 2) continue;
+        key_ents.insert(key_ents.end(), nets_[ni].begin(), nets_[ni].end());
+        key_first[ni + 1] = static_cast<std::uint32_t>(key_ents.size());
+        std::sort(key_ents.begin() + key_first[ni], key_ents.end());
+        order.push_back(static_cast<std::uint32_t>(ni));
+    }
+    auto key = [&](std::uint32_t ni) {
+        return std::span<const std::uint32_t>(key_ents.data() + key_first[ni],
+                                              key_first[ni + 1] - key_first[ni]);
+    };
+    std::sort(order.begin(), order.end(), [&](std::uint32_t a, std::uint32_t b) {
+        const auto ka = key(a);
+        const auto kb = key(b);
+        if (!std::ranges::equal(ka, kb)) return std::ranges::lexicographical_compare(ka, kb);
+        return a < b;
+    });
+    // A group's first net (lowest index) sorts first; it gets the weight.
+    std::vector<std::uint32_t> weight_of_first(nets_.size(), 0);
+    for (std::size_t k = 0; k < order.size();) {
+        std::size_t end = k + 1;
+        while (end < order.size() && std::ranges::equal(key(order[end]), key(order[k]))) ++end;
+        weight_of_first[order[k]] = static_cast<std::uint32_t>(end - k);
+        k = end;
+    }
+    std::vector<std::uint32_t> kept;  // first nets, in net order
+    for (std::size_t ni = 0; ni < nets_.size(); ++ni)
+        if (weight_of_first[ni] != 0) kept.push_back(static_cast<std::uint32_t>(ni));
+    const std::size_t n_nets = kept.size();
+
     net_first_.assign(n_nets + 1, 0);
-    for (std::size_t ni = 0; ni < n_nets; ++ni)
-        net_first_[ni + 1] = net_first_[ni] + static_cast<std::uint32_t>(nets_[ni].size());
+    weight_.resize(n_nets);
+    for (std::size_t ni = 0; ni < n_nets; ++ni) {
+        net_first_[ni + 1] = net_first_[ni] + static_cast<std::uint32_t>(nets_[kept[ni]].size());
+        weight_[ni] = weight_of_first[kept[ni]];
+    }
     net_ents_.clear();
     net_ents_.reserve(net_first_.back());
-    for (const auto& net : nets_)
-        for (std::size_t eid : net) net_ents_.push_back(static_cast<std::uint32_t>(eid));
+    for (const std::uint32_t ni : kept)
+        for (std::size_t eid : nets_[ni]) net_ents_.push_back(static_cast<std::uint32_t>(eid));
 
-    // Entity -> incidence CSR, split by net shape. Nets below two pins never
-    // contribute cost, so they get no incidences at all.
+    // Entity -> incidence CSR, split by net shape.
     small_first_.assign(n_ents + 1, 0);
     large_first_.assign(n_ents + 1, 0);
-    for (const auto& net : nets_) {
-        if (net.size() < 2) continue;
-        auto& first = net.size() <= kSmallNet ? small_first_ : large_first_;
-        for (std::size_t eid : net) ++first[eid + 1];
+    for (std::size_t ni = 0; ni < n_nets; ++ni) {
+        const std::uint32_t pins = net_first_[ni + 1] - net_first_[ni];
+        auto& first = pins <= kSmallNet ? small_first_ : large_first_;
+        for (std::uint32_t i = net_first_[ni]; i < net_first_[ni + 1]; ++i)
+            ++first[net_ents_[i] + 1];
     }
     for (std::size_t e = 0; e < n_ents; ++e) {
         small_first_[e + 1] += small_first_[e];
@@ -87,19 +128,20 @@ void PlaceCostEngine::finalize() {
     std::vector<std::uint32_t> small_at(small_first_.begin(), small_first_.end() - 1);
     std::vector<std::uint32_t> large_at(large_first_.begin(), large_first_.end() - 1);
     for (std::size_t ni = 0; ni < n_nets; ++ni) {
-        const auto& net = nets_[ni];
         const auto net_id = static_cast<std::uint32_t>(ni);
-        if (net.size() < 2) continue;
-        if (net.size() > kSmallNet) {
-            for (std::size_t eid : net) large_[large_at[eid]++] = net_id;
+        const std::uint32_t first = net_first_[ni];
+        const std::uint32_t last = net_first_[ni + 1];
+        if (last - first > kSmallNet) {
+            for (std::uint32_t i = first; i < last; ++i) large_[large_at[net_ents_[i]]++] = net_id;
             continue;
         }
-        for (std::size_t eid : net) {
-            SmallPins& r = small_[small_at[eid]++];
+        for (std::uint32_t i = first; i < last; ++i) {
+            SmallPins& r = small_[small_at[net_ents_[i]]++];
             r.net = net_id;
+            r.weight = weight_[ni];
             std::size_t k = 0;
-            for (std::size_t other : net)
-                if (other != eid) r.other[k++] = static_cast<std::uint32_t>(other);
+            for (std::uint32_t j = first; j < last; ++j)
+                if (j != i) r.other[k++] = net_ents_[j];
             for (; k < kSmallNet - 1; ++k) r.other[k] = r.other[k - 1];
         }
     }
@@ -109,9 +151,8 @@ void PlaceCostEngine::finalize() {
     cost_.assign(n_nets, 0);
     boxes_.assign(n_nets, NetBox{});
     for (std::uint32_t ni = 0; ni < n_nets; ++ni) {
-        if (net_first_[ni + 1] - net_first_[ni] < 2) continue;
         boxes_[ni] = scan_net(ni);
-        cost_[ni] = hpwl(boxes_[ni]);
+        cost_[ni] = weighted(ni, hpwl(boxes_[ni]));
     }
     net_mark_.assign(n_nets, 0);
     net_slot_.assign(n_nets, 0);
@@ -146,16 +187,14 @@ PlaceCostEngine::NetBox PlaceCostEngine::scan_net(std::uint32_t ni) const {
 
 double PlaceCostEngine::total_cost() const {
     std::int64_t c = 0;
-    for (const std::int32_t nc : cost_) c += nc;
+    for (const std::int64_t nc : cost_) c += nc;
     return static_cast<double>(c);
 }
 
 double PlaceCostEngine::recompute_from_scratch() const {
     std::int64_t c = 0;
-    for (std::uint32_t ni = 0; ni + 1 < net_first_.size(); ++ni) {
-        if (net_first_[ni + 1] - net_first_[ni] < 2) continue;
-        c += hpwl(scan_net(ni));
-    }
+    for (std::uint32_t ni = 0; ni + 1 < net_first_.size(); ++ni)
+        c += weighted(ni, hpwl(scan_net(ni)));
     return static_cast<double>(c);
 }
 
@@ -201,7 +240,7 @@ double PlaceCostEngine::eval(std::span<const EntityMove> moves) {
             const std::int32_t xmax = std::max(std::max(m.x, x0), std::max(x1, x2));
             const std::int32_t ymin = std::min(std::min(m.y, y0), std::min(y1, y2));
             const std::int32_t ymax = std::max(std::max(m.y, y0), std::max(y1, y2));
-            const std::int32_t c = (xmax - xmin) + (ymax - ymin);
+            const std::int64_t c = std::int64_t{r.weight} * ((xmax - xmin) + (ymax - ymin));
             delta += c - cost_[r.net];
             small_pending_.push_back({r.net, c});
         }
@@ -222,7 +261,7 @@ double PlaceCostEngine::eval(std::span<const EntityMove> moves) {
     }
     for (PendingBox& p : large_pending_) {
         if (p.rescan) p.box = scan_net(p.net);
-        delta += hpwl(p.box) - cost_[p.net];
+        delta += weighted(p.net, hpwl(p.box)) - cost_[p.net];
     }
 
     // Restore the committed positions (reverse order, so a repeated entity
@@ -242,7 +281,7 @@ void PlaceCostEngine::commit() {
     for (const PendingCost& p : small_pending_) cost_[p.net] = p.cost;
     for (const PendingBox& p : large_pending_) {
         boxes_[p.net] = p.box;
-        cost_[p.net] = hpwl(p.box);
+        cost_[p.net] = weighted(p.net, hpwl(p.box));
     }
     moves_.clear();
     small_pending_.clear();

@@ -91,10 +91,11 @@ private:
         std::int32_t xmin, xmax, ymin, ymax;
         std::uint16_t n_xmin, n_xmax, n_ymin, n_ymax;  ///< pins on each edge
     };
-    /// One incidence of an entity on a small net: the net and the other
-    /// pins, padded by repeating an id.
+    /// One incidence of an entity on a small net: the net, its weight and
+    /// the other pins, padded by repeating an id.
     struct SmallPins {
         std::uint32_t net;
+        std::uint32_t weight;
         std::uint32_t other[kSmallNet - 1];
     };
     /// A move with the committed position it overwrites during eval.
@@ -105,7 +106,7 @@ private:
     };
     struct PendingCost {
         std::uint32_t net;
-        std::int32_t cost;
+        std::int64_t cost;
     };
     struct PendingBox {
         std::uint32_t net;
@@ -118,14 +119,19 @@ private:
     [[nodiscard]] static std::int32_t hpwl(const NetBox& b) {
         return (b.xmax - b.xmin) + (b.ymax - b.ymin);
     }
+    /// Cost of net `ni` at HPWL `h`: the weight times h.
+    [[nodiscard]] std::int64_t weighted(std::uint32_t ni, std::int32_t h) const {
+        return std::int64_t{weight_[ni]} * h;
+    }
 
     std::vector<std::int32_t> xs_;
     std::vector<std::int32_t> ys_;
     /// Construction-time staging only; finalize() flattens it into the CSR
     /// arrays below and clears it.
     std::vector<std::vector<std::size_t>> nets_;
-    std::vector<std::int32_t> cost_;  ///< per net
-    std::vector<NetBox> boxes_;       ///< per net; read for large nets only
+    std::vector<std::int64_t> cost_;     ///< per net: weight * HPWL
+    std::vector<std::uint32_t> weight_;  ///< per net: parallel nets merged
+    std::vector<NetBox> boxes_;          ///< per net; read for large nets only
 
     // Flat CSR views built by finalize().
     std::vector<std::uint32_t> net_first_;    // net -> first index into net_ents_

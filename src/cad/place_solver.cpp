@@ -198,12 +198,11 @@ void PadFrame::build(const std::vector<PlacePt>& pads, std::uint32_t width,
                      std::uint32_t height) {
     // Side order is arbitrary (queries take a 4-way lexicographic min) but
     // the geometry must match place_model's pad frame exactly.
-    sides_[0] = {1, 0.0, {}};                               // left:   x = 0
-    sides_[1] = {1, static_cast<double>(width) + 1.0, {}};  // right:  x = W+1
-    sides_[2] = {0, 0.0, {}};                               // bottom: y = 0
-    sides_[3] = {0, static_cast<double>(height) + 1.0, {}}; // top:    y = H+1
-    pad_side_.resize(pads.size());
-    free_.clear();
+    sides_[0] = {1, 0.0, {}, 0};                               // left:   x = 0
+    sides_[1] = {1, static_cast<double>(width) + 1.0, {}, 0};  // right:  x = W+1
+    sides_[2] = {0, 0.0, {}, 0};                               // bottom: y = 0
+    sides_[3] = {0, static_cast<double>(height) + 1.0, {}, 0}; // top:    y = H+1
+    side_of_.resize(pads.size());
     for (std::uint32_t p = 0; p < pads.size(); ++p) {
         const PlacePt pt = pads[p];
         std::uint8_t side = 0;
@@ -217,24 +216,30 @@ void PadFrame::build(const std::vector<PlacePt>& pads, std::uint32_t width,
             base::check(pt.y == sides_[3].fixed, "PadFrame: pad off the perimeter frame");
             side = 3;
         }
-        const double run = sides_[side].run_axis == 0 ? pt.x : pt.y;
-        pad_side_[p] = {side, run};
-        sides_[side].free.emplace(run, p);
-        free_.insert(p);
+        side_of_[p] = side;
+        sides_[side].pads.push_back({sides_[side].run_axis == 0 ? pt.x : pt.y, p});
     }
+    for (Side& side : sides_)
+        std::sort(side.pads.begin(), side.pads.end(), [](const Entry& a, const Entry& b) {
+            return a.run != b.run ? a.run < b.run : a.pad < b.pad;
+        });
+    taken_.assign(pads.size(), 0);
+    gen_ = 0;  // reset() moves to generation 1, where nothing is taken
+    reset();
 }
 
 void PadFrame::reset() {
-    for (std::uint32_t p = 0; p < pad_side_.size(); ++p) {
-        const auto [side, run] = pad_side_[p];
-        sides_[side].free.emplace(run, p);
-        free_.insert(p);
+    if (++gen_ == 0) {  // wrapped: no stale stamp may alias the new generation
+        std::fill(taken_.begin(), taken_.end(), 0);
+        gen_ = 1;
     }
+    for (Side& side : sides_) side.n_free = side.pads.size();
+    lowest_ = 0;
 }
 
 bool PadFrame::lowest_free(std::uint32_t& out) const {
-    if (free_.empty()) return false;
-    out = *free_.begin();
+    if (lowest_ == taken_.size()) return false;
+    out = lowest_;
     return true;
 }
 
@@ -250,23 +255,33 @@ bool PadFrame::nearest_free(double gx, double gy, std::uint32_t& out) const {
         }
     };
     for (const Side& side : sides_) {
-        if (side.free.empty()) continue;
+        if (side.n_free == 0) continue;
         const double g = side.run_axis == 0 ? gx : gy;
         // The off-axis term |side.fixed - off| is the same |pad.x - gx| /
         // |pad.y - gy| term the full scan computes, and two-term IEEE
         // addition is commutative, so d below is bit-identical to the
         // scan's distance.
         const double off_term = std::abs(side.fixed - (side.run_axis == 0 ? gy : gx));
-        const auto it = side.free.lower_bound({g, 0});
-        if (it != side.free.end()) {
-            // First entry at the bracketing run above g: lowest index there.
-            consider(std::abs(it->first - g) + off_term, it->second);
-        }
-        if (it != side.free.begin()) {
-            const double below = std::prev(it)->first;
-            // Jump to the first (lowest-index) entry at that run.
-            const auto lo = side.free.lower_bound({below, 0});
-            consider(std::abs(below - g) + off_term, lo->second);
+        const Entry* const first = side.pads.data();
+        const Entry* const last = first + side.pads.size();
+        const Entry* const mid = std::lower_bound(
+            first, last, g, [](const Entry& e, double v) { return e.run < v; });
+        // At or above g: the first free entry is the lowest free index of
+        // the nearest free run there (entries are sorted by (run, pad)).
+        for (const Entry* e = mid; e != last; ++e)
+            if (is_free(e->pad)) {
+                consider(std::abs(e->run - g) + off_term, e->pad);
+                break;
+            }
+        // Below g: find the nearest free run, then its lowest free index.
+        const Entry* e = mid;
+        while (e != first && !is_free((e - 1)->pad)) --e;
+        if (e != first) {
+            const double below = (e - 1)->run;
+            std::uint32_t pad = (e - 1)->pad;
+            for (--e; e != first && (e - 1)->run == below; --e)
+                if (is_free((e - 1)->pad)) pad = (e - 1)->pad;
+            consider(std::abs(below - g) + off_term, pad);
         }
     }
     if (found) out = best;
@@ -274,9 +289,10 @@ bool PadFrame::nearest_free(double gx, double gy, std::uint32_t& out) const {
 }
 
 void PadFrame::take(std::uint32_t pad) {
-    const auto [side, run] = pad_side_[pad];
-    sides_[side].free.erase({run, pad});
-    free_.erase(pad);
+    AFPGA_ASSERT(is_free(pad), "PadFrame::take: pad already taken");
+    taken_[pad] = gen_;
+    --sides_[side_of_[pad]].n_free;
+    while (lowest_ < taken_.size() && !is_free(lowest_)) ++lowest_;
 }
 
 }  // namespace afpga::cad

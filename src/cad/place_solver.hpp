@@ -19,7 +19,6 @@
 
 #include <array>
 #include <cstdint>
-#include <set>
 #include <tuple>
 #include <vector>
 
@@ -117,13 +116,16 @@ void spread_targets(std::uint32_t width, std::uint32_t height, std::size_t num_n
 /// Pads sit on the four sides of the fabric frame, so the Manhattan
 /// distance from a query point to a pad decomposes per side into a fixed
 /// off-side offset plus a 1-D distance along the side's running
-/// coordinate. One ordered set of free pads per side then answers
-/// nearest-free queries in O(log n_pads): within a side only the two
-/// coordinate runs bracketing the query's projection can hold the
-/// minimum. The (distance, lowest pad index) tie-break reproduces the
-/// argmin of an ascending full scan bit-for-bit — the greedy pad
-/// refinement loop (refine_level_pads) keeps its exact result, it just
-/// stops paying O(n_io * n_pads) per pass.
+/// coordinate. Each side keeps its pads in one flat (run coord, pad)
+/// vector, sorted once by build(); a take() only stamps the pad with the
+/// current generation, so reset() is O(1) (a new generation frees every
+/// pad) and the per-pass loop allocates nothing. A nearest-free query
+/// binary-searches each side for the query's projection and walks outward
+/// past taken entries: within a side only the two free runs bracketing
+/// the projection can hold the minimum. The (distance, lowest pad index)
+/// tie-break reproduces the argmin of an ascending full scan bit-for-bit,
+/// so the greedy pad refinement loop (refine_level_pads) keeps its exact
+/// result without paying O(n_io * n_pads) per pass.
 ///
 /// Like the other scratch types here, build once and reset() per pass.
 class PadFrame {
@@ -136,7 +138,7 @@ public:
     void reset();
 
     /// True while `pad` has not been taken since the last reset/build.
-    [[nodiscard]] bool is_free(std::uint32_t pad) const { return free_.count(pad) != 0; }
+    [[nodiscard]] bool is_free(std::uint32_t pad) const { return taken_[pad] != gen_; }
 
     /// Lowest-indexed free pad, or false when none is left.
     [[nodiscard]] bool lowest_free(std::uint32_t& out) const;
@@ -145,18 +147,26 @@ public:
     /// index; false when none is left.
     [[nodiscard]] bool nearest_free(double gx, double gy, std::uint32_t& out) const;
 
-    /// Remove `pad` from the free sets.
+    /// Take a free `pad` (it stays taken until the next reset).
     void take(std::uint32_t pad);
 
 private:
+    struct Entry {
+        double run;         ///< running coordinate along the side
+        std::uint32_t pad;  ///< pad index
+    };
     struct Side {
         int run_axis = 0;    ///< axis of the running coordinate: 0 = x, 1 = y
         double fixed = 0.0;  ///< the side's off-axis coordinate
-        std::set<std::pair<double, std::uint32_t>> free;  ///< (run coord, pad)
+        std::vector<Entry> pads;   ///< sorted by (run, pad)
+        std::size_t n_free = 0;    ///< pads of this side not yet taken
     };
     std::array<Side, 4> sides_;
-    std::vector<std::pair<std::uint8_t, double>> pad_side_;  ///< pad -> (side, run coord)
-    std::set<std::uint32_t> free_;
+    std::vector<std::uint8_t> side_of_;  ///< pad -> side
+    /// pad -> generation it was last taken in; free while != gen_.
+    std::vector<std::uint32_t> taken_;
+    std::uint32_t gen_ = 1;
+    std::uint32_t lowest_ = 0;  ///< every pad below this index is taken
 };
 
 }  // namespace afpga::cad

@@ -937,6 +937,11 @@ TEST(FlowRestore, ReportsWhatTheRunReported) {
                 EXPECT_EQ(w.metric("restored_from_disk") != nullptr, from_disk) << where;
                 EXPECT_EQ(w.iterations, c.iterations) << where;
                 EXPECT_EQ(w.cost_trajectory, c.cost_trajectory) << where;
+                if (c.stage == "place")
+                    for (const char* wall : {"global_ms", "polish_ms", "descent_ms"}) {
+                        EXPECT_NE(c.metric(wall), nullptr) << where << ": " << wall;
+                        EXPECT_EQ(w.metric(wall), nullptr) << where << ": " << wall;
+                    }
                 for (const auto& [name, v] : w.metrics) {
                     if (name == "restored_from_disk" || name.ends_with("_ms")) continue;
                     const double* cv = c.metric(name);

@@ -480,6 +480,7 @@ TEST(Place, RejectsOutOfRangeFloatKnobs) {
         {"moves_scale", [&](auto& o) { o.moves_scale = inf; }},
         {"moves_scale", [&](auto& o) { o.moves_scale = -1.0; }},
         {"moves_scale", [&](auto& o) { o.moves_scale = 1e300; }},
+        {"moves_scale", [&](auto& o) { o.moves_scale = 1e9; }},
         {"anchor_weight", [&](auto& o) { o.anchor_weight = nan; }},
         {"anchor_weight", [&](auto& o) { o.anchor_weight = -0.5; }},
         {"solver_tolerance", [&](auto& o) { o.solver_tolerance = -inf; }},
