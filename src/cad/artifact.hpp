@@ -138,8 +138,10 @@ public:
     /// fingerprint starts naming a different product (v5: `Race` dropped
     /// its flat analytical replica; v6: `route.threads = 0` routes with the
     /// partitioned PathFinder; v7: the Placement blob lost its replica and
-    /// engine fields); older blobs then read as misses.
-    static constexpr std::uint32_t kDiskFormatVersion = 7;
+    /// engine fields; v8: the B2B assembly sums duplicate triplets in
+    /// assembly order, which moves some placements); older blobs then read
+    /// as misses.
+    static constexpr std::uint32_t kDiskFormatVersion = 8;
 
     /// An unbounded, memory-only store.
     ArtifactStore() = default;

@@ -26,20 +26,25 @@ void QuadSystem::fix_degenerate(const std::vector<double>& x) {
 }
 
 void QuadSystem::finalize() {
-    std::sort(off.begin(), off.end(), [](const auto& a, const auto& b) {
-        if (std::get<0>(a) != std::get<0>(b)) return std::get<0>(a) < std::get<0>(b);
-        return std::get<1>(a) < std::get<1>(b);
-    });
-    row_start.assign(diag.size() + 1, 0);
-    for (std::size_t t = 0; t < off.size();) {
-        const std::size_t row = std::get<0>(off[t]);
-        const std::size_t column = std::get<1>(off[t]);
+    const std::size_t n = diag.size();
+    // One stable counting sort of `in` into `out` by the key `key_of`.
+    auto counting_sort = [&](const std::vector<Triplet>& in, std::vector<Triplet>& out,
+                             auto key_of) {
+        cursor_.assign(n + 1, 0);
+        for (const Triplet& t : in) ++cursor_[key_of(t) + 1];
+        for (std::size_t i = 0; i < n; ++i) cursor_[i + 1] += cursor_[i];
+        out.resize(in.size());
+        for (const Triplet& t : in) out[cursor_[key_of(t)]++] = t;
+    };
+    counting_sort(off, by_col_, [](const Triplet& t) { return t.col; });
+    counting_sort(by_col_, by_row_, [](const Triplet& t) { return t.row; });
+    row_start.assign(n + 1, 0);
+    for (std::size_t t = 0; t < by_row_.size();) {
+        const std::uint32_t row = by_row_[t].row;
+        const std::uint32_t column = by_row_[t].col;
         double w = 0;
-        while (t < off.size() && std::get<0>(off[t]) == row &&
-               std::get<1>(off[t]) == column) {
-            w += std::get<2>(off[t]);
-            ++t;
-        }
+        for (; t < by_row_.size() && by_row_[t].row == row && by_row_[t].col == column; ++t)
+            w += by_row_[t].w;
         col.push_back(column);
         val.push_back(w);
         ++row_start[row + 1];

@@ -6,8 +6,9 @@
 /// (cad/place_multilevel.cpp) builds on these.
 ///
 /// Every type here is designed for reuse across passes: QuadSystem,
-/// PcgScratch and SpreadScratch keep their buffers between calls, so the
-/// per-pass loops of the engine allocate nothing after the first pass.
+/// PcgScratch, SpreadScratch and PadFrame keep their buffers between calls,
+/// so the per-pass loops of the engine allocate nothing after the first
+/// pass.
 ///
 /// Determinism: all loops run in fixed serial order with fixed tie-breaks;
 /// given equal inputs every function produces bit-identical outputs on any
@@ -19,7 +20,6 @@
 
 #include <array>
 #include <cstdint>
-#include <tuple>
 #include <vector>
 
 namespace afpga::cad {
@@ -31,9 +31,15 @@ struct PlacePt;
 /// CSR for the solver. reset(n) re-arms the instance for the next pass
 /// without releasing its buffers.
 struct QuadSystem {
+    /// One off-diagonal entry before finalize(): A[row][col] += w.
+    struct Triplet {
+        std::uint32_t row;
+        std::uint32_t col;
+        double w;
+    };
     std::vector<double> diag;
     std::vector<double> rhs;
-    std::vector<std::tuple<std::size_t, std::size_t, double>> off;  ///< pre-CSR
+    std::vector<Triplet> off;  ///< pre-CSR, in assembly order
     std::vector<std::size_t> row_start;
     std::vector<std::size_t> col;
     std::vector<double> val;
@@ -45,8 +51,8 @@ struct QuadSystem {
     void connect_movable(std::size_t i, std::size_t j, double w) {
         diag[i] += w;
         diag[j] += w;
-        off.emplace_back(i, j, -w);
-        off.emplace_back(j, i, -w);
+        off.push_back({static_cast<std::uint32_t>(i), static_cast<std::uint32_t>(j), -w});
+        off.push_back({static_cast<std::uint32_t>(j), static_cast<std::uint32_t>(i), -w});
     }
     /// A spring of weight w between movable i and a fixed coordinate.
     void connect_fixed(std::size_t i, double coord, double w) {
@@ -58,13 +64,21 @@ struct QuadSystem {
     /// system stays SPD and the solver leaves them put).
     void fix_degenerate(const std::vector<double>& x);
 
-    /// Sort + merge the triplets into CSR. The triplet sequence is a pure
-    /// function of the assembly calls, so the merge (and its FP summation
-    /// order) is identical on every run.
+    /// Merge the triplets into CSR in O(n + triplets): two stable counting
+    /// sorts (by column, then by row) put each row in ascending column
+    /// order, and the triplets of one (row, col) are summed in assembly
+    /// order, left to right from 0. That is the order a std::stable_sort
+    /// by (row, col) gives, and the triplet sequence is a pure function of
+    /// the assembly calls, so the CSR values are identical on every run.
     void finalize();
 
     /// y = A x (serial, row order).
     void apply(const std::vector<double>& x, std::vector<double>& y) const;
+
+private:
+    std::vector<Triplet> by_col_;         ///< finalize(): triplets by column
+    std::vector<Triplet> by_row_;         ///< finalize(): then by row
+    std::vector<std::uint32_t> cursor_;  ///< finalize(): counting-sort slots
 };
 
 /// Reusable work vectors of the conjugate-gradient solver.

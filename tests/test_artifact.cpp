@@ -585,11 +585,12 @@ TEST(ArtifactStore, CorruptDiskBlobIsAMissNeverACrash) {
 
 TEST(ArtifactStore, OlderFormatVersionDiskBlobsAreStaleMisses) {
     // Format 4 predates the Race replica change, format 5 the partitioned
-    // router at `route.threads = 0`, and format 6 carries the retired
-    // replica and engine fields in its Placement blobs: such a blob can name
-    // a product the current code cannot produce, or not decode at all, so
-    // an older header must read as a stale blob, never a hit.
-    for (const char version : {char{4}, char{5}, char{6}}) {
+    // router at `route.threads = 0`, format 6 carries the retired replica
+    // and engine fields in its Placement blobs, and format 7 predates the
+    // assembly-order B2B sums that moved some placements: such a blob can
+    // name a product the current code cannot produce, or not decode at all,
+    // so an older header must read as a stale blob, never a hit.
+    for (const char version : {char{4}, char{5}, char{6}, char{7}}) {
         ScratchDir dir;
         {
             cad::ArtifactStore writer(cad::ArtifactStoreConfig{0, dir.str()});

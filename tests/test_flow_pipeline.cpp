@@ -351,6 +351,10 @@ std::uint64_t placement_hash(const cad::Placement& pl) {
 
 /// Recorded on the double-precision cost engine this move sequence was
 /// first defined by; every later engine must reproduce it bit for bit.
+/// QdiAdder8Multilevel, WchbFifo8x24Multilevel and WchbFifo8x24DescentOnly
+/// were re-recorded when QuadSystem::finalize began to sum duplicate B2B
+/// triplets in assembly order: their global placements differ in the last
+/// bits, which the polish and the descent amplify.
 struct Golden {
     std::uint64_t moves_tried;
     std::uint64_t moves_accepted;
@@ -407,7 +411,7 @@ TEST(PlaceGolden, QdiAdder2Multilevel) {
 
 TEST(PlaceGolden, QdiAdder8Multilevel) {
     expect_golden(Design::QdiAdder, 8, 0, 16,
-                  {29424u, 5444u, 8, 447.0, 0x68B7F1E5B099A536ULL});
+                  {29424u, 5658u, 8, 428.0, 0xADC85792716C08B1ULL});
 }
 
 TEST(PlaceGolden, QdiAdder4Multilevel) {
@@ -437,7 +441,7 @@ TEST(PlaceGolden, MousetrapFifo4x8Multilevel) {
 
 TEST(PlaceGolden, WchbFifo8x24Multilevel) {
     expect_golden(Design::WchbFifo, 8, 24, 18,
-                  {72984u, 10373u, 8, 1105.0, 0x5C00A5A17E57E78EULL});
+                  {72984u, 10047u, 8, 1141.0, 0x550A76B45F3B4B29ULL});
 }
 
 cad::PlaceOptions descent_only() {
@@ -453,7 +457,7 @@ TEST(PlaceGolden, QdiAdder4DescentOnly) {
 
 // The FIFO's wide control nets take the engine's large-net box path.
 TEST(PlaceGolden, WchbFifo8x24DescentOnly) {
-    expect_golden(Design::WchbFifo, 8, 24, 18, {0u, 0u, 0, 1250.0, 0x3A560192576A927DULL},
+    expect_golden(Design::WchbFifo, 8, 24, 18, {0u, 0u, 0, 1242.0, 0xA70A2CE3FFF1FAB0ULL},
                   descent_only());
 }
 
