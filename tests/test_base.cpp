@@ -368,6 +368,64 @@ TEST(Rng, BelowInRange) {
     for (int i = 0; i < 1000; ++i) EXPECT_LT(r.below(17), 17u);
 }
 
+// Known answers recorded before below() stopped computing its rejection
+// threshold for draws at or above the bound: the values and the number of
+// words consumed (the next() after the draws) must never change, or every
+// seeded placement would. 2^63 + 1 rejects about half of all words.
+TEST(Rng, BelowKnownAnswers) {
+    struct Case {
+        std::uint64_t bound;
+        std::uint64_t draws[6];
+        std::uint64_t next_after;
+    };
+    const Case cases[] = {
+        {0x1ull, {0x0ull, 0x0ull, 0x0ull, 0x0ull, 0x0ull, 0x0ull}, 0x64F330B569AE67A8ull},
+        {0x3ull, {0x1ull, 0x0ull, 0x2ull, 0x2ull, 0x0ull, 0x1ull}, 0x64F330B569AE67A8ull},
+        {0x11ull, {0x8ull, 0x8ull, 0x1ull, 0xEull, 0x5ull, 0x0ull}, 0x64F330B569AE67A8ull},
+        {0x100000001ull,
+         {0x58F05D4ull, 0xC2421C78ull, 0x37C1EB6ull, 0x82FF80C5ull, 0x9B5816F6ull, 0xFE1F6470ull},
+         0x64F330B569AE67A8ull},
+        {0x8000000000000001ull,
+         {0x4837F3EE8A7A1064ull, 0x460DF3B261660AA6ull, 0xE897A69CE63C9D4ull,
+          0x386885089F3803DFull, 0x6E85D22E08996B82ull, 0x61CA930597A23685ull},
+         0x5DC776408A671F75ull},
+        {0xFFFFFFFFFFFFFFFFull,
+         {0xE48715A13D7772Eull, 0xC837F3EE8A7A1065ull, 0x1272314B15EE5001ull,
+          0x28E323A6ABE2A46Bull, 0xC60DF3B261660AA7ull, 0x3EAFF0863CCF54F5ull},
+         0x64F330B569AE67A8ull},
+    };
+    for (const Case& c : cases) {
+        Rng r(2024);
+        for (const std::uint64_t want : c.draws) EXPECT_EQ(r.below(c.bound), want) << c.bound;
+        EXPECT_EQ(r.next(), c.next_after) << c.bound;
+    }
+    // A longer run per bound, folded into an FNV-1a digest, so that rare
+    // rejections are exercised too.
+    struct Digest {
+        std::uint64_t bound;
+        std::uint64_t fnv;
+        std::uint64_t next_after;
+    };
+    const Digest digests[] = {
+        {0x1ull, 0x12633B178B17A745ull, 0x24C1735B5C952A78ull},
+        {0x3ull, 0x4C00DF59C5988C98ull, 0x24C1735B5C952A78ull},
+        {0x11ull, 0xADE7B37FEE21E4F6ull, 0x24C1735B5C952A78ull},
+        {0x100000001ull, 0xCAA6A42744E13FA0ull, 0x24C1735B5C952A78ull},
+        {0x8000000000000001ull, 0x6ACDAC147EE11AC8ull, 0xCFA31556DD008FF8ull},
+        {0xFFFFFFFFFFFFFFFFull, 0x60432366DFCFFFB8ull, 0x24C1735B5C952A78ull},
+    };
+    for (const Digest& d : digests) {
+        Rng r(77);
+        std::uint64_t h = 0xcbf29ce484222325ull;
+        for (int i = 0; i < 1000; ++i) {
+            h ^= r.below(d.bound);
+            h *= 0x100000001b3ull;
+        }
+        EXPECT_EQ(h, d.fnv) << d.bound;
+        EXPECT_EQ(r.next(), d.next_after) << d.bound;
+    }
+}
+
 TEST(Rng, RangeInclusive) {
     Rng r(9);
     std::set<std::int64_t> seen;

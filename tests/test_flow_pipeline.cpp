@@ -125,7 +125,10 @@ TEST(PlaceCostEngine, SwapsOfEntitiesSharingANetOfEverySize) {
         base::Rng rng(1000 + pins);
         for (int trial = 0; trial < 200; ++trial) {
             // The shared net holds entities 0 and 1 plus pins - 2 others,
-            // and 0 and 1 each also sit on a private 2-pin net.
+            // and 0 and 1 each also sit on a private 2-pin net. A copy of
+            // the shared net with its pins reversed is parallel to it: the
+            // engine merges the two into one net of weight 2, and the
+            // oracle still prices them apart.
             const std::size_t n_ents = pins + 2;
             std::vector<std::pair<std::int32_t, std::int32_t>> pos;
             PlaceCostEngine eng;
@@ -138,6 +141,7 @@ TEST(PlaceCostEngine, SwapsOfEntitiesSharingANetOfEverySize) {
             for (std::size_t e = 0; e < pins; ++e) nets.back().push_back(e);
             nets.push_back({0, pins});
             nets.push_back({1, pins + 1});
+            nets.emplace_back(nets.front().rbegin(), nets.front().rend());
             for (const auto& n : nets) eng.add_net(n);
             eng.finalize();
 
