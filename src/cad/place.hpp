@@ -77,7 +77,7 @@ struct Placement {
     // Sub-phase walls of the place() call that produced this placement.
     // Timings, so the artifact codec does not carry them: a restored
     // Placement has all three at 0.
-    double global_ms = 0.0;   ///< V-cycle, legalization and cost-engine build
+    double global_ms = 0.0;   ///< model, V-cycle, legalization, cost engine
     double polish_ms = 0.0;   ///< polish anneal
     double descent_ms = 0.0;  ///< final detailed descent
 };

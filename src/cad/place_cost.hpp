@@ -12,10 +12,16 @@
 /// Every placement coordinate is an integer: a PLB sits at (x+1, y+1) and
 /// a pad on the 0 / W+1 / H+1 frame at offset+1. So every net's HPWL is an
 /// integer, every cost sum is exact in any order, and the engine keeps
-/// positions as int32 and accumulates deltas in int64. A recomputation
+/// positions as int32 and costs and deltas in int64. A recomputation
 /// summing the same integers in doubles, such as cad::placement_wirelength,
 /// reaches the same value bit for bit (all sums stay far below 2^53), in
 /// any order.
+///
+/// Parallel nets (one entity set: dual rails, bus bits between the same
+/// two clusters) are merged by finalize() into one net with an integer
+/// weight, whose cost is weight * HPWL. That cuts the incidences a move
+/// walks, and every delta stays the same integer the unmerged nets sum
+/// to, so no accept decision changes.
 ///
 /// Two net shapes, after VPR's placer:
 /// - Nets of at most kSmallNet pins: every (entity, net) incidence carries
@@ -63,8 +69,9 @@ public:
     /// (>= 2 to contribute cost). Throws base::Error on a bad or repeated id
     /// or an oversized net.
     void add_net(std::vector<std::size_t> entities);
-    /// Build the incidence records and the initial costs. Call once, after
-    /// all entities and nets are in; positions may still change via moves.
+    /// Merge parallel nets, then build the incidence records and the
+    /// initial costs. Call once, after all entities and nets are in;
+    /// positions may still change via moves.
     void finalize();
 
     // --- queries ------------------------------------------------------------
