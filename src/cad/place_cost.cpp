@@ -56,54 +56,39 @@ void PlaceCostEngine::add_net(std::vector<std::size_t> entities) {
     check(std::adjacent_find(sorted.begin(), sorted.end()) == sorted.end(),
           "PlaceCostEngine: repeated entity id in net");
     nets_.push_back(std::move(entities));
+    sorted_nets_.push_back(std::move(sorted));
 }
 
 void PlaceCostEngine::finalize() {
     const std::size_t n_ents = xs_.size();
     // Merge parallel nets: nets over one entity set become one net whose
-    // weight counts them. A sort by the sorted id list groups them; each
-    // group keeps its first net's pin order and sits at its first net's
-    // place in the net order. Nets below two pins never contribute cost
-    // and are dropped.
-    std::vector<std::uint32_t> key_first(nets_.size() + 1, 0);
-    std::vector<std::uint32_t> key_ents;
+    // weight counts them, at its first copy's place in the net order and
+    // with that copy's pin order. Sorting by the sorted id list, ties by
+    // index, puts each group's copies next to each other, first copy
+    // first. Nets below two pins never contribute cost and are dropped.
     std::vector<std::uint32_t> order;
-    for (std::size_t ni = 0; ni < nets_.size(); ++ni) {
-        key_first[ni + 1] = key_first[ni];
-        if (nets_[ni].size() < 2) continue;
-        key_ents.insert(key_ents.end(), nets_[ni].begin(), nets_[ni].end());
-        key_first[ni + 1] = static_cast<std::uint32_t>(key_ents.size());
-        std::sort(key_ents.begin() + key_first[ni], key_ents.end());
-        order.push_back(static_cast<std::uint32_t>(ni));
-    }
-    auto key = [&](std::uint32_t ni) {
-        return std::span<const std::uint32_t>(key_ents.data() + key_first[ni],
-                                              key_first[ni + 1] - key_first[ni]);
-    };
-    std::sort(order.begin(), order.end(), [&](std::uint32_t a, std::uint32_t b) {
-        const auto ka = key(a);
-        const auto kb = key(b);
-        if (!std::ranges::equal(ka, kb)) return std::ranges::lexicographical_compare(ka, kb);
-        return a < b;
-    });
-    // A group's first net (lowest index) sorts first; it gets the weight.
-    std::vector<std::uint32_t> weight_of_first(nets_.size(), 0);
-    for (std::size_t k = 0; k < order.size();) {
-        std::size_t end = k + 1;
-        while (end < order.size() && std::ranges::equal(key(order[end]), key(order[k]))) ++end;
-        weight_of_first[order[k]] = static_cast<std::uint32_t>(end - k);
-        k = end;
-    }
-    std::vector<std::uint32_t> kept;  // first nets, in net order
     for (std::size_t ni = 0; ni < nets_.size(); ++ni)
-        if (weight_of_first[ni] != 0) kept.push_back(static_cast<std::uint32_t>(ni));
+        if (nets_[ni].size() >= 2) order.push_back(static_cast<std::uint32_t>(ni));
+    std::sort(order.begin(), order.end(), [&](std::uint32_t a, std::uint32_t b) {
+        const auto& ka = sorted_nets_[a];
+        const auto& kb = sorted_nets_[b];
+        return ka != kb ? ka < kb : a < b;
+    });
+    std::vector<std::uint32_t> copies(nets_.size(), 0);  // first copy -> group size
+    for (std::size_t k = 0, first = 0; k < order.size(); ++k) {
+        if (sorted_nets_[order[k]] != sorted_nets_[order[first]]) first = k;
+        ++copies[order[first]];
+    }
+    std::vector<std::uint32_t> kept;  // first copies, in net order
+    for (std::size_t ni = 0; ni < nets_.size(); ++ni)
+        if (copies[ni] != 0) kept.push_back(static_cast<std::uint32_t>(ni));
     const std::size_t n_nets = kept.size();
 
     net_first_.assign(n_nets + 1, 0);
     weight_.resize(n_nets);
     for (std::size_t ni = 0; ni < n_nets; ++ni) {
         net_first_[ni + 1] = net_first_[ni] + static_cast<std::uint32_t>(nets_[kept[ni]].size());
-        weight_[ni] = weight_of_first[kept[ni]];
+        weight_[ni] = copies[kept[ni]];
     }
     net_ents_.clear();
     net_ents_.reserve(net_first_.back());
@@ -147,6 +132,8 @@ void PlaceCostEngine::finalize() {
     }
     nets_.clear();  // fully superseded by the CSR arrays
     nets_.shrink_to_fit();
+    sorted_nets_.clear();
+    sorted_nets_.shrink_to_fit();
 
     cost_.assign(n_nets, 0);
     boxes_.assign(n_nets, NetBox{});

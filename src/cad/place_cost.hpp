@@ -136,6 +136,8 @@ private:
     /// Construction-time staging only; finalize() flattens it into the CSR
     /// arrays below and clears it.
     std::vector<std::vector<std::size_t>> nets_;
+    /// Staging: each net's ids sorted, the key that finds parallel nets.
+    std::vector<std::vector<std::size_t>> sorted_nets_;
     std::vector<std::int64_t> cost_;     ///< per net: weight * HPWL
     std::vector<std::uint32_t> weight_;  ///< per net: parallel nets merged
     std::vector<NetBox> boxes_;          ///< per net; read for large nets only
