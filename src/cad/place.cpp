@@ -74,8 +74,9 @@ void polish_anneal(const PlaceModel& model, const PlaceOptions& opts, std::uint6
         auto accept = [&](double delta) {
             if (delta <= 0) return true;
             const double u = rng.uniform();
-            return u < (delta < static_cast<double>(kBoltzmannTable) ? boltzmann[static_cast<std::size_t>(delta)]
-                                                : std::exp(-delta / std::max(temperature, 1e-9)));
+            if (delta < static_cast<double>(kBoltzmannTable))
+                return u < boltzmann[static_cast<std::size_t>(delta)];
+            return u < std::exp(-delta / std::max(temperature, 1e-9));
         };
 
         if (move_cluster) {
