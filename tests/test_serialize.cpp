@@ -6,6 +6,7 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <map>
 #include <optional>
 #include <string>
 #include <unordered_map>
@@ -15,6 +16,7 @@
 #include <gtest/gtest.h>
 
 #include "base/check.hpp"
+#include "cad/fingerprint.hpp"
 #include "cad/serialize.hpp"
 #include "core/bitstream.hpp"
 #include "core/fabric.hpp"
@@ -170,6 +172,53 @@ cad::RouteArtifact make_route() {
     ra.sink_cluster = {{0}, {SIZE_MAX, 1}};
     ra.req_signal = {nid(7), nid(8)};
     return ra;
+}
+
+/// The sample bitstream: two named pads, two switches, one IM connection
+/// and one PDE tap on the paper's default fabric.
+cad::BitstreamArtifact make_bitstream() {
+    const core::ArchSpec arch;
+    const core::RRGraph rr(arch);
+    core::Bitstream bits(arch, rr.num_edges());
+    bits.set_pad_mode(0, core::PadMode::Input);
+    bits.set_pad_mode(3, core::PadMode::Output);
+    bits.set_edge(1, true);
+    bits.set_edge(rr.num_edges() - 1, true);
+    core::PlbConfig& plb = bits.plb({1, 1});
+    plb.im.connect(arch, /*sink=*/0, /*source=*/arch.im_src_const1());
+    plb.pde.tap = 5;
+    return cad::BitstreamArtifact{std::move(bits), {{0, "req_in"}, {3, "ack_out"}}};
+}
+
+/// An ArchSpec with every field but `le_inputs` (fixed at 7) off its default.
+core::ArchSpec make_arch() {
+    core::ArchSpec a;
+    a.width = 6;
+    a.height = 5;
+    a.channel_width = 10;
+    a.wire_capacity = 2;
+    a.fc_in = 0.75;
+    a.fc_out = 0.375;
+    a.pads_per_iob = 3;
+    a.plb_inputs = 12;
+    a.plb_outputs = 6;
+    a.les_per_plb = 3;
+    a.im_topology = core::ImTopology::Sparse50;
+    a.pde_taps = 16;
+    a.pde_quantum_ps = 125;
+    a.lut_delay_ps = 90;
+    a.lut2_delay_ps = 35;
+    a.im_delay_ps = 25;
+    a.wire_delay_ps = 45;
+    a.pin_delay_ps = 15;
+    return a;
+}
+
+/// The bytes of `arch`'s encoding.
+std::vector<std::uint8_t> arch_bytes(const core::ArchSpec& arch) {
+    cad::BlobWriter w;
+    cad::encode_arch(arch, w);
+    return std::move(w).take();
 }
 
 void expect_func_eq(const cad::LeFunc& a, const cad::LeFunc& b) {
@@ -388,18 +437,7 @@ TEST(SerializeCodec, RouteArtifactRoundtrip) {
 }
 
 TEST(SerializeCodec, BitstreamArtifactRoundtrip) {
-    const core::ArchSpec arch;  // paper defaults
-    const core::RRGraph rr(arch);
-    core::Bitstream bits(arch, rr.num_edges());
-    bits.set_pad_mode(0, core::PadMode::Input);
-    bits.set_pad_mode(3, core::PadMode::Output);
-    bits.set_edge(1, true);
-    bits.set_edge(rr.num_edges() - 1, true);
-    core::PlbConfig& plb = bits.plb({1, 1});
-    plb.im.connect(arch, /*sink=*/0, /*source=*/arch.im_src_const1());
-    plb.pde.tap = 5;
-
-    cad::BitstreamArtifact ba{std::move(bits), {{0, "req_in"}, {3, "ack_out"}}};
+    const cad::BitstreamArtifact ba = make_bitstream();
     const auto blob = cad::ArtifactCodec<cad::BitstreamArtifact>::encode_blob(ba);
     const cad::BitstreamArtifact back =
         cad::ArtifactCodec<cad::BitstreamArtifact>::decode_blob(blob);
@@ -408,6 +446,38 @@ TEST(SerializeCodec, BitstreamArtifactRoundtrip) {
     EXPECT_EQ(back.pad_names, ba.pad_names);
     EXPECT_EQ(back.bits.pad_mode(3), core::PadMode::Output);
     EXPECT_EQ(back.bits.plb({1, 1}).pde.tap, 5);
+}
+
+TEST(SerializeCodec, BlobBytesArePinned) {
+    // The blob bytes are the disk format: a codec change that keeps encoder
+    // and decoder in step still fails here. The arch bytes are also what
+    // fingerprint_arch hashes. Each pin is (length, fnv1a64).
+    struct Pin {
+        std::size_t size;
+        std::uint64_t digest;
+    };
+    const std::map<std::string, Pin> pins = {
+        {"mapped", {375, 0x5181024dcdea0c93ull}},
+        {"packed", {106, 0xae64f18b8a66e8f7ull}},
+        {"placement", {460, 0x811710c7d1cbe06aull}},
+        {"route", {525, 0x79859219f315b59eull}},
+        {"bitstream", {5510, 0xa99b9227dbb7cb4aull}},
+        {"arch", {105, 0xeeba74615806e267ull}},
+    };
+    auto expect_pinned = [&](const std::vector<std::uint8_t>& bytes, const std::string& what) {
+        const auto it = pins.find(what);
+        ASSERT_NE(it, pins.end()) << what;
+        EXPECT_EQ(bytes.size(), it->second.size) << what;
+        EXPECT_EQ(cad::fnv1a64(bytes.data(), bytes.size()), it->second.digest)
+            << what << ": 0x" << std::hex << cad::fnv1a64(bytes.data(), bytes.size());
+    };
+    expect_pinned(cad::ArtifactCodec<cad::MappedDesign>::encode_blob(make_mapped()), "mapped");
+    expect_pinned(cad::ArtifactCodec<cad::PackedDesign>::encode_blob(make_packed()), "packed");
+    expect_pinned(cad::ArtifactCodec<cad::Placement>::encode_blob(make_placement()), "placement");
+    expect_pinned(cad::ArtifactCodec<cad::RouteArtifact>::encode_blob(make_route()), "route");
+    expect_pinned(cad::ArtifactCodec<cad::BitstreamArtifact>::encode_blob(make_bitstream()),
+                  "bitstream");
+    expect_pinned(arch_bytes(make_arch()), "arch");
 }
 
 // ---------------------------------------------------------------------------
