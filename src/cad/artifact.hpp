@@ -77,7 +77,9 @@ struct RouteArtifact {
 
 /// The bitstream stage's cacheable product.
 struct BitstreamArtifact {
-    core::Bitstream bits;  ///< the programmed configuration
+    /// The programmed configuration (by default a blank one for the default
+    /// fabric, which the blob decoder replaces).
+    core::Bitstream bits{core::ArchSpec{}, 0};
     /// Pad index -> primary-I/O name, for simulation and reports.
     std::unordered_map<std::uint32_t, std::string> pad_names;
 };

@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "cad/serialize.hpp"
-#include "cad/wire.hpp"
 
 namespace afpga::cad {
 
@@ -72,15 +71,15 @@ std::uint64_t fingerprint_encoding(const std::function<void(BlobWriter&)>& encod
 }
 
 std::uint64_t fingerprint_netlist(const netlist::Netlist& nl) {
-    return fingerprint_encoding([&](BlobWriter& w) { wire::encode_netlist(nl, w); });
+    return fingerprint_encoding([&](BlobWriter& w) { encode_fields(nl, w); });
 }
 
 std::uint64_t fingerprint_arch(const core::ArchSpec& arch) {
-    return fingerprint_encoding([&](BlobWriter& w) { encode_arch(arch, w); });
+    return fingerprint_encoding([&](BlobWriter& w) { encode_fields(arch, w); });
 }
 
 std::uint64_t fingerprint_hints(const asynclib::MappingHints& hints) {
-    return fingerprint_encoding([&](BlobWriter& w) { wire::encode_hints(hints, w); });
+    return fingerprint_encoding([&](BlobWriter& w) { encode_fields(hints, w); });
 }
 
 }  // namespace afpga::cad

@@ -84,20 +84,20 @@ private:
 [[nodiscard]] std::uint64_t fingerprint_encoding(
     const std::function<void(BlobWriter&)>& encode);
 
-/// Content hash of a gate-level netlist: its wire encoding
-/// (wire::encode_netlist), every cell, net, sink order and primary I/O
+/// Content hash of a gate-level netlist: the bytes of its field list
+/// (cad/serialize.hpp), every cell, net, sink order and primary I/O
 /// included. Equal fingerprints mean equal encodings, so the flow cannot
 /// distinguish the two netlists.
 [[nodiscard]] std::uint64_t fingerprint_netlist(const netlist::Netlist& nl);
 
-/// Content hash of an architecture: its exact encoding (encode_arch), so
+/// Content hash of an architecture: its exact encoding (its field list), so
 /// two specs that build different RR graphs never share a key. The flow's
 /// stage keys and the store's RR memo use this, not ArchSpec::fingerprint,
 /// which is coarser (see core/archspec.hpp).
 [[nodiscard]] std::uint64_t fingerprint_arch(const core::ArchSpec& arch);
 
-/// Content hash of the generator's mapping hints: their wire encoding
-/// (wire::encode_hints), order-sensitive — techmap consumes them in order.
+/// Content hash of the generator's mapping hints: the bytes of their field
+/// list, order-sensitive — techmap consumes them in order.
 [[nodiscard]] std::uint64_t fingerprint_hints(const asynclib::MappingHints& hints);
 
 }  // namespace afpga::cad

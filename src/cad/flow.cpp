@@ -55,7 +55,7 @@ struct TechmapStage {
     // just {netlist, hints} (the base chain) + its own options: an arch or
     // seed sweep reuses one mapping across the whole grid.
     static void key(const FlowContext& ctx, BlobWriter& w) {
-        wire::encode_fields(ctx.opts.techmap, w);
+        encode_fields(ctx.opts.techmap, w);
         w.boolean(ctx.opts.verify_mapping);
     }
     static MappedDesign compute(FlowContext& ctx, StageReport&) {
@@ -81,7 +81,7 @@ struct PackStage {
     // keys inherit it through the chain.
     static void key(const FlowContext& ctx, BlobWriter& w) {
         w.u64(fingerprint_arch(ctx.arch));
-        wire::encode_fields(ctx.opts.pack, w);
+        encode_fields(ctx.opts.pack, w);
     }
     static PackedDesign compute(FlowContext& ctx, StageReport&) {
         return pack(ctx.result.mapped, ctx.arch, ctx.opts.pack);
@@ -113,7 +113,7 @@ struct PlaceStage {
     static void key(const FlowContext& ctx, BlobWriter& w) {
         PlaceOptions keyed = effective_place_options(ctx);
         keyed.threads = 0;
-        wire::encode_fields(keyed, w);
+        encode_fields(keyed, w);
     }
     static Placement compute(FlowContext& ctx, StageReport& report) {
         Placement pl = place(ctx.result.packed, ctx.result.mapped, ctx.arch,
@@ -319,7 +319,7 @@ struct RouteStage {
     static void key(const FlowContext& ctx, BlobWriter& w) {
         RouterOptions keyed = ctx.opts.route;
         keyed.threads = 0;
-        wire::encode_fields(keyed, w);
+        encode_fields(keyed, w);
     }
     static RouteArtifact compute(FlowContext& ctx, StageReport& report) {
         // With a pool the RR graph is built per-row on it and the router's

@@ -9,23 +9,23 @@
 ///     checksum u64 (FNV-1a over the 4 type bytes ++ the payload)
 ///
 /// Payloads: every message and every option struct has one field list,
-/// `fields(io, value)`, below its definition. The list names the fields in
-/// wire order, and one writer (FieldWriter) and one reader (FieldReader)
-/// drive it, so a type's layout is written once and encoder and decoder
-/// cannot disagree. Each message struct carries its MsgType: `encode(m)`
-/// frames a message and `decode<M>(frame)` checks the type, decodes the
-/// payload and requires all of it to be consumed. The artifact keys hash
-/// the option structs' field-list bytes too (cad/fingerprint.hpp).
+/// `fields(io, value)`, below its definition, driven by the FieldWriter and
+/// FieldReader of cad/serialize — the same lists and drivers that define
+/// the disk blobs, and the netlist, hints and ArchSpec a Submit carries.
+/// Each message struct carries its MsgType: `encode(m)` frames a message
+/// and `decode<M>(frame)` checks the type, decodes the payload and requires
+/// all of it to be consumed. The artifact keys hash the option structs'
+/// field-list bytes too (cad/fingerprint.hpp).
 ///
 /// Rules, in the spirit of cad/serialize:
-///  - payloads are BlobWriter/BlobReader encodings (fixed-width little-endian
-///    fields, u64 container-size prefixes), so equal values always frame to
+///  - payloads are field-list encodings (fixed-width little-endian fields,
+///    u64 container-size prefixes), so equal values always frame to
 ///    identical bytes — the wire-vs-in-process bit-identity gates rest on it;
 ///  - the decoder validates as it goes (magic, version, type range, payload
 ///    cap, checksum, then per-field decoding: int ranges, enum tags, chunk
-///    sizes, hint net ids) and throws base::Error on any malformed input
-///    without retaining partial state — a server maps that to "poison the
-///    connection", never a crash;
+///    sizes, hint net ids, the netlist's from_parts checks) and throws
+///    base::Error on any malformed input without retaining partial state —
+///    a server maps that to "poison the connection", never a crash;
 ///  - covering the type bytes with the checksum means a bit flip cannot
 ///    relabel one valid message as another valid message.
 ///
@@ -34,12 +34,10 @@
 /// rejects mismatches — client and server ship from one tree).
 #pragma once
 
-#include <concepts>
 #include <cstddef>
 #include <cstdint>
 #include <optional>
 #include <string>
-#include <type_traits>
 #include <vector>
 
 #include "asynclib/styles.hpp"
@@ -140,149 +138,15 @@ private:
     std::size_t pos_ = 0;  ///< consumed prefix of buf_
 };
 
-// --- hand-written element codecs (also unit-tested directly) ----------------
+}  // namespace afpga::cad::wire
 
-/// Netlist wire codec: cells/nets/PI/PO tables verbatim — including each
-/// net's sink order, which the construction API cannot replay for handshake
-/// feedback cycles (fingerprint_netlist hashes these bytes). decode_netlist
-/// rebuilds through Netlist::from_parts, so hostile bytes throw base::Error
-/// instead of producing a malformed graph.
-void encode_netlist(const netlist::Netlist& nl, BlobWriter& w);
-/// Inverse of encode_netlist; throws base::Error on corruption.
-[[nodiscard]] netlist::Netlist decode_netlist(BlobReader& r);
-
-/// MappingHints wire codec (net ids are validated by the Submit field list
-/// against the netlist they arrive with, not here).
-void encode_hints(const asynclib::MappingHints& h, BlobWriter& w);
-/// Inverse of encode_hints; throws base::Error on corruption.
-[[nodiscard]] asynclib::MappingHints decode_hints(BlobReader& r);
-
-// --- field-list drivers -----------------------------------------------------
-
-/// Drives a field list into a BlobWriter. `io(a, b, ...)` writes plain
-/// fields (u8, u32, u64, f64, bool, string, netlist, hints, arch, or a type
-/// with its own field list); the named members carry the fields that need
-/// a check on the way in. An int or enum field has no plain form, so it
-/// cannot be listed without its check.
-class FieldWriter {
-public:
-    static constexpr bool kDecoding = false;  ///< see FieldReader::kDecoding
-    /// Appends to `w`, which must outlive the writer.
-    explicit FieldWriter(BlobWriter& w) noexcept : w_(w) {}
-
-    /// Several fields, in order.
-    template <typename... Ts>
-        requires(sizeof...(Ts) > 1)
-    void operator()(const Ts&... vs) {
-        ((*this)(vs), ...);
-    }
-    void operator()(std::uint8_t v) { w_.u8(v); }                  ///< 1 byte
-    void operator()(std::uint32_t v) { w_.u32(v); }                ///< 4 bytes
-    void operator()(std::uint64_t v) { w_.u64(v); }                ///< 8 bytes
-    void operator()(double v) { w_.f64(v); }                       ///< exact bits
-    void operator()(bool v) { w_.boolean(v); }                     ///< 0 or 1
-    void operator()(const std::string& v) { w_.str(v); }           ///< u64 length + bytes
-    void operator()(const netlist::Netlist& v) { encode_netlist(v, w_); }        ///< see above
-    void operator()(const asynclib::MappingHints& v) { encode_hints(v, w_); }  ///< see above
-    void operator()(const core::ArchSpec& v) { encode_arch(v, w_); }  ///< cad/serialize
-    /// A nested type with its own field list.
-    template <typename T>
-        requires requires(FieldWriter& io, const T& v) { fields(io, v); }
-    void operator()(const T& v) {
-        fields(*this, v);
-    }
-
-    /// An int as an i64; the reader range-checks it against int by `name`.
-    void integer(int v, const char* /*name*/) { w_.i64(v); }
-    /// A one-byte tag (an enum or a status value); the reader requires
-    /// `lo <= v <= hi`. Writing does not check, so a test can send a bad tag.
-    template <typename T>
-    void ranged(T v, T /*lo*/, T /*hi*/, const char* /*what*/) {
-        static_assert(sizeof(T) == 1, "ranged fields travel as one byte");
-        w_.u8(static_cast<std::uint8_t>(v));
-    }
-    /// A byte string of at most `cap` bytes; both sides enforce the cap.
-    void bytes(const std::vector<std::uint8_t>& v, std::size_t cap, const char* what);
-
-private:
-    BlobWriter& w_;
-};
-
-/// Drives a field list out of a BlobReader, with the same members as
-/// FieldWriter; every read throws base::Error on malformed bytes.
-class FieldReader {
-public:
-    /// True on the decoding side: a field list runs its cross-field checks
-    /// (Submit's hint ids against its netlist) under `if constexpr`.
-    static constexpr bool kDecoding = true;
-    /// Consumes from `r`, which must outlive the reader.
-    explicit FieldReader(BlobReader& r) noexcept : r_(r) {}
-
-    /// Several fields, in order.
-    template <typename... Ts>
-        requires(sizeof...(Ts) > 1)
-    void operator()(Ts&... vs) {
-        ((*this)(vs), ...);
-    }
-    void operator()(std::uint8_t& v) { v = r_.u8(); }                       ///< 1 byte
-    void operator()(std::uint32_t& v) { v = r_.u32(); }                     ///< 4 bytes
-    void operator()(std::uint64_t& v) { v = r_.u64(); }                     ///< 8 bytes
-    void operator()(double& v) { v = r_.f64(); }                            ///< exact bits
-    void operator()(bool& v) { v = r_.boolean(); }                          ///< 0 or 1 only
-    void operator()(std::string& v) { v = r_.str(); }                       ///< bounded by payload
-    void operator()(netlist::Netlist& v) { v = decode_netlist(r_); }         ///< validated
-    void operator()(asynclib::MappingHints& v) { v = decode_hints(r_); }    ///< unvalidated ids
-    void operator()(core::ArchSpec& v) { v = decode_arch(r_); }              ///< validated
-    /// A nested type with its own field list.
-    template <typename T>
-        requires requires(FieldReader& io, T& v) { fields(io, v); }
-    void operator()(T& v) {
-        fields(*this, v);
-    }
-
-    /// An i64 that must fit int; otherwise throws naming `name`.
-    void integer(int& v, const char* name);
-    /// A one-byte tag that must lie in [lo, hi]; otherwise throws naming `what`.
-    template <typename T>
-    void ranged(T& v, T lo, T hi, const char* what) {
-        static_assert(sizeof(T) == 1, "ranged fields travel as one byte");
-        const auto tag = static_cast<T>(r_.u8());
-        if (tag < lo || tag > hi) base::fail(std::string("wire: ") + what + " out of range");
-        v = tag;
-    }
-    /// A byte string that must not exceed `cap` bytes.
-    void bytes(std::vector<std::uint8_t>& v, std::size_t cap, const char* what);
-
-private:
-    BlobReader& r_;
-};
-
-/// `V` is `T` or `const T`: one field list serves the writer, which sees a
-/// const value, and the reader, which fills a mutable one.
-template <typename V, typename T>
-concept FieldsOf = std::same_as<std::remove_const_t<V>, T>;
-
-/// Append `v`'s field list to `w`: a message payload, or the bytes an
-/// artifact key hashes for an option struct.
-template <typename T>
-void encode_fields(const T& v, BlobWriter& w) {
-    FieldWriter io(w);
-    io(v);
-}
-
-/// Read a `T` from its field list; throws base::Error on corruption.
-template <typename T>
-[[nodiscard]] T decode_fields(BlobReader& r) {
-    T v{};
-    FieldReader io(r);
-    io(v);
-    return v;
-}
+namespace afpga::cad {
 
 // --- option structs ---------------------------------------------------------
 // The wire sends these bytes and the artifact keys hash them. The sizeof
 // pins make a new knob fail the build until its field list carries it, so
-// client, server and cache cannot drift.
+// client, server and cache cannot drift. The lists sit in the structs'
+// namespace, where the field-list drivers find them.
 
 /// TechmapOptions fields.
 template <typename IO, FieldsOf<TechmapOptions> O>
@@ -334,6 +198,10 @@ void fields(IO& io, O& o) {
     static_assert(sizeof(FlowOptions) == 208, "FlowOptions changed: update its fields");
     io(o.seed, o.techmap, o.pack, o.place, o.route, o.pde_extra_margin, o.verify_mapping);
 }
+
+}  // namespace afpga::cad
+
+namespace afpga::cad::wire {
 
 // --- messages ---------------------------------------------------------------
 

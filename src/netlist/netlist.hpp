@@ -104,6 +104,10 @@ public:
     [[nodiscard]] std::size_t num_nets() const noexcept { return nets_.size(); }
     [[nodiscard]] const Cell& cell(CellId id) const;
     [[nodiscard]] const Net& net(NetId id) const;
+    /// Every cell, indexed by CellId.
+    [[nodiscard]] const std::vector<Cell>& cells() const noexcept { return cells_; }
+    /// Every net, indexed by NetId.
+    [[nodiscard]] const std::vector<Net>& nets() const noexcept { return nets_; }
     [[nodiscard]] CellId driver_of(NetId id) const { return net(id).driver; }
 
     [[nodiscard]] const std::vector<NetId>& primary_inputs() const noexcept { return pis_; }

@@ -152,9 +152,9 @@ netlist::Netlist reverse_sinks(const netlist::Netlist& nl) {
     const auto reversed = netlist::Netlist::from_parts(
         nl.name(), std::move(cells), std::move(nets), nl.primary_inputs(), nl.primary_outputs());
     cad::BlobWriter w;
-    cad::wire::encode_netlist(reversed, w);
+    cad::encode_fields(reversed, w);
     cad::BlobReader r(w.bytes());
-    return cad::wire::decode_netlist(r);
+    return cad::decode_fields<netlist::Netlist>(r);
 }
 
 /// The per-stage artifact keys `run_flow` reports, in pipeline order.
@@ -200,7 +200,7 @@ template <typename Opts, typename... Mutators>
 void expect_every_field_counts(Mutators... mutators) {
     auto fingerprint = [&](const Opts& o) {
         return cad::fingerprint_encoding(
-            [&](cad::BlobWriter& w) { cad::wire::encode_fields(o, w); });
+            [&](cad::BlobWriter& w) { cad::encode_fields(o, w); });
     };
     std::set<std::uint64_t> seen;
     seen.insert(fingerprint(Opts{}));
@@ -957,8 +957,9 @@ TEST(FlowRestore, ReportsWhatTheRunReported) {
 /// Feed one product's decoder every single-byte mutation of a real blob
 /// (set to 0x00, set to 0xFF, XOR 0x01), every 8-byte window set to 0xFF
 /// (a u64 count or size at its maximum) and every truncation. Each case
-/// must decode or throw base::Error: anything else (another exception, a
-/// crash, a sanitizer report) is a decoder bug.
+/// must throw base::Error or decode faithfully, to a value that re-encodes
+/// to exactly the mutated bytes: anything else (another exception, a crash,
+/// a sanitizer report, two blobs for one value) is a decoder bug.
 template <typename T>
 void expect_decoder_survives_mutation(const std::vector<std::uint8_t>& blob,
                                       const std::string& what) {
@@ -967,7 +968,8 @@ void expect_decoder_survives_mutation(const std::vector<std::uint8_t>& blob,
     auto attempt = [&](const std::vector<std::uint8_t>& bytes, const char* how,
                        std::size_t off) {
         try {
-            (void)Codec::decode_blob(bytes);
+            EXPECT_EQ(Codec::encode_blob(Codec::decode_blob(bytes)), bytes)
+                << what << ": " << how << " at byte " << off << " decoded unfaithfully";
         } catch (const base::Error&) {
             // rejected cleanly
         } catch (const std::exception& e) {

@@ -233,7 +233,7 @@ std::uint64_t design_hash(const core::ElaboratedDesign& d) {
         for (int i = 0; i < 8; ++i) byte(static_cast<std::uint8_t>(x >> (8 * i)));
     };
     cad::BlobWriter w;
-    cad::wire::encode_netlist(d.nl, w);
+    cad::encode_fields(d.nl, w);
     for (std::uint8_t b : w.bytes()) byte(b);
     for (const core::SinkDelayAnnotation& a : d.wire_delays) {
         mix(a.cell.index());

@@ -297,10 +297,10 @@ TEST(FlowService, NonFinitePlaceKnobsFailTheJobByName) {
     auto adder = asynclib::make_qdi_adder(2);
     auto through_wire = [](const cad::FlowOptions& o) {
         cad::BlobWriter w;
-        cad::wire::encode_fields(o, w);
+        cad::encode_fields(o, w);
         const std::vector<std::uint8_t> bytes = std::move(w).take();
         cad::BlobReader r(bytes);
-        return cad::wire::decode_fields<cad::FlowOptions>(r);
+        return cad::decode_fields<cad::FlowOptions>(r);
     };
     cad::FlowOptions nan_ratio;
     nan_ratio.place.coarsen_ratio = std::numeric_limits<double>::quiet_NaN();
@@ -336,10 +336,10 @@ TEST(FlowService, NonFiniteRouteAndMarginKnobsFailTheJobByName) {
     auto adder = asynclib::make_qdi_adder(2);
     auto through_wire = [](const cad::FlowOptions& o) {
         cad::BlobWriter w;
-        cad::wire::encode_fields(o, w);
+        cad::encode_fields(o, w);
         const std::vector<std::uint8_t> bytes = std::move(w).take();
         cad::BlobReader r(bytes);
-        return cad::wire::decode_fields<cad::FlowOptions>(r);
+        return cad::decode_fields<cad::FlowOptions>(r);
     };
     cad::FlowOptions nan_margin;
     nan_margin.pde_extra_margin = std::numeric_limits<double>::quiet_NaN();

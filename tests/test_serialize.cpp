@@ -9,6 +9,7 @@
 #include <map>
 #include <optional>
 #include <string>
+#include <type_traits>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -217,7 +218,7 @@ core::ArchSpec make_arch() {
 /// The bytes of `arch`'s encoding.
 std::vector<std::uint8_t> arch_bytes(const core::ArchSpec& arch) {
     cad::BlobWriter w;
-    cad::encode_arch(arch, w);
+    cad::encode_fields(arch, w);
     return std::move(w).take();
 }
 
@@ -522,34 +523,22 @@ TEST(SerializeDeterminism, EncodeIsRepeatable) {
 // ---------------------------------------------------------------------------
 
 TEST(SerializeRobustness, TruncationAtEveryPrefixThrows) {
-    const struct {
-        const char* what;
-        std::vector<std::uint8_t> blob;
-    } cases[] = {
-        {"mapped", cad::ArtifactCodec<cad::MappedDesign>::encode_blob(make_mapped())},
-        {"packed", cad::ArtifactCodec<cad::PackedDesign>::encode_blob(make_packed())},
-        {"placement", cad::ArtifactCodec<cad::Placement>::encode_blob(make_placement())},
-        {"route", cad::ArtifactCodec<cad::RouteArtifact>::encode_blob(make_route())},
-    };
-    for (const auto& c : cases) {
-        for (std::size_t len = 0; len < c.blob.size(); ++len) {
-            const std::vector<std::uint8_t> prefix(c.blob.begin(),
-                                                   c.blob.begin() + static_cast<long>(len));
-            try {
-                if (c.what == std::string("mapped"))
-                    (void)cad::ArtifactCodec<cad::MappedDesign>::decode_blob(prefix);
-                else if (c.what == std::string("packed"))
-                    (void)cad::ArtifactCodec<cad::PackedDesign>::decode_blob(prefix);
-                else if (c.what == std::string("placement"))
-                    (void)cad::ArtifactCodec<cad::Placement>::decode_blob(prefix);
-                else
-                    (void)cad::ArtifactCodec<cad::RouteArtifact>::decode_blob(prefix);
-                FAIL() << c.what << " decoded a " << len << "-byte prefix";
-            } catch (const base::Error&) {
-                // expected: truncation always surfaces as base::Error
-            }
+    // Every strict prefix of each sample product's blob throws base::Error.
+    auto expect_every_prefix_throws = [](const auto& product, const char* what) {
+        using Codec = cad::ArtifactCodec<std::decay_t<decltype(product)>>;
+        const std::vector<std::uint8_t> blob = Codec::encode_blob(product);
+        for (std::size_t len = 0; len < blob.size(); ++len) {
+            const std::vector<std::uint8_t> prefix(
+                blob.begin(), blob.begin() + static_cast<std::ptrdiff_t>(len));
+            EXPECT_THROW((void)Codec::decode_blob(prefix), base::Error)
+                << what << " decoded a " << len << "-byte prefix";
         }
-    }
+    };
+    expect_every_prefix_throws(make_mapped(), "mapped");
+    expect_every_prefix_throws(make_packed(), "packed");
+    expect_every_prefix_throws(make_placement(), "placement");
+    expect_every_prefix_throws(make_route(), "route");
+    expect_every_prefix_throws(make_bitstream(), "bitstream");
 }
 
 TEST(SerializeRobustness, CorruptCountFailsBeforeAllocating) {
@@ -575,19 +564,19 @@ TEST(SerializeRobustness, DecodeArchRejectsGarbage) {
     const core::ArchSpec arch;
     {
         cad::BlobWriter w;
-        cad::encode_arch(arch, w);
+        cad::encode_fields(arch, w);
         std::vector<std::uint8_t> bytes = w.bytes();
         bytes[48] = 0xFF;  // the ImTopology byte: out of enum range
         cad::BlobReader r(bytes);
-        EXPECT_THROW((void)cad::decode_arch(r), base::Error);
+        EXPECT_THROW((void)cad::decode_fields<core::ArchSpec>(r), base::Error);
     }
     {
         core::ArchSpec bad = arch;
         bad.channel_width = 0;  // encodes fine; decode re-validates
         cad::BlobWriter w;
-        cad::encode_arch(bad, w);
+        cad::encode_fields(bad, w);
         cad::BlobReader r(w.bytes());
-        EXPECT_THROW((void)cad::decode_arch(r), base::Error);
+        EXPECT_THROW((void)cad::decode_fields<core::ArchSpec>(r), base::Error);
     }
 }
 

@@ -32,7 +32,7 @@ namespace wire = cad::wire;
 template <typename T>
 std::vector<std::uint8_t> payload_of(const T& v) {
     cad::BlobWriter w;
-    wire::encode_fields(v, w);
+    cad::encode_fields(v, w);
     return std::move(w).take();
 }
 
@@ -240,14 +240,14 @@ TEST(WireFrame, OversizedEncodeThrows) {
 
 std::vector<std::uint8_t> netlist_bytes(const netlist::Netlist& nl) {
     cad::BlobWriter w;
-    wire::encode_netlist(nl, w);
+    cad::encode_fields(nl, w);
     return std::move(w).take();
 }
 
 void expect_netlist_roundtrip(const netlist::Netlist& nl, const char* what) {
     const std::vector<std::uint8_t> bytes = netlist_bytes(nl);
     cad::BlobReader r(bytes);
-    const netlist::Netlist back = wire::decode_netlist(r);
+    const netlist::Netlist back = cad::decode_fields<netlist::Netlist>(r);
     r.expect_end();
     EXPECT_EQ(back.num_cells(), nl.num_cells()) << what;
     EXPECT_EQ(back.num_nets(), nl.num_nets()) << what;
@@ -270,15 +270,15 @@ TEST(WireCodec, NetlistRoundTripsIncludingFeedbackCycles) {
 TEST(WireCodec, HintsRoundTrip) {
     auto fifo = asynclib::make_wchb_fifo(2, 2);
     cad::BlobWriter w;
-    wire::encode_hints(fifo.hints, w);
+    cad::encode_fields(fifo.hints, w);
     const std::vector<std::uint8_t> bytes = std::move(w).take();
     cad::BlobReader r(bytes);
-    const asynclib::MappingHints back = wire::decode_hints(r);
+    const asynclib::MappingHints back = cad::decode_fields<asynclib::MappingHints>(r);
     r.expect_end();
     EXPECT_EQ(back.rail_pairs, fifo.hints.rail_pairs);
     EXPECT_EQ(back.validity_nets, fifo.hints.validity_nets);
     cad::BlobWriter w2;
-    wire::encode_hints(back, w2);
+    cad::encode_fields(back, w2);
     EXPECT_EQ(std::move(w2).take(), bytes);
 }
 
@@ -296,17 +296,17 @@ TEST(WireCodec, FlowOptionsRoundTripNonDefaults) {
     o.route.max_iterations = 17;
 
     cad::BlobWriter w;
-    wire::encode_fields(o, w);
+    cad::encode_fields(o, w);
     const std::vector<std::uint8_t> bytes = std::move(w).take();
     cad::BlobReader r(bytes);
-    const auto back = wire::decode_fields<cad::FlowOptions>(r);
+    const auto back = cad::decode_fields<cad::FlowOptions>(r);
     r.expect_end();
     EXPECT_EQ(back.seed, o.seed);
     EXPECT_EQ(back.place.algorithm, o.place.algorithm);
     EXPECT_EQ(back.place.moves_scale, o.place.moves_scale);
     EXPECT_EQ(back.route.max_iterations, o.route.max_iterations);
     cad::BlobWriter w2;
-    wire::encode_fields(back, w2);
+    cad::encode_fields(back, w2);
     EXPECT_EQ(std::move(w2).take(), bytes);
 }
 
@@ -317,14 +317,14 @@ TEST(WireCodec, FlowOptionsRejectRetiredPlaceAlgorithm) {
         cad::FlowOptions o;
         o.place.algorithm = static_cast<cad::PlaceAlgorithm>(tag);
         cad::BlobWriter w;
-        wire::encode_fields(o, w);
+        cad::encode_fields(o, w);
         const std::vector<std::uint8_t> bytes = std::move(w).take();
         cad::BlobReader r(bytes);
         if (tag == 3)
-            EXPECT_EQ(wire::decode_fields<cad::FlowOptions>(r).place.algorithm,
+            EXPECT_EQ(cad::decode_fields<cad::FlowOptions>(r).place.algorithm,
                       cad::PlaceAlgorithm::Multilevel);
         else
-            EXPECT_THROW((void)wire::decode_fields<cad::FlowOptions>(r), base::Error)
+            EXPECT_THROW((void)cad::decode_fields<cad::FlowOptions>(r), base::Error)
                 << int{tag};
     }
 }
@@ -365,11 +365,11 @@ TEST(WireCodec, IntFieldsThatDoNotFitIntThrowInsteadOfWrapping) {
     for (std::size_t k = 0; k < std::size(ints); ++k)
         *ints[k] = sentinel + static_cast<std::int32_t>(k);
     cad::BlobWriter w;
-    wire::encode_fields(o, w);
+    cad::encode_fields(o, w);
     const std::vector<std::uint8_t> bytes = std::move(w).take();
     {
         cad::BlobReader r(bytes);
-        EXPECT_EQ(wire::decode_fields<cad::FlowOptions>(r).route.stall_full_reroute,
+        EXPECT_EQ(cad::decode_fields<cad::FlowOptions>(r).route.stall_full_reroute,
                   sentinel + 6);
     }
     for (std::size_t k = 0; k < std::size(ints); ++k) {
@@ -378,7 +378,7 @@ TEST(WireCodec, IntFieldsThatDoNotFitIntThrowInsteadOfWrapping) {
         for (const std::uint32_t high : {1u, 0xFFFFFFFFu}) {
             const std::vector<std::uint8_t> bad = with_high_word(bytes, at, high);
             cad::BlobReader r(bad);
-            EXPECT_THROW((void)wire::decode_fields<cad::FlowOptions>(r), base::Error)
+            EXPECT_THROW((void)cad::decode_fields<cad::FlowOptions>(r), base::Error)
                 << "field " << k << " high word 0x" << std::hex << high;
         }
     }
