@@ -135,15 +135,16 @@ struct ArtifactStoreStats {
 /// comment for the ownership contract.
 class ArtifactStore {
 public:
-    /// Version stamped into every disk-blob header. Bump when any encoder
-    /// in cad/serialize.cpp changes shape, or when an unchanged options
+    /// Version stamped into every disk-blob header. Bump when any field
+    /// list in cad/serialize changes shape, or when an unchanged options
     /// fingerprint starts naming a different product (v5: `Race` dropped
     /// its flat analytical replica; v6: `route.threads = 0` routes with the
     /// partitioned PathFinder; v7: the Placement blob lost its replica and
     /// engine fields; v8: the B2B assembly sums duplicate triplets in
-    /// assembly order, which moves some placements); older blobs then read
-    /// as misses.
-    static constexpr std::uint32_t kDiskFormatVersion = 8;
+    /// assembly order, which moves some placements; v9: the Placement and
+    /// RouteArtifact blobs lost their wall times); older blobs then read as
+    /// misses.
+    static constexpr std::uint32_t kDiskFormatVersion = 9;
 
     /// An unbounded, memory-only store.
     ArtifactStore() = default;

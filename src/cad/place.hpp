@@ -46,7 +46,9 @@ struct LevelStats {
     int solver_passes = 0;                ///< solve passes run at this level
     int spread_passes = 0;                ///< spreading passes at this level
     std::uint64_t solver_iterations = 0;  ///< CG iterations at this level
-    double wall_ms = 0.0;                 ///< wall time spent at this level
+    /// Wall time spent at this level (not carried by the artifact codec: a
+    /// restored Placement has it at 0).
+    double wall_ms = 0.0;
 };
 
 /// Multilevel-engine telemetry: what the solver, spreader and legalizer

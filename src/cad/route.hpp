@@ -145,7 +145,8 @@ struct RouteKernelStats {
     /// warm-up growth, so the figure is schedule-dependent there.
     std::uint64_t steady_allocations = 0;
     std::uint64_t nets_routed = 0;    ///< route_one_net invocations
-    /// Wall time inside route_one_net (timing only — schedule-dependent).
+    /// Wall time inside route_one_net (timing only — schedule-dependent, and
+    /// not carried by the artifact codec).
     double search_ms = 0.0;
 
     /// Combine counters from another searcher: sums, except the peak.
@@ -182,11 +183,11 @@ struct RoutingResult {
     std::size_t boundary_nets = 0;   ///< nets serialized because they cross a cut
     /// Cumulative wall time each leaf bin's worker spent routing, indexed by
     /// bin; scheduling-dependent (telemetry only, never feeds back into
-    /// routing decisions).
+    /// routing decisions, and not carried by the artifact codec).
     std::vector<double> bin_wall_ms;
     /// Cumulative wall time spent routing boundary nets (the partition
     /// tree's internal nodes — same-depth nodes run concurrently, but the
-    /// root's nets are inherently serial).
+    /// root's nets are inherently serial). Not carried by the artifact codec.
     double boundary_wall_ms = 0.0;
 };
 

@@ -196,13 +196,14 @@ void fields(IO& io, L& l) {
     io(l.displacement_histogram, l.total_displacement, l.max_displacement, l.avg_displacement);
 }
 
-/// LevelStats fields.
+/// LevelStats fields. The wall time is left out: it differs run to run,
+/// and a content-addressed blob must not.
 template <typename IO, FieldsOf<LevelStats> L>
 void fields(IO& io, L& l) {
     io(l.nodes, l.nets);
     io.integer(l.solver_passes, "level solver_passes");
     io.integer(l.spread_passes, "level spread_passes");
-    io(l.solver_iterations, l.wall_ms);
+    io(l.solver_iterations);
 }
 
 /// AnalyticalStats fields.
@@ -235,20 +236,22 @@ void fields(IO& io, T& t) {
     io(t.root_opin, t.edges, t.sinks);
 }
 
-/// RouteKernelStats fields.
+/// RouteKernelStats fields, without the search wall (see RoutingResult).
 template <typename IO, FieldsOf<RouteKernelStats> K>
 void fields(IO& io, K& k) {
     io(k.heap_pushes, k.heap_pops, k.nodes_expanded, k.edges_scanned, k.wavefront_peak,
-       k.allocations, k.steady_allocations, k.nets_routed, k.search_ms);
+       k.allocations, k.steady_allocations, k.nets_routed);
 }
 
-/// RoutingResult fields.
+/// RoutingResult fields. The walls (bin_wall_ms, boundary_wall_ms and the
+/// kernel's search_ms) are left out: they differ run to run, and a
+/// content-addressed blob must not. A restored routing has them at 0.
 template <typename IO, FieldsOf<RoutingResult> R>
 void fields(IO& io, R& r) {
     io(r.trees);
     io.integer(r.iterations, "route iterations");
     io(r.success, r.overused_nodes, r.overuse_report, r.overuse_trajectory, r.nets_rerouted,
-       r.wirelength, r.num_bins, r.boundary_nets, r.bin_wall_ms, r.boundary_wall_ms, r.kernel);
+       r.wirelength, r.num_bins, r.boundary_nets, r.kernel);
 }
 
 /// RouteRequest::Sink fields.

@@ -586,11 +586,12 @@ TEST(ArtifactStore, CorruptDiskBlobIsAMissNeverACrash) {
 TEST(ArtifactStore, OlderFormatVersionDiskBlobsAreStaleMisses) {
     // Format 4 predates the Race replica change, format 5 the partitioned
     // router at `route.threads = 0`, format 6 carries the retired replica
-    // and engine fields in its Placement blobs, and format 7 predates the
-    // assembly-order B2B sums that moved some placements: such a blob can
-    // name a product the current code cannot produce, or not decode at all,
-    // so an older header must read as a stale blob, never a hit.
-    for (const char version : {char{4}, char{5}, char{6}, char{7}}) {
+    // and engine fields in its Placement blobs, format 7 predates the
+    // assembly-order B2B sums that moved some placements, and format 8
+    // carries wall times in its Placement and RouteArtifact blobs: such a
+    // blob can name a product the current code cannot produce, or not decode
+    // at all, so an older header must read as a stale blob, never a hit.
+    for (const char version : {char{4}, char{5}, char{6}, char{7}, char{8}}) {
         ScratchDir dir;
         {
             cad::ArtifactStore writer(cad::ArtifactStoreConfig{0, dir.str()});
@@ -1029,6 +1030,24 @@ TEST(ArtifactCodecMutation, EveryProductDecoderRejectsCleanly) {
         published_blob<cad::RouteArtifact>(*store, fr, "route"), "route");
     expect_decoder_survives_mutation<cad::BitstreamArtifact>(
         published_blob<cad::BitstreamArtifact>(*store, fr, "bitstream"), "bitstream");
+}
+
+TEST(ArtifactCodec, TwoRunsOfOneDesignEncodeIdenticalBlobs) {
+    // A blob is stored under a content key, so two runs of one job must
+    // encode the same bytes: wall times, which differ run to run, stay out.
+    const auto adder = asynclib::make_qdi_adder(2);
+    auto blobs_of_a_run = [&] {
+        auto store = std::make_shared<cad::ArtifactStore>();
+        cad::FlowOptions o;
+        o.artifact_store = store;
+        const auto fr = cad::run_flow(adder.nl, adder.hints, core::ArchSpec{}, o);
+        return std::pair{published_blob<cad::Placement>(*store, fr, "place"),
+                         published_blob<cad::RouteArtifact>(*store, fr, "route")};
+    };
+    const auto first = blobs_of_a_run();
+    const auto second = blobs_of_a_run();
+    EXPECT_EQ(first.first, second.first) << "place";
+    EXPECT_EQ(first.second, second.second) << "route";
 }
 
 }  // namespace

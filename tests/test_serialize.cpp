@@ -375,7 +375,7 @@ TEST(SerializeCodec, PlacementRoundtrip) {
         EXPECT_EQ(a.solver_passes, b.solver_passes) << "level " << i;
         EXPECT_EQ(a.spread_passes, b.spread_passes) << "level " << i;
         EXPECT_EQ(a.solver_iterations, b.solver_iterations) << "level " << i;
-        EXPECT_EQ(a.wall_ms, b.wall_ms) << "level " << i;
+        EXPECT_EQ(a.wall_ms, 0.0) << "level " << i;  // a timing: not carried
     }
 }
 
@@ -405,8 +405,9 @@ TEST(SerializeCodec, RouteArtifactRoundtrip) {
     EXPECT_EQ(b.wirelength, a.wirelength);
     EXPECT_EQ(b.num_bins, a.num_bins);
     EXPECT_EQ(b.boundary_nets, a.boundary_nets);
-    EXPECT_EQ(b.bin_wall_ms, a.bin_wall_ms);
-    EXPECT_EQ(b.boundary_wall_ms, a.boundary_wall_ms);
+    // Timings are not carried.
+    EXPECT_TRUE(b.bin_wall_ms.empty());
+    EXPECT_EQ(b.boundary_wall_ms, 0.0);
     EXPECT_EQ(b.kernel.heap_pushes, a.kernel.heap_pushes);
     EXPECT_EQ(b.kernel.heap_pops, a.kernel.heap_pops);
     EXPECT_EQ(b.kernel.nodes_expanded, a.kernel.nodes_expanded);
@@ -415,7 +416,7 @@ TEST(SerializeCodec, RouteArtifactRoundtrip) {
     EXPECT_EQ(b.kernel.allocations, a.kernel.allocations);
     EXPECT_EQ(b.kernel.steady_allocations, a.kernel.steady_allocations);
     EXPECT_EQ(b.kernel.nets_routed, a.kernel.nets_routed);
-    EXPECT_EQ(b.kernel.search_ms, a.kernel.search_ms);
+    EXPECT_EQ(b.kernel.search_ms, 0.0);
 
     ASSERT_EQ(back.reqs.size(), ra.reqs.size());
     for (std::size_t i = 0; i < ra.reqs.size(); ++i) {
@@ -460,8 +461,8 @@ TEST(SerializeCodec, BlobBytesArePinned) {
     const std::map<std::string, Pin> pins = {
         {"mapped", {375, 0x5181024dcdea0c93ull}},
         {"packed", {106, 0xae64f18b8a66e8f7ull}},
-        {"placement", {460, 0x811710c7d1cbe06aull}},
-        {"route", {525, 0x79859219f315b59eull}},
+        {"placement", {444, 0x969605aaead08f66ull}},
+        {"route", {469, 0xef43ff1830395aa6ull}},
         {"bitstream", {5510, 0xa99b9227dbb7cb4aull}},
         {"arch", {105, 0xeeba74615806e267ull}},
     };
