@@ -226,7 +226,8 @@ template <typename T>
 class FieldReader {
 public:
     /// True on the decoding side: a field list runs its checks (and the
-    /// netlist its from_parts rebuild) under `if constexpr`.
+    /// netlist and the bitstream their validating rebuilds) under
+    /// `if constexpr`.
     static constexpr bool kDecoding = true;
     /// Consumes from `r`, which must outlive the reader.
     explicit FieldReader(BlobReader& r) noexcept : r_(r) {}

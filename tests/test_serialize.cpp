@@ -1,8 +1,8 @@
 // Binary artifact serialization (cad/serialize.hpp): every codec
-// round-trips bit-exactly, encoding is independent of unordered-container
-// insertion order (the disk tier's content-addressing depends on it), and
-// every malformed input throws base::Error instead of crashing or
-// over-allocating.
+// round-trips bit-exactly, the sample blobs keep their recorded bytes,
+// encoding is independent of unordered-container insertion order (the disk
+// tier's content-addressing depends on it), and every malformed input
+// throws base::Error instead of crashing or over-allocating.
 #include <cmath>
 #include <cstdint>
 #include <limits>
