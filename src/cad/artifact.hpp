@@ -142,9 +142,10 @@ public:
     /// partitioned PathFinder; v7: the Placement blob lost its replica and
     /// engine fields; v8: the B2B assembly sums duplicate triplets in
     /// assembly order, which moves some placements; v9: the Placement and
-    /// RouteArtifact blobs lost their wall times); older blobs then read as
-    /// misses.
-    static constexpr std::uint32_t kDiskFormatVersion = 9;
+    /// RouteArtifact blobs lost their wall times; v10: the RouteArtifact blob
+    /// lost its schedule-dependent allocation counts); older blobs then read
+    /// as misses.
+    static constexpr std::uint32_t kDiskFormatVersion = 10;
 
     /// An unbounded, memory-only store.
     ArtifactStore() = default;

@@ -336,7 +336,12 @@ struct RouteStage {
                                    std::to_string(routing.overused_nodes) +
                                    " overused nodes) — widen the channels");
 
+        // Run-only: the search wall, and the allocation counts, which depend
+        // on the schedule when routing on a pool (the blob carries neither).
         report.add_metric("kernel_search_ms", routing.kernel.search_ms);
+        report.add_metric("kernel_allocations", static_cast<double>(routing.kernel.allocations));
+        report.add_metric("kernel_steady_allocations",
+                          static_cast<double>(routing.kernel.steady_allocations));
         report.add_metric("route_threads", static_cast<double>(pool ? pool->num_workers() : 1));
         report.add_metric("route_bins", static_cast<double>(routing.num_bins));
         report.add_metric("route_boundary_nets", static_cast<double>(routing.boundary_nets));
@@ -368,9 +373,6 @@ struct RouteStage {
         report.add_metric("kernel_nodes_expanded", static_cast<double>(ks.nodes_expanded));
         report.add_metric("kernel_edges_scanned", static_cast<double>(ks.edges_scanned));
         report.add_metric("kernel_wavefront_peak", static_cast<double>(ks.wavefront_peak));
-        report.add_metric("kernel_allocations", static_cast<double>(ks.allocations));
-        report.add_metric("kernel_steady_allocations",
-                          static_cast<double>(ks.steady_allocations));
         report.add_metric("kernel_nets_routed", static_cast<double>(ks.nets_routed));
         ctx.result.routing = std::move(art.routing);
         ctx.route = std::move(art);

@@ -236,11 +236,14 @@ void fields(IO& io, T& t) {
     io(t.root_opin, t.edges, t.sinks);
 }
 
-/// RouteKernelStats fields, without the search wall (see RoutingResult).
+/// RouteKernelStats fields, without the search wall (see RoutingResult) and
+/// the two allocation counts: with a routing pool, how many scratches exist
+/// depends on the schedule, so those counts differ run to run while the
+/// route key ignores `threads`. A restored routing has them at 0.
 template <typename IO, FieldsOf<RouteKernelStats> K>
 void fields(IO& io, K& k) {
     io(k.heap_pushes, k.heap_pops, k.nodes_expanded, k.edges_scanned, k.wavefront_peak,
-       k.allocations, k.steady_allocations, k.nets_routed);
+       k.nets_routed);
 }
 
 /// RoutingResult fields. The walls (bin_wall_ms, boundary_wall_ms and the

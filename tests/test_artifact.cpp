@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "asynclib/adders.hpp"
+#include "asynclib/fifos.hpp"
 #include "base/check.hpp"
 #include "cad/artifact.hpp"
 #include "cad/fingerprint.hpp"
@@ -587,11 +588,12 @@ TEST(ArtifactStore, OlderFormatVersionDiskBlobsAreStaleMisses) {
     // Format 4 predates the Race replica change, format 5 the partitioned
     // router at `route.threads = 0`, format 6 carries the retired replica
     // and engine fields in its Placement blobs, format 7 predates the
-    // assembly-order B2B sums that moved some placements, and format 8
-    // carries wall times in its Placement and RouteArtifact blobs: such a
+    // assembly-order B2B sums that moved some placements, format 8 carries
+    // wall times in its Placement and RouteArtifact blobs, and format 9 the
+    // schedule-dependent allocation counts in its RouteArtifact blobs: such a
     // blob can name a product the current code cannot produce, or not decode
     // at all, so an older header must read as a stale blob, never a hit.
-    for (const char version : {char{4}, char{5}, char{6}, char{7}, char{8}}) {
+    for (const char version : {char{4}, char{5}, char{6}, char{7}, char{8}, char{9}}) {
         ScratchDir dir;
         {
             cad::ArtifactStore writer(cad::ArtifactStoreConfig{0, dir.str()});
@@ -944,6 +946,12 @@ TEST(FlowRestore, ReportsWhatTheRunReported) {
                         EXPECT_NE(c.metric(wall), nullptr) << where << ": " << wall;
                         EXPECT_EQ(w.metric(wall), nullptr) << where << ": " << wall;
                     }
+                if (c.stage == "route")
+                    for (const char* run_only :
+                         {"kernel_allocations", "kernel_steady_allocations"}) {
+                        EXPECT_NE(c.metric(run_only), nullptr) << where << ": " << run_only;
+                        EXPECT_EQ(w.metric(run_only), nullptr) << where << ": " << run_only;
+                    }
                 for (const auto& [name, v] : w.metrics) {
                     if (name == "restored_from_disk" || name.ends_with("_ms")) continue;
                     const double* cv = c.metric(name);
@@ -1048,6 +1056,29 @@ TEST(ArtifactCodec, TwoRunsOfOneDesignEncodeIdenticalBlobs) {
     const auto second = blobs_of_a_run();
     EXPECT_EQ(first.first, second.first) << "place";
     EXPECT_EQ(first.second, second.second) << "route";
+}
+
+TEST(ArtifactCodec, PooledRouteRunsEncodeOneBlob) {
+    // The route key ignores `threads`, so the blob of a pooled routing must
+    // not depend on the schedule either: how many scratches a pool creates
+    // (and so the allocation counts) does, and stays out.
+    const auto fifo = asynclib::make_wchb_fifo(8, 24);
+    core::ArchSpec arch;
+    arch.width = 12;
+    arch.height = 12;
+    cad::FlowOptions o;
+    o.route.threads = 2;
+    std::vector<std::uint8_t> first;
+    for (int run = 0; run < 8; ++run) {
+        const auto fr = cad::run_flow(fifo.nl, fifo.hints, arch, o);
+        cad::RouteArtifact art;
+        art.routing = fr.routing;
+        const auto blob = cad::ArtifactCodec<cad::RouteArtifact>::encode_blob(art);
+        if (run == 0)
+            first = blob;
+        else
+            EXPECT_EQ(blob, first) << "run " << run;
+    }
 }
 
 }  // namespace

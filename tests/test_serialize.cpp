@@ -413,8 +413,9 @@ TEST(SerializeCodec, RouteArtifactRoundtrip) {
     EXPECT_EQ(b.kernel.nodes_expanded, a.kernel.nodes_expanded);
     EXPECT_EQ(b.kernel.edges_scanned, a.kernel.edges_scanned);
     EXPECT_EQ(b.kernel.wavefront_peak, a.kernel.wavefront_peak);
-    EXPECT_EQ(b.kernel.allocations, a.kernel.allocations);
-    EXPECT_EQ(b.kernel.steady_allocations, a.kernel.steady_allocations);
+    // Neither are the schedule-dependent allocation counts.
+    EXPECT_EQ(b.kernel.allocations, 0u);
+    EXPECT_EQ(b.kernel.steady_allocations, 0u);
     EXPECT_EQ(b.kernel.nets_routed, a.kernel.nets_routed);
     EXPECT_EQ(b.kernel.search_ms, 0.0);
 
@@ -462,7 +463,7 @@ TEST(SerializeCodec, BlobBytesArePinned) {
         {"mapped", {375, 0x5181024dcdea0c93ull}},
         {"packed", {106, 0xae64f18b8a66e8f7ull}},
         {"placement", {444, 0x969605aaead08f66ull}},
-        {"route", {469, 0xef43ff1830395aa6ull}},
+        {"route", {453, 0xe82e99b3848da470ull}},
         {"bitstream", {5510, 0xa99b9227dbb7cb4aull}},
         {"arch", {105, 0xeeba74615806e267ull}},
     };
