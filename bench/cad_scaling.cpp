@@ -2,11 +2,12 @@
 // thread counts and fabric sizes, written to BENCH_flow.json.
 //
 // Tiers, in output order:
-//  - parallel_route: the partitioned PathFinder at threads 0/1/2/4/8, with
-//    the bitstream bit-identical at every point;
+//  - parallel_route (gated): the partitioned PathFinder at threads
+//    0/1/2/4/8, with the bitstream bit-identical at every point;
 //  - route_kernel (gated): the search kernel's bitstream against a recorded
 //    golden at every thread count, its counters and steady-state growth;
-//  - rr_build: parallel RR-graph construction against the serial build;
+//  - rr_build (gated): parallel RR-graph construction against the serial
+//    build, lookahead table included;
 //  - artifact_cache (gated): disk-warm restart and a tight-budget soak of
 //    the two-tier artifact store;
 //  - placer_scale (gated): the multilevel V-cycle against its own flat,
@@ -171,7 +172,9 @@ int main(int argc, char** argv) {
     // design runs with the partitioned PathFinder at threads = 0 (on the
     // calling thread, the scaling baseline) and then at growing worker
     // counts; the bitstream must be bit-identical at every point (that is
-    // the router's core guarantee), so wall clock is the only moving number.
+    // the router's core guarantee, gated), so wall clock is the only moving
+    // number.
+    Gates parallel_route_gates;
     std::vector<unsigned> route_thread_counts{0};
     route_thread_counts.insert(route_thread_counts.end(), thread_counts.begin(),
                                thread_counts.end());
@@ -190,7 +193,8 @@ int main(int argc, char** argv) {
 
         double baseline_ms = 0.0;
         base::BitVector ref_bits;
-        w.key("parallel_route").begin_array();
+        w.key("parallel_route").begin_object();
+        w.key("points").begin_array();
         for (unsigned t : route_thread_counts) {
             cad::FlowOptions popts;
             popts.seed = 7;
@@ -246,22 +250,22 @@ int main(int argc, char** argv) {
                                           : 0.0);
             w.key("qor_identical").value(qor_identical);
             w.end_object();
+            if (t != route_thread_counts.front())
+                parallel_route_gates.require("qor_identical at " + std::to_string(t) + " threads",
+                                             qor_identical);
         }
         w.end_array();
+        parallel_route_gates.write(w);
+        w.end_object();
     }
 
     // route_kernel: the search kernel on the routed design. Its gates: the
     // bitstream's CRC-32 at threads = 0 and at every thread count must equal
-    // the golden, recorded while the library still carried the seed kernel
-    // and both kernels produced this bitstream (the kernel rework is sold as
-    // observation-equivalent; tests/test_route_kernel.cpp keeps the seed
-    // kernel as a net-by-net oracle; the full sweep's golden was re-recorded
-    // when the B2B assembly began to sum duplicate triplets in assembly
-    // order, which moved that design's placement); the kernel counters must
-    // show that it ran; and
-    // zero steady-state heap growth (after the first PathFinder iteration
-    // every scratch buffer has reached capacity — an exact count at
-    // threads = 0, where the router runs without a pool).
+    // the golden (re-recorded when the search gained the RR-graph lookahead,
+    // which moved its routing decisions); the kernel counters must show that
+    // it ran; and zero steady-state heap growth (after the first PathFinder
+    // iteration every scratch buffer has reached capacity — an exact count
+    // at threads = 0, where the router runs without a pool).
     Gates route_kernel_gates;
     {
         const SweepPoint& pt = routed;
@@ -270,7 +274,7 @@ int main(int argc, char** argv) {
         arch.width = pt.fabric;
         arch.height = pt.fabric;
         arch.channel_width = pt.channel_width;
-        const std::uint32_t golden_crc = smoke ? 0x8F4D65DDu : 0x966E58F1u;
+        const std::uint32_t golden_crc = smoke ? 0x483530C1u : 0xCCA19420u;
 
         // Best-of-`n` route-stage wall at `threads`.
         auto best_flow = [&](unsigned threads, int n) {
@@ -351,7 +355,9 @@ int main(int argc, char** argv) {
     // rr_build: parallel RR-graph construction. A fabric larger than the
     // routed design (the graph is the flow's biggest single
     // allocation) is built serially and then on pools of growing size; the
-    // content fingerprint proves every build is byte-identical.
+    // content fingerprint (nodes, edges and the lookahead table) must match
+    // the serial build's at every pool size.
+    Gates rr_build_gates;
     {
         core::ArchSpec arch;
         arch.width = arch.height = smoke ? 16 : 48;
@@ -366,7 +372,8 @@ int main(int argc, char** argv) {
             serial_fp = rr.content_fingerprint();
         }
 
-        w.key("rr_build").begin_array();
+        w.key("rr_build").begin_object();
+        w.key("points").begin_array();
         for (unsigned t : thread_counts) {
             base::ThreadPool pool(t);
             double best_ms = 1e18;
@@ -397,8 +404,12 @@ int main(int argc, char** argv) {
             w.key("speedup_vs_serial").value(speedup);
             w.key("fingerprint_identical").value(identical);
             w.end_object();
+            rr_build_gates.require("fingerprint_identical at " + std::to_string(t) + " threads",
+                                   identical);
         }
         w.end_array();
+        rr_build_gates.write(w);
+        w.end_object();
     }
 
     // artifact_cache: the two-tier artifact cache. Its gates:
@@ -924,7 +935,9 @@ int main(int argc, char** argv) {
     out << w.str() << "\n";
     std::printf("wrote %s\n", out_path.c_str());
     // Every tier names its own failures, so none is short-circuited away.
-    bool ok = route_kernel_gates.report("route_kernel");
+    bool ok = parallel_route_gates.report("parallel_route");
+    ok = route_kernel_gates.report("route_kernel") && ok;
+    ok = rr_build_gates.report("rr_build") && ok;
     ok = cache_gates.report("artifact_cache") && ok;
     ok = placer_gates.report("placer_scale") && ok;
     ok = server_gates.report("flow_server") && ok;

@@ -143,8 +143,8 @@ public:
     /// engine fields; v8: the B2B assembly sums duplicate triplets in
     /// assembly order, which moves some placements; v9: the Placement and
     /// RouteArtifact blobs lost their wall times; v10: the RouteArtifact blob
-    /// lost its schedule-dependent allocation counts); older blobs then read
-    /// as misses.
+    /// lost its schedule-dependent allocation counts, and the router's
+    /// lookahead moved its routings); older blobs then read as misses.
     static constexpr std::uint32_t kDiskFormatVersion = 10;
 
     /// An unbounded, memory-only store.

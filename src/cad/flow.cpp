@@ -193,6 +193,7 @@ void attach_rr(FlowContext& ctx, std::unique_ptr<base::ThreadPool>& pool, StageR
     fr.rr = pool ? std::make_shared<core::RRGraph>(ctx.arch, *pool)
                  : std::make_shared<core::RRGraph>(ctx.arch);
     report.add_metric("rr_build_ms", rr_timer.elapsed_ms());
+    report.add_metric("rr_lookahead_ms", fr.rr->lookahead_build_ms());
     if (pool) report.add_metric("rr_build_threads", static_cast<double>(pool->num_workers()));
 }
 

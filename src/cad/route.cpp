@@ -9,7 +9,6 @@
 #include "base/threadpool.hpp"
 #include "base/timer.hpp"
 #include "cad/route_search.hpp"
-#include "core/fabric.hpp"
 
 namespace afpga::cad {
 
@@ -62,29 +61,13 @@ void split(std::vector<PartNode>& tree, int at, std::uint32_t min_dim) {
     split(tree, tree[at].right, min_dim);
 }
 
-/// The fabric-grid coordinate a pad routes through: the border PLB adjacent
-/// to its IOB position (mirrors the RR-graph builder's pad wiring).
-core::PlbCoord pad_anchor(const core::FabricGeometry& geom, std::uint32_t pad) {
-    const core::IobCoord io = geom.pad_iob(pad);
-    const std::uint32_t W = geom.arch().width;
-    const std::uint32_t H = geom.arch().height;
-    switch (io.side) {
-        case core::Side::Bottom: return {io.offset, 0};
-        case core::Side::Top: return {io.offset, H - 1};
-        case core::Side::Left: return {0, io.offset};
-        case core::Side::Right: return {W - 1, io.offset};
-    }
-    return {0, 0};
-}
-
 /// Bounding box of a request's terminals (source + every sink), in PLB
 /// coordinates.
-RouteBBox terminal_bbox(const core::FabricGeometry& geom, const RouteRequest& rq) {
-    core::PlbCoord first =
-        rq.src_is_pad ? pad_anchor(geom, rq.src_pad) : rq.src_plb;
+RouteBBox terminal_bbox(const RRGraph& rr, const RouteRequest& rq) {
+    core::PlbCoord first = rq.src_is_pad ? rr.pad_anchor(rq.src_pad) : rq.src_plb;
     RouteBBox bb{first.x, first.y, first.x, first.y};
     for (const RouteRequest::Sink& sk : rq.sinks) {
-        const core::PlbCoord c = sk.is_pad ? pad_anchor(geom, sk.pad) : sk.plb;
+        const core::PlbCoord c = sk.is_pad ? rr.pad_anchor(sk.pad) : sk.plb;
         bb.x0 = std::min(bb.x0, c.x);
         bb.y0 = std::min(bb.y0, c.y);
         bb.x1 = std::max(bb.x1, c.x);
@@ -109,7 +92,6 @@ RoutingResult route(const RRGraph& rr, const std::vector<RouteRequest>& reqs,
     base::check(non_negative(opts.hist_fac), "route: hist_fac must be finite and >= 0");
     base::check(non_negative(opts.astar_fac), "route: astar_fac must be finite and >= 0");
     const std::size_t N = rr.num_nodes();
-    const core::FabricGeometry& geom = rr.geometry();
     const std::uint32_t W = rr.arch().width;
     const std::uint32_t H = rr.arch().height;
 
@@ -129,7 +111,7 @@ RoutingResult route(const RRGraph& rr, const std::vector<RouteRequest>& reqs,
     // --- per-net search regions ----------------------------------------------
     std::vector<RouteBBox> terminals(reqs.size());
     for (std::size_t ri = 0; ri < reqs.size(); ++ri)
-        terminals[ri] = terminal_bbox(geom, reqs[ri]);
+        terminals[ri] = terminal_bbox(rr, reqs[ri]);
     // Per-net extra margin, normally 0: nets are binned by their raw
     // terminal bounding box (so the detour margin never pushes a net out of
     // its leaf), and grow their box only when a sink proves unreachable or

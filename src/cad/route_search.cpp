@@ -12,23 +12,6 @@ using core::RRGraph;
 using core::RRKind;
 using core::RRNodeWord;
 
-namespace {
-
-/// Grid position of a node for the A* heuristic, read from the packed SoA
-/// word. Channel wires sit on their span's midpoint along the channel axis;
-/// pins sit at their PLB's center. Arithmetic is identical to the original
-/// RRNode-struct version (same integer values promoted to double), so
-/// heuristic costs are byte-identical.
-std::pair<double, double> word_pos(RRNodeWord nw) {
-    switch (nw.kind()) {
-        case RRKind::ChanX: return {nw.x() + 0.5, static_cast<double>(nw.y())};
-        case RRKind::ChanY: return {static_cast<double>(nw.x()), nw.y() + 0.5};
-        default: return {nw.x() + 0.5, nw.y() + 0.5};
-    }
-}
-
-}  // namespace
-
 NetRouteState route_one_net(const RRGraph& rr, const RouteRequest& rq,
                             const RouterOptions& opts, double pres_fac,
                             const std::vector<double>& hist,
@@ -103,31 +86,41 @@ NetRouteState route_one_net(const RRGraph& rr, const RouteRequest& rq,
         }
         for (std::uint32_t t : targets) target_mark[t] = mark;
 
-        const std::pair<double, double> tpos =
-            sk.is_pad ? word_pos(rr.node_word(targets[0]))
-                      : std::pair<double, double>{sk.plb.x + 0.5, sk.plb.y + 0.5};
-        auto heuristic = [&](std::uint32_t n) {
-            const auto [x, y] = word_pos(rr.node_word(n));
+        // A PLB sink reads the graph's lookahead; a pad sink keeps the
+        // Manhattan term to the pad's anchor PLB.
+        const std::pair<double, double> pad_pos = rr.node_word(targets[0]).grid_pos();
+        auto heuristic = [&](RRNodeWord nw) {
+            if (!sk.is_pad) return opts.astar_fac * rr.lookahead(nw, sk.plb);
+            const auto [x, y] = nw.grid_pos();
             return opts.astar_fac * wire_unit *
-                   (std::abs(x - tpos.first) + std::abs(y - tpos.second));
+                   (std::abs(x - pad_pos.first) + std::abs(y - pad_pos.second));
+        };
+        // Input pins are never expanded, so one that is not this sink's
+        // target is a dead end and never enters the wavefront.
+        auto dead_end = [&](std::uint32_t n, RRNodeWord nw) {
+            return nw.kind() == RRKind::Ipin && target_mark[n] != mark;
         };
 
         heap.clear();
-        auto push = [&](std::uint32_t n, double backward, std::uint32_t via_edge) {
-            if (bbox != nullptr && !bbox->allows(rr.node_word(n))) return;
+        auto push = [&](std::uint32_t n, RRNodeWord nw, double backward,
+                        std::uint32_t via_edge) {
             if (visit_mark[n] == mark && best[n] <= backward) return;
             visit_mark[n] = mark;
             best[n] = backward;
             prev_edge[n] = via_edge;
-            if (heap.push({backward + heuristic(n), backward, n})) ++ks.allocations;
+            if (heap.push({backward + heuristic(nw), backward, n})) ++ks.allocations;
             ++ks.heap_pushes;
             if (heap.size() > ks.wavefront_peak) ks.wavefront_peak = heap.size();
         };
+        auto seed = [&](std::uint32_t n, double backward) {
+            const RRNodeWord nw = rr.node_word(n);
+            if (dead_end(n, nw) || (bbox != nullptr && !bbox->allows(nw))) return;
+            push(n, nw, backward, UINT32_MAX);
+        };
         if (tree_nodes.empty()) {
-            for (std::uint32_t s : sources)
-                push(s, rr.node_base_cost(s) * pres_cost(s), UINT32_MAX);
+            for (std::uint32_t s : sources) seed(s, rr.node_base_cost(s) * pres_cost(s));
         } else {
-            for (std::uint32_t n : tree_nodes) push(n, 0.0, UINT32_MAX);
+            for (std::uint32_t n : tree_nodes) seed(n, 0.0);
         }
 
         std::uint32_t found = UINT32_MAX;
@@ -139,9 +132,7 @@ NetRouteState route_one_net(const RRGraph& rr, const RouteRequest& rq,
                 found = it.node;
                 break;
             }
-            const RRNodeWord nw = rr.node_word(it.node);
-            // Never expand through a sink pin of some other block.
-            if (nw.kind() == RRKind::Ipin) continue;
+            // Every pushed input pin is a target, so this node is not one.
             ++ks.nodes_expanded;
             // Flat CSR adjacency: one contiguous scan per expansion. The
             // region test runs before the cost: pres_cost reads occ[], and a
@@ -149,10 +140,11 @@ NetRouteState route_one_net(const RRGraph& rr, const RouteRequest& rq,
             // worker is occupying right now — it must not even be read.
             for (const core::RRGraph::OutEdge oe : rr.out(it.node)) {
                 ++ks.edges_scanned;
-                if (bbox != nullptr && !bbox->allows(rr.node_word(oe.to))) continue;
+                const RRNodeWord nw = rr.node_word(oe.to);
+                if (dead_end(oe.to, nw) || (bbox != nullptr && !bbox->allows(nw))) continue;
                 const double c =
                     it.backward + rr.node_base_cost(oe.to) * pres_cost(oe.to) + hist[oe.to];
-                push(oe.to, c, oe.edge);
+                push(oe.to, nw, c, oe.edge);
             }
         }
         if (found == UINT32_MAX) {

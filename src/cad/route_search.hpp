@@ -77,10 +77,12 @@ struct HeapItem {
     double cost;         ///< accumulated + heuristic (the heap key)
     double backward;     ///< accumulated only
     std::uint32_t node;  ///< RR node this entry would expand
-    /// Max-heap ordering on cost inverted into a min-heap, exactly like the
-    /// seed kernel's `std::priority_queue` comparator.
+    /// Max-heap ordering on cost inverted into a min-heap; among equal costs
+    /// the item with more accumulated cost pops first. The lookahead is exact
+    /// near the target, so a whole optimal path shares one cost: this goes
+    /// down it instead of widening the front across its equal-cost siblings.
     friend bool operator<(const HeapItem& a, const HeapItem& b) noexcept {
-        return a.cost > b.cost;
+        return a.cost > b.cost || (a.cost == b.cost && a.backward < b.backward);
     }
 };
 
@@ -180,6 +182,10 @@ struct NetRouteState {
 
 /// Route one net from scratch under the current congestion costs and commit
 /// its occupancy (`++occ` on every tree node).
+///
+/// The A* term is RRGraph::lookahead to a PLB sink (the Manhattan term to a
+/// pad sink's anchor PLB), scaled by RouterOptions::astar_fac. Input pins are never
+/// expanded, so only the current sink's own pins are ever pushed.
 ///
 /// `bbox`, when non-null, confines the wavefront: nodes outside the box are
 /// never pushed (pad endpoints excepted, see RouteBBox::allows). A sink that

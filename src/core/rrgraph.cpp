@@ -1,11 +1,13 @@
 #include "core/rrgraph.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <numeric>
 
 #include "base/check.hpp"
 #include "base/threadpool.hpp"
+#include "base/timer.hpp"
 
 namespace afpga::core {
 
@@ -135,22 +137,25 @@ void RRGraph::emit_conn_row(std::uint32_t y, EdgeSink& out) const {
 
 // --- pads <-> perimeter channels ---------------------------------------------
 void RRGraph::emit_pads(EdgeSink& out) const {
+    for (std::uint32_t pad = 0; pad < geom_.num_pads(); ++pad) {
+        const Side side = geom_.pad_iob(pad).side;
+        const PlbCoord c = pad_anchor(pad);
+        connect_pin_to_channel(pad_opin(pad), true, side, c.x, c.y, pad, out);
+        connect_pin_to_channel(pad_ipin(pad), false, side, c.x, c.y, pad + 1, out);
+    }
+}
+
+PlbCoord RRGraph::pad_anchor(std::uint32_t pad) const {
+    const IobCoord io = geom_.pad_iob(pad);
     const std::uint32_t W = geom_.arch().width;
     const std::uint32_t H = geom_.arch().height;
-    for (std::uint32_t pad = 0; pad < geom_.num_pads(); ++pad) {
-        const IobCoord io = geom_.pad_iob(pad);
-        // The pad's adjacent channel expressed as the channel of a border PLB.
-        std::uint32_t cx = 0;
-        std::uint32_t cy = 0;
-        switch (io.side) {
-            case Side::Bottom: cx = io.offset; cy = 0; break;
-            case Side::Top: cx = io.offset; cy = H - 1; break;
-            case Side::Left: cx = 0; cy = io.offset; break;
-            case Side::Right: cx = W - 1; cy = io.offset; break;
-        }
-        connect_pin_to_channel(pad_opin(pad), true, io.side, cx, cy, pad, out);
-        connect_pin_to_channel(pad_ipin(pad), false, io.side, cx, cy, pad + 1, out);
+    switch (io.side) {
+        case Side::Bottom: return {io.offset, 0};
+        case Side::Top: return {io.offset, H - 1};
+        case Side::Left: return {0, io.offset};
+        case Side::Right: return {W - 1, io.offset};
     }
+    return {0, 0};
 }
 
 // --- switch boxes of one junction row: wire <-> wire -------------------------
@@ -239,9 +244,120 @@ void RRGraph::build(base::ThreadPool* pool) {
     base_cost_.resize(nodes_.size());
     for (std::size_t n = 0; n < nodes_.size(); ++n) {
         const RRNode& nd = nodes_[n];
-        hot_word_[n] = RRNodeWord::pack(nd.kind, nd.x, nd.y, nd.is_pad);
+        hot_word_[n] = RRNodeWord::pack(nd.kind, nd.x, nd.y, nd.track, nd.is_pad);
         base_cost_[n] = static_cast<double>(nd.delay_ps > 0 ? nd.delay_ps : 1);
     }
+    // A pad pin's word holds its anchor PLB, not its index: the router's
+    // Manhattan term then measures to where the pad meets the channels.
+    for (std::uint32_t pad = 0; pad < geom_.num_pads(); ++pad) {
+        const PlbCoord c = pad_anchor(pad);
+        for (const std::uint32_t n : {pad_opin(pad), pad_ipin(pad)})
+            hot_word_[n] = RRNodeWord::pack(nodes_[n].kind, static_cast<std::uint16_t>(c.x),
+                                            static_cast<std::uint16_t>(c.y), 0, true);
+    }
+
+    build_lookahead();
+}
+
+// The lookahead table: one reverse search over base costs from the input
+// pins of the centre PLB c. g(u) = min over edges u->v of base(v) + g(v),
+// with g = 0 on c's input pins. Wire<->wire edges are all bidirectional
+// (emit_switch_row only emits biedges), so a wire's wire in-neighbours are
+// its out-neighbours and no reverse adjacency is needed. Every wire has the
+// same base cost and every input pin the same, so g grows by one wire per
+// hop and a FIFO labels wires in cost order: this Dijkstra is a breadth-first
+// search, and a wire's first label is final. It stops once every wire of the
+// window is labelled, so the work stays about constant whatever the fabric
+// size.
+void RRGraph::build_lookahead() {
+    base::WallTimer timer;
+    const ArchSpec& a = geom_.arch();
+    const std::uint32_t W = a.width;
+    const std::uint32_t H = a.height;
+    const std::uint32_t T = a.channel_width;
+    constexpr std::int32_t R = kLookaheadRadius;
+    lookahead_tracks_ = std::max({T, a.plb_inputs, a.plb_outputs});
+    lookahead_wire_unit_ = static_cast<double>(std::max<std::int64_t>(a.wire_delay_ps, 1));
+    lookahead_.assign(std::size_t{4} * lookahead_tracks_ * kLookaheadSpan * kLookaheadSpan, -1.0);
+    const PlbCoord c{W / 2, H / 2};
+
+    // Table slot of a wire of the window, or SIZE_MAX.
+    auto window_slot = [&](std::uint32_t n) {
+        const RRNodeWord nw = hot_word_[n];
+        const auto dx = static_cast<std::int32_t>(nw.x()) - static_cast<std::int32_t>(c.x) + R;
+        const auto dy = static_cast<std::int32_t>(nw.y()) - static_cast<std::int32_t>(c.y) + R;
+        if (static_cast<std::uint32_t>(dx) >= kLookaheadSpan ||
+            static_cast<std::uint32_t>(dy) >= kLookaheadSpan)
+            return SIZE_MAX;
+        return lookahead_index(nw.kind(), nw.track(), static_cast<std::uint32_t>(dx),
+                               static_cast<std::uint32_t>(dy));
+    };
+
+    // Window wires on the fabric: the search runs until all are labelled.
+    std::size_t remaining = 0;
+    for (std::int32_t d1 = -R; d1 <= R + 1; ++d1)
+        for (std::int32_t d2 = -R; d2 <= R + 1; ++d2) {
+            const std::int64_t x = std::int64_t{c.x} + d1;
+            const std::int64_t y = std::int64_t{c.y} + d2;
+            if (x < 0 || y < 0) continue;
+            remaining += (x < W && y <= H) ? T : 0;  // ChanX (x, ych = y)
+            remaining += (x <= W && y < H) ? T : 0;  // ChanY (xch = x, y)
+        }
+
+    // A wire's label is its cost g, carried in the FIFO entry; the window's
+    // values land in the table, which is all the output pins below read.
+    std::vector<std::uint8_t> labelled(nodes_.size(), 0);
+    std::vector<std::pair<std::uint32_t, double>> fifo;
+    auto label = [&](std::uint32_t wire, double g) {
+        labelled[wire] = 1;
+        fifo.emplace_back(wire, g);
+        if (const std::size_t slot = window_slot(wire); slot != SIZE_MAX) {
+            lookahead_[slot] = g;
+            --remaining;
+        }
+    };
+    // Seeds: the wires of c's four channel segments that tap one of its pins.
+    for (std::uint32_t t = 0; t < T; ++t)
+        for (const std::uint32_t wire : {chanx(c.y, c.x, t), chanx(c.y + 1, c.x, t),
+                                         chany(c.x, c.y, t), chany(c.x + 1, c.y, t)})
+            for (const OutEdge oe : out(wire)) {
+                const RRNodeWord to = hot_word_[oe.to];
+                if (to.kind() == RRKind::Ipin && !to.is_pad() && to.x() == c.x &&
+                    to.y() == c.y) {
+                    label(wire, base_cost_[oe.to]);
+                    break;
+                }
+            }
+    for (std::size_t head = 0; head < fifo.size() && remaining > 0; ++head) {
+        const auto [v, g_v] = fifo[head];
+        const double g = g_v + base_cost_[v];
+        for (const OutEdge oe : out(v)) {
+            const RRKind k = hot_word_[oe.to].kind();
+            if ((k == RRKind::ChanX || k == RRKind::ChanY) && !labelled[oe.to]) label(oe.to, g);
+        }
+    }
+
+    // PLB output pins within R of c: every wire they drive lies in the
+    // window, so each one's value is exact; a pin that reaches no pin of c
+    // keeps -1.
+    for (std::int32_t dy = -R; dy <= R; ++dy)
+        for (std::int32_t dx = -R; dx <= R; ++dx) {
+            const std::int64_t x = std::int64_t{c.x} + dx;
+            const std::int64_t y = std::int64_t{c.y} + dy;
+            if (x < 0 || y < 0 || x >= W || y >= H) continue;
+            const PlbCoord p{static_cast<std::uint32_t>(x), static_cast<std::uint32_t>(y)};
+            for (std::uint32_t pin = 0; pin < a.plb_outputs; ++pin) {
+                double& g = lookahead_[lookahead_index(RRKind::Opin, pin,
+                                                       static_cast<std::uint32_t>(dx + R),
+                                                       static_cast<std::uint32_t>(dy + R))];
+                for (const OutEdge oe : out(plb_opin(p, pin))) {
+                    const double g_wire = lookahead_[window_slot(oe.to)];
+                    if (g_wire >= 0.0 && (g < 0.0 || base_cost_[oe.to] + g_wire < g))
+                        g = base_cost_[oe.to] + g_wire;
+                }
+            }
+        }
+    lookahead_ms_ = timer.elapsed_ms();
 }
 
 void RRGraph::build_csr(base::ThreadPool* pool) {
@@ -407,6 +523,7 @@ std::uint64_t RRGraph::content_fingerprint() const noexcept {
         mix(edge_from_[e]);
         mix(edge_to_[e]);
     }
+    for (const double c : lookahead_) mix(std::bit_cast<std::uint64_t>(c));
     return h;
 }
 

@@ -21,6 +21,7 @@
 // (content_fingerprint() pins this in the tests).
 #pragma once
 
+#include <cmath>
 #include <cstdint>
 #include <span>
 #include <string>
@@ -48,21 +49,21 @@ struct RRNode {
     std::int64_t delay_ps = 0;
 };
 
-/// Packed hot-path view of one RR node: position, kind and the pad flag in a
-/// single 8-byte word. The router's wavefront loop (heuristic + bounding-box
-/// tests) reads only these fields, and reading them through the dense
-/// position-word array touches half the bytes per node that chasing RRNode
-/// structs would (and never drags the cold delay field into cache).
+/// Packed hot-path view of one RR node: position, kind, the pad flag and the
+/// track in a single 8-byte word. The router's wavefront loop (heuristic +
+/// bounding-box tests) reads only these fields, and reading them through the
+/// dense position-word array touches half the bytes per node that chasing
+/// RRNode structs would (and never drags the cold delay field into cache).
 struct RRNodeWord {
     std::uint64_t w = 0;
 
     RRNodeWord() = default;
     explicit constexpr RRNodeWord(std::uint64_t word) noexcept : w(word) {}
     static constexpr RRNodeWord pack(RRKind kind, std::uint16_t x, std::uint16_t y,
-                                     bool is_pad) noexcept {
+                                     std::uint16_t track, bool is_pad) noexcept {
         return RRNodeWord{std::uint64_t{x} | (std::uint64_t{y} << 16) |
                           (static_cast<std::uint64_t>(kind) << 32) |
-                          (std::uint64_t{is_pad} << 40)};
+                          (std::uint64_t{is_pad} << 40) | (std::uint64_t{track} << 48)};
     }
     [[nodiscard]] constexpr std::uint32_t x() const noexcept {
         return static_cast<std::uint32_t>(w & 0xFFFF);
@@ -74,6 +75,19 @@ struct RRNodeWord {
         return static_cast<RRKind>((w >> 32) & 0xFF);
     }
     [[nodiscard]] constexpr bool is_pad() const noexcept { return ((w >> 40) & 1) != 0; }
+    /// Wire track, or pin index for Opin/Ipin.
+    [[nodiscard]] constexpr std::uint32_t track() const noexcept {
+        return static_cast<std::uint32_t>(w >> 48);
+    }
+    /// Grid position for the router's Manhattan term: a channel wire sits on
+    /// its span's midpoint along the channel axis, a pin at its PLB's centre.
+    [[nodiscard]] constexpr std::pair<double, double> grid_pos() const noexcept {
+        switch (kind()) {
+            case RRKind::ChanX: return {x() + 0.5, static_cast<double>(y())};
+            case RRKind::ChanY: return {static_cast<double>(x()), y() + 0.5};
+            default: return {x() + 0.5, y() + 0.5};
+        }
+    }
 };
 
 class RRGraph {
@@ -153,8 +167,9 @@ public:
     // what the per-node search touches, so the expansion loop never chases
     // RRNode structs. Raw-indexed like out()/node_capacity().
 
-    /// Packed {x, y, kind, is_pad} word of `n` — the heuristic/bounding-box
-    /// view of the node.
+    /// Packed {x, y, kind, is_pad, track} word of `n` — the heuristic and
+    /// bounding-box view of the node. A pad pin's x/y hold its pad_anchor(),
+    /// not the pad-index halves its RRNode carries.
     [[nodiscard]] RRNodeWord node_word(std::uint32_t n) const noexcept { return hot_word_[n]; }
     /// The router's base cost of occupying `n`: max(delay_ps, 1) as a double,
     /// precomputed so the wavefront loop never converts or clamps.
@@ -163,6 +178,40 @@ public:
     [[nodiscard]] std::span<const double> base_costs() const noexcept { return base_cost_; }
     /// The whole position-word array.
     [[nodiscard]] std::span<const RRNodeWord> node_words() const noexcept { return hot_word_; }
+
+    // --- router lookahead ------------------------------------------------------
+    /// Half-width of the lookahead table's window: offsets -R..R+1 from the
+    /// target PLB on each axis (the +1 covers the channels above and right
+    /// of it).
+    static constexpr std::int32_t kLookaheadRadius = 2;
+
+    /// Lower bound on the base cost of reaching any input pin of PLB `t`
+    /// from node `n`: the summed base costs of the nodes after `n`, the
+    /// pin's included. A wire or PLB output pin within kLookaheadRadius of
+    /// `t` reads a (kind, track, dx, dy) table, measured once per graph by a
+    /// reverse Dijkstra from the input pins of the fabric's centre PLB; any
+    /// other node gets max(wire_delay_ps, 1) times the Manhattan distance
+    /// from its grid_pos() to `t`'s centre. The table knows which tracks
+    /// reach which pins (each side's input pins tap one track parity), which
+    /// the Manhattan term cannot see. Base costs bound the router's
+    /// congested costs from below, and the centre has the most paths of any
+    /// spot, so the bound holds for every target.
+    [[nodiscard]] double lookahead(RRNodeWord n, PlbCoord t) const noexcept {
+        constexpr std::int32_t R = kLookaheadRadius;
+        const auto dx = static_cast<std::int32_t>(n.x()) - static_cast<std::int32_t>(t.x) + R;
+        const auto dy = static_cast<std::int32_t>(n.y()) - static_cast<std::int32_t>(t.y) + R;
+        if (!n.is_pad() && static_cast<std::uint32_t>(dx) < kLookaheadSpan &&
+            static_cast<std::uint32_t>(dy) < kLookaheadSpan) {
+            const double c = lookahead_[lookahead_index(n.kind(), n.track(),
+                                                        static_cast<std::uint32_t>(dx),
+                                                        static_cast<std::uint32_t>(dy))];
+            if (c >= 0.0) return c;
+        }
+        const auto [x, y] = n.grid_pos();
+        return lookahead_wire_unit_ * (std::abs(x - (t.x + 0.5)) + std::abs(y - (t.y + 0.5)));
+    }
+    /// Wall time the lookahead table took to build (telemetry only).
+    [[nodiscard]] double lookahead_build_ms() const noexcept { return lookahead_ms_; }
 
     // --- node lookup --------------------------------------------------------
     [[nodiscard]] std::uint32_t plb_opin(PlbCoord c, std::uint32_t pin) const;
@@ -181,14 +230,17 @@ public:
     }
     /// For a pad pin node: the pad index.
     [[nodiscard]] std::uint32_t pad_of(std::uint32_t node) const;
+    /// The border PLB whose channel a pad connects to.
+    [[nodiscard]] PlbCoord pad_anchor(std::uint32_t pad) const;
 
     // --- statistics (fig1 bench) ---------------------------------------------
     [[nodiscard]] std::size_t num_wires() const noexcept { return n_wires_; }
     [[nodiscard]] double avg_wire_fanout() const;
 
-    /// Stable hash over the full node and edge content (not the ArchSpec):
-    /// two graphs agree iff their arrays are byte-identical. Pins the
-    /// serial-vs-parallel build equivalence in tests and benches.
+    /// Stable hash over the full node and edge content and the lookahead
+    /// table (not the ArchSpec): two graphs agree iff their arrays are
+    /// byte-identical. Pins the serial-vs-parallel build equivalence in
+    /// tests and benches.
     [[nodiscard]] std::uint64_t content_fingerprint() const noexcept;
 
 private:
@@ -215,6 +267,15 @@ private:
     void emit_pads(EdgeSink& out) const;
     void emit_switch_row(std::uint32_t jy, EdgeSink& out) const;
     void build_csr(base::ThreadPool* pool);
+    void build_lookahead();
+    [[nodiscard]] std::size_t lookahead_index(RRKind kind, std::uint32_t track,
+                                              std::uint32_t dx,
+                                              std::uint32_t dy) const noexcept {
+        return ((static_cast<std::size_t>(kind) * lookahead_tracks_ + track) * kLookaheadSpan +
+                dy) *
+                   kLookaheadSpan +
+               dx;
+    }
     void connect_pin_to_channel(std::uint32_t pin_node, bool pin_drives, Side side,
                                 std::uint32_t cx, std::uint32_t cy, std::uint32_t seed,
                                 EdgeSink& out) const;
@@ -226,8 +287,15 @@ private:
     std::vector<std::uint16_t> capacity_;   // node -> legal occupancy
     std::vector<std::uint32_t> csr_first_;  // node -> first index into csr_adj_
     std::vector<OutEdge> csr_adj_;          // adjacency flattened by source node
-    std::vector<RRNodeWord> hot_word_;      // node -> packed {x,y,kind,is_pad}
+    std::vector<RRNodeWord> hot_word_;      // node -> packed {x,y,kind,is_pad,track}
     std::vector<double> base_cost_;         // node -> max(delay_ps,1) as double
+
+    // Lookahead table over (kind, track, dx + R, dy + R); -1 = not measured.
+    static constexpr std::uint32_t kLookaheadSpan = 2 * kLookaheadRadius + 2;
+    std::vector<double> lookahead_;
+    std::uint32_t lookahead_tracks_ = 0;  // max(channel_width, plb pins)
+    double lookahead_wire_unit_ = 1.0;    // max(wire_delay_ps, 1)
+    double lookahead_ms_ = 0.0;
 
     // dense lookup bases
     std::uint32_t base_plb_opin_ = 0;

@@ -731,7 +731,7 @@ void expect_golden(Style style, const Golden& g) {
 
 TEST(SimGolden, QdiAdder4PostRouteStream) {
     golden::expect_golden(golden::Style::QdiAdder,
-                          {12410u, 5240, 406640, 0x554A0F3FFFDA126AULL, 0x7238A4055803F1DDULL});
+                          {12612u, 5240, 407360, 0xE38BF987BFAA1D90ULL, 0xD71042F64F6FB8FAULL});
 }
 
 TEST(SimGolden, MicropipelineAdder4PostRouteStream) {
@@ -741,17 +741,17 @@ TEST(SimGolden, MicropipelineAdder4PostRouteStream) {
 
 TEST(SimGolden, WchbFifo4x8PostRouteStream) {
     golden::expect_golden(golden::Style::WchbFifo,
-                          {25631u, 2610, 150070, 0xC2B14477F1D2F27DULL, 0x3BF719DC77524205ULL});
+                          {25760u, 2570, 150030, 0xFA67C6F0723C1AD5ULL, 0x428BA81922E51DD4ULL});
 }
 
 TEST(SimGolden, MicropipelineFifo4x8PostRouteStream) {
     golden::expect_golden(golden::Style::MpFifo,
-                          {13244u, 6290, 171350, 0x21D357273DF6DB0BULL, 0x7443E9B44CAEB816ULL});
+                          {13244u, 6290, 171350, 0x21D357273DF6DB0BULL, 0x2226840DF3247C0EULL});
 }
 
 TEST(SimGolden, MousetrapFifo4x8PostRouteStream) {
     golden::expect_golden(golden::Style::MousetrapFifo,
-                          {9025u, 6170, 110120, 0x8978A58780169735ULL, 0x9C17E49B75641D86ULL});
+                          {9025u, 6250, 110200, 0x9A5DAA96044265C8ULL, 0x306D1074332B37EEULL});
 }
 
 // ---------------------------------------------------------------------------
@@ -836,12 +836,12 @@ void set_tie_delays(Simulator& sim, const Netlist& nl, base::Rng& rng) {
 
 TEST(SimPins, QdiAdder1) {
     golden::expect_pin({golden::Style::QdiAdder, 1, 0},
-                       {0xDA42BF8272B58F42ULL, 0x6887C3CA95617363ULL});
+                       {0x0EF55FF12A448A39ULL, 0xF78D5EC03EFB2251ULL});
 }
 
 TEST(SimPins, QdiAdder8) {
     golden::expect_pin({golden::Style::QdiAdder, 8, 0},
-                       {0xD4234ABAA89EF1E9ULL, 0x01AA1F2D5B6EDF6DULL});
+                       {0xF48B3E2BA8549A1BULL, 0x80CCDCD5AFA297F2ULL});
 }
 
 TEST(SimPins, MicropipelineAdder2) {
@@ -851,12 +851,12 @@ TEST(SimPins, MicropipelineAdder2) {
 
 TEST(SimPins, WchbFifo2x2Seed3) {
     golden::expect_pin({golden::Style::WchbFifo, 2, 2, golden::fabric12(), 3},
-                       {0xE2EE39ABD3042110ULL, 0x56D3A90DF18C0D71ULL});
+                       {0xDB3D30B06AE08A96ULL, 0x3179FB7832C6183CULL});
 }
 
 TEST(SimPins, WchbFifo4x4) {
     golden::expect_pin({golden::Style::WchbFifo, 4, 4},
-                       {0xCB69516315554C09ULL, 0x625BAFE28D02F29DULL});
+                       {0x9F2F154F93EAEBDCULL, 0xAC60DE0DBE6D12E7ULL});
 }
 
 TEST(SimPins, MicropipelineFifo4x2) {
@@ -866,7 +866,7 @@ TEST(SimPins, MicropipelineFifo4x2) {
 
 TEST(SimPins, MousetrapFifo4x2) {
     golden::expect_pin({golden::Style::MousetrapFifo, 4, 2},
-                       {0xEBD4AAD56DEA03E2ULL, 0x2245BFC0F052A4B5ULL});
+                       {0xE2417D1742BD290CULL, 0xBF581AEA98E86F1CULL});
 }
 
 TEST(SimPins, PdePoint2000x4ZeroMargin) {
