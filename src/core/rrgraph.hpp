@@ -189,7 +189,7 @@ public:
     /// from node `n`: the summed base costs of the nodes after `n`, the
     /// pin's included. A wire or PLB output pin within kLookaheadRadius of
     /// `t` reads a (kind, track, dx, dy) table, measured once per graph by a
-    /// reverse Dijkstra from the input pins of the fabric's centre PLB; any
+    /// reverse search from the input pins of the fabric's centre PLB; any
     /// other node gets max(wire_delay_ps, 1) times the Manhattan distance
     /// from its grid_pos() to `t`'s centre. The table knows which tracks
     /// reach which pins (each side's input pins tap one track parity), which

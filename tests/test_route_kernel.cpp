@@ -356,7 +356,8 @@ double path_cost(const RRGraph& rr, const NetRouteState& st) {
 
 // Optimality: with iteration-1 costs (nothing occupied, no history), a
 // search guided by the lookahead finds a path exactly as cheap as pure
-// Dijkstra (astar_fac = 0) does, for PLB and pad endpoints alike.
+// Dijkstra (astar_fac = 0) does, for PLB and pad endpoints alike, and so
+// does one confined to a bounding box, whose tree stays inside the box.
 TEST(RouteKernel, LookaheadSearchCostsWhatDijkstraCosts) {
     for (std::uint32_t cw : {6u, 10u, 16u}) {
         const RRGraph rr(arch_of(9, 9, cw));
@@ -367,11 +368,16 @@ TEST(RouteKernel, LookaheadSearchCostsWhatDijkstraCosts) {
         RouterOptions astar;
         RouterOptions dijkstra;
         dijkstra.astar_fac = 0.0;
-        auto cost = [&](const RouteRequest& rq, const RouterOptions& o) {
+        auto cost = [&](const RouteRequest& rq, const RouterOptions& o, const RouteBBox* box) {
             const NetRouteState st =
-                cad::detail::route_one_net(rr, rq, o, 0.6, hist, occ, scratch, nullptr);
+                cad::detail::route_one_net(rr, rq, o, 0.6, hist, occ, scratch, box);
             EXPECT_TRUE(st.all_sinks_found);
-            for (std::uint32_t n : st.nodes) --occ[n];  // back to iteration-1 costs
+            for (std::uint32_t n : st.nodes) {
+                --occ[n];  // back to iteration-1 costs
+                if (box != nullptr) {
+                    EXPECT_TRUE(box->allows(rr.node_word(n)));
+                }
+            }
             return path_cost(rr, st);
         };
         std::vector<RouteRequest> reqs;
@@ -392,9 +398,20 @@ TEST(RouteKernel, LookaheadSearchCostsWhatDijkstraCosts) {
             reqs.push_back(to_pad);
         }
         std::size_t worse = 0;
-        for (const RouteRequest& rq : reqs)
-            if (cost(rq, astar) != cost(rq, dijkstra)) ++worse;
+        std::size_t worse_boxed = 0;
+        for (const RouteRequest& rq : reqs) {
+            if (cost(rq, astar, nullptr) != cost(rq, dijkstra, nullptr)) ++worse;
+            if (rq.src_is_pad || rq.sinks[0].is_pad) continue;
+            // The terminals' box grown by one PLB, as the router's regions are.
+            const PlbCoord s = rq.src_plb;
+            const PlbCoord t = rq.sinks[0].plb;
+            const RouteBBox box = RouteBBox{std::min(s.x, t.x), std::min(s.y, t.y),
+                                            std::max(s.x, t.x), std::max(s.y, t.y)}
+                                      .expanded(1, 9, 9);
+            if (cost(rq, astar, &box) != cost(rq, dijkstra, &box)) ++worse_boxed;
+        }
         EXPECT_EQ(worse, 0u) << "cw=" << cw << ": of " << reqs.size() << " searches";
+        EXPECT_EQ(worse_boxed, 0u) << "cw=" << cw << ", boxed";
     }
 }
 
